@@ -15,10 +15,11 @@ from .meta import (EffectSize, GroupTest, PipelineReport, PooledResult,
                    run_pipeline)
 from .model import (GroupRecord, QuantileSummary, Scenario, Study,
                     SummaryDataError, UnsupportedSummaryError,
-                    classify_scenario, combine_subgroups, parse_studies,
+                    classify_scenario, parse_studies,
                     pooled_moments, validate, write_csv, write_json)
-from .normal import (critical_value, std_normal_cdf, std_normal_pdf,
-                     std_normal_quantile, two_sided_p)
+from .normal import (critical_value, extreme_width, quartile_width,
+                     std_normal_cdf, std_normal_pdf, std_normal_quantile,
+                     two_sided_p)
 from .plots import curve_svg, forest_svg
 from .simulate import (DEFAULT_N_GRID, DEMO_PAIRS, POWER_ALTERNATIVES,
                        CovRatioCheck, DemoResult, DistSpec, ExperimentResult,
@@ -29,7 +30,8 @@ from .simulate import (DEFAULT_N_GRID, DEMO_PAIRS, POWER_ALTERNATIVES,
 from .symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES,
                        DegenerateSummaryError, TestResult, coeff_kappa,
                        coeff_phi, coeff_tau, format_p_value,
-                       format_statistic, run_test, test_s1, test_s2, test_s3)
+                       format_statistic, run_test, statistic, test_s1,
+                       test_s2, test_s3)
 
 __version__ = "0.1.0"
 
@@ -38,17 +40,18 @@ __all__ = [
     # model
     "Scenario", "QuantileSummary", "GroupRecord", "Study",
     "SummaryDataError", "UnsupportedSummaryError", "classify_scenario",
-    "validate", "pooled_moments", "combine_subgroups", "parse_studies",
+    "validate", "pooled_moments", "parse_studies",
     "write_csv", "write_json",
     # normal
     "std_normal_pdf", "std_normal_cdf", "std_normal_quantile",
-    "two_sided_p", "critical_value",
+    "two_sided_p", "critical_value", "extreme_width", "quartile_width",
     # estimators
     "EstimatedMoments", "estimate_sd_s1", "estimate_sd_s2",
     "estimate_sd_s3", "estimate_mean", "estimate_moments",
     # symmetry
     "DEFAULT_KAPPA_C", "KAPPA_C_CHOICES", "DegenerateSummaryError",
-    "TestResult", "coeff_tau", "coeff_phi", "coeff_kappa", "test_s1",
+    "TestResult", "coeff_tau", "coeff_phi", "coeff_kappa", "statistic",
+    "test_s1",
     "test_s2", "test_s3", "run_test", "format_statistic", "format_p_value",
     # meta
     "EffectSize", "PooledResult", "GroupTest", "StudyEntry",

@@ -20,11 +20,9 @@ from typing import Sequence
 
 from .estimators import estimate_moments
 from .meta import run_pipeline, report_to_dict
-from .model import (Scenario, SummaryDataError, UnsupportedSummaryError,
-                    parse_studies)
+from .model import Scenario, SummaryDataError, parse_studies
 from .plots import curve_svg, forest_svg
-from .symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES,
-                       DegenerateSummaryError, format_p_value,
+from .symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES, format_p_value,
                        format_statistic, run_test)
 from . import simulate as sim
 
@@ -55,48 +53,40 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _resolve_alpha(args) -> float:
-    raw = args.alpha if args.alpha is not None else os.environ.get(_ENV_ALPHA)
-    if raw is None:
-        return 0.05
-    try:
-        alpha = float(raw)
-    except ValueError:
-        raise _ConfigError(f"alpha must be a number, got {raw!r}") from None
-    if not 0.0 < alpha < 1.0:
-        raise _ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
+# setting -> (env var, default, type, label, check, rule the check states)
+_SETTINGS = {
+    "alpha": (_ENV_ALPHA, 0.05, float, "alpha",
+              lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "kappa_c": (_ENV_KAPPA, DEFAULT_KAPPA_C, float, "kappa constant",
+                lambda v: v in KAPPA_C_CHOICES,
+                f"be one of {KAPPA_C_CHOICES}"),
+    "seed": (_ENV_SEED, None, int, "seed", lambda v: v >= 0, "be nonnegative"),
+}
+_TYPE_NOUN = {float: "a number", int: "an integer"}
 
 
-def _resolve_kappa_c(args) -> float:
-    raw = args.kappa_c if args.kappa_c is not None \
-        else os.environ.get(_ENV_KAPPA)
+def _resolve(args, name: str):
+    """The flag, else the SUMNORM_* environment variable, else the default."""
+    env, default, kind, label, check, rule = _SETTINGS[name]
+    raw = getattr(args, name)
     if raw is None:
-        return DEFAULT_KAPPA_C
+        raw = os.environ.get(env)
+    if raw is None:
+        return default
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        raise _ConfigError(f"kappa constant must be a number, got {raw!r}") \
-            from None
-    if value not in KAPPA_C_CHOICES:
         raise _ConfigError(
-            f"kappa constant must be one of {KAPPA_C_CHOICES}, got {value}")
+            f"{label} must be {_TYPE_NOUN[kind]}, got {raw!r}") from None
+    if not check(value):
+        raise _ConfigError(f"{label} must {rule}, got {value}")
     return value
 
 
-def _resolve_seed(args, required: bool) -> int | None:
-    raw = args.seed if args.seed is not None else os.environ.get(_ENV_SEED)
-    if raw is None:
-        if required:
-            raise _ConfigError(
-                f"a seed is required (--seed or {_ENV_SEED})")
-        return None
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise _ConfigError(f"seed must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise _ConfigError(f"seed must be nonnegative, got {seed}")
+def _require_seed(args) -> int:
+    seed = _resolve(args, "seed")
+    if seed is None:
+        raise _ConfigError(f"a seed is required (--seed or {_ENV_SEED})")
     return seed
 
 
@@ -108,65 +98,54 @@ def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-") or "outcome"
 
 
-def cmd_test(args) -> int:
-    alpha = _resolve_alpha(args)
-    kappa_c = _resolve_kappa_c(args)
-    studies = _load_studies(args)
+def _group_table(args, headers: Sequence[str], cells) -> int:
+    """Print one row per group; a flagged or failing group prints its error."""
     rows = []
-    for study in studies:
+    for study in _load_studies(args):
         for group in study.groups:
             base = [study.study_id, group.group_label, str(group.n)]
-            if group.violations:
-                rows.append(base + ["-", "-", "-",
-                                    "error: " + "; ".join(group.violations)])
-                continue
-            try:
-                result = run_test(group, alpha=alpha, kappa_c=kappa_c)
-            except (DegenerateSummaryError, UnsupportedSummaryError,
-                    ValueError) as exc:
-                rows.append(base + ["-", "-", "-", f"error: {exc}"])
-                continue
-            if result is None:
-                # Mean and SD reported directly; nothing to test.
-                rows.append(base + ["direct", "NS", "NS", "-"])
-                continue
-            decision = "reject" if result.reject else "retain"
-            rows.append(base + [result.scenario.value,
-                                format_statistic(result.statistic),
-                                format_p_value(result.p_value),
-                                decision])
-    print(_render_table(
-        ["study", "group", "n", "scenario", "statistic", "p", "decision"],
-        rows))
+            error = "; ".join(group.violations)
+            if not error:
+                try:
+                    rows.append(base + cells(group))
+                    continue
+                except ValueError as exc:  # degenerate or unsupported
+                    error = str(exc)
+            rows.append(base + ["-", "-", "-", f"error: {error}"])
+    print(_render_table(["study", "group", "n", *headers], rows))
     return 0
+
+
+def cmd_test(args) -> int:
+    alpha = _resolve(args, "alpha")
+    kappa_c = _resolve(args, "kappa_c")
+
+    def cells(group):
+        result = run_test(group, alpha=alpha, kappa_c=kappa_c)
+        if result is None:
+            # Mean and SD reported directly; nothing to test.
+            return ["direct", "NS", "NS", "-"]
+        return [result.scenario.value, format_statistic(result.statistic),
+                format_p_value(result.p_value),
+                "reject" if result.reject else "retain"]
+
+    return _group_table(args, ["scenario", "statistic", "p", "decision"],
+                        cells)
 
 
 def cmd_estimate(args) -> int:
-    studies = _load_studies(args)
-    rows = []
-    for study in studies:
-        for group in study.groups:
-            base = [study.study_id, group.group_label, str(group.n)]
-            if group.violations:
-                rows.append(base + ["-", "-", "-",
-                                    "error: " + "; ".join(group.violations)])
-                continue
-            try:
-                moments = estimate_moments(group)
-            except (UnsupportedSummaryError, ValueError) as exc:
-                rows.append(base + ["-", "-", "-", f"error: {exc}"])
-                continue
-            scenario = moments.scenario.value if moments.scenario else "direct"
-            rows.append(base + [scenario, f"{moments.mean:.3f}",
-                                f"{moments.sd:.3f}", moments.source])
-    print(_render_table(
-        ["study", "group", "n", "scenario", "mean", "sd", "source"], rows))
-    return 0
+    def cells(group):
+        moments = estimate_moments(group)
+        scenario = moments.scenario.value if moments.scenario else "direct"
+        return [scenario, f"{moments.mean:.3f}", f"{moments.sd:.3f}",
+                moments.source]
+
+    return _group_table(args, ["scenario", "mean", "sd", "source"], cells)
 
 
 def cmd_meta(args) -> int:
-    alpha = _resolve_alpha(args)
-    kappa_c = _resolve_kappa_c(args)
+    alpha = _resolve(args, "alpha")
+    kappa_c = _resolve(args, "kappa_c")
     studies = _load_studies(args)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,8 +154,9 @@ def cmd_meta(args) -> int:
     payload = {"alpha": alpha, "model": args.model,
                "outcomes": [report_to_dict(r) for r in reports]}
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2) + "\n",
-                           encoding="utf-8")
+    report_path.write_text(
+        json.dumps(payload, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8")
     for report in reports:
         pooled = report.pooled
         if pooled is None:
@@ -220,9 +200,9 @@ def _parse_scenario(text: str) -> Scenario:
 
 
 def cmd_simulate(args) -> int:
-    alpha = _resolve_alpha(args)
-    kappa_c = _resolve_kappa_c(args)
-    seed = _resolve_seed(args, required=True)
+    alpha = _resolve(args, "alpha")
+    kappa_c = _resolve(args, "kappa_c")
+    seed = _require_seed(args)
     scenario = _parse_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     if args.replicates is not None and args.replicates < 1:
@@ -280,7 +260,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    seed = _resolve_seed(args, required=True)
+    seed = _require_seed(args)
     names = [tok.strip() for tok in args.pairs.split(",") if tok.strip()]
     if not names:
         raise _ConfigError("--pairs must name at least one pair")
@@ -355,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="random", help="pooling model")
     p_meta.add_argument("--hedges", action="store_true",
                         help="apply the small-sample correction to d")
-    p_meta.add_argument("--output-dir", default=".",
+    p_meta.add_argument("--output-dir", "--out", default=".",
                         help="directory for report.json and forest SVGs")
     p_meta.set_defaults(func=cmd_meta)
 
@@ -376,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=int, default=None,
                        help="replicates per grid point "
                             "(default 100000 type1, 10000 power)")
-    p_sim.add_argument("--output-dir", default=".",
+    p_sim.add_argument("--output-dir", "--out", default=".",
                        help="directory for the CSV and SVG")
     _add_alpha_flag(p_sim)
     _add_kappa_flag(p_sim)

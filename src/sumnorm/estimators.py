@@ -1,11 +1,11 @@
 """Sample mean and SD estimation from quantile summaries.
 
-The SD estimators divide the reported ranges by the expected ranges of
-standard-normal order statistics, using the position approximations
-(n - 0.375)/(n + 0.25) for extremes and (0.75n - 0.125)/(n + 0.25) for
-quartiles.  The mean estimators are the published optimal weightings of
-mid-range, mid-quartile range, and median; their weights are adopted
-here as fixed constants.
+The SD estimators divide the reported ranges by the expected widths of
+standard-normal order statistics, :func:`normal.extreme_width` for the
+range and :func:`normal.quartile_width` for the interquartile range.
+The mean estimators are the published optimal weightings of mid-range,
+mid-quartile range, and median; their weights are adopted here as fixed
+constants.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .model import GroupRecord, QuantileSummary, Scenario, classify_scenario
-from .normal import std_normal_quantile
+from .normal import extreme_width, quartile_width
 
 __all__ = [
     "EstimatedMoments",
@@ -41,26 +41,17 @@ class EstimatedMoments:
     scenario: Scenario | None = None
 
 
-def _extreme_position(n: int) -> float:
-    # Expected CDF position of the maximum of n normal draws.
-    return (n - 0.375) / (n + 0.25)
-
-
-def _quartile_position(n: int) -> float:
-    # Expected CDF position of the third sample quartile.
-    return (0.75 * n - 0.125) / (n + 0.25)
-
-
 def estimate_sd_s1(a: float, b: float, n: int) -> float:
     """SD estimate from minimum ``a`` and maximum ``b``.
 
-    Returns (b - a) / (2 * Phi^-1((n - 0.375)/(n + 0.25))).
+    Returns (b - a) / extreme_width(n), the range over the expected
+    range of n standard-normal draws.
     """
     if n < 2:
         raise ValueError(f"extreme-based SD estimation needs n >= 2, got n={n}")
     if b < a:
         raise ValueError(f"max must be >= min, got a={a}, b={b}")
-    denom = 2.0 * std_normal_quantile(_extreme_position(n))
+    denom = extreme_width(n)
     assert denom > 0.0
     return (b - a) / denom
 
@@ -68,13 +59,14 @@ def estimate_sd_s1(a: float, b: float, n: int) -> float:
 def estimate_sd_s2(q1: float, q3: float, n: int) -> float:
     """SD estimate from the quartiles.
 
-    Returns (q3 - q1) / (2 * Phi^-1((0.75n - 0.125)/(n + 0.25))).
+    Returns (q3 - q1) / quartile_width(n), the IQR over the expected
+    IQR of n standard-normal draws.
     """
     if n < 4:
         raise ValueError(f"quartile-based SD estimation needs n >= 4, got n={n}")
     if q3 < q1:
         raise ValueError(f"q3 must be >= q1, got q1={q1}, q3={q3}")
-    denom = 2.0 * std_normal_quantile(_quartile_position(n))
+    denom = quartile_width(n)
     assert denom > 0.0
     return (q3 - q1) / denom
 
@@ -91,8 +83,7 @@ def estimate_sd_s3(a: float, q1: float, q3: float, b: float, n: int) -> float:
         raise ValueError(
             f"summary must be ordered a <= q1 <= q3 <= b, got "
             f"({a}, {q1}, {q3}, {b})")
-    denom = (2.0 * std_normal_quantile(_extreme_position(n))
-             + 2.0 * std_normal_quantile(_quartile_position(n)))
+    denom = extreme_width(n) + quartile_width(n)
     assert denom > 0.0
     return (b - a + q3 - q1) / denom
 

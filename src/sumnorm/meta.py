@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .estimators import EstimatedMoments, estimate_moments
-from .model import GroupRecord, Study, pooled_moments
+from .model import (GroupRecord, Study, UnsupportedSummaryError,
+                    pooled_moments)
 from .symmetry import (DEFAULT_KAPPA_C, DegenerateSummaryError, TestResult,
                        run_test)
 
@@ -69,7 +70,7 @@ class GroupTest:
     arm: str
     n: int
     result: TestResult | None  # None when moments were reported directly
-    error: str | None = None   # degenerate summary, statistic undefined
+    error: str | None = None   # why the group could not be tested
 
 
 @dataclass(frozen=True)
@@ -256,13 +257,19 @@ def _screen_study(study: Study, alpha: float, kappa_c: float) -> tuple[tuple[Gro
     tests = []
     reasons = []
     for group in study.groups:
-        try:
-            result = run_test(group, alpha=alpha, kappa_c=kappa_c)
-        except DegenerateSummaryError as exc:
+        # A group the parser flagged, or one no test fits, is excluded
+        # with the reason in words instead of being tested.
+        error = "; ".join(group.violations)
+        if not error:
+            try:
+                result = run_test(group, alpha=alpha, kappa_c=kappa_c)
+            except (DegenerateSummaryError, UnsupportedSummaryError) as exc:
+                error = str(exc)
+        if error:
             tests.append(GroupTest(group_label=group.group_label,
                                    arm=group.arm, n=group.n,
-                                   result=None, error=str(exc)))
-            reasons.append(f"group {group.group_label}: {exc}")
+                                   result=None, error=error))
+            reasons.append(f"group {group.group_label}: {error}")
             continue
         tests.append(GroupTest(group_label=group.group_label, arm=group.arm,
                                n=group.n, result=result))

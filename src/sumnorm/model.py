@@ -8,7 +8,7 @@ quantile summary in one of three reporting patterns:
 * S3: all five numbers
 
 This module owns the record types, scenario classification, invariant
-validation, subgroup combination, and CSV/JSON ingestion.
+validation, moment pooling, and CSV/JSON ingestion.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "classify_scenario",
     "validate",
     "pooled_moments",
-    "combine_subgroups",
     "parse_studies",
     "studies_to_rows",
     "write_csv",
@@ -207,44 +206,23 @@ def pooled_moments(moments: Sequence[tuple[int, float, float]]) -> tuple[int, fl
     return total_n, mean, sd
 
 
-def combine_subgroups(groups: Sequence[GroupRecord]) -> GroupRecord:
-    """Merge two or more subgroups with reported moments into one record.
-
-    Raises
-    ------
-    ValueError
-        On fewer than two groups, or when any group lacks moments.
-    """
-    if len(groups) < 2:
-        raise ValueError("combine_subgroups requires at least two groups")
-    for g in groups:
-        if g.reported_mean is None or g.reported_sd is None:
-            raise ValueError(
-                f"group {g.study_id}/{g.group_label} has no mean and SD; "
-                f"estimate moments before combining")
-    n, mean, sd = pooled_moments(
-        [(g.n, g.reported_mean, g.reported_sd) for g in groups])
-    first = groups[0]
-    label = "+".join(g.group_label for g in groups)
-    return GroupRecord(study_id=first.study_id, group_label=label,
-                       arm=first.arm, n=n, reported_mean=mean,
-                       reported_sd=sd)
-
-
 def _parse_cell(raw: str | float | int | None, column: str, where: str) -> float | None:
     if raw is None:
         return None
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    text = raw.strip()
-    if text == "" or text == _MISSING_LITERAL:
+    text = raw.strip() if isinstance(raw, str) else raw
+    if text in ("", _MISSING_LITERAL):
         return None
     try:
-        return float(text)
-    except ValueError:
+        value = float(text)
+    except (TypeError, ValueError):
         raise SummaryDataError(
             f"{where}: column {column!r} holds {raw!r}, expected a number, "
             f"an empty cell, or {_MISSING_LITERAL!r}") from None
+    if not math.isfinite(value):
+        raise SummaryDataError(
+            f"{where}: column {column!r} holds {raw!r}, expected a finite "
+            f"number")
+    return value
 
 
 def _record_from_row(row: dict, where: str) -> tuple[str, GroupRecord]:

@@ -1,10 +1,12 @@
 """Standard-normal primitives shared by every other module.
 
 Only the standard normal is needed: density, distribution function,
-quantile function, two-sided p-values, and the critical value used by
-the symmetry tests.  The quantile function follows Acklam's rational
-approximation refined by one Newton step on the erfc-based CDF, which
-keeps the absolute error well below 1e-9 everywhere in (0, 1).
+quantile function, two-sided p-values, the critical value used by the
+symmetry tests, and the expected widths of normal order statistics that
+both the symmetry tests and the SD estimators divide by.  The quantile
+function follows Acklam's rational approximation refined by one Newton
+step on the erfc-based CDF, which keeps the absolute error well below
+1e-9 everywhere in (0, 1).
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ __all__ = [
     "std_normal_quantile",
     "two_sided_p",
     "critical_value",
+    "extreme_width",
+    "quartile_width",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -116,3 +120,21 @@ def critical_value(alpha: float) -> float:
     if alpha == 0.05:
         return 1.96
     return std_normal_quantile(1.0 - alpha / 2.0)
+
+
+def extreme_width(n: int) -> float:
+    """Expected range of ``n`` standard-normal draws.
+
+    2 * Phi^-1((n - 0.375)/(n + 0.25)), with (n - 0.375)/(n + 0.25)
+    the expected CDF position of the sample maximum.
+    """
+    return 2.0 * std_normal_quantile((n - 0.375) / (n + 0.25))
+
+
+def quartile_width(n: int) -> float:
+    """Expected interquartile range of ``n`` standard-normal draws.
+
+    2 * Phi^-1((0.75n - 0.125)/(n + 0.25)), with (0.75n - 0.125)/(n + 0.25)
+    the expected CDF position of the third sample quartile.
+    """
+    return 2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))

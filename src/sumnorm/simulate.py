@@ -21,7 +21,7 @@ from .estimators import estimate_mean, estimate_sd_s1
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, coeff_kappa, coeff_phi, coeff_tau
+from .symmetry import DEFAULT_KAPPA_C, statistic
 
 __all__ = [
     "DistSpec",
@@ -176,15 +176,7 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int,
 
 def _statistics(scenario: Scenario, summaries: np.ndarray, n: int,
                 kappa_c: float) -> np.ndarray:
-    a, q1, m, q3, b = summaries.T
-    if scenario is Scenario.S1:
-        return coeff_tau(n) * (a + b - 2.0 * m) / (b - a)
-    if scenario is Scenario.S2:
-        return coeff_phi(n) * (q1 + q3 - 2.0 * m) / (q3 - q1)
-    if scenario is Scenario.S3:
-        return (coeff_kappa(n, kappa_c)
-                * (a + b + q1 + q3 - 4.0 * m) / ((b - a) + (q3 - q1)))
-    raise ValueError(f"no test statistic for scenario {scenario}")
+    return statistic(scenario, *summaries.T, n, kappa_c)
 
 
 @dataclass(frozen=True)
@@ -202,20 +194,14 @@ class ExperimentResult:
     kappa_c: float = DEFAULT_KAPPA_C
 
 
-def _scenario_min_n(scenario: Scenario) -> int:
-    return 2 if scenario is Scenario.S1 else 4
-
-
 def _rejection_curve(scenario: Scenario, dist: DistSpec,
                      n_grid: Sequence[int], replicates: int, alpha: float,
                      seed: int, kappa_c: float) -> ExperimentResult:
     if replicates < 1:
         raise ValueError("replicates must be positive")
-    min_n = max(_scenario_min_n(scenario), 4)  # summaries need quartiles
     for n in n_grid:
-        if n < min_n:
-            raise ValueError(
-                f"n={n} is below the scenario minimum {min_n}")
+        if n < 4:  # every scenario is drawn from a five-number summary
+            raise ValueError(f"n={n} is below the scenario minimum 4")
     crit = critical_value(alpha)
     rates = []
     ses = []

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import GroupRecord, QuantileSummary, Scenario, classify_scenario
-from .normal import critical_value, std_normal_quantile, two_sided_p
+from .model import GroupRecord, Scenario, classify_scenario
+from .normal import (critical_value, extreme_width, quartile_width,
+                     two_sided_p)
 
 __all__ = [
     "DEFAULT_KAPPA_C",
@@ -29,6 +30,7 @@ __all__ = [
     "coeff_tau",
     "coeff_phi",
     "coeff_kappa",
+    "statistic",
     "test_s1",
     "test_s2",
     "test_s3",
@@ -63,16 +65,14 @@ def coeff_tau(n: int) -> float:
     """Scaling coefficient for the min/median/max statistic, n >= 2."""
     if n < 2:
         raise ValueError(f"tau(n) needs n >= 2, got n={n}")
-    num = 2.0 * std_normal_quantile((n - 0.375) / (n + 0.25))
-    return num / math.sqrt(_PI2_6 / math.log(n) + math.pi / n)
+    return extreme_width(n) / math.sqrt(_PI2_6 / math.log(n) + math.pi / n)
 
 
 def coeff_phi(n: int) -> float:
     """Scaling coefficient for the quartile statistic, n >= 4."""
     if n < 4:
         raise ValueError(f"phi(n) needs n >= 4, got n={n}")
-    return 1.09 * math.sqrt(n) * std_normal_quantile(
-        (0.75 * n - 0.125) / (n + 0.25))
+    return 1.09 * math.sqrt(n) * (quartile_width(n) / 2.0)
 
 
 def coeff_kappa(n: int, c: float = DEFAULT_KAPPA_C) -> float:
@@ -83,9 +83,27 @@ def coeff_kappa(n: int, c: float = DEFAULT_KAPPA_C) -> float:
     """
     if n < 4:
         raise ValueError(f"kappa(n) needs n >= 4, got n={n}")
-    num = (2.0 * std_normal_quantile((n - 0.375) / (n + 0.25))
-           + 2.0 * std_normal_quantile((0.75 * n - 0.125) / (n + 0.25)))
+    num = extreme_width(n) + quartile_width(n)
     return num / math.sqrt(_PI2_6 / math.log(n) + c / n)
+
+
+def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
+              kappa_c: float = DEFAULT_KAPPA_C):
+    """T1, T2 or T3 of one summary, or of arrays of summaries.
+
+    Plain arithmetic, so the summary values may be floats or equally
+    shaped numpy arrays; fields the scenario does not use are ignored
+    (pass None).  No ordering or degeneracy checks: a collapsed range
+    gives inf or nan here, which test_s1/2/3 refuse before calling it.
+    """
+    if scenario is Scenario.S1:
+        return coeff_tau(n) * (a + b - 2.0 * m) / (b - a)
+    if scenario is Scenario.S2:
+        return coeff_phi(n) * (q1 + q3 - 2.0 * m) / (q3 - q1)
+    if scenario is Scenario.S3:
+        return (coeff_kappa(n, kappa_c)
+                * (a + b + q1 + q3 - 4.0 * m) / ((b - a) + (q3 - q1)))
+    raise ValueError(f"no test statistic for scenario {scenario}")
 
 
 def _result(scenario: Scenario, statistic: float, n: int, alpha: float) -> TestResult:
@@ -109,8 +127,8 @@ def test_s1(a: float, m: float, b: float, n: int, alpha: float = 0.05) -> TestRe
     if b == a:
         raise DegenerateSummaryError(
             f"degenerate range b - a = 0 (a = b = {a}); statistic undefined")
-    statistic = coeff_tau(n) * (a + b - 2.0 * m) / (b - a)
-    return _result(Scenario.S1, statistic, n, alpha)
+    t = statistic(Scenario.S1, a, None, m, None, b, n)
+    return _result(Scenario.S1, t, n, alpha)
 
 
 def test_s2(q1: float, m: float, q3: float, n: int, alpha: float = 0.05) -> TestResult:
@@ -120,8 +138,8 @@ def test_s2(q1: float, m: float, q3: float, n: int, alpha: float = 0.05) -> Test
     if q3 == q1:
         raise DegenerateSummaryError(
             f"degenerate IQR q3 - q1 = 0 (q1 = q3 = {q1}); statistic undefined")
-    statistic = coeff_phi(n) * (q1 + q3 - 2.0 * m) / (q3 - q1)
-    return _result(Scenario.S2, statistic, n, alpha)
+    t = statistic(Scenario.S2, None, q1, m, q3, None, n)
+    return _result(Scenario.S2, t, n, alpha)
 
 
 def test_s3(a: float, q1: float, m: float, q3: float, b: float, n: int,
@@ -130,13 +148,11 @@ def test_s3(a: float, q1: float, m: float, q3: float, b: float, n: int,
     if not (a <= q1 <= m <= q3 <= b):
         raise ValueError(
             f"need a <= q1 <= m <= q3 <= b, got ({a}, {q1}, {m}, {q3}, {b})")
-    spread = (b - a) + (q3 - q1)
-    if spread == 0.0:
+    if (b - a) + (q3 - q1) == 0.0:
         raise DegenerateSummaryError(
             "degenerate summary: range and IQR are both zero")
-    statistic = (coeff_kappa(n, kappa_c)
-                 * (a + b + q1 + q3 - 4.0 * m) / spread)
-    return _result(Scenario.S3, statistic, n, alpha)
+    t = statistic(Scenario.S3, a, q1, m, q3, b, n, kappa_c)
+    return _result(Scenario.S3, t, n, alpha)
 
 
 def run_test(group: GroupRecord, alpha: float = 0.05,

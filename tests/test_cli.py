@@ -156,6 +156,38 @@ class TestMetaCommand:
                          "forest_total-cholesterol.svg",
                          "forest_triglycerides.svg"]
 
+    def test_out_is_an_alias_of_output_dir(self, capsys, tmp_path, data_dir):
+        dirs = (tmp_path / "long", tmp_path / "short")
+        main(["meta", str(data_dir / "zhang2017.csv"),
+              "--output-dir", str(dirs[0])])
+        main(["meta", str(data_dir / "zhang2017.csv"), "--out", str(dirs[1])])
+        capsys.readouterr()
+        assert ((dirs[0] / "report.json").read_bytes()
+                == (dirs[1] / "report.json").read_bytes())
+
+    @pytest.mark.parametrize("command", ["meta", "simulate"])
+    def test_out_is_a_declared_option(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--output-dir OUTPUT_DIR, --out OUTPUT_DIR" in \
+            capsys.readouterr().out
+
+    def test_flagged_rows_excluded_not_fatal(self, capsys, tmp_path):
+        p = tmp_path / "flagged.csv"
+        p.write_text("study_id,outcome,arm,group_label,n,mean,sd,"
+                     "min,q1,median,q3,max\n"
+                     "ok,o,case,case,20,5.0,2.0,,,,,\n"
+                     "ok,o,control,control,20,4.0,2.0,,,,,\n"
+                     "bad,o,case,case,40,,,,6,5,8,\n"
+                     "bad,o,control,control,40,4.0,,,,,,\n")
+        out_dir = tmp_path / "meta"
+        assert main(["meta", str(p), "--output-dir", str(out_dir)]) == 0
+        assert "  excluded: bad" in capsys.readouterr().out
+        payload = json.loads((out_dir / "report.json").read_text())
+        (bad,) = [s for s in payload["outcomes"][0]["studies"]
+                  if s["study_id"] == "bad"]
+        assert len(bad["exclusion_reasons"]) == 2
+
     def test_byte_deterministic_artifacts(self, capsys, tmp_path, data_dir):
         dirs = (tmp_path / "a", tmp_path / "b")
         for d in dirs:
@@ -303,6 +335,27 @@ class TestErrorPaths:
                      "min,q1,median,q3,max\n"
                      "a,o,case,case,twelve,1,1,,,,,\n")
         self._expect_config_error(capsys, ["test", str(p)], "line 2")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, capsys, tmp_path,
+                                                   cell):
+        p = tmp_path / "nan.csv"
+        p.write_text("study_id,outcome,arm,group_label,n,mean,sd,"
+                     "min,q1,median,q3,max\n"
+                     "a,o,case,case,12,1,1,,,,,\n"
+                     f"a,o,control,control,12,{cell},1,,,,,\n")
+        out_dir = tmp_path / "meta"
+        self._expect_config_error(
+            capsys, ["meta", str(p), "--output-dir", str(out_dir)],
+            "line 3: column 'mean'")
+        assert not (out_dir / "report.json").exists()
+
+    def test_non_finite_json_cell_rejected(self, capsys, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('[{"study_id": "a", "outcome": "o", "arm": "case", '
+                     '"n": 12, "mean": NaN, "sd": 1}]')
+        self._expect_config_error(capsys, ["test", str(p)],
+                                  "row 1: column 'mean'")
 
     def test_simulate_needs_seed(self, capsys, tmp_path):
         self._expect_config_error(

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 from sumnorm.meta import (EffectSize, GroupTest, PipelineReport, PooledResult,
                           StudyEntry, chi_square_sf, cohen_d, pool,
                           report_to_dict, run_pipeline)
-from sumnorm.model import GroupRecord, QuantileSummary, Study
+from sumnorm.model import GroupRecord, QuantileSummary, Study, parse_studies
 from sumnorm.plots import curve_svg, forest_svg
 
 
@@ -228,6 +228,37 @@ class TestRunPipeline:
         flagged = [t for t in entry.tests if t.error is not None]
         assert len(flagged) == 1
         assert "statistic undefined" in flagged[0].error
+
+    def test_flagged_and_unsupported_groups_excluded_in_words(self, tmp_path):
+        # Rows the parser flags (q1 > median, a mean without an SD) or
+        # that no test fits (min/q1/median only) exclude their study.
+        csv_path = tmp_path / "flagged.csv"
+        csv_path.write_text(
+            "study_id,outcome,arm,group_label,n,mean,sd,min,q1,median,q3,max\n"
+            "ok,o,case,case,20,5.0,2.0,,,,,\n"
+            "ok,o,control,control,20,4.0,2.0,,,,,\n"
+            "unordered,o,case,case,40,,,,6,5,8,\n"
+            "unordered,o,control,control,40,4.0,2.0,,,,,\n"
+            "partial,o,case,case,40,,,1,3,5,,\n"
+            "partial,o,control,control,40,4.0,2.0,,,,,\n"
+            "nosd,o,case,case,40,5.0,,,,,,\n"
+            "nosd,o,control,control,40,4.0,2.0,,,,,\n")
+        (report,) = run_pipeline(parse_studies(csv_path))
+        assert report.included_ids == ("ok",)
+        assert report.excluded_ids == ("unordered", "partial", "nosd")
+        reasons = {s.study_id: s.exclusion_reasons for s in report.studies}
+        assert reasons["unordered"] == (
+            "group case: ordering violation: q1 <= median fails (6.0 > 5.0)",)
+        (partial,) = reasons["partial"]
+        assert partial.startswith("group case: ") and "matches no scenario" \
+            in partial
+        assert reasons["nosd"] == (
+            "group case: neither (mean, sd) nor a quantile summary is "
+            "present",)
+        for entry in report.studies[1:]:
+            (flagged,) = [t for t in entry.tests if t.error is not None]
+            assert flagged.group_label == "case" and flagged.result is None
+        json.dumps(report_to_dict(report), allow_nan=False)
 
     def test_all_excluded_outcome(self):
         studies = [_summary_study("skew", "o", _SKEWED, _SYMMETRIC)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sumnorm.model import (CSV_COLUMNS, GroupRecord, QuantileSummary,
                            Scenario, Study, SummaryDataError,
                            UnsupportedSummaryError, classify_scenario,
-                           combine_subgroups, parse_studies, pooled_moments,
+                           parse_studies, pooled_moments,
                            validate, write_csv, write_json)
 
 
@@ -156,32 +156,6 @@ class TestPooledMoments:
             [(10, 5.0, 2.0), (25, -1.0, 0.5), (7, 3.25, 4.0)])[1], abs=1e-12)
         assert sd == pytest.approx(pooled_moments(
             [(10, 5.0, 2.0), (25, -1.0, 0.5), (7, 3.25, 4.0)])[2], abs=1e-12)
-
-
-class TestCombineSubgroups:
-    def test_merges_labels_and_moments(self):
-        a = GroupRecord(study_id="y", group_label="obese", arm="case", n=40,
-                        reported_mean=11.8, reported_sd=7.9)
-        b = GroupRecord(study_id="y", group_label="lean", arm="case", n=51,
-                        reported_mean=5.3, reported_sd=6.8)
-        merged = combine_subgroups([a, b])
-        assert merged.n == 91
-        assert merged.group_label == "obese+lean"
-        assert merged.arm == "case"
-        assert merged.reported_sd == pytest.approx(7.953428930092463, abs=1e-9)
-
-    def test_requires_two_groups(self):
-        a = GroupRecord(study_id="y", group_label="only", arm="case", n=40,
-                        reported_mean=1.0, reported_sd=1.0)
-        with pytest.raises(ValueError, match="at least two"):
-            combine_subgroups([a])
-
-    def test_requires_moments(self):
-        a = GroupRecord(study_id="y", group_label="a", arm="case", n=40,
-                        reported_mean=1.0, reported_sd=1.0)
-        b = _group(median=5.0, q1=3.0, q3=8.0)
-        with pytest.raises(ValueError, match="no mean and SD"):
-            combine_subgroups([a, b])
 
 
 class TestParseBundled:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from sumnorm.normal import (critical_value, std_normal_cdf, std_normal_pdf,
+from sumnorm.normal import (critical_value, extreme_width, quartile_width,
+                            std_normal_cdf, std_normal_pdf,
                             std_normal_quantile, two_sided_p)
 
 
@@ -148,3 +149,19 @@ class TestCriticalValue:
     def test_domain_errors(self, alpha):
         with pytest.raises(ValueError):
             critical_value(alpha)
+
+
+class TestOrderStatisticWidths:
+    @pytest.mark.parametrize("n", [2, 4, 13, 102, 1000, 10**6])
+    def test_match_scipy_quantiles(self, n):
+        assert extreme_width(n) == pytest.approx(
+            2.0 * ndtri((n - 0.375) / (n + 0.25)), abs=1e-9)
+        assert quartile_width(n) == pytest.approx(
+            2.0 * ndtri((0.75 * n - 0.125) / (n + 0.25)), abs=1e-9)
+
+    def test_large_n_limits(self):
+        # The quartile width tends to the population IQR 2 * Phi^-1(0.75);
+        # the expected range keeps growing.
+        assert quartile_width(10**6) == pytest.approx(
+            2.0 * ndtri(0.75), abs=1e-5)
+        assert extreme_width(1000) > extreme_width(100) > quartile_width(100)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from sumnorm.model import GroupRecord, QuantileSummary, Scenario
 from sumnorm.symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES,
                               DegenerateSummaryError, coeff_kappa, coeff_phi,
                               coeff_tau, format_p_value, format_statistic,
-                              run_test)
+                              run_test, statistic)
 from sumnorm.symmetry import test_s1 as s1_test
 from sumnorm.symmetry import test_s2 as s2_test
 from sumnorm.symmetry import test_s3 as s3_test
@@ -137,6 +138,30 @@ class TestS3:
     def test_degenerate_spread(self):
         with pytest.raises(DegenerateSummaryError, match="both zero"):
             s3_test(1.0, 1.0, 1.0, 1.0, 1.0, 20)
+
+
+class TestStatistic:
+    _ROWS = np.array([[1.0, 3.0, 4.0, 6.0, 12.0],
+                      [0.5, 2.0, 2.5, 3.0, 4.5],
+                      [-3.0, -1.0, 0.25, 0.5, 2.0]])
+
+    @pytest.mark.parametrize("kappa_c", KAPPA_C_CHOICES)
+    def test_arrays_match_scalar_tests_bitwise(self, kappa_c):
+        n = 37
+        a, q1, m, q3, b = self._ROWS.T
+        s1 = statistic(Scenario.S1, a, q1, m, q3, b, n, kappa_c)
+        s2 = statistic(Scenario.S2, a, q1, m, q3, b, n, kappa_c)
+        s3 = statistic(Scenario.S3, a, q1, m, q3, b, n, kappa_c)
+        for i, row in enumerate(self._ROWS.tolist()):
+            ra, rq1, rm, rq3, rb = row
+            assert s1[i] == s1_test(ra, rm, rb, n).statistic
+            assert s2[i] == s2_test(rq1, rm, rq3, n).statistic
+            assert s3[i] == s3_test(ra, rq1, rm, rq3, rb, n,
+                                    kappa_c=kappa_c).statistic
+
+    def test_direct_scenario_rejected(self):
+        with pytest.raises(ValueError, match="no test statistic"):
+            statistic(Scenario.DIRECT, 1.0, 2.0, 3.0, 4.0, 5.0, 20)
 
 
 def _record(**kwargs) -> GroupRecord:
