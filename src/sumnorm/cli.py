@@ -379,13 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SummaryDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_ConfigError, SummaryDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

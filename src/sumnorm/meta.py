@@ -172,7 +172,10 @@ def cohen_d(n_case: int, mean_case: float, sd_case: float,
     Raises
     ------
     ValueError
-        On n below 2, negative SDs, or a zero pooled SD (degenerate).
+        On n below 2, negative SDs, a zero pooled SD (degenerate), or a
+        pooled SD, d or SE that is not finite.
+    OverflowError
+        When squaring an SD overflows the float range.
     """
     if n_case < 2 or n_control < 2:
         raise ValueError(
@@ -190,6 +193,9 @@ def cohen_d(n_case: int, mean_case: float, sd_case: float,
         d *= 1.0 - 3.0 / (4.0 * (n_case + n_control) - 9.0)
     total = n_case + n_control
     se = math.sqrt(total / (n_case * n_control) + d * d / (2.0 * total))
+    if not all(map(math.isfinite, (pooled_var, d, se))):
+        raise ValueError("pooled SD, d or its SE is not finite: the moments "
+                         "overflow the float range")
     return EffectSize(smd=d, se=se, ci_low=d - _Z95 * se,
                       ci_high=d + _Z95 * se,
                       n_case=n_case, n_control=n_control)
@@ -303,18 +309,29 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
     for outcome_label, outcome_studies in outcomes.items():
         entries = []
         effects = []
+        undefined = 0  # studies that passed the screen without an effect
         for study in outcome_studies:
             tests, reasons = _screen_study(study, alpha, kappa_c)
+            if not reasons:
+                try:
+                    n_case, case_moments = _moments_for_arm(study.case_groups)
+                    n_control, control_moments = _moments_for_arm(
+                        study.control_groups)
+                    effect = cohen_d(n_case, case_moments.mean,
+                                     case_moments.sd, n_control,
+                                     control_moments.mean,
+                                     control_moments.sd, hedges=hedges)
+                except ValueError as exc:
+                    reasons = (f"no effect size: {exc}",)
+                except OverflowError:
+                    reasons = ("no effect size: the moments overflow the "
+                               "float range",)
+                undefined += bool(reasons)
             if reasons:
                 entries.append(StudyEntry(study_id=study.study_id,
                                           tests=tests, included=False,
                                           exclusion_reasons=reasons))
                 continue
-            n_case, case_moments = _moments_for_arm(study.case_groups)
-            n_control, control_moments = _moments_for_arm(study.control_groups)
-            effect = cohen_d(n_case, case_moments.mean, case_moments.sd,
-                             n_control, control_moments.mean,
-                             control_moments.sd, hedges=hedges)
             entries.append(StudyEntry(
                 study_id=study.study_id, tests=tests, included=True,
                 exclusion_reasons=(),
@@ -328,6 +345,8 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
         else:
             pooled = None
             reason = "all studies excluded by the symmetry screen"
+            if undefined:
+                reason += " or for an undefined effect size"
         reports.append(PipelineReport(outcome_label=outcome_label,
                                       alpha=alpha, model=model,
                                       studies=tuple(entries), pooled=pooled,

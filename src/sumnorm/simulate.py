@@ -48,13 +48,20 @@ DEFAULT_N_GRID = (10, 25, 50, 100, 200, 300, 400, 500, 750, 1000)
 # Fixed chunk height keeps memory bounded without breaking determinism.
 _CHUNK_ROWS = 20000
 
-_FAMILY_ARITY = {
-    "normal": 2,       # mu, sigma
-    "lognormal": 2,    # mu, sigma of the underlying normal
-    "chisquare": 1,    # degrees of freedom
-    "exponential": 1,  # rate lambda
-    "beta": 2,         # alpha, beta
-    "weibull": 2,      # shape k, scale lambda
+# family -> (number of parameters, indices that must be > 0, sampler).
+# Parameters: normal mu, sigma; lognormal mu, sigma of the underlying
+# normal; chisquare degrees of freedom; exponential rate lambda; beta
+# alpha, beta; weibull shape k, scale lambda.
+_FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable]] = {
+    "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape)),
+    "lognormal": (2, (1,),
+                  lambda rng, p, shape: rng.lognormal(p[0], p[1], shape)),
+    "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape)),
+    "exponential": (1, (0,),
+                    lambda rng, p, shape: rng.exponential(1.0 / p[0], shape)),
+    "beta": (2, (0, 1), lambda rng, p, shape: rng.beta(p[0], p[1], shape)),
+    "weibull": (2, (0, 1),
+                lambda rng, p, shape: p[1] * rng.weibull(p[0], shape)),
 }
 
 
@@ -66,22 +73,16 @@ class DistSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILY_ARITY:
+        if self.family not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; choose from "
-                f"{sorted(_FAMILY_ARITY)}")
-        if len(self.params) != _FAMILY_ARITY[self.family]:
-            raise ValueError(
-                f"{self.family} takes {_FAMILY_ARITY[self.family]} "
-                f"parameter(s), got {self.params}")
+                f"{sorted(_FAMILIES)}")
+        arity, positive, _ = _FAMILIES[self.family]
         p = self.params
-        if self.family in ("normal", "lognormal"):
-            ok = p[1] > 0
-        elif self.family in ("chisquare", "exponential"):
-            ok = p[0] > 0
-        else:  # beta, weibull: both parameters strictly positive
-            ok = p[0] > 0 and p[1] > 0
-        if not ok:
+        if len(p) != arity:
+            raise ValueError(
+                f"{self.family} takes {arity} parameter(s), got {p}")
+        if not all(p[i] > 0 for i in positive):
             raise ValueError(f"invalid parameters {p} for family {self.family!r}")
 
     @staticmethod
@@ -103,18 +104,7 @@ class DistSpec:
 
 
 def _draw(dist: DistSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    p = dist.params
-    if dist.family == "normal":
-        return rng.normal(p[0], p[1], shape)
-    if dist.family == "lognormal":
-        return rng.lognormal(p[0], p[1], shape)
-    if dist.family == "chisquare":
-        return rng.chisquare(p[0], shape)
-    if dist.family == "exponential":
-        return rng.exponential(1.0 / p[0], shape)
-    if dist.family == "beta":
-        return rng.beta(p[0], p[1], shape)
-    return p[1] * rng.weibull(p[0], shape)
+    return _FAMILIES[dist.family][2](rng, dist.params, shape)
 
 
 def _generator(seed: int, *stream: int) -> np.random.Generator:
@@ -134,12 +124,11 @@ def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
     return values
 
 
-def _order_indices(n: int) -> tuple[int, int, int]:
-    # 0-based positions of the [0.25n], [0.5n], [0.75n] order statistics,
-    # with the 1-based index clamped to at least 1.
-    return (max(1, int(0.25 * n)) - 1,
-            max(1, int(0.5 * n)) - 1,
-            max(1, int(0.75 * n)) - 1)
+def _order_columns(n: int) -> list[int]:
+    # 0-based positions of the minimum, the [0.25n], [0.5n], [0.75n]
+    # order statistics and the maximum.  Callers require n >= 4, so
+    # every 1-based index is at least 1.
+    return [0, int(0.25 * n) - 1, int(0.5 * n) - 1, int(0.75 * n) - 1, n - 1]
 
 
 def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
@@ -148,29 +137,20 @@ def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
     n = x.shape[-1]
     if n < 4:
         raise ValueError(f"summarize needs n >= 4, got n={n}")
-    i1, i2, i3 = _order_indices(n)
-    return QuantileSummary(n=n, min=float(x[0]), q1=float(x[i1]),
-                           median=float(x[i2]), q3=float(x[i3]),
-                           max=float(x[n - 1]))
+    a, q1, m, q3, b = (float(v) for v in x[_order_columns(n)])
+    return QuantileSummary(n=n, min=a, q1=q1, median=m, q3=q3, max=b)
 
 
 def _summary_matrix(dist: DistSpec, n: int, replicates: int,
                     seed: int) -> np.ndarray:
     """(replicates, 5) matrix of [min, q1, median, q3, max] rows."""
-    i1, i2, i3 = _order_indices(n)
-    pivot = sorted({0, i1, i2, i3, n - 1})
+    columns = _order_columns(n)
     blocks = []
-    done = 0
-    chunk_index = 0
-    while done < replicates:
-        rows = min(_CHUNK_ROWS, replicates - done)
+    for chunk_index, done in enumerate(range(0, replicates, _CHUNK_ROWS)):
         rng = _generator(seed, n, chunk_index)
-        x = _draw(dist, rng, (rows, n))
-        part = np.partition(x, pivot, axis=1)
-        blocks.append(np.column_stack([part[:, 0], part[:, i1], part[:, i2],
-                                       part[:, i3], part[:, n - 1]]))
-        done += rows
-        chunk_index += 1
+        x = _draw(dist, rng, (min(_CHUNK_ROWS, replicates - done), n))
+        x.sort(axis=1)
+        blocks.append(x[:, columns])
     return np.concatenate(blocks)
 
 
@@ -335,9 +315,7 @@ def skew_distortion_demo(case_dist: DistSpec, control_dist: DistSpec,
                      n, float(control.mean()), float(control.std(ddof=1))).smd
 
     def s1_moments(x: np.ndarray) -> tuple[float, float]:
-        i_med = _order_indices(n)[1]
-        summary = QuantileSummary(n=n, median=float(x[i_med]),
-                                  min=float(x[0]), max=float(x[-1]))
+        summary = summarize(x)
         return (estimate_mean(summary, Scenario.S1),
                 estimate_sd_s1(summary.min, summary.max, n))
 

@@ -46,7 +46,8 @@ _PI2_6 = math.pi ** 2 / 6.0
 
 
 class DegenerateSummaryError(ValueError):
-    """The statistic is 0/0 because the relevant range collapsed."""
+    """The statistic is undefined: 0/0 from a collapsed range, or not
+    finite because the summary values overflow the float range."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,11 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
 
 
 def _result(scenario: Scenario, statistic: float, n: int, alpha: float) -> TestResult:
+    if not math.isfinite(statistic):
+        # |nan| > crit is False, so a nan would read as "retain".
+        raise DegenerateSummaryError(
+            f"statistic is {statistic}: the summary values overflow the "
+            f"float range")
     reject = abs(statistic) > critical_value(alpha)
     return TestResult(scenario=scenario, statistic=statistic,
                       p_value=two_sided_p(statistic), reject=reject,

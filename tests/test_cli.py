@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import re
 import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumnorm.cli import main
 from sumnorm.model import parse_studies, write_json
@@ -103,6 +109,20 @@ class TestTestCommand:
         (case_row,) = [r for r in _table_rows(out) if r[1] == "case"]
         assert case_row[3] == "-"
         assert case_row[6].startswith("error: ordering violation")
+
+    def test_overflowing_row_reported_as_error(self, capsys, tmp_path):
+        # a + b overflows; the row used to print "nan  nan  retain"
+        p = tmp_path / "huge.csv"
+        p.write_text("study_id,outcome,arm,group_label,n,mean,sd,"
+                     "min,q1,median,q3,max\n"
+                     "a,o,case,case,20,,,1e308,,1.5e308,,1.7e308\n"
+                     "a,o,control,control,20,1,1,,,,,\n")
+        assert main(["test", str(p)]) == 0
+        (case_row,) = [r for r in _table_rows(capsys.readouterr().out)
+                       if r[1] == "case"]
+        assert case_row[3:] == [
+            "-", "-", "-", "error: statistic is nan: the summary values "
+            "overflow the float range"]
 
 
 class TestEstimateCommand:
@@ -206,6 +226,66 @@ class TestMetaCommand:
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["model"] == "fixed"
         assert payload["outcomes"][0]["pooled"]["model"] == "fixed"
+
+
+_HEADER = "study_id,outcome,arm,group_label,n,mean,sd,min,q1,median,q3,max"
+_COLUMNS = ("mean", "sd", "min", "q1", "median", "q3", "max")
+# Each row fills the columns of one reporting pattern, or all of them.
+_PATTERNS = (("mean", "sd"), ("min", "median", "max"),
+             ("q1", "median", "q3"), ("min", "q1", "median", "q3", "max"),
+             _COLUMNS)
+_NUMBERS = ["0", "1", "-1", "1e308", "-1e308"]
+_MESSY = ["", "NS", "nan", "x"]
+
+
+@st.composite
+def _meta_csv(draw) -> str:
+    # In half the files a reported cell may also be empty, NS or a value
+    # the parser rejects; the other half reach the screen, the
+    # estimators and the pooling more often, the more so when a row's
+    # quantiles are drawn in order.  Two or four rows are one or two
+    # case/control studies; a third row is a subgroup of study a.
+    cell = st.sampled_from(_NUMBERS + _MESSY * draw(st.booleans()))
+    rows = draw(st.integers(2, 4))
+    lines = [_HEADER]
+    for i in range(rows):
+        study = "b" if rows == 4 and i >= 2 else "a"
+        if rows == 3 and i == 2:
+            arm = draw(st.sampled_from(["case", "control"]))
+        else:
+            arm = ("case", "control")[i % 2]
+        n = str(draw(st.integers(1, 6)))
+        fields = draw(st.sampled_from(_PATTERNS))
+        row = {c: draw(cell) if c in fields else "" for c in _COLUMNS}
+        if draw(st.booleans()):
+            quantiles = [c for c in _COLUMNS[2:] if row[c] in _NUMBERS]
+            values = sorted((row[c] for c in quantiles), key=float)
+            row.update(zip(quantiles, values))
+        lines.append(",".join([study, "o", arm, f"g{i}", n,
+                               *(row[c] for c in _COLUMNS)]))
+    return "\n".join(lines) + "\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in report.json")
+
+
+@settings(max_examples=150)
+@given(_meta_csv())
+def test_meta_never_crashes_on_generated_rows(text):
+    # Any CSV ends in exit 0 or 2 without a traceback, and report.json,
+    # when written, is strict JSON.
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "rows.csv"
+        csv_path.write_text(text)
+        out_dir = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["meta", str(csv_path), "--output-dir", str(out_dir)])
+        assert code in (0, 2)
+        report = out_dir / "report.json"
+        if report.exists():
+            json.loads(report.read_text(), parse_constant=_reject_constant)
 
 
 class TestSimulateCommand:

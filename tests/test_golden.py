@@ -1,10 +1,11 @@
 """Golden outputs: CLI stdout and artifacts pinned by sha256.
 
 Every run of ``test``, ``estimate`` and ``meta`` (default flags, and
-``--hedges --model fixed``) on each bundled dataset is compared with a
-fixed reference, not just with a rerun of itself.  A change that alters
-any of these bytes on purpose must say so in CHANGES.md and refresh the
-table below; print the current digests with
+``--hedges --model fixed``) on each bundled dataset, and a set of seeded
+``simulate`` and ``demo`` runs, is compared with a fixed reference, not
+just with a rerun of itself.  A change that alters any of these bytes on
+purpose must say so in CHANGES.md and refresh the table below; print the
+current digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -34,6 +35,48 @@ RUNS = {
                           "--output-dir", "out"],
 }
 
+_OUT = ["--output-dir", "out"]
+_SMALL_GRID = ["--grid", "4,5,7,10,200", "--replicates", "2000", *_OUT]
+_POWER_GRID = ["--grid", "4,10,50", "--replicates", "2000", *_OUT]
+
+# name -> argv of a seeded Monte Carlo run.  The type I runs cover the
+# smallest n, where [0.25n] is 1; the 20001-replicate run crosses the
+# 20000-row chunk boundary; each family is drawn once under --power.
+SIM_RUNS = {
+    "simulate/type1-s1": ["simulate", "--type1", "--scenario", "s1",
+                          *_SMALL_GRID, "--seed", "7"],
+    "simulate/type1-s2": ["simulate", "--type1", "--scenario", "s2",
+                          *_SMALL_GRID, "--seed", "7"],
+    "simulate/type1-s3": ["simulate", "--type1", "--scenario", "s3",
+                          *_SMALL_GRID, "--seed", "7"],
+    "simulate/type1-s3-chunks": ["simulate", "--type1", "--scenario", "s3",
+                                 "--grid", "10", "--replicates", "20001",
+                                 *_OUT, "--seed", "11"],
+    "simulate/type1-s3-kappa": ["simulate", "--type1", "--scenario", "s3",
+                                *_SMALL_GRID, "--kappa-c", "10.5",
+                                "--seed", "7"],
+    "simulate/power-normal": ["simulate", "--power", "--scenario", "s1",
+                              "--dist", "normal:1,2", *_POWER_GRID,
+                              "--seed", "5"],
+    "simulate/power-lognormal": ["simulate", "--power", "--scenario", "s1",
+                                 "--dist", "lognormal:0,1", *_POWER_GRID,
+                                 "--seed", "5"],
+    "simulate/power-chisquare": ["simulate", "--power", "--scenario", "s2",
+                                 "--dist", "chisquare:1", *_POWER_GRID,
+                                 "--seed", "5"],
+    "simulate/power-exponential": ["simulate", "--power", "--scenario", "s2",
+                                   "--dist", "exponential:3", *_POWER_GRID,
+                                   "--seed", "5"],
+    "simulate/power-beta": ["simulate", "--power", "--scenario", "s3",
+                            "--dist", "beta:1,5", *_POWER_GRID,
+                            "--seed", "5"],
+    "simulate/power-weibull": ["simulate", "--power", "--scenario", "s3",
+                               "--dist", "weibull:2,3", *_POWER_GRID,
+                               "--seed", "5"],
+    "demo/all-pairs": ["demo", "--seed", "3", "--pairs",
+                       "lognormal,chisquare,exponential,beta,weibull,normal"],
+}
+
 _ENV = ("SUMNORM_ALPHA", "SUMNORM_SEED", "SUMNORM_KAPPA_C")
 
 
@@ -41,22 +84,27 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(run: str, dataset: str, workdir: Path) -> dict[str, str]:
+def dataset_argv(run: str, dataset: str) -> list[str]:
+    csv_path = str(files("sumnorm") / "data" / f"{dataset}.csv")
+    return [RUNS[run][0], csv_path, *RUNS[run][1:]]
+
+
+def run_digests(argv: list[str], workdir: Path) -> dict[str, str]:
     """sha256 of stdout and of every artifact of one run in ``workdir``.
 
     Artifacts land in ``workdir/out`` under a relative path, so the
-    ``report:`` line of ``meta`` does not depend on where ``workdir`` is.
+    ``report:``, ``csv:`` and ``svg:`` lines do not depend on where
+    ``workdir`` is.
     """
-    csv_path = str(files("sumnorm") / "data" / f"{dataset}.csv")
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout):
-            code = main([RUNS[run][0], csv_path, *RUNS[run][1:]])
+            code = main(argv)
     finally:
         os.chdir(cwd)
-    assert code == 0, f"{run} {dataset} exited {code}"
+    assert code == 0, f"{argv} exited {code}"
     digests = {"stdout": _sha(stdout.getvalue().encode("utf-8"))}
     out_dir = workdir / "out"
     if out_dir.is_dir():
@@ -125,7 +173,41 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
           'test/ferretti2017_mmp9': {'stdout': 'b76ece3fe34493a590ae84a8be1987c6df756b5aaf0f35848c9fe428ad304851'},
           'test/hawkins2017_bnp': {'stdout': 'a8172ddd05e5a1d4817e498e0bdefb6c10950178a49a7fe2534ccaa19de612e1'},
           'test/zhang2017': {'stdout': '561456bb7e8a5d45714fadfde57e70bd1e542e75abd17a3b3876fdf4c8345aaa'},
-          'test/zhang2017_leptin': {'stdout': '7fd6e033d4363c695c0c81849fc88850f97fbae93e20159de398d0ab60d55059'}}
+          'test/zhang2017_leptin': {'stdout': '7fd6e033d4363c695c0c81849fc88850f97fbae93e20159de398d0ab60d55059'},
+          'simulate/type1-s1': {'stdout': 'f9a701df69e3aa1bf5cd5356b026eff07375a0527a6db0ed9d75c7c7b0edb379',
+                                'type1_s1.csv': '54b6951c3bf592a9cc732ef91eb18abe4738d9b4507d059a53ce6b41cb7ee3ae',
+                                'type1_s1.svg': '4f4734c0fdd0c171a37425e21cf1c112634653cb8c2583988726177560c504e6'},
+          'simulate/type1-s2': {'stdout': 'cc7807d4864daade97bdcfa165e92dd84b5ca07b5061fb2b1abd845e1e7d81e9',
+                                'type1_s2.csv': '06eb89851f9a13b01b86f921b5b75c0d048387da6641ba3f792cd0c5e6002d7f',
+                                'type1_s2.svg': 'ed435cd2ca78e86031c2fcd661622d319f5d91914280540a61abc3cc8f8b8ed3'},
+          'simulate/type1-s3': {'stdout': 'f6dc8ab637db43e4fc33c7c3b87f47381fd672a78a993f045f81eab4970706fa',
+                                'type1_s3.csv': '4252cdc961bc6ea0dc2754fd3c1af797069ed82a476b2b44c145fc97d9a2a2e4',
+                                'type1_s3.svg': 'fbfb04ca8191c627fe32ab04a849d87096c911a1e8505ad551afb97cbb3de1d4'},
+          'simulate/type1-s3-chunks': {'stdout': '849824188874f4e211d3ecdc5810a98072e988122249c383cd1bb9bf6a2a8f3a',
+                                       'type1_s3.csv': '6a1f6bc88e870a6b414204120e9b7f1357109aa67942a6915632a8309c809444',
+                                       'type1_s3.svg': 'f49cb80f945eb346ac64ebc44fafb60cfa3e191a79fe1afd8b33edec1b2e0f8e'},
+          'simulate/type1-s3-kappa': {'stdout': 'b92f7e4dbc0643ff5ef0b12240e8f75ae0fb1ec194c01c351c8b2642286f9821',
+                                      'type1_s3.csv': 'b56fda157850f7a24481d63972dacf759f1d784fdf5e60b2be894b1fe8ce7e7b',
+                                      'type1_s3.svg': 'f1fea88707c0487e97ad7eefae2e3f885632640e13a721225e21cc2e894172d7'},
+          'simulate/power-normal': {'stdout': '844e0aa5f1796398b247337166509196e9d7b917e7e91be91dfff931c96083eb',
+                                    'power_s1_normal-1-2.csv': '7380e74261f1f6d61b85da3166f7b176ea3ffcbadc0546c5e2f828ef997eaef5',
+                                    'power_s1_normal-1-2.svg': '14d95c08936bda24073241872cce7715792d75f713b3247c03c4bdb9dd050a5e'},
+          'simulate/power-lognormal': {'stdout': '44bf04d5ffe2736ea226aa58dcf7600887a7a0c04df322c83e5a8a6fc1d22ca2',
+                                       'power_s1_lognormal-0-1.csv': '1a7467e03394facbed2c2403fa4a0fb0cf9afe3b784fd96b86632573a09eebd2',
+                                       'power_s1_lognormal-0-1.svg': '8576ba067b37661ae868e961f53813d06ff1d8738b0c1cc7693decb11fa967b1'},
+          'simulate/power-chisquare': {'stdout': 'f2083b914bd7766ae3a8a989d736e99cab0f43b3dc77cac242315bac1f17f74c',
+                                       'power_s2_chisquare-1.csv': '7198393e4bf76efd193728a361cf54db87b3a1c53673fa753eca5e3672937887',
+                                       'power_s2_chisquare-1.svg': '6dad7460d9c6ec029dbac34e5d611f0dc4bf83d878d8b8be90e8e99a688c9e69'},
+          'simulate/power-exponential': {'stdout': 'ddfc24f8db7eee39f861a807c82874809bf57cc32832489a6840fe62c34ecdda',
+                                         'power_s2_exponential-3.csv': '7e90aab2624964e1562dbb356e987f592f850baca7015465e8e2b58219cdaebf',
+                                         'power_s2_exponential-3.svg': 'ed98241fac4518b5c08e257fe5ee7feecc8d623a8a5841378fe311836b6cb096'},
+          'simulate/power-beta': {'stdout': '2347a07691ffab61079a5f42428d587c8cd57bb95b54457a915abd1d49cfdf34',
+                                  'power_s3_beta-1-5.csv': '80568333e4039d683c3373ea40e08c5790cfa4a850d94a9f5671b5255a3e67a6',
+                                  'power_s3_beta-1-5.svg': '0c786f53e7840e47f71094b1b9b6f9a3c3730bf394b2ae16a5be7fb5504c1ab1'},
+          'simulate/power-weibull': {'stdout': 'f5d786d0b132d24783b05c7c210b7fd44b31986d43669ee85f5337431be73476',
+                                     'power_s3_weibull-2-3.csv': '1fd4bc64fe53f4357920cdb22ff640a25d0e6fb40d8dda2f07c4cca616db4cb7',
+                                     'power_s3_weibull-2-3.svg': 'f2adeca417d953fba1f0a175e8eb1c4ee8a743f5f30043d5580099dc401d1a79'},
+          'demo/all-pairs': {'stdout': '06054f78fc0aad14d83e92a1b2d1bd83945c855fb73a02168957f0c9205cfc0a'}}
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
@@ -133,8 +215,15 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
 def test_golden_digests(run, dataset, tmp_path, monkeypatch):
     for name in _ENV:
         monkeypatch.delenv(name, raising=False)
-    got = run_digests(run, dataset, tmp_path)
+    got = run_digests(dataset_argv(run, dataset), tmp_path)
     assert got == GOLDEN[f"{run}/{dataset}"]
+
+
+@pytest.mark.parametrize("name", sorted(SIM_RUNS))
+def test_simulate_golden_digests(name, tmp_path, monkeypatch):
+    for env in _ENV:
+        monkeypatch.delenv(env, raising=False)
+    assert run_digests(SIM_RUNS[name], tmp_path) == GOLDEN[name]
 
 
 def _record_all() -> dict[str, dict[str, str]]:
@@ -144,8 +233,11 @@ def _record_all() -> dict[str, dict[str, str]]:
     for run in sorted(RUNS):
         for dataset in DATASETS:
             with tempfile.TemporaryDirectory() as tmp:
-                table[f"{run}/{dataset}"] = run_digests(run, dataset,
-                                                        Path(tmp))
+                table[f"{run}/{dataset}"] = run_digests(
+                    dataset_argv(run, dataset), Path(tmp))
+    for name, argv in SIM_RUNS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            table[name] = run_digests(argv, Path(tmp))
     return table
 
 

@@ -260,6 +260,46 @@ class TestRunPipeline:
             assert flagged.group_label == "case" and flagged.result is None
         json.dumps(report_to_dict(report), allow_nan=False)
 
+    @pytest.mark.parametrize("case_cells, control_cells, reason", [
+        ("1,5.0,2.0,,,,,", "20,4.0,2.0,,,,,",
+         "no effect size: both groups need n >= 2, got n_case=1, "
+         "n_control=20"),
+        ("20,5.0,0,,,,,", "20,4.0,0,,,,,",
+         "no effect size: pooled SD is zero; effect size undefined"),
+        ("20,,,1e308,,1.5e308,,1.7e308", "20,4.0,2.0,,,,,",
+         "group case: statistic is nan: the summary values overflow the "
+         "float range"),
+        ("20,,,-1.7e308,,0,,1.7e308", "20,4.0,2.0,,,,,",
+         "no effect size: pooled SD, d or its SE is not finite: the "
+         "moments overflow the float range"),
+        ("20,5.0,1e200,,,,,", "20,4.0,1e200,,,,,",
+         "no effect size: the moments overflow the float range"),
+    ], ids=["n1", "zero-sd", "huge-cells", "infinite-sd", "sd-squared"])
+    def test_undefined_effect_size_excluded_in_words(
+            self, tmp_path, case_cells, control_cells, reason):
+        # Each bad study used to raise out of run_pipeline (or, for the
+        # infinite SD, out of the strict JSON dump).
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text(
+            "study_id,outcome,arm,group_label,n,mean,sd,min,q1,median,q3,max\n"
+            "ok,o,case,case,20,5.0,2.0,,,,,\n"
+            "ok,o,control,control,20,4.0,2.0,,,,,\n"
+            f"bad,o,case,case,{case_cells}\n"
+            f"bad,o,control,control,{control_cells}\n")
+        (report,) = run_pipeline(parse_studies(csv_path))
+        assert report.included_ids == ("ok",)
+        (bad,) = [s for s in report.studies if s.study_id == "bad"]
+        assert bad.exclusion_reasons == (reason,)
+        json.dumps(report_to_dict(report), allow_nan=False)
+
+    def test_omitted_pool_names_undefined_effect_size(self):
+        studies = [_direct_study("a", "o", 1, 5.0, 2.0, 20, 4.0, 2.0)]
+        (report,) = run_pipeline(studies)
+        assert report.pooled is None
+        assert report.pooled_omitted_reason == (
+            "all studies excluded by the symmetry screen or for an "
+            "undefined effect size")
+
     def test_all_excluded_outcome(self):
         studies = [_summary_study("skew", "o", _SKEWED, _SYMMETRIC)]
         (report,) = run_pipeline(studies)

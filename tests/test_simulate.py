@@ -92,7 +92,7 @@ class TestSummarize:
                                     q3=6.0, max=8.0)
 
     def test_odd_n(self):
-        # [np]-th order statistics with the index floor clamped to 1
+        # [np]-th order statistics, 1-based: [1.25] = 1, [2.5] = 2, [3.75] = 3
         s = summarize(np.arange(1.0, 6.0))
         assert s == QuantileSummary(n=5, min=1.0, q1=1.0, median=2.0,
                                     q3=3.0, max=5.0)

@@ -164,6 +164,20 @@ class TestStatistic:
             statistic(Scenario.DIRECT, 1.0, 2.0, 3.0, 4.0, 5.0, 20)
 
 
+class TestOverflow:
+    # a + b overflows to inf and a + b - 2m to nan; |nan| > crit is
+    # False, so without the check the test would "retain".
+    @pytest.mark.parametrize("run", [
+        lambda: s1_test(1e308, 1.5e308, 1.7e308, 20),
+        lambda: s2_test(1e308, 1.5e308, 1.7e308, 20),
+        lambda: s3_test(1e308, 1.2e308, 1.5e308, 1.6e308, 1.7e308, 20),
+    ], ids=["s1", "s2", "s3"])
+    def test_non_finite_statistic_is_refused_in_words(self, run):
+        with pytest.raises(DegenerateSummaryError,
+                           match="overflow the float range"):
+            run()
+
+
 def _record(**kwargs) -> GroupRecord:
     defaults = dict(study_id="s", group_label="g", arm="case")
     defaults.update(kwargs)
