@@ -127,7 +127,14 @@ def estimate_mean(summary: QuantileSummary, scenario: Scenario) -> float:
 
 
 def estimate_moments(group: GroupRecord) -> EstimatedMoments:
-    """Moments of ``group``: passthrough when reported, estimated otherwise."""
+    """Moments of ``group``: passthrough when reported, estimated otherwise.
+
+    Raises
+    ------
+    ValueError
+        If an estimated mean or SD is not finite, because the summary
+        values lie near the float limit.
+    """
     scenario = classify_scenario(group)
     if scenario is Scenario.DIRECT:
         return EstimatedMoments(mean=group.reported_mean, sd=group.reported_sd,
@@ -140,5 +147,9 @@ def estimate_moments(group: GroupRecord) -> EstimatedMoments:
         sd = estimate_sd_s2(s.q1, s.q3, s.n)
     else:
         sd = estimate_sd_s3(s.min, s.q1, s.q3, s.max, s.n)
+    for name, value in (("mean", mean), ("SD", sd)):
+        if not math.isfinite(value):
+            raise ValueError(f"estimated {name} is {value}: the summary "
+                             f"values overflow the float range")
     return EstimatedMoments(mean=mean, sd=sd, source="estimated",
                             scenario=scenario)

@@ -11,11 +11,13 @@ random-effects).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .estimators import EstimatedMoments, estimate_moments
 from .model import (GroupRecord, Study, UnsupportedSummaryError,
                     pooled_moments)
+from .normal import critical_value
 from .symmetry import (DEFAULT_KAPPA_C, DegenerateSummaryError, TestResult,
                        run_test)
 
@@ -32,7 +34,7 @@ __all__ = [
     "report_to_dict",
 ]
 
-_Z95 = 1.96  # the screening procedure's literal 95% multiplier
+_Z95 = critical_value(0.05)  # the screening procedure's 95% multiplier
 
 
 @dataclass(frozen=True)
@@ -108,55 +110,30 @@ class PipelineReport:
         return tuple(s.study_id for s in self.studies if s.included)
 
 
-def _regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a).
-
-    Series expansion below a + 1, Lentz continued fraction above; both
-    converge to machine precision for the chi-square arguments used here.
-    """
-    if a <= 0.0 or x < 0.0:
-        raise ValueError(f"need a > 0 and x >= 0, got a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(1000):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return 1.0 - total * math.exp(log_prefactor)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(log_prefactor)
-
-
 def chi_square_sf(x: float, df: int) -> float:
-    """Survival function of the chi-square distribution with ``df`` dof."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    return _regularized_gamma_q(df / 2.0, x / 2.0)
+    """Survival function of the chi-square distribution with ``df`` dof.
+
+    For integer df the upper tail is a finite sum (Abramowitz & Stegun
+    1964, 26.4.4-5).  With h = x/2 and s = (df mod 2)/2 it is the sum
+    over k < df // 2 of h^(s+k) e^-h / Gamma(s+k+1), plus erfc(sqrt(h))
+    when df is odd.  Each term is formed in log space, so none
+    underflows before the tail itself does.
+    """
+    if not isinstance(df, numbers.Integral) or df < 1:
+        raise ValueError(f"df must be an integer >= 1, got {df!r}")
+    if not x >= 0.0:
+        raise ValueError(f"x must be >= 0, got {x!r}")
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    s = (df % 2) / 2.0
+    log_h = math.log(h)
+    terms = [math.exp((s + k) * log_h - h - math.lgamma(s + k + 1.0))
+             for k in range(df // 2)]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    # Where the tail rounds to 1, the rounded terms can sum one ulp above.
+    return min(1.0, math.fsum(terms))
 
 
 def cohen_d(n_case: int, mean_case: float, sd_case: float,

@@ -21,7 +21,7 @@ from .estimators import estimate_mean, estimate_sd_s1
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, statistic
+from .symmetry import DEFAULT_KAPPA_C, _null_variance, statistic
 
 __all__ = [
     "DistSpec",
@@ -248,7 +248,7 @@ def midrange_variance_check(n: int, replicates: int = 100_000,
                                 replicates, seed)
     a, _, m, _, b = summaries.T
     empirical = float(np.var(a + b - 2.0 * m))
-    theoretical = math.pi ** 2 / (6.0 * math.log(n)) + math.pi / n
+    theoretical = _null_variance(n, math.pi)
     return MidrangeVarianceCheck(
         n=n, replicates=replicates, empirical=empirical,
         theoretical=theoretical, ratio=empirical / theoretical,

@@ -42,8 +42,6 @@ __all__ = [
 DEFAULT_KAPPA_C = 10.14
 KAPPA_C_CHOICES = (10.14, 10.5)
 
-_PI2_6 = math.pi ** 2 / 6.0
-
 
 class DegenerateSummaryError(ValueError):
     """The statistic is undefined: 0/0 from a collapsed range, or not
@@ -62,11 +60,20 @@ class TestResult:
     n: int
 
 
+def _null_variance(n: int, c: float) -> float:
+    """pi^2 / (6 ln n) + c / n, the null variance of a symmetry contrast.
+
+    For n standard-normal draws, c = pi gives that of a + b - 2m (T1)
+    and c = kappa_c that of a + b + q1 + q3 - 4m (T3).
+    """
+    return math.pi ** 2 / 6.0 / math.log(n) + c / n
+
+
 def coeff_tau(n: int) -> float:
     """Scaling coefficient for the min/median/max statistic, n >= 2."""
     if n < 2:
         raise ValueError(f"tau(n) needs n >= 2, got n={n}")
-    return extreme_width(n) / math.sqrt(_PI2_6 / math.log(n) + math.pi / n)
+    return extreme_width(n) / math.sqrt(_null_variance(n, math.pi))
 
 
 def coeff_phi(n: int) -> float:
@@ -85,7 +92,7 @@ def coeff_kappa(n: int, c: float = DEFAULT_KAPPA_C) -> float:
     if n < 4:
         raise ValueError(f"kappa(n) needs n >= 4, got n={n}")
     num = extreme_width(n) + quartile_width(n)
-    return num / math.sqrt(_PI2_6 / math.log(n) + c / n)
+    return num / math.sqrt(_null_variance(n, c))
 
 
 def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,

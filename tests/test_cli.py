@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumnorm
 from sumnorm.cli import main
 from sumnorm.model import parse_studies, write_json
 
@@ -138,6 +141,26 @@ class TestEstimateCommand:
             "S1", "7.672", "6.999", "estimated"]
         assert rows[("haidari2014", "asthma")][3:] == [
             "direct", "1.410", "0.500", "reported"]
+
+    def test_overflowing_estimates_reported_as_error(self, capsys, tmp_path):
+        # The first row's mean and the second row's SD overflow; they
+        # used to print as inf.
+        p = tmp_path / "huge.csv"
+        p.write_text("study_id,outcome,arm,group_label,n,mean,sd,"
+                     "min,q1,median,q3,max\n"
+                     "huge,o,case,case,20,,,1e308,,1.5e308,,1.7e308\n"
+                     "huge,o,control,control,20,1,1,,,,,\n"
+                     "wide,o,case,case,20,,,-1.7e308,,0,,1.7e308\n"
+                     "wide,o,control,control,20,1,1,,,,,\n")
+        assert main(["estimate", str(p)]) == 0
+        rows = {r[0]: r for r in _table_rows(capsys.readouterr().out)
+                if r[1] == "case"}
+        assert rows["huge"][3:] == [
+            "-", "-", "-", "error: estimated mean is inf: the summary "
+            "values overflow the float range"]
+        assert rows["wide"][3:] == [
+            "-", "-", "-", "error: estimated SD is inf: the summary "
+            "values overflow the float range"]
 
     def test_deterministic(self, capsys, leptin_csv):
         main(["estimate", leptin_csv])
@@ -543,3 +566,19 @@ def test_console_script(leptin_csv):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "cobanoglu2013" in proc.stdout
+
+
+def test_runtime_imports_only_numpy_and_stdlib():
+    # scipy, hypothesis and pytest are test oracles and tools, never
+    # runtime dependencies of the library or the CLI.
+    src = str(Path(sumnorm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, sumnorm, sumnorm.cli; "
+            "print(sorted({'scipy', 'hypothesis', 'pytest'} "
+            "& {m.split('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -125,49 +125,49 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
                               'forest_ldl-c.svg': 'f4c9922a24da389a5e90f0754d83f7e74865f7b898da0e5413eeee4975acf8be',
                               'forest_total-cholesterol.svg': '91ac8a391c5f3ec50178c804c0a15ac9a09bf7b5cdf1a71a27cfd48b252fcc17',
                               'forest_triglycerides.svg': '77b55567ac35fc5d98b1e17bd17caa1f4d8ff3f07754d8938bd1ef1b87183854',
-                              'report.json': '2a17b6d264126c0edef994b99a99de8ebb2b23c3cb0c2d83667628a7b5d5e332'},
+                              'report.json': '1bc9f97333b928f79a514cc154208fa67cb54935ba134985bf8e525a9d831982'},
           'meta/ferretti2017': {'stdout': 'e8e8d2bee1cd074c06bac71f8775a13e680d249db7bbf1ef8f9c4b87a06b5a30',
                                 'forest_mmp-3.svg': '6a59dac92edb74f55f952ed3a9f04eef9cea1c4fc47eaecc1c052670423b733d',
                                 'forest_mmp-9.svg': '250c4c6331ab267da7d259aec71d5663661db9498ee8449dde535cc938a66bf5',
                                 'forest_timp-i.svg': 'f7add32b7d49ee7bc00977ea7b7e4a3fcd701ff27bbef1e16737141fc6d042cc',
-                                'report.json': 'aee0dac42bbb1446edd18a4e54dccd2d1fcc4ba51e686e5c4c346639d0867cbe'},
+                                'report.json': '484fea190f679ac6852c4a536f6425dc9c3e337d884895164238f6b07ed84f4c'},
           'meta/ferretti2017_mmp9': {'stdout': '00e340fbfe74d34f0efc9e4f5fee32684455b9d2ba04bcb2da3f959d468d7fb0',
                                      'forest_mmp-9.svg': '250c4c6331ab267da7d259aec71d5663661db9498ee8449dde535cc938a66bf5',
-                                     'report.json': '6763d0acdaaf0deb0bad4e0d5e55fe340ba191509d1ba895aba1261847fc6577'},
+                                     'report.json': '9167d9349c534a42b68517fdc17976a44a594adaf56831ad21787ede96ef1af3'},
           'meta/hawkins2017_bnp': {'stdout': '008dbdb46be8c2db1caec27515f53401a5da0c0ff66bc457953182fe9371d349',
                                    'forest_bnp.svg': '5581cbb8aec4d98464742a6556968f5b076dc5500156364a08864be35c4ef27e',
-                                   'report.json': 'cf374a166743cd9050ac8a4071db6fa8f1e6e723dfe4cfd9456735a9f0ccdd48'},
+                                   'report.json': '9e0ff98939a40ffe833376b71987c6d221df5122a1aa9850fc8c2f3c04e84a0d'},
           'meta/zhang2017': {'stdout': '2b190a3bb597347f56b85891b54f166d2248c92cd595723c8020854bdf979792',
                              'forest_adiponectin.svg': '75989e71aef11c577facb10ebc86b3a136021ffc8c44068de51127a40e163ec6',
                              'forest_leptin.svg': '52c163678fa406feb9c3b403471b353ebb26aef1b884a3335de541fd8e7b1713',
-                             'report.json': '2c50bdba56cecc9b476c8ef7de7a169232d04697d7ca14903d9dffdd3fad172a'},
+                             'report.json': '621649ba5deb7d4940fa10592668095bb77f8c16f5743508ac21482a40a736ca'},
           'meta/zhang2017_leptin': {'stdout': 'ca56fb0d6254f82b32a76bea39b172ea1ec8fd2474d92d64b27cd74a7f3a8745',
                                     'forest_leptin.svg': '52c163678fa406feb9c3b403471b353ebb26aef1b884a3335de541fd8e7b1713',
-                                    'report.json': 'fa57e9611dc87f14f71df1dbde5c3cc370139f28ab1e55b8853326b12d72fe3d'},
+                                    'report.json': 'b83f43df0f0a3ea4c2fd8104b18c5cb87fb9efcfff77ee6311f81c82e764c924'},
           'meta-hedges-fixed/banach2016': {'stdout': '1c1641b9e2c136bdd442240852686ae3142d75d40431d9b398677d8730e0a7ae',
                                            'forest_hdl-c.svg': 'b3abf9e88e14635a09741602116d68bdb15d5d4d4017c697d24d1813e78a660a',
                                            'forest_ldl-c.svg': 'c7adbfcbb6b2caa211fda8bd8179f5748399adf85a9ac03caba1a214813e7e83',
                                            'forest_total-cholesterol.svg': '8aa9344b03baa26489dd5c0bcde9d53a152405417bc3d81023dc860fda6b6b05',
                                            'forest_triglycerides.svg': 'a9bd753f76b10e82581f66deea5423b78f306094cc23edab8f603fed81a1cdbb',
-                                           'report.json': 'abebf71effcb854da6d6e73b212d69902fc89f9205bf97787a49b2c330ed28ac'},
+                                           'report.json': 'bfaff65c8081d4fe3541c99973405deae873e87307006e494a164d85d486de7a'},
           'meta-hedges-fixed/ferretti2017': {'stdout': 'fe40458b0a4a65f34d3ebf6040b3bc01f253478f4d42d6e050b9b3a26b7865c7',
                                              'forest_mmp-3.svg': '44d8fec6af43623104eccae76adff6fc24d1191091b97fcdca7ddcb49ebf6fed',
                                              'forest_mmp-9.svg': '49ed1c40b8ae52ec015e26659b1f8daa74812dc6cb9e5efdadfc69fd703844be',
                                              'forest_timp-i.svg': 'de09ccae62503c0e934684a95de49bf2a20f86c3fdfe1b037bfee27806f61842',
-                                             'report.json': '592de3faedf409129c700d27f96f232c5b4e867952f0251177721b8c4ee7ccbd'},
+                                             'report.json': '0c119bf6af735d03a02fda5f08a9d6b8ffb5f95207c24aa6a33461837c63955c'},
           'meta-hedges-fixed/ferretti2017_mmp9': {'stdout': 'e838c1e9d6d9317cd5fd51a72d9d92fe6777f2ae79e97b98e39bb1269a482426',
                                                   'forest_mmp-9.svg': '49ed1c40b8ae52ec015e26659b1f8daa74812dc6cb9e5efdadfc69fd703844be',
-                                                  'report.json': 'f971c1a0e0218421995b2b935f31ad654daad748308ac65273c3b5cd2164dd79'},
+                                                  'report.json': 'f894b740c5784b305e18ff77a15d4dea201eb175b81c44deaa12f8a139fd06a5'},
           'meta-hedges-fixed/hawkins2017_bnp': {'stdout': 'e1c847a916de863fdba9c50e89c4a89bae812e13348af1cb3d304154a764e6d2',
                                                 'forest_bnp.svg': '66926a6b30c8dc628029eda3daad0ecd27a122f78dc660e988a8bfb059ceb6fb',
-                                                'report.json': 'ef7e78391044a1bb5d15427df8967e1a123d4d6562cadad708a35b34856d9a80'},
+                                                'report.json': '1d5fa3b3d3a7e1df5bed802b3405dec7dbbc3a29edaadec0947f659f094a9bc9'},
           'meta-hedges-fixed/zhang2017': {'stdout': '205ea538679a09979fdda88c9a323e3ff0b3f9f4b8fb60ae92d1036b243ff51d',
                                           'forest_adiponectin.svg': '2360421fe5385dc2ccf1b412d2d63dea568383a3ceac013e2f8dce5abeb8e2c6',
                                           'forest_leptin.svg': '186d8583769a7c624ecdb054d04d9014f47ee9c5e107fc3467e34f2a8d5024be',
-                                          'report.json': 'b08b78b23cf4ed987fc02e94edd263ab68c9e7fed4741f4045ed303dd74bc8de'},
+                                          'report.json': '855f382924bb4f9d48e8e0901161de63000109eeb2dfccbe7bd614b50b47e0c5'},
           'meta-hedges-fixed/zhang2017_leptin': {'stdout': '2a23a881b94e516a2c535b28b3cc46790b8307b1413a9b0cf3fc798a7ae1993e',
                                                  'forest_leptin.svg': '186d8583769a7c624ecdb054d04d9014f47ee9c5e107fc3467e34f2a8d5024be',
-                                                 'report.json': '7eb823fb705de7fa15db34df87aabcb374a0330fab43e58ff44187751690d4f9'},
+                                                 'report.json': '83b64a261ff5e89e23b2b102e25350412fbdaf2a9502007c63d0eb2e9e50caea'},
           'test/banach2016': {'stdout': '3f850ea1b80dc3f26ec8bca56f861ab77f69dbd566b48af96050b4eaaddb1316'},
           'test/ferretti2017': {'stdout': '246474c1a4990bce6d85c8a022415e543478f4c86fd97427ce6dfb4a66eb711a'},
           'test/ferretti2017_mmp9': {'stdout': 'b76ece3fe34493a590ae84a8be1987c6df756b5aaf0f35848c9fe428ad304851'},

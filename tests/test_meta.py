@@ -14,24 +14,31 @@ from sumnorm.plots import curve_svg, forest_svg
 
 
 class TestChiSquareSf:
-    @pytest.mark.parametrize("df", list(range(1, 31)))
+    @pytest.mark.parametrize("df", [*range(1, 31), 45, 120, 500])
     def test_matches_scipy_grid(self, df):
         for x in (0.05, 0.5, 1.0, 2.3, 5.0, 7.7, 10.0, 20.0, 35.41, 50.0,
-                  89.76, 120.0):
+                  89.76, 120.0, 300.0, 700.0, 1200.0, 1800.0):
             want = chi2.sf(x, df)
-            assert chi_square_sf(x, df) == pytest.approx(want, rel=1e-10)
+            assert chi_square_sf(x, df) == pytest.approx(want, rel=1e-10,
+                                                         abs=0.0)
 
     def test_at_zero(self):
         assert chi_square_sf(0.0, 5) == 1.0
 
     def test_deep_tail(self):
-        # the series/continued-fraction split must stay accurate far out
+        # log-space terms keep full relative accuracy far out
         assert chi_square_sf(200.0, 3) == pytest.approx(
             chi2.sf(200.0, 3), rel=1e-8)
 
     def test_bad_df(self):
         with pytest.raises(ValueError, match="df"):
             chi_square_sf(1.0, 0)
+
+    @pytest.mark.parametrize("df", [2.5, 3.0])
+    def test_non_integer_df(self, df):
+        # The finite sum holds for integer df only; pool passes len - 1.
+        with pytest.raises(ValueError, match="integer"):
+            chi_square_sf(1.0, df)
 
     def test_negative_x(self):
         with pytest.raises(ValueError):
@@ -270,8 +277,8 @@ class TestRunPipeline:
          "group case: statistic is nan: the summary values overflow the "
          "float range"),
         ("20,,,-1.7e308,,0,,1.7e308", "20,4.0,2.0,,,,,",
-         "no effect size: pooled SD, d or its SE is not finite: the "
-         "moments overflow the float range"),
+         "no effect size: estimated SD is inf: the summary values "
+         "overflow the float range"),
         ("20,5.0,1e200,,,,,", "20,4.0,1e200,,,,,",
          "no effect size: the moments overflow the float range"),
     ], ids=["n1", "zero-sd", "huge-cells", "infinite-sd", "sd-squared"])

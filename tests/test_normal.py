@@ -1,28 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
 from sumnorm.normal import (critical_value, extreme_width, quartile_width,
-                            std_normal_cdf, std_normal_pdf,
-                            std_normal_quantile, two_sided_p)
-
-
-class TestPdf:
-    def test_peak_value(self):
-        assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
-                                                    abs=1e-15)
-
-    def test_symmetry(self):
-        for z in (0.3, 1.0, 2.5, 7.0):
-            assert std_normal_pdf(z) == std_normal_pdf(-z)
-
-    def test_integrates_to_one(self):
-        total, err = quad(std_normal_pdf, -12, 12)
-        assert total == pytest.approx(1.0, abs=1e-10)
+                            std_normal_cdf, std_normal_quantile, two_sided_p)
 
 
 class TestCdf:
@@ -34,7 +21,7 @@ class TestCdf:
     def test_against_quadrature(self):
         # Independent oracle: integrate the density from 0.
         for z in (-3.0, -1.0, -0.1, 0.7, 2.3, 4.5):
-            expected = 0.5 + quad(std_normal_pdf, 0, z)[0]
+            expected = 0.5 + quad(norm.pdf, 0, z)[0]
             assert std_normal_cdf(z) == pytest.approx(expected, abs=1e-12)
 
     def test_against_scipy(self):
@@ -71,7 +58,7 @@ class TestQuantile:
 
     def test_round_trip_dense(self):
         # cdf(quantile(p)) must return p to 1e-9 across the whole range,
-        # including both rational-approximation tail branches.
+        # including the far tails on both sides.
         ps = [i / 1000.0 for i in range(1, 1000)]
         ps += [1e-9, 1e-6, 1e-4, 0.0242, 0.0243, 0.97, 0.9999, 1 - 1e-6]
         for p in ps:
@@ -158,6 +145,20 @@ class TestOrderStatisticWidths:
             2.0 * ndtri((n - 0.375) / (n + 0.25)), abs=1e-9)
         assert quartile_width(n) == pytest.approx(
             2.0 * ndtri((0.75 * n - 0.125) / (n + 0.25)), abs=1e-9)
+
+    def test_every_width_position_to_full_precision(self):
+        # Each coefficient T1/T2/T3 and S1-S3 divide by is Phi^-1 at one
+        # of these positions; scipy's ndtri is the oracle.
+        n = np.arange(2, 100_001)
+        for p in ((n - 0.375) / (n + 0.25), (0.75 * n - 0.125) / (n + 0.25)):
+            got = np.array([std_normal_quantile(float(pi)) for pi in p])
+            want = ndtri(p)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 0.2])
+    def test_critical_value_to_full_precision(self, alpha):
+        assert critical_value(alpha) == pytest.approx(
+            float(ndtri(1.0 - alpha / 2.0)), rel=1e-14, abs=0)
 
     def test_large_n_limits(self):
         # The quartile width tends to the population IQR 2 * Phi^-1(0.75);
