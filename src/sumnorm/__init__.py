@@ -4,8 +4,9 @@ The package tests whether a five-number (or partial) summary is
 compatible with an underlying normal distribution, estimates the mean
 and standard deviation from such summaries, and feeds both into a
 random-effects meta-analysis pipeline with forest-plot output.  A
-Monte-Carlo harness validates the tests' type I error, power, and the
-order-statistic asymptotics they rely on.
+Monte-Carlo harness measures the tests' type I error and power; the
+order-statistic asymptotics they rely on are checked by the acceptance
+scorecard.
 """
 
 from . import estimators, meta, model, normal, plots, simulate, symmetry

@@ -90,10 +90,6 @@ def _require_seed(args) -> int:
     return seed
 
 
-def _load_studies(args):
-    return parse_studies(args.input, format=args.format)
-
-
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-") or "outcome"
 
@@ -101,7 +97,7 @@ def _slug(label: str) -> str:
 def _group_table(args, headers: Sequence[str], cells) -> int:
     """Print one row per group; a flagged or failing group prints its error."""
     rows = []
-    for study in _load_studies(args):
+    for study in parse_studies(args.input, format=args.format):
         for group in study.groups:
             base = [study.study_id, group.group_label, str(group.n)]
             error = "; ".join(group.violations)
@@ -146,7 +142,7 @@ def cmd_estimate(args) -> int:
 def cmd_meta(args) -> int:
     alpha = _resolve(args, "alpha")
     kappa_c = _resolve(args, "kappa_c")
-    studies = _load_studies(args)
+    studies = parse_studies(args.input, format=args.format)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_pipeline(studies, alpha=alpha, model=args.model,

@@ -32,9 +32,6 @@ __all__ = [
     "validate",
     "pooled_moments",
     "parse_studies",
-    "studies_to_rows",
-    "write_csv",
-    "write_json",
     "CSV_COLUMNS",
 ]
 
@@ -348,49 +345,3 @@ def parse_studies(path: str | Path, format: str | None = None) -> list[Study]:
                              case_groups=tuple(arms["case"]),
                              control_groups=tuple(arms["control"])))
     return studies
-
-
-def _num(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
-
-
-def studies_to_rows(studies: Iterable[Study]) -> list[dict]:
-    """Flatten studies back into schema-ordered row dictionaries."""
-    rows = []
-    for study in studies:
-        for record in study.groups:
-            s = record.summary
-            rows.append({
-                "study_id": record.study_id,
-                "outcome": study.outcome_label,
-                "arm": record.arm,
-                "group_label": record.group_label,
-                "n": str(record.n),
-                "mean": _num(record.reported_mean),
-                "sd": _num(record.reported_sd),
-                "min": _num(s.min if s else None),
-                "q1": _num(s.q1 if s else None),
-                "median": _num(s.median if s else None),
-                "q3": _num(s.q3 if s else None),
-                "max": _num(s.max if s else None),
-            })
-    return rows
-
-
-def write_csv(studies: Iterable[Study], path: str | Path) -> None:
-    """Serialize studies to the canonical CSV schema."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(studies_to_rows(studies))
-
-
-def write_json(studies: Iterable[Study], path: str | Path) -> None:
-    """Serialize studies to the JSON mirror of the CSV schema."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(studies_to_rows(studies), fh, indent=2)
-        fh.write("\n")

@@ -1,12 +1,12 @@
 """Standard-normal primitives shared by every other module.
 
-Only the standard normal is needed: distribution function, quantile
-function, two-sided p-values, the critical value used by the symmetry
-tests, and the expected widths of normal order statistics that both the
-symmetry tests and the SD estimators divide by.  The quantile function
-is the standard library's ``statistics.NormalDist.inv_cdf``, Wichura's
-algorithm AS 241 (Wichura 1988, Appl. Statist. 37:477), accurate to
-about 1e-15 relative error everywhere in (0, 1).
+Only the standard normal is needed: the quantile function, two-sided
+p-values, the critical value used by the symmetry tests, and the
+expected widths of normal order statistics that both the symmetry tests
+and the SD estimators divide by.  The quantile function is the standard
+library's ``statistics.NormalDist.inv_cdf``, Wichura's algorithm AS 241
+(Wichura 1988, Appl. Statist. 37:477), accurate to about 1e-15 relative
+error everywhere in (0, 1).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from statistics import NormalDist
 
 __all__ = [
-    "std_normal_cdf",
     "std_normal_quantile",
     "two_sided_p",
     "critical_value",
@@ -27,17 +26,8 @@ _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 
-def std_normal_cdf(z: float) -> float:
-    """Distribution function of N(0, 1) at ``z``.
-
-    Uses ``erfc`` so both tails stay accurate to ~1e-16 relative error;
-    absolute error is far below the 1e-12 contract.
-    """
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
 def std_normal_quantile(p: float) -> float:
-    """Quantile function of N(0, 1), the inverse of :func:`std_normal_cdf`.
+    """Quantile function Phi^-1 of N(0, 1).
 
     Parameters
     ----------
@@ -47,7 +37,7 @@ def std_normal_quantile(p: float) -> float:
     Returns
     -------
     float
-        z with ``std_normal_cdf(z) == p``, to about 1e-15 relative error.
+        z with ``Phi(z) == p``, to about 1e-15 relative error.
 
     Raises
     ------

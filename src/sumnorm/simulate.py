@@ -1,10 +1,11 @@
-"""Monte-Carlo harness: type I error, power, and order-statistic checks.
+"""Monte-Carlo harness: type I error, power, and the skew demo.
 
 Replicates are drawn in fixed-size chunks, each chunk from its own
 generator seeded by (seed, n, chunk index).  Results are therefore
 deterministic regardless of scheduling or chunk parallelism, and the
 rate at a given n does not depend on which other n values share the
-grid.
+grid.  The order-statistic asymptotics behind the tests are checked by
+the acceptance scorecard from ``_summary_matrix``, not here.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from .estimators import estimate_mean, estimate_sd_s1
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, _null_variance, statistic
+from .symmetry import DEFAULT_KAPPA_C, statistic
 
 __all__ = [
     "DistSpec",
     "ExperimentResult",
-    "MidrangeVarianceCheck",
-    "CovRatioCheck",
     "DemoResult",
     "DEFAULT_N_GRID",
     "POWER_ALTERNATIVES",
@@ -36,8 +35,6 @@ __all__ = [
     "summarize",
     "type1_curve",
     "power_curve",
-    "midrange_variance_check",
-    "cov_ratio_check",
     "skew_distortion_demo",
     "isotonic_fit_r2",
     "write_experiment_csv",
@@ -224,66 +221,6 @@ POWER_ALTERNATIVES = (
     DistSpec("chisquare", (1.0,)),
     DistSpec("weibull", (2.0, 1.0)),
 )
-
-
-@dataclass(frozen=True)
-class MidrangeVarianceCheck:
-    """Empirical vs asymptotic variance of the midrange contrast."""
-
-    n: int
-    replicates: int
-    empirical: float       # Var(a + b - 2m) on N(0,1) samples
-    theoretical: float     # pi^2 / (6 ln n) + pi / n
-    ratio: float
-    median_variance_scaled: float  # n * Var(m)
-    median_variance_limit: float   # pi / 2
-
-
-def midrange_variance_check(n: int, replicates: int = 100_000,
-                            seed: int = 0) -> MidrangeVarianceCheck:
-    """Compare Var(a + b - 2m) on normal samples with its asymptote."""
-    if n < 10:
-        raise ValueError(f"variance check needs n >= 10, got n={n}")
-    summaries = _summary_matrix(DistSpec("normal", (0.0, 1.0)), n,
-                                replicates, seed)
-    a, _, m, _, b = summaries.T
-    empirical = float(np.var(a + b - 2.0 * m))
-    theoretical = _null_variance(n, math.pi)
-    return MidrangeVarianceCheck(
-        n=n, replicates=replicates, empirical=empirical,
-        theoretical=theoretical, ratio=empirical / theoretical,
-        median_variance_scaled=float(n * np.var(m)),
-        median_variance_limit=math.pi / 2.0)
-
-
-@dataclass(frozen=True)
-class CovRatioCheck:
-    """Covariance ratios linking the extremes to median and quartile."""
-
-    n: int
-    replicates: int
-    extremes_median_ratio: float  # Cov(a+b, m) / Var(m), limit 0.5
-    extremes_q1_ratio: float      # Cov(a+b, q1) / Var(q1), limit 0.45
-
-
-def cov_ratio_check(n: int, replicates: int = 100_000, seed: int = 0,
-                    sigma: float = 1.0) -> CovRatioCheck:
-    """Estimate the extreme/median and extreme/quartile covariance ratios.
-
-    Both ratios are scale-free; ``sigma`` exists to demonstrate that.
-    """
-    if n < 50:
-        raise ValueError(f"covariance check needs n >= 50, got n={n}")
-    summaries = _summary_matrix(DistSpec("normal", (0.0, sigma)), n,
-                                replicates, seed)
-    a, q1, m, _, b = summaries.T
-    ab = a + b
-    cov_m = float(np.cov(ab, m)[0, 1])
-    cov_q1 = float(np.cov(ab, q1)[0, 1])
-    return CovRatioCheck(
-        n=n, replicates=replicates,
-        extremes_median_ratio=cov_m / float(np.var(m, ddof=1)),
-        extremes_q1_ratio=cov_q1 / float(np.var(q1, ddof=1)))
 
 
 @dataclass(frozen=True)

@@ -30,25 +30,25 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import sumnorm
 from sumnorm.meta import EffectSize, pool, run_pipeline
 from sumnorm.model import Scenario, parse_studies
-from sumnorm.normal import std_normal_cdf, std_normal_quantile
+from sumnorm.normal import std_normal_quantile
 from sumnorm.simulate import (
     DEFAULT_N_GRID,
     POWER_ALTERNATIVES,
     DistSpec,
     _statistics,
     _summary_matrix,
-    cov_ratio_check,
     isotonic_fit_r2,
-    midrange_variance_check,
     power_curve,
     type1_curve,
 )
-from sumnorm.symmetry import DEFAULT_KAPPA_C, critical_value, run_test
+from sumnorm.symmetry import (DEFAULT_KAPPA_C, _null_variance, critical_value,
+                              run_test)
 from sumnorm.symmetry import test_s1 as s1_test
 from sumnorm.symmetry import test_s2 as s2_test
 from sumnorm.symmetry import test_s3 as s3_test
@@ -424,14 +424,18 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
 
 def test_criterion_6_order_statistic_asymptotics(capsys):
     t0 = time.monotonic()
-    mv = midrange_variance_check(1000, 100_000)
-    cv = cov_ratio_check(1000, 100_000)
-    med_ratio = mv.median_variance_scaled / mv.median_variance_limit
+    n = 1000
+    a, q1, m, _, b = _summary_matrix(_NORMAL, n, 100_000, 0).T
+    ab = a + b
     checks = [
-        ("Var(a+b-2m) vs asymptote", mv.ratio, 0.9, 1.1),
-        ("n Var(m) vs pi/2", med_ratio, 0.95, 1.05),
-        ("Cov(a+b,m)/Var(m)", cv.extremes_median_ratio, 0.4, 0.6),
-        ("Cov(a+b,q1)/Var(q1)", cv.extremes_q1_ratio, 0.35, 0.55),
+        ("Var(a+b-2m) vs asymptote",
+         float(np.var(ab - 2.0 * m)) / _null_variance(n, math.pi), 0.9, 1.1),
+        ("n Var(m) vs pi/2", float(n * np.var(m)) / (math.pi / 2.0),
+         0.95, 1.05),
+        ("Cov(a+b,m)/Var(m)",
+         float(np.cov(ab, m)[0, 1]) / float(np.var(m, ddof=1)), 0.4, 0.6),
+        ("Cov(a+b,q1)/Var(q1)",
+         float(np.cov(ab, q1)[0, 1]) / float(np.var(q1, ddof=1)), 0.35, 0.55),
     ]
     failures = [f"{name}: {value:.4f} outside [{lo}, {hi}]"
                 for name, value, lo, hi in checks
@@ -571,7 +575,7 @@ def _invariance_worst_error() -> float:
 def _quantile_roundtrip_worst() -> float:
     rng = np.random.default_rng(4181)
     p = rng.uniform(1e-12, 1.0 - 1e-12, size=10_000)
-    return max(abs(std_normal_cdf(std_normal_quantile(float(v))) - float(v))
+    return max(abs(float(ndtr(std_normal_quantile(float(v)))) - float(v))
                for v in p)
 
 

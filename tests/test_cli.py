@@ -1,7 +1,7 @@
 import contextlib
+import csv
 import io
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import sumnorm
 from sumnorm.cli import main
-from sumnorm.model import parse_studies, write_json
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -91,9 +90,10 @@ class TestTestCommand:
         assert rows[("cobanoglu2013", "asthma")][6] == "reject"
 
     def test_json_input(self, capsys, tmp_path, data_dir, leptin_csv):
-        studies = parse_studies(leptin_csv)
+        with open(leptin_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         out = tmp_path / "leptin.json"
-        write_json(studies, out)
+        out.write_text(json.dumps(rows), encoding="utf-8")
         assert main(["test", str(out)]) == 0
         from_json = capsys.readouterr().out
         main(["test", leptin_csv])
@@ -568,17 +568,32 @@ def test_console_script(leptin_csv):
     assert "cobanoglu2013" in proc.stdout
 
 
-def test_runtime_imports_only_numpy_and_stdlib():
+def test_module_entry_point_exit_codes(leptin_csv, tmp_path, src_env):
+    # ``python -m sumnorm.cli`` passes main()'s return code to the process.
+    ok = subprocess.run([sys.executable, "-m", "sumnorm.cli", "test",
+                         leptin_csv], env=src_env, capture_output=True,
+                        text=True)
+    assert ok.returncode == 0, ok.stderr
+    assert "cobanoglu2013" in ok.stdout
+    bad = tmp_path / "bad.csv"
+    bad.write_text("study_id,outcome,arm,group_label,n,mean,sd,"
+                   "min,q1,median,q3,max\n"
+                   "a,o,case,case,twelve,1,1,,,,,\n")
+    failed = subprocess.run([sys.executable, "-m", "sumnorm.cli", "test",
+                             str(bad)], env=src_env, capture_output=True,
+                            text=True)
+    assert failed.returncode == 2
+    assert failed.stdout == ""
+    assert "error:" in failed.stderr
+
+
+def test_runtime_imports_only_numpy_and_stdlib(src_env):
     # scipy, hypothesis and pytest are test oracles and tools, never
     # runtime dependencies of the library or the CLI.
-    src = str(Path(sumnorm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src, *filter(None, [env.get("PYTHONPATH")])])
     code = ("import sys, sumnorm, sumnorm.cli; "
             "print(sorted({'scipy', 'hypothesis', 'pytest'} "
             "& {m.split('.')[0] for m in sys.modules}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

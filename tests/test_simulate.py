@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from sumnorm.model import QuantileSummary, Scenario
 from sumnorm.simulate import (DEFAULT_N_GRID, DEMO_PAIRS, POWER_ALTERNATIVES,
-                              DistSpec, cov_ratio_check, isotonic_fit_r2,
-                              midrange_variance_check, power_curve, sample,
+                              DistSpec, isotonic_fit_r2, power_curve, sample,
                               skew_distortion_demo, summarize, type1_curve,
                               write_experiment_csv)
 
@@ -183,39 +182,6 @@ class TestRejectionCurves:
         families = {d.family for d in POWER_ALTERNATIVES}
         assert families == {"lognormal", "exponential", "beta", "chisquare",
                             "weibull"}
-
-
-class TestAsymptoticChecks:
-    def test_midrange_variance_tracks_asymptote(self):
-        r = midrange_variance_check(500, replicates=5000, seed=7)
-        assert r.n == 500
-        assert r.theoretical == pytest.approx(
-            math.pi ** 2 / (6 * math.log(500)) + math.pi / 500, rel=1e-12)
-        assert 0.9 < r.ratio < 1.2
-        assert r.median_variance_limit == pytest.approx(math.pi / 2)
-        assert r.median_variance_scaled == pytest.approx(
-            math.pi / 2, rel=0.15)
-
-    def test_midrange_small_n_rejected(self):
-        with pytest.raises(ValueError, match="n >= 10"):
-            midrange_variance_check(5)
-
-    def test_cov_ratios_near_limits(self):
-        r = cov_ratio_check(500, replicates=5000, seed=7)
-        assert 0.3 < r.extremes_median_ratio < 0.7
-        assert 0.25 < r.extremes_q1_ratio < 0.7
-
-    def test_cov_ratios_scale_free(self):
-        narrow = cov_ratio_check(100, replicates=2000, seed=5, sigma=1.0)
-        wide = cov_ratio_check(100, replicates=2000, seed=5, sigma=3.0)
-        assert narrow.extremes_median_ratio == pytest.approx(
-            wide.extremes_median_ratio, rel=1e-9)
-        assert narrow.extremes_q1_ratio == pytest.approx(
-            wide.extremes_q1_ratio, rel=1e-9)
-
-    def test_cov_small_n_rejected(self):
-        with pytest.raises(ValueError, match="n >= 50"):
-            cov_ratio_check(20)
 
 
 class TestSkewDistortionDemo:
