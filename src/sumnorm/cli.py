@@ -95,19 +95,15 @@ def _slug(label: str) -> str:
 
 
 def _group_table(args, headers: Sequence[str], cells) -> int:
-    """Print one row per group; a flagged or failing group prints its error."""
+    """Print one row per group; a refused or failing group prints its error."""
     rows = []
     for study in parse_studies(args.input, format=args.format):
         for group in study.groups:
             base = [study.study_id, group.group_label, str(group.n)]
-            error = "; ".join(group.violations)
-            if not error:
-                try:
-                    rows.append(base + cells(group))
-                    continue
-                except ValueError as exc:  # degenerate or unsupported
-                    error = str(exc)
-            rows.append(base + ["-", "-", "-", f"error: {error}"])
+            try:
+                rows.append(base + cells(group))
+            except ValueError as exc:  # refused, degenerate or unsupported
+                rows.append(base + ["-", "-", "-", f"error: {exc}"])
     print(_render_table(["study", "group", "n", *headers], rows))
     return 0
 
@@ -153,13 +149,21 @@ def cmd_meta(args) -> int:
     report_path.write_text(
         json.dumps(payload, indent=2, allow_nan=False) + "\n",
         encoding="utf-8")
+    taken: set[str] = set()
     for report in reports:
         pooled = report.pooled
         if pooled is None:
             print(f"warning: {report.outcome_label}: "
                   f"{report.pooled_omitted_reason}")
             continue
-        svg_path = out_dir / f"forest_{_slug(report.outcome_label)}.svg"
+        # Distinct outcomes can share a slug; a later one gets -2, -3, ...
+        slug = stem = _slug(report.outcome_label)
+        suffix = 1
+        while slug in taken:
+            suffix += 1
+            slug = f"{stem}-{suffix}"
+        taken.add(slug)
+        svg_path = out_dir / f"forest_{slug}.svg"
         svg_path.write_text(forest_svg(report), encoding="utf-8")
         included = len(report.included_ids)
         print(f"{report.outcome_label}: SMD {pooled.smd:.3f} "

@@ -88,8 +88,8 @@ def estimate_sd_s3(a: float, q1: float, q3: float, b: float, n: int) -> float:
     return (b - a + q3 - q1) / denom
 
 
-def estimate_mean(summary: QuantileSummary, scenario: Scenario) -> float:
-    """Mean estimate for ``summary`` under the given reporting pattern.
+def estimate_mean(summary: QuantileSummary, scenario: Scenario, n: int) -> float:
+    """Mean estimate for ``summary`` of ``n`` values under ``scenario``.
 
     The weights shrink toward the median as n grows:
 
@@ -103,7 +103,6 @@ def estimate_mean(summary: QuantileSummary, scenario: Scenario) -> float:
     ValueError
         If the summary lacks the fields the scenario requires.
     """
-    n = summary.n
     m = summary.median
     if scenario is Scenario.S1:
         if summary.min is None or summary.max is None:
@@ -131,6 +130,8 @@ def estimate_moments(group: GroupRecord) -> EstimatedMoments:
 
     Raises
     ------
+    UnsupportedSummaryError
+        If :func:`classify_scenario` refuses ``group``.
     ValueError
         If an estimated mean or SD is not finite, because the summary
         values lie near the float limit.
@@ -139,14 +140,14 @@ def estimate_moments(group: GroupRecord) -> EstimatedMoments:
     if scenario is Scenario.DIRECT:
         return EstimatedMoments(mean=group.reported_mean, sd=group.reported_sd,
                                 source="reported")
-    s = group.summary
-    mean = estimate_mean(s, scenario)
+    s, n = group.summary, group.n
+    mean = estimate_mean(s, scenario, n)
     if scenario is Scenario.S1:
-        sd = estimate_sd_s1(s.min, s.max, s.n)
+        sd = estimate_sd_s1(s.min, s.max, n)
     elif scenario is Scenario.S2:
-        sd = estimate_sd_s2(s.q1, s.q3, s.n)
+        sd = estimate_sd_s2(s.q1, s.q3, n)
     else:
-        sd = estimate_sd_s3(s.min, s.q1, s.q3, s.max, s.n)
+        sd = estimate_sd_s3(s.min, s.q1, s.q3, s.max, n)
     for name, value in (("mean", mean), ("SD", sd)):
         if not math.isfinite(value):
             raise ValueError(f"estimated {name} is {value}: the summary "

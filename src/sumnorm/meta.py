@@ -83,9 +83,7 @@ class StudyEntry:
     tests: tuple[GroupTest, ...]
     included: bool
     exclusion_reasons: tuple[str, ...]
-    n_case: int | None = None
     case_moments: EstimatedMoments | None = None
-    n_control: int | None = None
     control_moments: EstimatedMoments | None = None
     effect: EffectSize | None = None
 
@@ -240,19 +238,15 @@ def _screen_study(study: Study, alpha: float, kappa_c: float) -> tuple[tuple[Gro
     tests = []
     reasons = []
     for group in study.groups:
-        # A group the parser flagged, or one no test fits, is excluded
-        # with the reason in words instead of being tested.
-        error = "; ".join(group.violations)
-        if not error:
-            try:
-                result = run_test(group, alpha=alpha, kappa_c=kappa_c)
-            except (DegenerateSummaryError, UnsupportedSummaryError) as exc:
-                error = str(exc)
-        if error:
+        # A group that breaks an invariant, or one no test fits, is
+        # excluded with the reason in words instead of being tested.
+        try:
+            result = run_test(group, alpha=alpha, kappa_c=kappa_c)
+        except (DegenerateSummaryError, UnsupportedSummaryError) as exc:
             tests.append(GroupTest(group_label=group.group_label,
                                    arm=group.arm, n=group.n,
-                                   result=None, error=error))
-            reasons.append(f"group {group.group_label}: {error}")
+                                   result=None, error=str(exc)))
+            reasons.append(f"group {group.group_label}: {exc}")
             continue
         tests.append(GroupTest(group_label=group.group_label, arm=group.arm,
                                n=group.n, result=result))
@@ -311,10 +305,8 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
                 continue
             entries.append(StudyEntry(
                 study_id=study.study_id, tests=tests, included=True,
-                exclusion_reasons=(),
-                n_case=n_case, case_moments=case_moments,
-                n_control=n_control, control_moments=control_moments,
-                effect=effect))
+                exclusion_reasons=(), case_moments=case_moments,
+                control_moments=control_moments, effect=effect))
             effects.append(effect)
         if effects:
             pooled = pool(effects, model=model)
@@ -365,9 +357,9 @@ def report_to_dict(report: PipelineReport) -> dict:
         if entry.exclusion_reasons:
             d["exclusion_reasons"] = list(entry.exclusion_reasons)
         if entry.included:
-            d["case"] = _moments_to_dict(entry.n_case, entry.case_moments)
-            d["control"] = _moments_to_dict(entry.n_control, entry.control_moments)
             e = entry.effect
+            d["case"] = _moments_to_dict(e.n_case, entry.case_moments)
+            d["control"] = _moments_to_dict(e.n_control, entry.control_moments)
             d["effect"] = {"smd": e.smd, "se": e.se, "ci_low": e.ci_low,
                            "ci_high": e.ci_high}
         studies.append(d)

@@ -8,7 +8,9 @@ quantile summary in one of three reporting patterns:
 * S3: all five numbers
 
 This module owns the record types, scenario classification, invariant
-validation, moment pooling, and CSV/JSON ingestion.
+validation, moment pooling, and CSV/JSON ingestion.  The parser refuses
+only unreadable rows; :func:`classify_scenario` runs :func:`validate`, so
+every consumer of a group refuses one that breaks an invariant.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -57,14 +59,14 @@ class SummaryDataError(ValueError):
 
 
 class UnsupportedSummaryError(ValueError):
-    """A quantile summary matches none of the supported scenarios."""
+    """A group breaks an invariant, or its quantile summary matches none
+    of the supported scenarios."""
 
 
 @dataclass(frozen=True)
 class QuantileSummary:
     """Reported quantiles of one group; absent fields are None."""
 
-    n: int
     median: float
     min: float | None = None
     q1: float | None = None
@@ -90,7 +92,6 @@ class GroupRecord:
     reported_mean: float | None = None
     reported_sd: float | None = None
     summary: QuantileSummary | None = None
-    violations: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -110,22 +111,22 @@ class Study:
 def classify_scenario(group: GroupRecord) -> Scenario:
     """Return the reporting pattern of ``group``.
 
-    Directly reported moments win over any quantile summary.  A summary
-    with extremes and quartiles is S3, extremes alone S1, quartiles
-    alone S2; anything else is unsupported.
+    The one gate for every consumer of a group: it runs :func:`validate`
+    first, so a group that passes has exactly one form.  Moments are
+    DIRECT; a summary with extremes and quartiles is S3, extremes alone
+    S1, quartiles alone S2; anything else is unsupported.
 
     Raises
     ------
     UnsupportedSummaryError
-        If neither moments nor a recognizable summary are present.
+        With the violations joined by "; ", or if no scenario matches.
     """
-    if group.reported_mean is not None and group.reported_sd is not None:
-        return Scenario.DIRECT
+    violations = validate(group)
+    if violations:
+        raise UnsupportedSummaryError("; ".join(violations))
     s = group.summary
     if s is None:
-        raise UnsupportedSummaryError(
-            f"group {group.study_id}/{group.group_label}: neither reported "
-            f"moments nor a quantile summary are present")
+        return Scenario.DIRECT
     has_extremes = s.min is not None and s.max is not None
     has_quartiles = s.q1 is not None and s.q3 is not None
     if has_extremes and has_quartiles:
@@ -146,7 +147,7 @@ def validate(group: GroupRecord) -> list[str]:
     """Check the type invariants of ``group``.
 
     Returns a list of human-readable violations; an empty list means the
-    record is well formed.  Violations are data, not exceptions.
+    record is well formed.  :func:`classify_scenario` raises them.
     """
     out: list[str] = []
     if group.n < 1:
@@ -165,8 +166,6 @@ def validate(group: GroupRecord) -> list[str]:
     s = group.summary
     if s is None:
         return out
-    if s.n != group.n:
-        out.append(f"summary n={s.n} does not match group n={group.n}")
     ordered = [(name, getattr(s, name))
                for name in ("min", "q1", "median", "q3", "max")
                if getattr(s, name) is not None]
@@ -246,7 +245,7 @@ def _record_from_row(row: dict, where: str) -> tuple[str, GroupRecord]:
         if quantiles["median"] is None:
             raise SummaryDataError(
                 f"{where}: quantile fields present but median is missing")
-        summary = QuantileSummary(n=n, **quantiles)
+        summary = QuantileSummary(**quantiles)
     record = GroupRecord(study_id=study_id, group_label=group_label or arm,
                          arm=arm, n=n, reported_mean=mean, reported_sd=sd,
                          summary=summary)
@@ -258,7 +257,8 @@ def _rows_from_csv(path: Path) -> Iterable[tuple[dict, str]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SummaryDataError(f"{path}: empty file")
-        got = tuple(name.strip() for name in reader.fieldnames)
+        # DictReader keys rows by these names, so strip them in place.
+        reader.fieldnames = got = [name.strip() for name in reader.fieldnames]
         if set(got) != set(CSV_COLUMNS):
             missing = sorted(set(CSV_COLUMNS) - set(got))
             extra = sorted(set(got) - set(CSV_COLUMNS))
@@ -291,8 +291,8 @@ def parse_studies(path: str | Path, format: str | None = None) -> list[Study]:
     """Read a CSV or JSON dataset into a list of studies.
 
     One :class:`Study` is produced per (study_id, outcome) pair, with
-    rows grouped by arm in file order.  Every record is validated and
-    its violations attached as warnings on the record.
+    rows grouped by arm in file order.  A readable record that breaks an
+    invariant is kept; :func:`classify_scenario` refuses it where used.
 
     Parameters
     ----------
@@ -328,7 +328,6 @@ def parse_studies(path: str | Path, format: str | None = None) -> list[Study]:
             raise SummaryDataError(
                 f"{where}: duplicate (study, group, outcome) key {key}")
         seen_keys.add(key)
-        record = replace(record, violations=tuple(validate(record)))
         arms = by_study.setdefault((record.study_id, outcome),
                                    {"case": [], "control": []})
         arms[record.arm].append(record)

@@ -135,7 +135,7 @@ def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
     if n < 4:
         raise ValueError(f"summarize needs n >= 4, got n={n}")
     a, q1, m, q3, b = (float(v) for v in x[_order_columns(n)])
-    return QuantileSummary(n=n, min=a, q1=q1, median=m, q3=q3, max=b)
+    return QuantileSummary(min=a, q1=q1, median=m, q3=q3, max=b)
 
 
 def _summary_matrix(dist: DistSpec, n: int, replicates: int,
@@ -253,7 +253,7 @@ def skew_distortion_demo(case_dist: DistSpec, control_dist: DistSpec,
 
     def s1_moments(x: np.ndarray) -> tuple[float, float]:
         summary = summarize(x)
-        return (estimate_mean(summary, Scenario.S1),
+        return (estimate_mean(summary, Scenario.S1, n),
                 estimate_sd_s1(summary.min, summary.max, n))
 
     case_mean, case_sd = s1_moments(case)

@@ -173,17 +173,18 @@ def run_test(group: GroupRecord, alpha: float = 0.05,
     """Dispatch the matching symmetry test for ``group``.
 
     Returns None for groups that report mean and SD directly; those need
-    no symmetry screening.
+    no symmetry screening.  Raises :class:`UnsupportedSummaryError` for a
+    group that :func:`classify_scenario` refuses.
     """
     scenario = classify_scenario(group)
     if scenario is Scenario.DIRECT:
         return None
-    s = group.summary
+    s, n = group.summary, group.n
     if scenario is Scenario.S1:
-        return test_s1(s.min, s.median, s.max, s.n, alpha)
+        return test_s1(s.min, s.median, s.max, n, alpha)
     if scenario is Scenario.S2:
-        return test_s2(s.q1, s.median, s.q3, s.n, alpha)
-    return test_s3(s.min, s.q1, s.median, s.q3, s.max, s.n, alpha, kappa_c)
+        return test_s2(s.q1, s.median, s.q3, n, alpha)
+    return test_s3(s.min, s.q1, s.median, s.q3, s.max, n, alpha, kappa_c)
 
 
 def format_statistic(t: float) -> str:

@@ -498,10 +498,10 @@ def test_criterion_7_pooled_effects_with_trace(capsys):
     for entry in tc.studies:
         if entry.included:
             effect = entry.effect
-            _say(capsys, f"    {entry.study_id}: case n={entry.n_case} "
+            _say(capsys, f"    {entry.study_id}: case n={effect.n_case} "
                  f"mean={entry.case_moments.mean:.3f} "
                  f"sd={entry.case_moments.sd:.3f}; control "
-                 f"n={entry.n_control} "
+                 f"n={effect.n_control} "
                  f"mean={entry.control_moments.mean:.3f} "
                  f"sd={entry.control_moments.sd:.3f}; SMD {effect.smd:.3f} "
                  f"(se {effect.se:.3f})")

@@ -199,6 +199,22 @@ class TestMetaCommand:
                          "forest_total-cholesterol.svg",
                          "forest_triglycerides.svg"]
 
+    def test_colliding_slugs_keep_every_forest(self, capsys, tmp_path):
+        # "LDL-C" and "LDL C" both slug to ldl-c; the later one gets -2.
+        rows = [_HEADER]
+        for outcome in ("LDL-C", "LDL C"):
+            rows += [f"s,{outcome},case,case,20,5.0,2.0,,,,,",
+                     f"s,{outcome},control,control,20,4.0,2.0,,,,,"]
+        p = tmp_path / "ldl.csv"
+        p.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "meta"
+        assert main(["meta", str(p), "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        names = sorted(f.name for f in out_dir.glob("forest_*.svg"))
+        assert names == ["forest_ldl-c-2.svg", "forest_ldl-c.svg"]
+        assert "LDL-C" in (out_dir / "forest_ldl-c.svg").read_text()
+        assert "LDL C" in (out_dir / "forest_ldl-c-2.svg").read_text()
+
     def test_out_is_an_alias_of_output_dir(self, capsys, tmp_path, data_dir):
         dirs = (tmp_path / "long", tmp_path / "short")
         main(["meta", str(data_dir / "zhang2017.csv"),

@@ -123,13 +123,13 @@ class TestSdS3:
 
 class TestEstimateMean:
     def test_frozen_s1(self):
-        s = QuantileSummary(n=23, median=5.3, min=0.4, max=27.4)
-        assert estimate_mean(s, Scenario.S1) == pytest.approx(
+        s = QuantileSummary(median=5.3, min=0.4, max=27.4)
+        assert estimate_mean(s, Scenario.S1, 23) == pytest.approx(
             7.671992221964471, abs=1e-9)
 
     def test_frozen_s2(self):
-        s = QuantileSummary(n=26, median=38, q1=30, q3=60)
-        assert estimate_mean(s, Scenario.S2) == pytest.approx(43.005, abs=1e-9)
+        s = QuantileSummary(median=38, q1=30, q3=60)
+        assert estimate_mean(s, Scenario.S2, 26) == pytest.approx(43.005, abs=1e-9)
 
     @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2, Scenario.S3])
     @given(mu=st.floats(-100, 100), spread=st.floats(0.01, 50),
@@ -137,46 +137,45 @@ class TestEstimateMean:
     def test_symmetric_summary_returns_median(self, scenario, mu, spread, n):
         # all weight groups sum to one, so a symmetric summary is a
         # fixed point regardless of n
-        s = QuantileSummary(n=n, median=mu, min=mu - 2 * spread,
+        s = QuantileSummary(median=mu, min=mu - 2 * spread,
                             q1=mu - spread, q3=mu + spread,
                             max=mu + 2 * spread)
-        assert estimate_mean(s, scenario) == pytest.approx(
+        assert estimate_mean(s, scenario, n) == pytest.approx(
             mu, rel=1e-9, abs=1e-9)
 
     @given(vals=_ordered5(), n=st.integers(4, 5000),
            c=st.floats(0.01, 100), d=st.floats(-100, 100))
     def test_location_scale_equivariance(self, vals, n, c, d):
         a, q1, m, q3, b = vals
-        base = QuantileSummary(n=n, median=m, min=a, q1=q1, q3=q3, max=b)
-        moved = QuantileSummary(n=n, median=c * m + d, min=c * a + d,
+        base = QuantileSummary(median=m, min=a, q1=q1, q3=q3, max=b)
+        moved = QuantileSummary(median=c * m + d, min=c * a + d,
                                 q1=c * q1 + d, q3=c * q3 + d, max=c * b + d)
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
-            want = c * estimate_mean(base, scenario) + d
-            assert estimate_mean(moved, scenario) == pytest.approx(
+            want = c * estimate_mean(base, scenario, n) + d
+            assert estimate_mean(moved, scenario, n) == pytest.approx(
                 want, rel=1e-9, abs=1e-6)
 
     def test_weight_shrinks_with_n(self):
         # as n grows the estimate moves toward the median
-        summaries = [QuantileSummary(n=n, median=0.0, min=-1.0, max=3.0)
-                     for n in (5, 50, 500, 5000)]
-        means = [estimate_mean(s, Scenario.S1) for s in summaries]
+        s = QuantileSummary(median=0.0, min=-1.0, max=3.0)
+        means = [estimate_mean(s, Scenario.S1, n) for n in (5, 50, 500, 5000)]
         assert means == sorted(means, reverse=True)
         assert means[-1] == pytest.approx(0.0, abs=0.02)
 
     def test_missing_fields_rejected(self):
-        s2_only = QuantileSummary(n=10, median=1.0, q1=0.0, q3=2.0)
+        s2_only = QuantileSummary(median=1.0, q1=0.0, q3=2.0)
         with pytest.raises(ValueError, match="min and max"):
-            estimate_mean(s2_only, Scenario.S1)
-        s1_only = QuantileSummary(n=10, median=1.0, min=0.0, max=2.0)
+            estimate_mean(s2_only, Scenario.S1, 10)
+        s1_only = QuantileSummary(median=1.0, min=0.0, max=2.0)
         with pytest.raises(ValueError, match="q1 and q3"):
-            estimate_mean(s1_only, Scenario.S2)
+            estimate_mean(s1_only, Scenario.S2, 10)
         with pytest.raises(ValueError, match="all five"):
-            estimate_mean(s1_only, Scenario.S3)
+            estimate_mean(s1_only, Scenario.S3, 10)
 
     def test_direct_has_no_estimator(self):
-        s = QuantileSummary(n=10, median=1.0, min=0.0, max=2.0)
+        s = QuantileSummary(median=1.0, min=0.0, max=2.0)
         with pytest.raises(ValueError, match="no mean estimator"):
-            estimate_mean(s, Scenario.DIRECT)
+            estimate_mean(s, Scenario.DIRECT, 10)
 
 
 class TestSdEquivariance:
@@ -209,7 +208,7 @@ class TestEstimateMoments:
 
     def test_s1_dispatch(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=23,
-                        summary=QuantileSummary(n=23, median=5.3, min=0.4,
+                        summary=QuantileSummary(median=5.3, min=0.4,
                                                 max=27.4))
         got = estimate_moments(g)
         assert got.source == "estimated"
@@ -219,7 +218,7 @@ class TestEstimateMoments:
 
     def test_s2_dispatch(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=26,
-                        summary=QuantileSummary(n=26, median=38, q1=30, q3=60))
+                        summary=QuantileSummary(median=38, q1=30, q3=60))
         got = estimate_moments(g)
         assert got.scenario is Scenario.S2
         assert got.mean == pytest.approx(43.005, abs=1e-9)
@@ -227,7 +226,7 @@ class TestEstimateMoments:
 
     def test_s3_dispatch(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=50,
-                        summary=QuantileSummary(n=50, median=4, min=0, q1=2,
+                        summary=QuantileSummary(median=4, min=0, q1=2,
                                                 q3=6, max=10))
         got = estimate_moments(g)
         assert got.scenario is Scenario.S3

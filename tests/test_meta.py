@@ -2,15 +2,21 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
+
+from sumnorm.estimators import (estimate_mean, estimate_moments,
+                                estimate_sd_s2)
 
 from sumnorm.meta import (EffectSize, GroupTest, PipelineReport, PooledResult,
                           StudyEntry, chi_square_sf, cohen_d, pool,
                           report_to_dict, run_pipeline)
-from sumnorm.model import GroupRecord, QuantileSummary, Study, parse_studies
+from sumnorm.model import (GroupRecord, QuantileSummary, Scenario, Study,
+                           parse_studies)
 from sumnorm.plots import curve_svg, forest_svg
+from sumnorm.symmetry import run_test
+from sumnorm.symmetry import test_s2 as s2_test
 
 
 class TestChiSquareSf:
@@ -189,18 +195,20 @@ def _direct_study(study_id, outcome, n1, m1, s1, n2, m2, s2):
                  case_groups=(case,), control_groups=(control,))
 
 
-def _summary_study(study_id, outcome, case_summary, control_summary):
+def _summary_study(study_id, outcome, case, control):
+    """A two-group study; ``case`` and ``control`` are (n, summary)."""
+    (n_case, case_summary), (n_control, control_summary) = case, control
     case = GroupRecord(study_id=study_id, group_label="case", arm="case",
-                       n=case_summary.n, summary=case_summary)
+                       n=n_case, summary=case_summary)
     control = GroupRecord(study_id=study_id, group_label="control",
-                          arm="control", n=control_summary.n,
+                          arm="control", n=n_control,
                           summary=control_summary)
     return Study(study_id=study_id, outcome_label=outcome,
                  case_groups=(case,), control_groups=(control,))
 
 
-_SYMMETRIC = QuantileSummary(n=40, median=5.0, q1=4.0, q3=6.0)
-_SKEWED = QuantileSummary(n=100, median=9.6, q1=7.6, q3=16.25)
+_SYMMETRIC = (40, QuantileSummary(median=5.0, q1=4.0, q3=6.0))
+_SKEWED = (100, QuantileSummary(median=9.6, q1=7.6, q3=16.25))
 
 
 class TestRunPipeline:
@@ -226,7 +234,7 @@ class TestRunPipeline:
         assert any("symmetry rejected" in r for r in entry.exclusion_reasons)
 
     def test_degenerate_summary_excluded_with_error(self):
-        flat = QuantileSummary(n=40, median=2.0, q1=2.0, q3=2.0)
+        flat = (40, QuantileSummary(median=2.0, q1=2.0, q3=2.0))
         studies = [_summary_study("flat", "o", flat, _SYMMETRIC),
                    _direct_study("a", "o", 20, 5.0, 2.0, 20, 4.0, 2.0)]
         (report,) = run_pipeline(studies)
@@ -326,7 +334,6 @@ class TestRunPipeline:
                       control_groups=(control,))
         (report,) = run_pipeline([study])
         (entry,) = report.studies
-        assert entry.n_case == 91
         assert entry.case_moments.source == "combined"
         assert entry.case_moments.sd == pytest.approx(
             7.953428930092463, abs=1e-9)
@@ -371,6 +378,110 @@ class TestRunPipeline:
         (adjusted,) = run_pipeline(studies, hedges=True)
         want = plain.studies[0].effect.smd * (1 - 3 / 71)
         assert adjusted.studies[0].effect.smd == pytest.approx(want, rel=1e-12)
+
+
+class TestHandBuiltRecords:
+    """Records built without the parser pass the same gate as parsed ones."""
+
+    def _excluded_reason(self, case):
+        control = GroupRecord(study_id="hand", group_label="control",
+                              arm="control", n=40, reported_mean=4.0,
+                              reported_sd=2.0)
+        study = Study(study_id="hand", outcome_label="o", case_groups=(case,),
+                      control_groups=(control,))
+        (report,) = run_pipeline([study])
+        assert report.excluded_ids == ("hand",)
+        (entry,) = report.studies
+        (reason,) = entry.exclusion_reasons
+        return reason
+
+    def test_unordered_quartiles_excluded(self):
+        case = GroupRecord(study_id="hand", group_label="case", arm="case",
+                           n=40, summary=QuantileSummary(median=5.0, q1=6.0,
+                                                         q3=8.0))
+        assert self._excluded_reason(case) == (
+            "group case: ordering violation: q1 <= median fails (6.0 > 5.0)")
+
+    def test_quartiles_at_n2_excluded(self):
+        case = GroupRecord(study_id="hand", group_label="case", arm="case",
+                           n=2, summary=QuantileSummary(median=5.0, q1=4.0,
+                                                        q3=6.0))
+        assert self._excluded_reason(case) == (
+            "group case: n >= 4 required with quartiles, got n=2")
+
+    def test_group_n_is_the_only_n(self):
+        # The test, the estimate and the pooled arm size all use group.n.
+        _, summary = _SKEWED
+        study = _summary_study("one", "o", (21, summary), _SYMMETRIC)
+        (case,) = study.case_groups
+        assert run_test(case) == s2_test(7.6, 9.6, 16.25, 21)
+        moments = estimate_moments(case)
+        assert moments.mean == estimate_mean(summary, Scenario.S2, 21)
+        assert moments.sd == estimate_sd_s2(7.6, 16.25, 21)
+        (report,) = run_pipeline([study], alpha=1e-9)
+        (entry,) = report.studies
+        (case_test, _) = entry.tests
+        assert case_test.n == case_test.result.n == 21
+        assert entry.effect.n_case == 21
+        assert report_to_dict(report)["studies"][0]["case"]["n"] == 21
+
+
+_FIELDS = ("min", "q1", "median", "q3", "max")
+
+
+@st.composite
+def _hand_built_group(draw, study_id, label, arm):
+    # Moments, a summary, both, or neither; summary fields unset or set,
+    # and the set ones ordered, in any order, or tied.
+    form = draw(st.sampled_from(["moments", "summary", "both", "neither"]))
+    mean = sd = summary = None
+    if form in ("moments", "both"):
+        mean = draw(st.sampled_from([0.0, 1.0, 5.0]))
+        sd = draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
+    if form in ("summary", "both"):
+        present = [f for f in _FIELDS if f == "median" or draw(st.booleans())]
+        layout = draw(st.sampled_from(["ordered", "any", "tied"]))
+        if layout == "tied":
+            values = [1.0] * len(present)
+        else:
+            values = draw(st.lists(st.integers(-3, 3).map(float),
+                                   min_size=len(present),
+                                   max_size=len(present)))
+            if layout == "ordered":
+                values.sort()
+        summary = QuantileSummary(**dict(zip(present, values)))
+    return GroupRecord(study_id=study_id, group_label=label, arm=arm,
+                       n=draw(st.integers(1, 6)), reported_mean=mean,
+                       reported_sd=sd, summary=summary)
+
+
+@st.composite
+def _hand_built_studies(draw):
+    studies = []
+    for study_id in ("a", "b")[:draw(st.integers(1, 2))]:
+        cases = tuple(draw(_hand_built_group(study_id, f"case{i}", "case"))
+                      for i in range(draw(st.integers(1, 2))))
+        control = draw(_hand_built_group(study_id, "control", "control"))
+        studies.append(Study(study_id=study_id, outcome_label="o",
+                             case_groups=cases, control_groups=(control,)))
+    return studies
+
+
+@settings(max_examples=200)
+@given(_hand_built_studies())
+def test_pipeline_never_raises_on_hand_built_records(studies):
+    # Mirrors the CLI property on generated rows, without the parser.
+    for report in run_pipeline(studies):
+        for entry in report.studies:
+            assert entry.included or entry.exclusion_reasons
+        json.dumps(report_to_dict(report), allow_nan=False)
+    for study in studies:
+        for group in study.groups:
+            for consumer in (run_test, estimate_moments):
+                try:
+                    consumer(group)
+                except ValueError:
+                    pass
 
 
 class TestReportToDict:

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
@@ -8,15 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sumnorm.model import (CSV_COLUMNS, GroupRecord, QuantileSummary,
-                           Scenario, Study, SummaryDataError,
+                           Scenario, SummaryDataError,
                            UnsupportedSummaryError, classify_scenario,
                            parse_studies, pooled_moments, validate)
+from sumnorm.symmetry import run_test
 
 
 def _group(n=20, mean=None, sd=None, **quantiles):
     summary = None
     if quantiles:
-        summary = QuantileSummary(n=n, **quantiles)
+        summary = QuantileSummary(**quantiles)
     return GroupRecord(study_id="s", group_label="g", arm="case", n=n,
                        reported_mean=mean, reported_sd=sd, summary=summary)
 
@@ -37,11 +37,15 @@ class TestClassifyScenario:
         g = _group(median=6, min=0, q1=2, q3=10, max=20)
         assert classify_scenario(g) is Scenario.S3
 
-    def test_direct_wins_over_summary(self):
+    def test_both_forms_refused(self):
+        # Moments and a summary together break an invariant; neither wins.
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=20,
                         reported_mean=1.0, reported_sd=2.0,
-                        summary=QuantileSummary(n=20, median=1.0, q1=0.5, q3=1.5))
-        assert classify_scenario(g) is Scenario.DIRECT
+                        summary=QuantileSummary(median=1.0, q1=0.5, q3=1.5))
+        with pytest.raises(UnsupportedSummaryError) as exc:
+            classify_scenario(g)
+        assert str(exc.value) == "; ".join(validate(g))
+        assert "exactly one form" in str(exc.value)
 
     def test_median_only_unsupported(self):
         g = _group(median=5.0)
@@ -82,13 +86,8 @@ class TestValidate:
     def test_both_forms_flagged(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=20,
                         reported_mean=1.0, reported_sd=2.0,
-                        summary=QuantileSummary(n=20, median=1.0, q1=0.5, q3=1.5))
+                        summary=QuantileSummary(median=1.0, q1=0.5, q3=1.5))
         assert any("exactly one form" in v for v in validate(g))
-
-    def test_summary_n_mismatch(self):
-        g = GroupRecord(study_id="s", group_label="g", arm="case", n=21,
-                        summary=QuantileSummary(n=20, median=1.0, q1=0.5, q3=1.5))
-        assert any("does not match" in v for v in validate(g))
 
     def test_ordering_violation(self):
         g = _group(median=5.0, q1=6.0, q3=8.0)
@@ -96,12 +95,12 @@ class TestValidate:
 
     def test_quartiles_need_n4(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=3,
-                        summary=QuantileSummary(n=3, median=5.0, q1=3.0, q3=8.0))
+                        summary=QuantileSummary(median=5.0, q1=3.0, q3=8.0))
         assert any("n >= 4" in v for v in validate(g))
 
     def test_extremes_need_n2(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=1,
-                        summary=QuantileSummary(n=1, median=5.0, min=3.0, max=8.0))
+                        summary=QuantileSummary(median=5.0, min=3.0, max=8.0))
         assert any("n >= 2" in v for v in validate(g))
 
 
@@ -205,7 +204,7 @@ class TestParseBundled:
                      "hawkins2017_bnp.csv"):
             for study in parse_studies(data_dir / name):
                 for g in study.groups:
-                    assert g.violations == (), (name, g.study_id)
+                    assert validate(g) == [], (name, g.study_id)
 
 
 def _csv_as_json(src, out):
@@ -227,6 +226,15 @@ class TestRoundTrip:
         _csv_as_json(data_dir / "ferretti2017.csv", out)
         assert (parse_studies(out, format="json")
                 == parse_studies(data_dir / "ferretti2017.csv"))
+
+    def test_header_spaces_after_commas(self, data_dir, tmp_path):
+        # Rows are looked up by the stripped names, not by " outcome".
+        src = data_dir / "zhang2017.csv"
+        header, rest = src.read_text(encoding="utf-8").split("\n", 1)
+        out = tmp_path / "spaced.csv"
+        out.write_text(header.replace(",", ", ") + "\n" + rest,
+                       encoding="utf-8")
+        assert parse_studies(out) == parse_studies(src)
 
 
 def _write(tmp_path, text, name="in.csv"):
@@ -323,12 +331,16 @@ class TestParseErrors:
         assert case.summary is None
         assert case.reported_mean == 1.0
 
-    def test_violations_attached_not_raised(self, tmp_path):
-        # A parseable row with a semantic problem parses fine but carries
-        # the violation on the record.
+    def test_violations_parsed_then_refused(self, tmp_path):
+        # A parseable row with a semantic problem parses fine; validate
+        # names the problem and run_test refuses the group with it.
         p = _write(tmp_path, _HEADER +
                    "a,o,case,case,12,,,,9,5,2,\n" +
                    "a,o,control,control,12,1,1,,,,,\n")
         studies = parse_studies(p)
         (case,) = studies[0].case_groups
-        assert any("ordering violation" in v for v in case.violations)
+        violations = validate(case)
+        assert any("ordering violation" in v for v in violations)
+        with pytest.raises(UnsupportedSummaryError) as exc:
+            run_test(case)
+        assert str(exc.value) == "; ".join(violations)

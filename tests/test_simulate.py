@@ -87,13 +87,13 @@ class TestSample:
 class TestSummarize:
     def test_even_n(self):
         s = summarize(np.arange(1.0, 9.0))
-        assert s == QuantileSummary(n=8, min=1.0, q1=2.0, median=4.0,
+        assert s == QuantileSummary(min=1.0, q1=2.0, median=4.0,
                                     q3=6.0, max=8.0)
 
     def test_odd_n(self):
         # [np]-th order statistics, 1-based: [1.25] = 1, [2.5] = 2, [3.75] = 3
         s = summarize(np.arange(1.0, 6.0))
-        assert s == QuantileSummary(n=5, min=1.0, q1=1.0, median=2.0,
+        assert s == QuantileSummary(min=1.0, q1=1.0, median=2.0,
                                     q3=3.0, max=5.0)
 
     def test_constant_sample(self):

@@ -190,25 +190,25 @@ class TestRunTest:
         assert run_test(g) is None
 
     def test_s1_dispatch(self):
-        g = _record(n=23, summary=QuantileSummary(n=23, median=5.3, min=0.4,
+        g = _record(n=23, summary=QuantileSummary(median=5.3, min=0.4,
                                                   max=27.4))
         r = run_test(g)
         assert r == s1_test(0.4, 5.3, 27.4, 23)
 
     def test_s2_dispatch(self):
-        g = _record(n=26, summary=QuantileSummary(n=26, median=38, q1=30,
+        g = _record(n=26, summary=QuantileSummary(median=38, q1=30,
                                                   q3=60))
         r = run_test(g)
         assert r == s2_test(30, 38, 60, 26)
 
     def test_s3_dispatch_with_options(self):
-        g = _record(n=60, summary=QuantileSummary(n=60, median=2, min=0, q1=1,
+        g = _record(n=60, summary=QuantileSummary(median=2, min=0, q1=1,
                                                   q3=5, max=20))
         r = run_test(g, alpha=0.01, kappa_c=10.5)
         assert r == s3_test(0, 1, 2, 5, 20, 60, alpha=0.01, kappa_c=10.5)
 
     def test_unsupported_summary_propagates(self):
-        g = _record(n=20, summary=QuantileSummary(n=20, median=5.0, min=1.0))
+        g = _record(n=20, summary=QuantileSummary(median=5.0, min=1.0))
         with pytest.raises(ValueError):
             run_test(g)
 
