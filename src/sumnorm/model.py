@@ -166,6 +166,8 @@ def validate(group: GroupRecord) -> list[str]:
     s = group.summary
     if s is None:
         return out
+    if s.median is None:
+        out.append("quantile summary has no median")
     ordered = [(name, getattr(s, name))
                for name in ("min", "q1", "median", "q3", "max")
                if getattr(s, name) is not None]

@@ -6,6 +6,21 @@ deterministic regardless of scheduling or chunk parallelism, and the
 rate at a given n does not depend on which other n values share the
 grid.  The order-statistic asymptotics behind the tests are checked by
 the acceptance scorecard from ``_summary_matrix``, not here.
+
+Each replicate needs only five order statistics of a sample of n, and
+the Renyi representation (Renyi 1953; Devroye 1986, *Non-Uniform Random
+Variate Generation*, ch. V) draws them exactly without the other n - 5.
+With ranks k_1 <= ... <= k_5 and independent standard gammas G_j of
+shapes k_1, k_2 - k_1, ..., k_5 - k_4 and n + 1 - k_5, the uniform order
+statistics are U_(k_i) = (G_1 + ... + G_i) / G with G the sum of all
+six, and 1 - U_(k_i) is the sum of the G_j after the i-th over G.  The
+family's quantile maps both to the sample scale, each tail from the one
+of the two that keeps its precision.  So a row costs six gammas at any
+n.  The families with a closed-form or Phi^-1-based quantile take this
+path: normal, lognormal, exponential, Weibull, chi-square(1) and
+beta(1, b), which covers ``POWER_ALTERNATIVES``.  Chi-square with other
+degrees of freedom and beta(a != 1, b) sort whole samples instead, and
+so do :func:`sample` and the demo, which need every value.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ import numpy as np
 from .estimators import estimate_mean, estimate_sd_s1
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
-from .normal import critical_value
+from .normal import critical_value, std_normal_quantiles
 from .symmetry import DEFAULT_KAPPA_C, statistic
 
 __all__ = [
@@ -45,20 +60,40 @@ DEFAULT_N_GRID = (10, 25, 50, 100, 200, 300, 400, 500, 750, 1000)
 # Fixed chunk height keeps memory bounded without breaking determinism.
 _CHUNK_ROWS = 20000
 
-# family -> (number of parameters, indices that must be > 0, sampler).
-# Parameters: normal mu, sigma; lognormal mu, sigma of the underlying
-# normal; chisquare degrees of freedom; exponential rate lambda; beta
-# alpha, beta; weibull shape k, scale lambda.
-_FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable]] = {
-    "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape)),
+
+def _log_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # ln(1 - U), from U in the lower half and from 1 - U = v above it.
+    return np.where(u < 0.5, np.log1p(-u), np.log(v))
+
+
+# family -> (number of parameters, indices that must be > 0, sampler,
+# quantile).  Parameters: normal mu, sigma; lognormal mu, sigma of the
+# underlying normal; chisquare degrees of freedom; exponential rate
+# lambda; beta alpha, beta; weibull shape k, scale lambda.  The quantile
+# column maps the parameters to the quantile function of (U, 1 - U), or
+# to None where the family has no closed form for them.
+_FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable]] = {
+    "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape),
+               lambda p: lambda u, v: (
+                   p[0] + p[1] * std_normal_quantiles(u, v))),
     "lognormal": (2, (1,),
-                  lambda rng, p, shape: rng.lognormal(p[0], p[1], shape)),
-    "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape)),
+                  lambda rng, p, shape: rng.lognormal(p[0], p[1], shape),
+                  lambda p: lambda u, v: np.exp(
+                      p[0] + p[1] * std_normal_quantiles(u, v))),
+    # chi-square(1) is Z^2 with Phi(Z) = (1 - U) / 2.
+    "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape),
+                  lambda p: None if p[0] != 1 else lambda u, v: (
+                      std_normal_quantiles(v / 2, (1 + u) / 2) ** 2)),
     "exponential": (1, (0,),
-                    lambda rng, p, shape: rng.exponential(1.0 / p[0], shape)),
-    "beta": (2, (0, 1), lambda rng, p, shape: rng.beta(p[0], p[1], shape)),
+                    lambda rng, p, shape: rng.exponential(1.0 / p[0], shape),
+                    lambda p: lambda u, v: -_log_upper(u, v) / p[0]),
+    "beta": (2, (0, 1), lambda rng, p, shape: rng.beta(p[0], p[1], shape),
+             lambda p: None if p[0] != 1 else lambda u, v: (
+                 -np.expm1(_log_upper(u, v) / p[1]))),
     "weibull": (2, (0, 1),
-                lambda rng, p, shape: p[1] * rng.weibull(p[0], shape)),
+                lambda rng, p, shape: p[1] * rng.weibull(p[0], shape),
+                lambda p: lambda u, v: (
+                    p[1] * (-_log_upper(u, v)) ** (1 / p[0]))),
 }
 
 
@@ -74,7 +109,7 @@ class DistSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; choose from "
                 f"{sorted(_FAMILIES)}")
-        arity, positive, _ = _FAMILIES[self.family]
+        arity, positive, *_ = _FAMILIES[self.family]
         p = self.params
         if len(p) != arity:
             raise ValueError(
@@ -100,8 +135,14 @@ class DistSpec:
         return f"{self.family}({inner})"
 
 
-def _draw(dist: DistSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    return _FAMILIES[dist.family][2](rng, dist.params, shape)
+def _draw(dist: DistSpec, rng: np.random.Generator, shape,
+          gaps: np.ndarray | None = None) -> np.ndarray:
+    """Every variate of this module: ``shape`` draws from ``dist``, or,
+    given the rank ``gaps`` of the spacings path, standard gammas of
+    those shapes broadcast to ``shape``."""
+    if gaps is None:
+        return _FAMILIES[dist.family][2](rng, dist.params, shape)
+    return rng.standard_gamma(gaps, shape)
 
 
 def _generator(seed: int, *stream: int) -> np.random.Generator:
@@ -140,14 +181,31 @@ def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
 
 def _summary_matrix(dist: DistSpec, n: int, replicates: int,
                     seed: int) -> np.ndarray:
-    """(replicates, 5) matrix of [min, q1, median, q3, max] rows."""
+    """(replicates, 5) matrix of [min, q1, median, q3, max] rows.
+
+    Spacings when the family has a quantile (see the module docstring),
+    whole sorted samples otherwise; both on the (seed, n, chunk) streams.
+    """
     columns = _order_columns(n)
+    quantile = _FAMILIES[dist.family][3](dist.params)
+    # Gamma shapes: the gaps between 0, the 1-based ranks and n + 1.  A
+    # gap is 0 where ranks tie (n = 4..7); that gamma is exactly 0.
+    gaps = np.diff([0, *(k + 1 for k in columns), n + 1])
     blocks = []
     for chunk_index, done in enumerate(range(0, replicates, _CHUNK_ROWS)):
         rng = _generator(seed, n, chunk_index)
-        x = _draw(dist, rng, (min(_CHUNK_ROWS, replicates - done), n))
-        x.sort(axis=1)
-        blocks.append(x[:, columns])
+        rows = min(_CHUNK_ROWS, replicates - done)
+        if quantile is None:
+            x = _draw(dist, rng, (rows, n))
+            x.sort(axis=1)
+            blocks.append(x[:, columns])
+            continue
+        # One row per gap, so every sum runs along contiguous memory.
+        g = _draw(dist, rng, (len(gaps), rows), gaps[:, None])
+        total = g.sum(axis=0)
+        below = np.cumsum(g[:-1], axis=0)
+        above = np.cumsum(g[:0:-1], axis=0)[::-1]
+        blocks.append(quantile(below / total, above / total).T)
     return np.concatenate(blocks)
 
 

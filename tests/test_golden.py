@@ -42,6 +42,7 @@ _POWER_GRID = ["--grid", "4,10,50", "--replicates", "2000", *_OUT]
 # name -> argv of a seeded Monte Carlo run.  The type I runs cover the
 # smallest n, where [0.25n] is 1; the 20001-replicate run crosses the
 # 20000-row chunk boundary; each family is drawn once under --power.
+# chisquare:3 has no closed-form quantile, so it pins the sort path.
 SIM_RUNS = {
     "simulate/type1-s1": ["simulate", "--type1", "--scenario", "s1",
                           *_SMALL_GRID, "--seed", "7"],
@@ -73,6 +74,10 @@ SIM_RUNS = {
     "simulate/power-weibull": ["simulate", "--power", "--scenario", "s3",
                                "--dist", "weibull:2,3", *_POWER_GRID,
                                "--seed", "5"],
+    "simulate/power-chisquare-sorted": ["simulate", "--power",
+                                        "--scenario", "s1",
+                                        "--dist", "chisquare:3",
+                                        *_POWER_GRID, "--seed", "5"],
     "demo/all-pairs": ["demo", "--seed", "3", "--pairs",
                        "lognormal,chisquare,exponential,beta,weibull,normal"],
 }
@@ -174,39 +179,42 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
           'test/hawkins2017_bnp': {'stdout': 'a8172ddd05e5a1d4817e498e0bdefb6c10950178a49a7fe2534ccaa19de612e1'},
           'test/zhang2017': {'stdout': '561456bb7e8a5d45714fadfde57e70bd1e542e75abd17a3b3876fdf4c8345aaa'},
           'test/zhang2017_leptin': {'stdout': '7fd6e033d4363c695c0c81849fc88850f97fbae93e20159de398d0ab60d55059'},
-          'simulate/type1-s1': {'stdout': 'f9a701df69e3aa1bf5cd5356b026eff07375a0527a6db0ed9d75c7c7b0edb379',
-                                'type1_s1.csv': '54b6951c3bf592a9cc732ef91eb18abe4738d9b4507d059a53ce6b41cb7ee3ae',
-                                'type1_s1.svg': '4f4734c0fdd0c171a37425e21cf1c112634653cb8c2583988726177560c504e6'},
-          'simulate/type1-s2': {'stdout': 'cc7807d4864daade97bdcfa165e92dd84b5ca07b5061fb2b1abd845e1e7d81e9',
-                                'type1_s2.csv': '06eb89851f9a13b01b86f921b5b75c0d048387da6641ba3f792cd0c5e6002d7f',
-                                'type1_s2.svg': 'ed435cd2ca78e86031c2fcd661622d319f5d91914280540a61abc3cc8f8b8ed3'},
-          'simulate/type1-s3': {'stdout': 'f6dc8ab637db43e4fc33c7c3b87f47381fd672a78a993f045f81eab4970706fa',
-                                'type1_s3.csv': '4252cdc961bc6ea0dc2754fd3c1af797069ed82a476b2b44c145fc97d9a2a2e4',
-                                'type1_s3.svg': 'fbfb04ca8191c627fe32ab04a849d87096c911a1e8505ad551afb97cbb3de1d4'},
-          'simulate/type1-s3-chunks': {'stdout': '849824188874f4e211d3ecdc5810a98072e988122249c383cd1bb9bf6a2a8f3a',
-                                       'type1_s3.csv': '6a1f6bc88e870a6b414204120e9b7f1357109aa67942a6915632a8309c809444',
-                                       'type1_s3.svg': 'f49cb80f945eb346ac64ebc44fafb60cfa3e191a79fe1afd8b33edec1b2e0f8e'},
-          'simulate/type1-s3-kappa': {'stdout': 'b92f7e4dbc0643ff5ef0b12240e8f75ae0fb1ec194c01c351c8b2642286f9821',
-                                      'type1_s3.csv': 'b56fda157850f7a24481d63972dacf759f1d784fdf5e60b2be894b1fe8ce7e7b',
-                                      'type1_s3.svg': 'f1fea88707c0487e97ad7eefae2e3f885632640e13a721225e21cc2e894172d7'},
-          'simulate/power-normal': {'stdout': '844e0aa5f1796398b247337166509196e9d7b917e7e91be91dfff931c96083eb',
-                                    'power_s1_normal-1-2.csv': '7380e74261f1f6d61b85da3166f7b176ea3ffcbadc0546c5e2f828ef997eaef5',
-                                    'power_s1_normal-1-2.svg': '14d95c08936bda24073241872cce7715792d75f713b3247c03c4bdb9dd050a5e'},
-          'simulate/power-lognormal': {'stdout': '44bf04d5ffe2736ea226aa58dcf7600887a7a0c04df322c83e5a8a6fc1d22ca2',
-                                       'power_s1_lognormal-0-1.csv': '1a7467e03394facbed2c2403fa4a0fb0cf9afe3b784fd96b86632573a09eebd2',
-                                       'power_s1_lognormal-0-1.svg': '8576ba067b37661ae868e961f53813d06ff1d8738b0c1cc7693decb11fa967b1'},
-          'simulate/power-chisquare': {'stdout': 'f2083b914bd7766ae3a8a989d736e99cab0f43b3dc77cac242315bac1f17f74c',
-                                       'power_s2_chisquare-1.csv': '7198393e4bf76efd193728a361cf54db87b3a1c53673fa753eca5e3672937887',
-                                       'power_s2_chisquare-1.svg': '6dad7460d9c6ec029dbac34e5d611f0dc4bf83d878d8b8be90e8e99a688c9e69'},
-          'simulate/power-exponential': {'stdout': 'ddfc24f8db7eee39f861a807c82874809bf57cc32832489a6840fe62c34ecdda',
-                                         'power_s2_exponential-3.csv': '7e90aab2624964e1562dbb356e987f592f850baca7015465e8e2b58219cdaebf',
-                                         'power_s2_exponential-3.svg': 'ed98241fac4518b5c08e257fe5ee7feecc8d623a8a5841378fe311836b6cb096'},
-          'simulate/power-beta': {'stdout': '2347a07691ffab61079a5f42428d587c8cd57bb95b54457a915abd1d49cfdf34',
-                                  'power_s3_beta-1-5.csv': '80568333e4039d683c3373ea40e08c5790cfa4a850d94a9f5671b5255a3e67a6',
-                                  'power_s3_beta-1-5.svg': '0c786f53e7840e47f71094b1b9b6f9a3c3730bf394b2ae16a5be7fb5504c1ab1'},
-          'simulate/power-weibull': {'stdout': 'f5d786d0b132d24783b05c7c210b7fd44b31986d43669ee85f5337431be73476',
-                                     'power_s3_weibull-2-3.csv': '1fd4bc64fe53f4357920cdb22ff640a25d0e6fb40d8dda2f07c4cca616db4cb7',
-                                     'power_s3_weibull-2-3.svg': 'f2adeca417d953fba1f0a175e8eb1c4ee8a743f5f30043d5580099dc401d1a79'},
+          'simulate/type1-s1': {'stdout': '24811bc38b06f8ba7268ea0ec2c614f7a00e32a39cf0dd3c827a181f8699a945',
+                                'type1_s1.csv': 'c9c81b933c0506e629995a20febbc0a1c89711a84cd1307c38845a9de2b52404',
+                                'type1_s1.svg': '4e480852df47544692a34ac030c494d6b8ee1d3582a56b3db83c7a75766986dc'},
+          'simulate/type1-s2': {'stdout': '76afbd5a73956b6c244c467c37f2daee657f09708fbb01aa10734b65048a73c5',
+                                'type1_s2.csv': 'd1684333d5f9f409390bcf25262f5ae2409e067a268b9ed765951512298bae59',
+                                'type1_s2.svg': 'fd50a28493f4a573bb8ebaaec10abd4bdee42ed064613e4a97412f1cb594d320'},
+          'simulate/type1-s3': {'stdout': 'f0f9c55b3d1cb1a117d4279bd06595c766758cc9c185528b9b85d7494a977abb',
+                                'type1_s3.csv': 'cc55ea25b6b19cd9b88567ee6d1ba518ca438e30c8f629430bb8e65c574bd02e',
+                                'type1_s3.svg': '88a3153d51908b9fc6586b1ee1058dbc43ba2b7aa0366629c411ea0afe9f1dd3'},
+          'simulate/type1-s3-chunks': {'stdout': '542f04d17e69f063584011c5b7ce035dbfb387c68bccd9b18ead01227c6ffb1b',
+                                       'type1_s3.csv': '4ce476a6c8760b35d2a688b250c07365dd2a904054c8620e049dc2d929ac8fbd',
+                                       'type1_s3.svg': 'acf83de95a3cc33e33583877a10580718af5b9ba12e89ccaa6fd009c42fee8c2'},
+          'simulate/type1-s3-kappa': {'stdout': 'cc76f621c0a2adbde214df9edf9ad9da295cad52aea424d6e56f216eda094c37',
+                                      'type1_s3.csv': '680b832393ec7767e1c3b069bde42dee61c58066bba7fc45b639d2b1f026624c',
+                                      'type1_s3.svg': 'ff350c7e32abe2ef1f3346d695a25f23a0bde165c5211c4b916c806276648e86'},
+          'simulate/power-normal': {'stdout': 'dcdb313a6323f999f3868299a242e4754130c1cf140e1827a6c8f48bed111a35',
+                                    'power_s1_normal-1-2.csv': '1987687257b58a7335aa012a63a61214ef43aa5dffb1967e30a240164c0128a2',
+                                    'power_s1_normal-1-2.svg': 'bed126326bb29d600f16ef8076ce90d18607743e7d09b60e05a8534bdf1b5e6e'},
+          'simulate/power-lognormal': {'stdout': 'd4fa1ab9611d97402e077174248c40061294bc6067fb2a89743514210820c0d3',
+                                       'power_s1_lognormal-0-1.csv': 'b8ebda88c153c7f0e822ae27f52a443e3a8277f4905cb9cbddd8db07c899f56b',
+                                       'power_s1_lognormal-0-1.svg': '3940645882e01cd4bd993b47bbabc9ef92a64a83afe69c33ac301b2f9ece9608'},
+          'simulate/power-chisquare': {'stdout': 'd7323c77e83437b905520b8412949f831ebf9b8fc745d5e47ddef03d107c68fb',
+                                       'power_s2_chisquare-1.csv': '2524d6db7d5e50a06fac804d08d46860b246c1ba9b888d5b682f02fc9f06b3bf',
+                                       'power_s2_chisquare-1.svg': 'aeafa9d2e955c7d68e18cd628af1e030dc76d0d42ce6f3f77f10b08d77a88c1f'},
+          'simulate/power-exponential': {'stdout': 'f9a57f685bd894e884338dc459784641d265bb2d8d509e7d9c7f589e41b4d98c',
+                                         'power_s2_exponential-3.csv': '0fe44e24aca5a89764bf7a7ca627a77015d92c564e835845ce90351a9ea819e7',
+                                         'power_s2_exponential-3.svg': '439f35dfd6ab1ec8e443675468ae1fff969ba60ae3d43e4d2dcf28abf25c6e73'},
+          'simulate/power-beta': {'stdout': '486a0dc70f91533410659c6d4fb1cc325e5ccce100a2bf5aa265ef6da8b147a8',
+                                  'power_s3_beta-1-5.csv': '175a55809c52ac893f8e7ad91e0db9c7f9eb79badd2ef7e36bb35dcecd9aa759',
+                                  'power_s3_beta-1-5.svg': '4079aacf0a207eef3ee30b538c41a0152b70fa35356e648e8c11700b156d855e'},
+          'simulate/power-weibull': {'stdout': 'c97675a6c15fd03f03d79ccae135dffdbcf64548cddff7860430593c3fb5da94',
+                                     'power_s3_weibull-2-3.csv': '360e46eb1d02db697a754c39e4fd3f0a4aef20ce4a14d4a37d5ba4bdc17bc265',
+                                     'power_s3_weibull-2-3.svg': '0e9721b2b06458c8057f2770144f2b5631253fb4f9066cd17501b69ceff58343'},
+          'simulate/power-chisquare-sorted': {'stdout': 'ad1479a554e227bb9bc796f1ec2a4d160dfd114f73d90879f32f2316f0094ea0',
+                                              'power_s1_chisquare-3.csv': 'dbc5fef29aac8f7282e301ef5d3b1209eac515184d34d64da651c811fca397f6',
+                                              'power_s1_chisquare-3.svg': '1234a26cc18576ee5e2709838d014a56866a398b237df66b47208829c3c294d3'},
           'demo/all-pairs': {'stdout': '06054f78fc0aad14d83e92a1b2d1bd83945c855fb73a02168957f0c9205cfc0a'}}
 
 

@@ -244,6 +244,15 @@ class TestRunPipeline:
         assert len(flagged) == 1
         assert "statistic undefined" in flagged[0].error
 
+    def test_summary_without_median_excluded_in_words(self):
+        no_median = (40, QuantileSummary(median=None, min=1.0, max=3.0))
+        studies = [_summary_study("nomedian", "o", no_median, _SYMMETRIC),
+                   _direct_study("a", "o", 20, 5.0, 2.0, 20, 4.0, 2.0)]
+        (report,) = run_pipeline(studies)
+        assert report.excluded_ids == ("nomedian",)
+        (entry,) = [s for s in report.studies if s.study_id == "nomedian"]
+        assert any("no median" in r for r in entry.exclusion_reasons)
+
     def test_flagged_and_unsupported_groups_excluded_in_words(self, tmp_path):
         # Rows the parser flags (q1 > median, a mean without an SD) or
         # that no test fits (min/q1/median only) exclude their study.
@@ -439,7 +448,7 @@ def _hand_built_group(draw, study_id, label, arm):
         mean = draw(st.sampled_from([0.0, 1.0, 5.0]))
         sd = draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
     if form in ("summary", "both"):
-        present = [f for f in _FIELDS if f == "median" or draw(st.booleans())]
+        present = [f for f in _FIELDS if draw(st.booleans())]
         layout = draw(st.sampled_from(["ordered", "any", "tied"]))
         if layout == "tied":
             values = [1.0] * len(present)
@@ -449,7 +458,8 @@ def _hand_built_group(draw, study_id, label, arm):
                                    max_size=len(present)))
             if layout == "ordered":
                 values.sort()
-        summary = QuantileSummary(**dict(zip(present, values)))
+        summary = QuantileSummary(**{"median": None,
+                                     **dict(zip(present, values))})
     return GroupRecord(study_id=study_id, group_label=label, arm=arm,
                        n=draw(st.integers(1, 6)), reported_mean=mean,
                        reported_sd=sd, summary=summary)

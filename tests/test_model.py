@@ -98,6 +98,13 @@ class TestValidate:
                         summary=QuantileSummary(median=5.0, q1=3.0, q3=8.0))
         assert any("n >= 4" in v for v in validate(g))
 
+    def test_missing_median_flagged(self):
+        # The parser refuses such a row; a hand-built one must be refused too.
+        g = _group(median=None, min=1.0, max=3.0)
+        assert validate(g) == ["quantile summary has no median"]
+        with pytest.raises(UnsupportedSummaryError, match="no median"):
+            run_test(g)
+
     def test_extremes_need_n2(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=1,
                         summary=QuantileSummary(median=5.0, min=3.0, max=8.0))

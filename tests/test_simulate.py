@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sumnorm import simulate
 from sumnorm.model import QuantileSummary, Scenario
+from sumnorm.normal import critical_value
 from sumnorm.simulate import (DEFAULT_N_GRID, DEMO_PAIRS, POWER_ALTERNATIVES,
-                              DistSpec, isotonic_fit_r2, power_curve, sample,
-                              skew_distortion_demo, summarize, type1_curve,
-                              write_experiment_csv)
+                              DistSpec, _order_columns, _statistics,
+                              _summary_matrix, isotonic_fit_r2, power_curve,
+                              sample, skew_distortion_demo, summarize,
+                              type1_curve, write_experiment_csv)
+from sumnorm.symmetry import DEFAULT_KAPPA_C
 
 
 class TestDistSpec:
@@ -182,6 +186,77 @@ class TestRejectionCurves:
         families = {d.family for d in POWER_ALTERNATIVES}
         assert families == {"lognormal", "exponential", "beta", "chisquare",
                             "weibull"}
+
+
+_SPACINGS_FAMILIES = (DistSpec("normal", (0.0, 1.0)),) + POWER_ALTERNATIVES
+_SORTED_FAMILIES = (DistSpec("chisquare", (3.0,)), DistSpec("beta", (2.0, 5.0)))
+
+
+def _sorted_matrix(monkeypatch, dist, n, replicates, seed):
+    # The sort path, forced by hiding the family's quantile: the oracle.
+    arity, positive, sampler, _ = simulate._FAMILIES[dist.family]
+    with monkeypatch.context() as m:
+        m.setitem(simulate._FAMILIES, dist.family,
+                  (arity, positive, sampler, lambda p: None))
+        return _summary_matrix(dist, n, replicates, seed)
+
+
+class TestSpacings:
+    @pytest.mark.parametrize("dist,spacings", (
+        [(d, True) for d in _SPACINGS_FAMILIES]
+        + [(d, False) for d in _SORTED_FAMILIES]))
+    def test_path_choice(self, monkeypatch, dist, spacings):
+        shapes = []
+        draw = simulate._draw
+
+        def recording(dist, rng, shape, gaps=None):
+            shapes.append(shape)
+            return draw(dist, rng, shape, gaps)
+
+        monkeypatch.setattr(simulate, "_draw", recording)
+        _summary_matrix(dist, 50, 300, 0)
+        # Six gamma spacings per row, or a whole sample of 50 to sort.
+        assert shapes == [(6, 300) if spacings else (300, 50)]
+
+    @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES, ids=DistSpec.label)
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_matches_sorted_samples(self, monkeypatch, dist, n):
+        # Two independent seeded samples of 20000 summaries: the column
+        # means and variances, and the S1/S2/S3 rejection rates, agree
+        # within 4 standard errors of their difference.
+        reps, k = 20_000, 4.0
+        fast = _summary_matrix(dist, n, reps, 1)
+        slow = _sorted_matrix(monkeypatch, dist, n, reps, 2)
+        mean_se = np.sqrt((fast.var(axis=0) + slow.var(axis=0)) / reps)
+        assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0))
+                      <= k * mean_se)
+
+        def var_and_se2(x):
+            v = x.var(axis=0)
+            m4 = np.mean((x - x.mean(axis=0)) ** 4, axis=0)
+            return v, (m4 - v * v) / reps
+
+        (v_fast, se2_fast), (v_slow, se2_slow) = (var_and_se2(fast),
+                                                  var_and_se2(slow))
+        assert np.all(np.abs(v_fast - v_slow) <= k * np.sqrt(se2_fast + se2_slow))
+        crit = critical_value(0.05)
+        for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
+            r_fast, r_slow = (float(np.mean(np.abs(
+                _statistics(scenario, x, n, DEFAULT_KAPPA_C)) > crit))
+                for x in (fast, slow))
+            se = math.sqrt((r_fast * (1 - r_fast) + r_slow * (1 - r_slow))
+                           / reps)
+            assert abs(r_fast - r_slow) <= k * se + 1e-12, scenario
+
+    @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES, ids=DistSpec.label)
+    def test_rows_ordered_and_tied_ranks_equal(self, dist):
+        for n in range(4, 12):
+            x = _summary_matrix(dist, n, 500, 3)
+            assert np.all(np.diff(x, axis=1) >= 0)
+            columns = _order_columns(n)
+            for i in range(4):
+                if columns[i] == columns[i + 1]:  # n = 4..7: min is q1
+                    assert np.array_equal(x[:, i], x[:, i + 1])
 
 
 class TestSkewDistortionDemo:

@@ -279,6 +279,21 @@ class TestInvariance:
         r = s1_test(a, m, b, n)
         assert abs(r.statistic) <= coeff_tau(n) * (1.0 + 1e-12)
 
+    @given(vals=st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5)
+           .map(sorted), n=st.integers(4, 5000))
+    def test_every_statistic_bounded_by_its_coefficient(self, vals, n):
+        # a <= q1 <= m <= q3 <= b bounds each contrast by the width it is
+        # divided by, so |T1| <= tau(n), |T2| <= phi(n), |T3| <= kappa(n).
+        a, q1, m, q3, b = vals
+        scale = max(1.0, abs(a), abs(b))
+        for scenario, width, coeff in (
+                (Scenario.S1, b - a, coeff_tau(n)),
+                (Scenario.S2, q3 - q1, coeff_phi(n)),
+                (Scenario.S3, (b - a) + (q3 - q1), coeff_kappa(n))):
+            if width > 1e-6 * scale:
+                t = statistic(scenario, a, q1, m, q3, b, n)
+                assert abs(t) <= coeff * (1.0 + 1e-12)
+
 
 class TestFormatting:
     @pytest.mark.parametrize("value,text", [
