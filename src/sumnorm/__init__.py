@@ -10,16 +10,5 @@ scorecard.
 """
 
 from . import estimators, meta, model, normal, plots, simulate, symmetry
-from .estimators import *  # noqa: F403
-from .meta import *  # noqa: F403
-from .model import *  # noqa: F403
-from .normal import *  # noqa: F403
-from .plots import *  # noqa: F403
-from .simulate import *  # noqa: F403
-from .symmetry import *  # noqa: F403
 
 __version__ = "0.1.0"
-
-__all__ = ["__version__", *model.__all__, *normal.__all__,
-           *estimators.__all__, *symmetry.__all__, *meta.__all__,
-           *plots.__all__, *simulate.__all__]

@@ -199,8 +199,12 @@ def pool(effects: list[EffectSize], model: str = "random") -> PooledResult:
     q_stat = sum(wi * (di - d_fixed) ** 2 for wi, di in zip(w, d))
     df = len(effects) - 1
     if df > 0:
-        tau_squared = max(0.0, (q_stat - df)
-                          / (sum_w - sum(wi * wi for wi in w) / sum_w))
+        # sum_w - sum(w_i^2) / sum_w, summed as w_i w_j / sum_w over the
+        # pairs i != j: the difference cancels to exactly 0 when one
+        # weight is about 2^52 times another.
+        pairs = math.fsum(wi * math.fsum(w[:i] + w[i + 1:])
+                          for i, wi in enumerate(w))
+        tau_squared = max(0.0, (q_stat - df) / (pairs / sum_w))
         i_squared = max(0.0, (q_stat - df) / q_stat) * 100.0 if q_stat > 0 else 0.0
         q_p = chi_square_sf(q_stat, df)
     else:

@@ -20,7 +20,7 @@ n.  The families with a closed-form or Phi^-1-based quantile take this
 path: normal, lognormal, exponential, Weibull, chi-square(1) and
 beta(1, b), which covers ``POWER_ALTERNATIVES``.  Chi-square with other
 degrees of freedom and beta(a != 1, b) sort whole samples instead, and
-so do :func:`sample` and the demo, which need every value.
+so does the demo, which needs every value.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_N_GRID",
     "POWER_ALTERNATIVES",
     "DEMO_PAIRS",
-    "sample",
     "summarize",
     "type1_curve",
     "power_curve",
@@ -114,7 +113,8 @@ class DistSpec:
         if len(p) != arity:
             raise ValueError(
                 f"{self.family} takes {arity} parameter(s), got {p}")
-        if not all(p[i] > 0 for i in positive):
+        if not (all(map(math.isfinite, p))
+                and all(p[i] > 0 for i in positive)):
             raise ValueError(f"invalid parameters {p} for family {self.family!r}")
 
     @staticmethod
@@ -148,18 +148,6 @@ def _draw(dist: DistSpec, rng: np.random.Generator, shape,
 def _generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, *stream])))
-
-
-def sample(dist: DistSpec, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` independent values, sorted ascending.
-
-    Deterministic in (dist, n, seed).
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got n={n}")
-    values = _draw(dist, _generator(seed), n)
-    values.sort()
-    return values
 
 
 def _order_columns(n: int) -> list[int]:
@@ -200,11 +188,16 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int,
             x.sort(axis=1)
             blocks.append(x[:, columns])
             continue
-        # One row per gap, so every sum runs along contiguous memory.
+        # One row per gap, so every sum runs along contiguous memory.  The
+        # running sums are in-place row adds: numpy's cumsum along axis 0
+        # does not vectorise across the rows.
         g = _draw(dist, rng, (len(gaps), rows), gaps[:, None])
         total = g.sum(axis=0)
-        below = np.cumsum(g[:-1], axis=0)
-        above = np.cumsum(g[:0:-1], axis=0)[::-1]
+        below = g[:-1].copy()
+        above = g[1:].copy()
+        for i in range(1, len(below)):
+            below[i] += below[i - 1]
+            above[-1 - i] += above[-i]
         blocks.append(quantile(below / total, above / total).T)
     return np.concatenate(blocks)
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import re
@@ -247,6 +248,24 @@ class TestMetaCommand:
                   if s["study_id"] == "bad"]
         assert len(bad["exclusion_reasons"]) == 2
 
+    def test_dominated_weight_pooled(self, capsys, tmp_path):
+        # Study a's weight is about 2^57 times smaller than b's; the
+        # DerSimonian-Laird denominator used to cancel to 0 and raise.
+        p = tmp_path / "dominated.csv"
+        p.write_text("\n".join([_HEADER,
+                                "a,o,case,case,20,5,1e-9,,,,,",
+                                "a,o,control,control,20,4,1e-9,,,,,",
+                                "b,o,case,case,20,5,2,,,,,",
+                                "b,o,control,control,20,4,2,,,,,"]) + "\n")
+        out_dir = tmp_path / "meta"
+        assert main(["meta", str(p), "--output-dir", str(out_dir)]) == 0
+        assert "included 2/2" in capsys.readouterr().out
+        payload = json.loads((out_dir / "report.json").read_text(),
+                             parse_constant=_reject_constant)
+        (outcome,) = payload["outcomes"]
+        assert [s["included"] for s in outcome["studies"]] == [True, True]
+        assert outcome["pooled"]["tau_squared"] > 0
+
     def test_byte_deterministic_artifacts(self, capsys, tmp_path, data_dir):
         dirs = (tmp_path / "a", tmp_path / "b")
         for d in dirs:
@@ -273,7 +292,7 @@ _COLUMNS = ("mean", "sd", "min", "q1", "median", "q3", "max")
 _PATTERNS = (("mean", "sd"), ("min", "median", "max"),
              ("q1", "median", "q3"), ("min", "q1", "median", "q3", "max"),
              _COLUMNS)
-_NUMBERS = ["0", "1", "-1", "1e308", "-1e308"]
+_NUMBERS = ["0", "1", "-1", "1e-9", "1e308", "-1e308"]
 _MESSY = ["", "NS", "nan", "x"]
 
 
@@ -582,6 +601,18 @@ def test_console_script(leptin_csv):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "cobanoglu2013" in proc.stdout
+
+
+def test_console_script_entry_is_cli_main():
+    # Runs where the script above is not installed: the declared entry
+    # point must name the CLI's main.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["sumnorm"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main
 
 
 def test_module_entry_point_exit_codes(leptin_csv, tmp_path, src_env):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,29 @@ class TestRunPipeline:
         for entry in report.studies:
             assert all(t.result is None and t.error is None
                        for t in entry.tests)
+
+    @pytest.mark.parametrize("sd", ["1e-8", "1e-9"])
+    def test_dominated_weight_pooled(self, tmp_path, sd):
+        # Study a's weight is about 2^50 (sd 1e-8) or 2^57 (sd 1e-9)
+        # times smaller than b's.  The tau^2 denominator sum_w -
+        # sum(w^2) / sum_w lost most of its digits at 1e-8 and cancelled
+        # to 0 (ZeroDivisionError) at 1e-9; tau^2 must match the exact
+        # value from the same weights.
+        csv_path = tmp_path / "dominated.csv"
+        csv_path.write_text(
+            "study_id,outcome,arm,group_label,n,mean,sd,min,q1,median,q3,max\n"
+            f"a,o,case,case,20,5,{sd},,,,,\n"
+            f"a,o,control,control,20,4,{sd},,,,,\n"
+            "b,o,case,case,20,5,2,,,,,\n"
+            "b,o,control,control,20,4,2,,,,,\n")
+        (report,) = run_pipeline(parse_studies(csv_path))
+        assert report.included_ids == ("a", "b")
+        w = [1 / Fraction(s.effect.se) ** 2 for s in report.studies]
+        pairs = sum(wi * wj for i, wi in enumerate(w)
+                    for j, wj in enumerate(w) if i != j)
+        exact = (Fraction(report.pooled.q_stat) - 1) / (pairs / sum(w))
+        assert report.pooled.tau_squared == pytest.approx(float(exact),
+                                                          rel=1e-12)
 
     def test_skewed_study_excluded(self):
         studies = [_direct_study("a", "o", 20, 5.0, 2.0, 20, 4.0, 2.0),

@@ -8,7 +8,10 @@ import importlib
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import sumnorm
 
 _ROOT = Path(__file__).resolve().parents[1]
 _README = (_ROOT / "README.md").read_text(encoding="utf-8")
@@ -53,3 +56,13 @@ def test_listed_lower_level_names_resolve():
         mod = importlib.import_module(f"sumnorm.{module}")
         assert callable(getattr(mod, name, None)), dotted
         assert name in mod.__all__, dotted
+
+
+def test_package_exposes_only_modules_and_version():
+    # Names are imported from their modules, so each has one import
+    # path: ``sumnorm.meta.run_pipeline``, not ``sumnorm.run_pipeline``.
+    public = {k: v for k, v in vars(sumnorm).items() if not k.startswith("_")}
+    assert {"estimators", "meta", "model", "normal", "plots", "simulate",
+            "symmetry"} <= set(public)
+    assert all(isinstance(v, types.ModuleType) for v in public.values())
+    assert isinstance(sumnorm.__version__, str)

@@ -10,9 +10,9 @@ from sumnorm import simulate
 from sumnorm.model import QuantileSummary, Scenario
 from sumnorm.normal import critical_value
 from sumnorm.simulate import (DEFAULT_N_GRID, DEMO_PAIRS, POWER_ALTERNATIVES,
-                              DistSpec, _order_columns, _statistics,
-                              _summary_matrix, isotonic_fit_r2, power_curve,
-                              sample, skew_distortion_demo, summarize,
+                              DistSpec, _draw, _generator, _order_columns,
+                              _statistics, _summary_matrix, isotonic_fit_r2,
+                              power_curve, skew_distortion_demo, summarize,
                               type1_curve, write_experiment_csv)
 from sumnorm.symmetry import DEFAULT_KAPPA_C
 
@@ -45,6 +45,10 @@ class TestDistSpec:
         ("normal:0,0", "invalid parameters"),
         ("beta:0,1", "invalid parameters"),
         ("chisquare:-3", "invalid parameters"),
+        ("normal:inf,1", "invalid parameters"),
+        ("normal:nan,1", "invalid parameters"),
+        ("exponential:inf", "invalid parameters"),
+        ("chisquare:inf", "invalid parameters"),
     ])
     def test_rejects(self, text, match):
         with pytest.raises(ValueError, match=match):
@@ -52,24 +56,8 @@ class TestDistSpec:
 
 
 class TestSample:
-    def test_deterministic(self):
-        d = DistSpec("lognormal", (0.0, 1.0))
-        x = sample(d, 100, seed=5)
-        y = sample(d, 100, seed=5)
-        assert np.array_equal(x, y)
-
-    def test_sorted(self):
-        x = sample(DistSpec("normal", (0.0, 1.0)), 500, seed=1)
-        assert np.all(np.diff(x) >= 0)
-
-    def test_seed_matters(self):
-        d = DistSpec("normal", (0.0, 1.0))
-        assert not np.array_equal(sample(d, 100, 1), sample(d, 100, 2))
-
-    def test_n_domain(self):
-        with pytest.raises(ValueError, match="sample size"):
-            sample(DistSpec("normal", (0.0, 1.0)), 0, seed=1)
-
+    # The family samplers behind ``_draw``, which the sort path and the
+    # demo draw from.
     @pytest.mark.parametrize("dist,mean", [
         (DistSpec("normal", (3.0, 2.0)), 3.0),
         (DistSpec("exponential", (2.0,)), 0.5),   # rate 2 -> mean 1/2
@@ -80,11 +68,11 @@ class TestSample:
     ])
     def test_family_parameterization(self, dist, mean):
         # large-sample mean pins down each family's parameter convention
-        x = sample(dist, 400_000, seed=9)
+        x = _draw(dist, _generator(9), 400_000)
         assert float(x.mean()) == pytest.approx(mean, rel=0.02)
 
     def test_lognormal_median(self):
-        x = sample(DistSpec("lognormal", (0.0, 1.0)), 400_000, seed=9)
+        x = _draw(DistSpec("lognormal", (0.0, 1.0)), _generator(9), 400_000)
         assert float(np.median(x)) == pytest.approx(1.0, abs=0.01)
 
 
@@ -110,7 +98,7 @@ class TestSummarize:
 
     @given(n=st.integers(4, 400), seed=st.integers(0, 50))
     def test_matches_sorted_positions(self, n, seed):
-        x = sample(DistSpec("normal", (0.0, 1.0)), n, seed)
+        x = np.sort(_draw(DistSpec("normal", (0.0, 1.0)), _generator(seed), n))
         s = summarize(x)
         assert s.min == x[0] and s.max == x[-1]
         assert s.q1 == x[max(1, int(0.25 * n)) - 1]
