@@ -201,10 +201,11 @@ def pool(effects: list[EffectSize], model: str = "random") -> PooledResult:
     if df > 0:
         # sum_w - sum(w_i^2) / sum_w, summed as w_i w_j / sum_w over the
         # pairs i != j: the difference cancels to exactly 0 when one
-        # weight is about 2^52 times another.
-        pairs = math.fsum(wi * math.fsum(w[:i] + w[i + 1:])
+        # weight is about 2^52 times another.  Dividing before
+        # multiplying keeps tiny weights' products from underflowing.
+        pairs = math.fsum(wi / sum_w * math.fsum(w[:i] + w[i + 1:])
                           for i, wi in enumerate(w))
-        tau_squared = max(0.0, (q_stat - df) / (pairs / sum_w))
+        tau_squared = max(0.0, (q_stat - df) / pairs)
         i_squared = max(0.0, (q_stat - df) / q_stat) * 100.0 if q_stat > 0 else 0.0
         q_p = chi_square_sf(q_stat, df)
     else:

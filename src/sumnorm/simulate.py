@@ -188,16 +188,11 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int,
             x.sort(axis=1)
             blocks.append(x[:, columns])
             continue
-        # One row per gap, so every sum runs along contiguous memory.  The
-        # running sums are in-place row adds: numpy's cumsum along axis 0
-        # does not vectorise across the rows.
+        # One row per gap, so every sum runs along contiguous memory.
         g = _draw(dist, rng, (len(gaps), rows), gaps[:, None])
         total = g.sum(axis=0)
-        below = g[:-1].copy()
-        above = g[1:].copy()
-        for i in range(1, len(below)):
-            below[i] += below[i - 1]
-            above[-1 - i] += above[-i]
+        below = np.cumsum(g[:-1], axis=0)
+        above = np.cumsum(g[:0:-1], axis=0)[::-1]
         blocks.append(quantile(below / total, above / total).T)
     return np.concatenate(blocks)
 

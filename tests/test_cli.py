@@ -248,15 +248,19 @@ class TestMetaCommand:
                   if s["study_id"] == "bad"]
         assert len(bad["exclusion_reasons"]) == 2
 
-    def test_dominated_weight_pooled(self, capsys, tmp_path):
-        # Study a's weight is about 2^57 times smaller than b's; the
-        # DerSimonian-Laird denominator used to cancel to 0 and raise.
+    @pytest.mark.parametrize("sd_a, sd_b", [("1e-9", "2"),
+                                            ("1e-100", "2e-100")])
+    def test_dominated_weight_pooled(self, capsys, tmp_path, sd_a, sd_b):
+        # At sd 1e-9 study a's weight is about 2^57 times smaller than
+        # b's, and the DerSimonian-Laird denominator cancelled to 0; at
+        # 1e-100 each product of two weights underflows to 0.
         p = tmp_path / "dominated.csv"
         p.write_text("\n".join([_HEADER,
-                                "a,o,case,case,20,5,1e-9,,,,,",
-                                "a,o,control,control,20,4,1e-9,,,,,",
-                                "b,o,case,case,20,5,2,,,,,",
-                                "b,o,control,control,20,4,2,,,,,"]) + "\n")
+                                f"a,o,case,case,20,5,{sd_a},,,,,",
+                                f"a,o,control,control,20,4,{sd_a},,,,,",
+                                f"b,o,case,case,20,5,{sd_b},,,,,",
+                                f"b,o,control,control,20,4,{sd_b},,,,,"])
+                     + "\n")
         out_dir = tmp_path / "meta"
         assert main(["meta", str(p), "--output-dir", str(out_dir)]) == 0
         assert "included 2/2" in capsys.readouterr().out

@@ -135,20 +135,20 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
                                 'forest_mmp-3.svg': '6a59dac92edb74f55f952ed3a9f04eef9cea1c4fc47eaecc1c052670423b733d',
                                 'forest_mmp-9.svg': '250c4c6331ab267da7d259aec71d5663661db9498ee8449dde535cc938a66bf5',
                                 'forest_timp-i.svg': 'f7add32b7d49ee7bc00977ea7b7e4a3fcd701ff27bbef1e16737141fc6d042cc',
-                                'report.json': '1f3bb471de1a8583106830d49d456c1fda31f944710580b2150d17b4e9f77626'},
+                                'report.json': '484fea190f679ac6852c4a536f6425dc9c3e337d884895164238f6b07ed84f4c'},
           'meta/ferretti2017_mmp9': {'stdout': '00e340fbfe74d34f0efc9e4f5fee32684455b9d2ba04bcb2da3f959d468d7fb0',
                                      'forest_mmp-9.svg': '250c4c6331ab267da7d259aec71d5663661db9498ee8449dde535cc938a66bf5',
-                                     'report.json': '2257ffdffc7d6193c03ea7760348387195c8e072776637169c679cdfa92c6688'},
+                                     'report.json': '9167d9349c534a42b68517fdc17976a44a594adaf56831ad21787ede96ef1af3'},
           'meta/hawkins2017_bnp': {'stdout': '008dbdb46be8c2db1caec27515f53401a5da0c0ff66bc457953182fe9371d349',
                                    'forest_bnp.svg': '5581cbb8aec4d98464742a6556968f5b076dc5500156364a08864be35c4ef27e',
                                    'report.json': '602cd011f07de8617777d41f5bbb0e000708006d8b07ca960c0b79dae973e20c'},
           'meta/zhang2017': {'stdout': '2b190a3bb597347f56b85891b54f166d2248c92cd595723c8020854bdf979792',
                              'forest_adiponectin.svg': '75989e71aef11c577facb10ebc86b3a136021ffc8c44068de51127a40e163ec6',
                              'forest_leptin.svg': '52c163678fa406feb9c3b403471b353ebb26aef1b884a3335de541fd8e7b1713',
-                             'report.json': '2a70fee25469afaa683e6aa656ce7433d026597a6912ff26aba3e3fe912a77bf'},
+                             'report.json': 'eb6696ab0216e1302a2f5b25c37b07be6c6bf026c5c61a4eca5b8db5dc57fee3'},
           'meta/zhang2017_leptin': {'stdout': 'ca56fb0d6254f82b32a76bea39b172ea1ec8fd2474d92d64b27cd74a7f3a8745',
                                     'forest_leptin.svg': '52c163678fa406feb9c3b403471b353ebb26aef1b884a3335de541fd8e7b1713',
-                                    'report.json': 'eea72a4905e6637aecfa0696c9c725be088e33156eb96f231b97fc3c19b5ec16'},
+                                    'report.json': 'b83f43df0f0a3ea4c2fd8104b18c5cb87fb9efcfff77ee6311f81c82e764c924'},
           'meta-hedges-fixed/banach2016': {'stdout': '1c1641b9e2c136bdd442240852686ae3142d75d40431d9b398677d8730e0a7ae',
                                            'forest_hdl-c.svg': 'b3abf9e88e14635a09741602116d68bdb15d5d4d4017c697d24d1813e78a660a',
                                            'forest_ldl-c.svg': 'c7adbfcbb6b2caa211fda8bd8179f5748399adf85a9ac03caba1a214813e7e83',
@@ -159,10 +159,10 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
                                              'forest_mmp-3.svg': '44d8fec6af43623104eccae76adff6fc24d1191091b97fcdca7ddcb49ebf6fed',
                                              'forest_mmp-9.svg': '49ed1c40b8ae52ec015e26659b1f8daa74812dc6cb9e5efdadfc69fd703844be',
                                              'forest_timp-i.svg': 'de09ccae62503c0e934684a95de49bf2a20f86c3fdfe1b037bfee27806f61842',
-                                             'report.json': '0d13fcbc414d102a4cb11385f5e56e5eedb109ae29e4cef38d67df6ac7416f7f'},
+                                             'report.json': 'd4ee462fffb53cc3de211dcea0201ac607127ec277d7bf05749892fa46767eab'},
           'meta-hedges-fixed/ferretti2017_mmp9': {'stdout': 'e838c1e9d6d9317cd5fd51a72d9d92fe6777f2ae79e97b98e39bb1269a482426',
                                                   'forest_mmp-9.svg': '49ed1c40b8ae52ec015e26659b1f8daa74812dc6cb9e5efdadfc69fd703844be',
-                                                  'report.json': '680604d6a8a4b469320be8791149a6c2c1803e3f246e6dbd30b55732eed30591'},
+                                                  'report.json': '269e0813071073cc123af4c22ed7db8ca63104002e0576691df479867b949819'},
           'meta-hedges-fixed/hawkins2017_bnp': {'stdout': 'e1c847a916de863fdba9c50e89c4a89bae812e13348af1cb3d304154a764e6d2',
                                                 'forest_bnp.svg': '66926a6b30c8dc628029eda3daad0ecd27a122f78dc660e988a8bfb059ceb6fb',
                                                 'report.json': 'eab8ebeae9803cd3ccf9e2b9af175351b8ee335ddcb7206cd6c13bf97ae3827d'},

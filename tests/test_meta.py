@@ -225,26 +225,29 @@ class TestRunPipeline:
             assert all(t.result is None and t.error is None
                        for t in entry.tests)
 
-    @pytest.mark.parametrize("sd", ["1e-8", "1e-9"])
-    def test_dominated_weight_pooled(self, tmp_path, sd):
+    @pytest.mark.parametrize("sd_a, sd_b", [("1e-8", "2"), ("1e-9", "2"),
+                                            ("1e-100", "2e-100")])
+    def test_dominated_weight_pooled(self, tmp_path, sd_a, sd_b):
         # Study a's weight is about 2^50 (sd 1e-8) or 2^57 (sd 1e-9)
         # times smaller than b's.  The tau^2 denominator sum_w -
         # sum(w^2) / sum_w lost most of its digits at 1e-8 and cancelled
-        # to 0 (ZeroDivisionError) at 1e-9; tau^2 must match the exact
-        # value from the same weights.
+        # to 0 (ZeroDivisionError) at 1e-9.  At sd 1e-100 every weight is
+        # near 1e-198, so any product of two weights underflows to 0.
+        # tau^2 must match the exact value from the same weights.
         csv_path = tmp_path / "dominated.csv"
         csv_path.write_text(
             "study_id,outcome,arm,group_label,n,mean,sd,min,q1,median,q3,max\n"
-            f"a,o,case,case,20,5,{sd},,,,,\n"
-            f"a,o,control,control,20,4,{sd},,,,,\n"
-            "b,o,case,case,20,5,2,,,,,\n"
-            "b,o,control,control,20,4,2,,,,,\n")
+            f"a,o,case,case,20,5,{sd_a},,,,,\n"
+            f"a,o,control,control,20,4,{sd_a},,,,,\n"
+            f"b,o,case,case,20,5,{sd_b},,,,,\n"
+            f"b,o,control,control,20,4,{sd_b},,,,,\n")
         (report,) = run_pipeline(parse_studies(csv_path))
         assert report.included_ids == ("a", "b")
         w = [1 / Fraction(s.effect.se) ** 2 for s in report.studies]
         pairs = sum(wi * wj for i, wi in enumerate(w)
                     for j, wj in enumerate(w) if i != j)
         exact = (Fraction(report.pooled.q_stat) - 1) / (pairs / sum(w))
+        assert report.pooled.tau_squared > 0
         assert report.pooled.tau_squared == pytest.approx(float(exact),
                                                           rel=1e-12)
 
