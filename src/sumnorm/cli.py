@@ -219,9 +219,14 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise _ConfigError(str(exc)) from None
         replicates = args.replicates or 10_000
-        result = sim.power_curve(scenario, dist, grid, replicates, alpha,
-                                 seed, kappa_c)
-        stem = f"power_{scenario.value.lower()}_{_slug(dist.label())}"
+        try:
+            result = sim.power_curve(scenario, dist, grid, replicates, alpha,
+                                     seed, kappa_c)
+        except ValueError as exc:  # non-finite statistics
+            raise _ConfigError(str(exc)) from None
+        # Drop the "+" of an exponent, so 1e+308 and 1e-308 slug apart.
+        label = dist.label().replace("e+", "e")
+        stem = f"power_{scenario.value.lower()}_{_slug(label)}"
         title = (f"power, {scenario.value}, {dist.label()}, "
                  f"R={replicates}, seed={seed}")
         reference = None

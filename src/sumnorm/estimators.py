@@ -1,11 +1,14 @@
 """Sample mean and SD estimation from quantile summaries.
 
-The SD estimators divide the reported ranges by the expected widths of
+:func:`estimate_mean` and :func:`estimate_sd` take a summary, its
+scenario and n, and hold the formulas of all three scenarios.  The SD
+estimates divide the reported spreads by the expected widths of
 standard-normal order statistics, :func:`normal.extreme_width` for the
 range and :func:`normal.quartile_width` for the interquartile range.
-The mean estimators are the published optimal weightings of mid-range,
+The mean estimates are the published optimal weightings of mid-range,
 mid-quartile range, and median; their weights are adopted here as fixed
-constants.
+constants.  Both refuse a summary their scenario cannot read, and
+:func:`estimate_moments` calls both for a group's scenario.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from .normal import extreme_width, quartile_width
 
 __all__ = [
     "EstimatedMoments",
-    "estimate_sd_s1",
-    "estimate_sd_s2",
-    "estimate_sd_s3",
     "estimate_mean",
+    "estimate_sd",
     "estimate_moments",
 ]
 
@@ -41,51 +42,34 @@ class EstimatedMoments:
     scenario: Scenario | None = None
 
 
-def estimate_sd_s1(a: float, b: float, n: int) -> float:
-    """SD estimate from minimum ``a`` and maximum ``b``.
-
-    Returns (b - a) / extreme_width(n), the range over the expected
-    range of n standard-normal draws.
-    """
-    if n < 2:
-        raise ValueError(f"extreme-based SD estimation needs n >= 2, got n={n}")
-    if b < a:
-        raise ValueError(f"max must be >= min, got a={a}, b={b}")
-    denom = extreme_width(n)
-    assert denom > 0.0
-    return (b - a) / denom
+# scenario -> (the summary fields its formulas read, in order, the
+# words for them, and the smallest n the formulas are defined for).
+_READS = {
+    Scenario.S1: (("min", "median", "max"), "min and max", 2),
+    Scenario.S2: (("q1", "median", "q3"), "q1 and q3", 4),
+    Scenario.S3: (("min", "q1", "median", "q3", "max"), "all five numbers",
+                  4),
+}
 
 
-def estimate_sd_s2(q1: float, q3: float, n: int) -> float:
-    """SD estimate from the quartiles.
-
-    Returns (q3 - q1) / quartile_width(n), the IQR over the expected
-    IQR of n standard-normal draws.
-    """
-    if n < 4:
-        raise ValueError(f"quartile-based SD estimation needs n >= 4, got n={n}")
-    if q3 < q1:
-        raise ValueError(f"q3 must be >= q1, got q1={q1}, q3={q3}")
-    denom = quartile_width(n)
-    assert denom > 0.0
-    return (q3 - q1) / denom
-
-
-def estimate_sd_s3(a: float, q1: float, q3: float, b: float, n: int) -> float:
-    """SD estimate from the full five-number summary.
-
-    Pools the range and interquartile range against the sum of their
-    expected standard-normal widths.
-    """
-    if n < 4:
-        raise ValueError(f"five-number SD estimation needs n >= 4, got n={n}")
-    if not (a <= q1 <= q3 <= b):
-        raise ValueError(
-            f"summary must be ordered a <= q1 <= q3 <= b, got "
-            f"({a}, {q1}, {q3}, {b})")
-    denom = extreme_width(n) + quartile_width(n)
-    assert denom > 0.0
-    return (b - a + q3 - q1) / denom
+def _check(summary: QuantileSummary, scenario: Scenario, n: int,
+           what: str) -> None:
+    """Refuse a summary the ``what`` estimator of ``scenario`` cannot read:
+    a field it reads is missing, the fields are unordered, or n is below
+    the minimum."""
+    if scenario not in _READS:
+        raise ValueError(f"no {what} estimator for scenario {scenario}")
+    names, words, n_min = _READS[scenario]
+    values = [getattr(summary, name) for name in names]
+    if None in values:
+        raise ValueError(f"{scenario.value} {what} estimation needs {words}")
+    if any(lo > hi for lo, hi in zip(values, values[1:])):
+        raise ValueError(f"{scenario.value} {what} estimation needs an "
+                         f"ordered summary {' <= '.join(names)}, got "
+                         f"{tuple(values)}")
+    if n < n_min:
+        raise ValueError(f"{scenario.value} {what} estimation needs "
+                         f"n >= {n_min}, got n={n}")
 
 
 def estimate_mean(summary: QuantileSummary, scenario: Scenario, n: int) -> float:
@@ -101,32 +85,52 @@ def estimate_mean(summary: QuantileSummary, scenario: Scenario, n: int) -> float
     Raises
     ------
     ValueError
-        If the summary lacks the fields the scenario requires.
+        If the summary lacks a field the scenario reads, is unordered,
+        or n is below the scenario's minimum.
     """
+    _check(summary, scenario, n, "mean")
     m = summary.median
     if scenario is Scenario.S1:
-        if summary.min is None or summary.max is None:
-            raise ValueError("S1 mean estimation needs min and max")
         w1 = 4.0 / (4.0 + n ** 0.75)
         return w1 * (summary.min + summary.max) / 2.0 + (1.0 - w1) * m
     if scenario is Scenario.S2:
-        if summary.q1 is None or summary.q3 is None:
-            raise ValueError("S2 mean estimation needs q1 and q3")
         w2 = 0.7 + 0.39 / n
         return w2 * (summary.q1 + summary.q3) / 2.0 + (1.0 - w2) * m
-    if scenario is Scenario.S3:
-        if None in (summary.min, summary.q1, summary.q3, summary.max):
-            raise ValueError("S3 mean estimation needs all five numbers")
-        w3 = 2.2 / (2.2 + n ** 0.75)
-        w4 = 0.7 - 0.72 / n ** 0.55
-        return (w3 * (summary.min + summary.max) / 2.0
-                + w4 * (summary.q1 + summary.q3) / 2.0
-                + (1.0 - w3 - w4) * m)
-    raise ValueError(f"no mean estimator for scenario {scenario}")
+    w3 = 2.2 / (2.2 + n ** 0.75)
+    w4 = 0.7 - 0.72 / n ** 0.55
+    return (w3 * (summary.min + summary.max) / 2.0
+            + w4 * (summary.q1 + summary.q3) / 2.0
+            + (1.0 - w3 - w4) * m)
+
+
+def estimate_sd(summary: QuantileSummary, scenario: Scenario, n: int) -> float:
+    """SD estimate for ``summary`` of ``n`` values under ``scenario``.
+
+    Each reported spread is divided by its expected width for n
+    standard-normal draws:
+
+    * S1: (b - a) / extreme_width(n)
+    * S2: (q3 - q1) / quartile_width(n)
+    * S3: (b - a + q3 - q1) / (extreme_width(n) + quartile_width(n))
+
+    Raises
+    ------
+    ValueError
+        If the summary lacks a field the scenario reads, is unordered,
+        or n is below the scenario's minimum.
+    """
+    _check(summary, scenario, n, "SD")
+    a, q1, q3, b = summary.min, summary.q1, summary.q3, summary.max
+    if scenario is Scenario.S1:
+        return (b - a) / extreme_width(n)
+    if scenario is Scenario.S2:
+        return (q3 - q1) / quartile_width(n)
+    return (b - a + q3 - q1) / (extreme_width(n) + quartile_width(n))
 
 
 def estimate_moments(group: GroupRecord) -> EstimatedMoments:
-    """Moments of ``group``: passthrough when reported, estimated otherwise.
+    """Moments of ``group``: passthrough when reported, otherwise
+    :func:`estimate_mean` and :func:`estimate_sd` for its scenario.
 
     Raises
     ------
@@ -142,12 +146,7 @@ def estimate_moments(group: GroupRecord) -> EstimatedMoments:
                                 source="reported")
     s, n = group.summary, group.n
     mean = estimate_mean(s, scenario, n)
-    if scenario is Scenario.S1:
-        sd = estimate_sd_s1(s.min, s.max, n)
-    elif scenario is Scenario.S2:
-        sd = estimate_sd_s2(s.q1, s.q3, n)
-    else:
-        sd = estimate_sd_s3(s.min, s.q1, s.q3, s.max, n)
+    sd = estimate_sd(s, scenario, n)
     for name, value in (("mean", mean), ("SD", sd)):
         if not math.isfinite(value):
             raise ValueError(f"estimated {name} is {value}: the summary "

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import estimate_mean, estimate_sd_s1
+from .estimators import estimate_mean, estimate_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value, std_normal_quantiles
@@ -229,8 +229,17 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
     rates = []
     ses = []
     for n in n_grid:
-        summaries = _summary_matrix(dist, n, replicates, seed)
-        stats = _statistics(scenario, summaries, n, kappa_c)
+        # Draws that overflow, or round to a zero spread, give inf or nan
+        # statistics; a nan would count as "retain", so the cell is refused.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            summaries = _summary_matrix(dist, n, replicates, seed)
+            stats = _statistics(scenario, summaries, n, kappa_c)
+        bad = int(np.count_nonzero(~np.isfinite(stats)))
+        if bad:
+            raise ValueError(
+                f"{dist.label()} at n={n}: {bad} of {replicates} statistics "
+                f"are not finite; the draws overflow the float range or "
+                f"round to a zero spread")
         rate = float(np.mean(np.abs(stats) > crit))
         rates.append(rate)
         ses.append(math.sqrt(rate * (1.0 - rate) / replicates))
@@ -300,7 +309,7 @@ def skew_distortion_demo(case_dist: DistSpec, control_dist: DistSpec,
     def s1_moments(x: np.ndarray) -> tuple[float, float]:
         summary = summarize(x)
         return (estimate_mean(summary, Scenario.S1, n),
-                estimate_sd_s1(summary.min, summary.max, n))
+                estimate_sd(summary, Scenario.S1, n))
 
     case_mean, case_sd = s1_moments(case)
     control_mean, control_sd = s1_moments(control)

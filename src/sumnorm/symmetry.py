@@ -31,9 +31,6 @@ __all__ = [
     "coeff_phi",
     "coeff_kappa",
     "statistic",
-    "test_s1",
-    "test_s2",
-    "test_s3",
     "run_test",
     "format_statistic",
     "format_p_value",
@@ -102,7 +99,8 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
     Plain arithmetic, so the summary values may be floats or equally
     shaped numpy arrays; fields the scenario does not use are ignored
     (pass None).  No ordering or degeneracy checks: a collapsed range
-    gives inf or nan here, which test_s1/2/3 refuse before calling it.
+    gives inf or nan here, which :func:`run_test` refuses before calling
+    it.
     """
     if scenario is Scenario.S1:
         return coeff_tau(n) * (a + b - 2.0 * m) / (b - a)
@@ -114,77 +112,53 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
     raise ValueError(f"no test statistic for scenario {scenario}")
 
 
-def _result(scenario: Scenario, statistic: float, n: int, alpha: float) -> TestResult:
-    if not math.isfinite(statistic):
-        # |nan| > crit is False, so a nan would read as "retain".
-        raise DegenerateSummaryError(
-            f"statistic is {statistic}: the summary values overflow the "
-            f"float range")
-    reject = abs(statistic) > critical_value(alpha)
-    return TestResult(scenario=scenario, statistic=statistic,
-                      p_value=two_sided_p(statistic), reject=reject,
-                      alpha=alpha, n=n)
-
-
-def test_s1(a: float, m: float, b: float, n: int, alpha: float = 0.05) -> TestResult:
-    """Symmetry test from minimum, median, maximum.
-
-    Raises
-    ------
-    DegenerateSummaryError
-        If b == a; the statistic is undefined and the group should be
-        flagged rather than silently accepted.
-    """
-    if not a <= m <= b:
-        raise ValueError(f"need a <= m <= b, got ({a}, {m}, {b})")
-    if b == a:
-        raise DegenerateSummaryError(
-            f"degenerate range b - a = 0 (a = b = {a}); statistic undefined")
-    t = statistic(Scenario.S1, a, None, m, None, b, n)
-    return _result(Scenario.S1, t, n, alpha)
-
-
-def test_s2(q1: float, m: float, q3: float, n: int, alpha: float = 0.05) -> TestResult:
-    """Symmetry test from first quartile, median, third quartile."""
-    if not q1 <= m <= q3:
-        raise ValueError(f"need q1 <= m <= q3, got ({q1}, {m}, {q3})")
-    if q3 == q1:
-        raise DegenerateSummaryError(
-            f"degenerate IQR q3 - q1 = 0 (q1 = q3 = {q1}); statistic undefined")
-    t = statistic(Scenario.S2, None, q1, m, q3, None, n)
-    return _result(Scenario.S2, t, n, alpha)
-
-
-def test_s3(a: float, q1: float, m: float, q3: float, b: float, n: int,
-            alpha: float = 0.05, kappa_c: float = DEFAULT_KAPPA_C) -> TestResult:
-    """Symmetry test from the full five-number summary."""
-    if not (a <= q1 <= m <= q3 <= b):
-        raise ValueError(
-            f"need a <= q1 <= m <= q3 <= b, got ({a}, {q1}, {m}, {q3}, {b})")
-    if (b - a) + (q3 - q1) == 0.0:
-        raise DegenerateSummaryError(
-            "degenerate summary: range and IQR are both zero")
-    t = statistic(Scenario.S3, a, q1, m, q3, b, n, kappa_c)
-    return _result(Scenario.S3, t, n, alpha)
+# scenario -> (whether the spread its statistic divides by is zero, the
+# words for that).  The spreads of an ordered summary are nonnegative,
+# so the S3 sum is zero only when the range and the IQR both are.
+_ZERO_SPREAD = {
+    Scenario.S1: (lambda s: s.max == s.min,
+                  "degenerate range b - a = 0 (a = b = {s.min}); "
+                  "statistic undefined"),
+    Scenario.S2: (lambda s: s.q3 == s.q1,
+                  "degenerate IQR q3 - q1 = 0 (q1 = q3 = {s.q1}); "
+                  "statistic undefined"),
+    Scenario.S3: (lambda s: (s.max - s.min) + (s.q3 - s.q1) == 0.0,
+                  "degenerate summary: range and IQR are both zero"),
+}
 
 
 def run_test(group: GroupRecord, alpha: float = 0.05,
              kappa_c: float = DEFAULT_KAPPA_C) -> TestResult | None:
-    """Dispatch the matching symmetry test for ``group``.
+    """The symmetry test of ``group`` for the scenario it reports.
 
     Returns None for groups that report mean and SD directly; those need
-    no symmetry screening.  Raises :class:`UnsupportedSummaryError` for a
-    group that :func:`classify_scenario` refuses.
+    no symmetry screening.
+
+    Raises
+    ------
+    UnsupportedSummaryError
+        For a group that :func:`classify_scenario` refuses, an unordered
+        summary among them.
+    DegenerateSummaryError
+        If the spread the statistic divides by is zero, or the statistic
+        is not finite because the summary values overflow the float
+        range; the group should be flagged rather than silently accepted.
     """
     scenario = classify_scenario(group)
     if scenario is Scenario.DIRECT:
         return None
     s, n = group.summary, group.n
-    if scenario is Scenario.S1:
-        return test_s1(s.min, s.median, s.max, n, alpha)
-    if scenario is Scenario.S2:
-        return test_s2(s.q1, s.median, s.q3, n, alpha)
-    return test_s3(s.min, s.q1, s.median, s.q3, s.max, n, alpha, kappa_c)
+    zero_spread, words = _ZERO_SPREAD[scenario]
+    if zero_spread(s):
+        raise DegenerateSummaryError(words.format(s=s))
+    t = statistic(scenario, s.min, s.q1, s.median, s.q3, s.max, n, kappa_c)
+    if not math.isfinite(t):
+        # |nan| > crit is False, so a nan would read as "retain".
+        raise DegenerateSummaryError(
+            f"statistic is {t}: the summary values overflow the float range")
+    return TestResult(scenario=scenario, statistic=t, p_value=two_sided_p(t),
+                      reject=abs(t) > critical_value(alpha), alpha=alpha,
+                      n=n)
 
 
 def format_statistic(t: float) -> str:

@@ -48,10 +48,7 @@ from sumnorm.simulate import (
     type1_curve,
 )
 from sumnorm.symmetry import (DEFAULT_KAPPA_C, _null_variance, critical_value,
-                              run_test)
-from sumnorm.symmetry import test_s1 as s1_test
-from sumnorm.symmetry import test_s2 as s2_test
-from sumnorm.symmetry import test_s3 as s3_test
+                              run_test, statistic)
 
 _DATA = Path(sumnorm.__file__).parent / "data"
 _NORMAL = DistSpec("normal", (0.0, 1.0))
@@ -560,13 +557,9 @@ def _invariance_worst_error() -> float:
         n = int(rng.integers(4, 1001))
         c = float(rng.uniform(0.5, 2.0))
         d = float(rng.uniform(-5.0, 5.0))
-        base = (s1_test(a, m, b, n).statistic,
-                s2_test(q1, m, q3, n).statistic,
-                s3_test(a, q1, m, q3, b, n).statistic)
-        moved = (s1_test(c * a + d, c * m + d, c * b + d, n).statistic,
-                 s2_test(c * q1 + d, c * m + d, c * q3 + d, n).statistic,
-                 s3_test(c * a + d, c * q1 + d, c * m + d, c * q3 + d,
-                         c * b + d, n).statistic)
+        base = [statistic(s, a, q1, m, q3, b, n) for s in _SCENARIOS]
+        moved = [statistic(s, c * a + d, c * q1 + d, c * m + d, c * q3 + d,
+                           c * b + d, n) for s in _SCENARIOS]
         worst = max(worst, max(abs(x - y) for x, y in zip(base, moved)))
         checked += 1
     return worst

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -378,6 +379,36 @@ class TestSimulateCommand:
         assert all(r[3] == "-" for r in _table_rows(out))
         assert (out_dir / "power_s2_chisquare-1.csv").is_file()
         assert (out_dir / "power_s2_chisquare-1.svg").is_file()
+
+    @pytest.mark.parametrize("dist", ["lognormal:1000,1",
+                                      "normal:1e308,1e308"])
+    def test_overflowing_draws_exit_two(self, capsys, tmp_path, dist):
+        out_dir = tmp_path / "sim"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--power", "--dist", dist,
+                         "--scenario", "s1", "--grid", "10,50",
+                         "--replicates", "200", "--seed", "1",
+                         "--output-dir", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert "at n=10: " in line and "not finite" in line
+        assert list(out_dir.iterdir()) == []
+
+    def test_exponent_sign_kept_in_file_names(self, capsys, tmp_path):
+        for dist in ("exponential:1e300", "exponential:1e-300"):
+            assert main(["simulate", "--power", "--dist", dist,
+                         "--scenario", "s1", "--grid", "10",
+                         "--replicates", "50", "--seed", "1",
+                         "--output-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "power_s1_exponential-1e-300.csv",
+            "power_s1_exponential-1e-300.svg",
+            "power_s1_exponential-1e300.csv",
+            "power_s1_exponential-1e300.svg"]
 
     def test_byte_deterministic_artifacts(self, capsys, tmp_path):
         dirs = (tmp_path / "a", tmp_path / "b")

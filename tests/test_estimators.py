@@ -5,8 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sumnorm.estimators import (EstimatedMoments, estimate_mean,
-                                estimate_moments, estimate_sd_s1,
-                                estimate_sd_s2, estimate_sd_s3)
+                                estimate_moments, estimate_sd)
 from sumnorm.model import GroupRecord, QuantileSummary, Scenario
 from sumnorm.normal import std_normal_quantile
 
@@ -19,12 +18,26 @@ def _ordered5():
                     min_size=5, max_size=5).map(sorted)
 
 
+# Summaries for the SD tests, with the median halfway between the
+# quartiles (or the extremes); no SD formula reads it.
+def _s1(a, b):
+    return QuantileSummary(median=(a + b) / 2, min=a, max=b)
+
+
+def _s2(q1, q3):
+    return QuantileSummary(median=(q1 + q3) / 2, q1=q1, q3=q3)
+
+
+def _s3(a, q1, q3, b):
+    return QuantileSummary(median=(q1 + q3) / 2, min=a, q1=q1, q3=q3, max=b)
+
+
 class TestSdS1:
     def test_frozen_examples(self):
         # the two min/median/max rows of the leptin table
-        assert estimate_sd_s1(0.4, 27.4, 23) == pytest.approx(
+        assert estimate_sd(_s1(0.4, 27.4), Scenario.S1, 23) == pytest.approx(
             6.999396763993786, abs=1e-9)
-        assert estimate_sd_s1(0.3, 31.3, 51) == pytest.approx(
+        assert estimate_sd(_s1(0.3, 31.3), Scenario.S1, 51) == pytest.approx(
             6.886055823202852, abs=1e-9)
 
     def test_inverts_expected_extremes(self):
@@ -32,27 +45,28 @@ class TestSdS1:
         for n in (5, 23, 100, 1000):
             z = std_normal_quantile((n - 0.375) / (n + 0.25))
             mu, sigma = 7.5, 3.25
-            got = estimate_sd_s1(mu - sigma * z, mu + sigma * z, n)
+            got = estimate_sd(_s1(mu - sigma * z, mu + sigma * z),
+                              Scenario.S1, n)
             assert got == pytest.approx(sigma, rel=1e-12)
 
     def test_zero_range(self):
-        assert estimate_sd_s1(5.0, 5.0, 10) == 0.0
+        assert estimate_sd(_s1(5.0, 5.0), Scenario.S1, 10) == 0.0
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            estimate_sd_s1(0.0, 1.0, 1)
+            estimate_sd(_s1(0.0, 1.0), Scenario.S1, 1)
 
     def test_reversed_range_rejected(self):
-        with pytest.raises(ValueError, match="max must be >= min"):
-            estimate_sd_s1(2.0, 1.0, 10)
+        with pytest.raises(ValueError, match="ordered summary"):
+            estimate_sd(_s1(2.0, 1.0), Scenario.S1, 10)
 
 
 class TestSdS2:
     def test_frozen_examples(self):
-        assert estimate_sd_s2(30, 60, 26) == pytest.approx(
+        assert estimate_sd(_s2(30, 60), Scenario.S2, 26) == pytest.approx(
             23.529996380388916, abs=1e-9)
         # worked example from the interface contract: rounds to 6.056
-        got = estimate_sd_s2(43, 51, 70)
+        got = estimate_sd(_s2(43, 51), Scenario.S2, 70)
         assert got == pytest.approx(6.055500510645745, abs=1e-9)
         assert round(got, 3) == 6.056
 
@@ -62,7 +76,8 @@ class TestSdS2:
         mu, sigma = 12.0, 4.0
         last_err = None
         for n in (100, 250, 1000, 10000):
-            got = estimate_sd_s2(mu - sigma * _Z75, mu + sigma * _Z75, n)
+            got = estimate_sd(_s2(mu - sigma * _Z75, mu + sigma * _Z75),
+                              Scenario.S2, n)
             err = abs(got / sigma - 1.0)
             assert err < 0.02, (n, got)
             if last_err is not None:
@@ -72,36 +87,35 @@ class TestSdS2:
     def test_inverts_expected_quartiles(self):
         for n in (4, 26, 70, 500):
             z = std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
-            got = estimate_sd_s2(-z, z, n)
+            got = estimate_sd(_s2(-z, z), Scenario.S2, n)
             assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):
-            estimate_sd_s2(0.0, 1.0, 3)
+            estimate_sd(_s2(0.0, 1.0), Scenario.S2, 3)
 
     def test_reversed_quartiles_rejected(self):
-        with pytest.raises(ValueError, match="q3 must be >= q1"):
-            estimate_sd_s2(2.0, 1.0, 10)
+        with pytest.raises(ValueError, match="ordered summary"):
+            estimate_sd(_s2(2.0, 1.0), Scenario.S2, 10)
 
 
 class TestSdS3:
     def test_frozen_example(self):
-        assert estimate_sd_s3(0, 2, 6, 10, 50) == pytest.approx(
+        assert estimate_sd(_s3(0, 2, 6, 10), Scenario.S3, 50) == pytest.approx(
             2.4151461926230002, abs=1e-9)
 
     def test_population_plugin_value(self):
         # nominal N(0,1) five-number summary with +-3 standing in for the
         # extremes; the fixed extremes bias the estimate low at large n
         # because the expected extremes keep growing
-        got = estimate_sd_s3(-3.0, -0.6745, 0.6745, 3.0, 1000)
+        got = estimate_sd(_s3(-3.0, -0.6745, 0.6745, 3.0), Scenario.S3, 1000)
         assert got == pytest.approx(0.9419870145582901, abs=1e-9)
 
     def test_between_component_estimates(self):
         # pooling puts the S3 estimate between the S1 and S2 estimates
-        a, q1, q3, b, n = 0.0, 2.0, 6.0, 10.0, 50
-        s1 = estimate_sd_s1(a, b, n)
-        s2 = estimate_sd_s2(q1, q3, n)
-        s3 = estimate_sd_s3(a, q1, q3, b, n)
+        s = _s3(0.0, 2.0, 6.0, 10.0)
+        s1, s2, s3 = (estimate_sd(s, scenario, 50) for scenario in
+                      (Scenario.S1, Scenario.S2, Scenario.S3))
         lo, hi = min(s1, s2), max(s1, s2)
         assert lo <= s3 <= hi
 
@@ -109,16 +123,16 @@ class TestSdS3:
         for n in (4, 50, 400):
             ze = std_normal_quantile((n - 0.375) / (n + 0.25))
             zq = std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
-            got = estimate_sd_s3(-ze, -zq, zq, ze, n)
+            got = estimate_sd(_s3(-ze, -zq, zq, ze), Scenario.S3, n)
             assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):
-            estimate_sd_s3(0.0, 1.0, 2.0, 3.0, 3)
+            estimate_sd(_s3(0.0, 1.0, 2.0, 3.0), Scenario.S3, 3)
 
     def test_disordered_rejected(self):
         with pytest.raises(ValueError, match="ordered"):
-            estimate_sd_s3(0.0, 3.0, 2.0, 5.0, 10)
+            estimate_sd(_s3(0.0, 3.0, 2.0, 5.0), Scenario.S3, 10)
 
 
 class TestEstimateMean:
@@ -178,24 +192,61 @@ class TestEstimateMean:
             estimate_mean(s, Scenario.DIRECT, 10)
 
 
+class TestSharedChecks:
+    # estimate_mean and estimate_sd refuse the same summaries.
+    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
+    def test_missing_fields_rejected(self, estimate):
+        s1_only = QuantileSummary(median=1.0, min=0.0, max=2.0)
+        with pytest.raises(ValueError, match="q1 and q3"):
+            estimate(s1_only, Scenario.S2, 10)
+        with pytest.raises(ValueError, match="all five"):
+            estimate(s1_only, Scenario.S3, 10)
+
+    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
+    def test_unordered_rejected(self, estimate):
+        # the median lies outside the range it sits in
+        s = QuantileSummary(median=5.0, min=0.0, q1=1.0, q3=2.0, max=3.0)
+        for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
+            with pytest.raises(ValueError, match="ordered summary"):
+                estimate(s, scenario, 10)
+
+    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
+    @pytest.mark.parametrize("scenario,n_min", [(Scenario.S1, 2),
+                                                (Scenario.S2, 4),
+                                                (Scenario.S3, 4)])
+    def test_n_below_minimum_rejected(self, estimate, scenario, n_min):
+        s = QuantileSummary(median=2.0, min=0.0, q1=1.0, q3=3.0, max=4.0)
+        with pytest.raises(ValueError, match=f"n >= {n_min}, got n="):
+            estimate(s, scenario, n_min - 1)
+        assert math.isfinite(estimate(s, scenario, n_min))
+
+    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
+    def test_direct_has_no_estimator(self, estimate):
+        s = QuantileSummary(median=1.0, min=0.0, max=2.0)
+        with pytest.raises(ValueError, match="no .* estimator"):
+            estimate(s, Scenario.DIRECT, 10)
+
+
 class TestSdEquivariance:
     @given(vals=_ordered5(), n=st.integers(4, 5000), c=st.floats(0.01, 100))
     def test_scale_equivariance(self, vals, n, c):
-        a, q1, _, q3, b = vals
-        assert estimate_sd_s1(c * a, c * b, n) == pytest.approx(
-            c * estimate_sd_s1(a, b, n), rel=1e-12, abs=1e-9)
-        assert estimate_sd_s2(c * q1, c * q3, n) == pytest.approx(
-            c * estimate_sd_s2(q1, q3, n), rel=1e-12, abs=1e-9)
-        assert estimate_sd_s3(c * a, c * q1, c * q3, c * b, n) == pytest.approx(
-            c * estimate_sd_s3(a, q1, q3, b, n), rel=1e-12, abs=1e-9)
+        a, q1, m, q3, b = vals
+        base = QuantileSummary(median=m, min=a, q1=q1, q3=q3, max=b)
+        scaled = QuantileSummary(median=c * m, min=c * a, q1=c * q1,
+                                 q3=c * q3, max=c * b)
+        for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
+            assert estimate_sd(scaled, scenario, n) == pytest.approx(
+                c * estimate_sd(base, scenario, n), rel=1e-12, abs=1e-9)
 
     @given(vals=_ordered5(), n=st.integers(4, 5000), d=st.floats(-500, 500))
     def test_shift_invariance(self, vals, n, d):
-        a, q1, _, q3, b = vals
-        assert estimate_sd_s1(a + d, b + d, n) == pytest.approx(
-            estimate_sd_s1(a, b, n), rel=1e-12, abs=1e-9)
-        assert estimate_sd_s2(q1 + d, q3 + d, n) == pytest.approx(
-            estimate_sd_s2(q1, q3, n), rel=1e-12, abs=1e-9)
+        a, q1, m, q3, b = vals
+        base = QuantileSummary(median=m, min=a, q1=q1, q3=q3, max=b)
+        shifted = QuantileSummary(median=m + d, min=a + d, q1=q1 + d,
+                                  q3=q3 + d, max=b + d)
+        for scenario in (Scenario.S1, Scenario.S2):
+            assert estimate_sd(shifted, scenario, n) == pytest.approx(
+                estimate_sd(base, scenario, n), rel=1e-12, abs=1e-9)
 
 
 class TestEstimateMoments:

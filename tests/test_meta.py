@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from sumnorm.estimators import (estimate_mean, estimate_moments,
-                                estimate_sd_s2)
+from sumnorm.estimators import estimate_mean, estimate_moments, estimate_sd
 
 from sumnorm.meta import (EffectSize, GroupTest, PipelineReport, PooledResult,
                           StudyEntry, chi_square_sf, cohen_d, pool,
@@ -16,8 +15,7 @@ from sumnorm.meta import (EffectSize, GroupTest, PipelineReport, PooledResult,
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario, Study,
                            parse_studies)
 from sumnorm.plots import curve_svg, forest_svg
-from sumnorm.symmetry import run_test
-from sumnorm.symmetry import test_s2 as s2_test
+from sumnorm.symmetry import run_test, statistic
 
 
 class TestChiSquareSf:
@@ -450,10 +448,13 @@ class TestHandBuiltRecords:
         _, summary = _SKEWED
         study = _summary_study("one", "o", (21, summary), _SYMMETRIC)
         (case,) = study.case_groups
-        assert run_test(case) == s2_test(7.6, 9.6, 16.25, 21)
+        result = run_test(case)
+        assert result.n == 21
+        assert result.statistic == statistic(Scenario.S2, None, 7.6, 9.6,
+                                             16.25, None, 21)
         moments = estimate_moments(case)
         assert moments.mean == estimate_mean(summary, Scenario.S2, 21)
-        assert moments.sd == estimate_sd_s2(7.6, 16.25, 21)
+        assert moments.sd == estimate_sd(summary, Scenario.S2, 21)
         (report,) = run_pipeline([study], alpha=1e-9)
         (entry,) = report.studies
         (case_test, _) = entry.tests

@@ -21,7 +21,7 @@ def _documented_names() -> list[str]:
     """Expand the README's ``module.a/b/c`` list into dotted names.
 
     A part without an underscore shares the first name's prefix
-    (``test_s1/s2`` names ``test_s2``); ``...`` is skipped.
+    (``coeff_tau/phi`` names ``coeff_phi``); ``...`` is skipped.
     """
     paragraph = _README.split("Lower-level pieces", 1)[1].split("\n\n", 1)[0]
     names = []
@@ -48,8 +48,8 @@ def test_library_example_runs(src_env):
 
 def test_listed_lower_level_names_resolve():
     names = _documented_names()
-    assert {"symmetry.test_s1", "symmetry.test_s2", "symmetry.test_s3",
-            "normal.quartile_width", "estimators.estimate_sd_s1",
+    assert {"symmetry.run_test", "symmetry.statistic",
+            "normal.quartile_width", "estimators.estimate_sd",
             "simulate.power_curve", "plots.forest_svg"} <= set(names)
     for dotted in names:
         module, name = dotted.split(".")

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,28 @@ class TestRejectionCurves:
     def test_replicates_domain(self):
         with pytest.raises(ValueError, match="replicates"):
             type1_curve(Scenario.S1, [50], replicates=0, seed=1)
+
+    @pytest.mark.parametrize("dist", [DistSpec("lognormal", (1000.0, 1.0)),
+                                      DistSpec("normal", (1e308, 1e308)),
+                                      DistSpec("normal", (1e17, 1.0))],
+                             ids=["lognormal", "normal", "zero-spread"])
+    def test_non_finite_statistics_refused(self, dist):
+        # Overflowing draws, or draws that round to one value, give nan
+        # statistics, which would count as "retain"; the cell is refused
+        # in words instead, with no RuntimeWarning on the way.
+        with pytest.raises(ValueError, match=re.escape(
+                f"{dist.label()} at n=10: ") + r"\d+ of 200 statistics"):
+            power_curve(Scenario.S1, dist, [10, 50], replicates=200, seed=1)
+
+    def test_non_finite_sorted_draws_refused(self, monkeypatch):
+        # chi-square(3) takes the sort path and cannot overflow, so its
+        # draws are made infinite by hand.
+        real = simulate._draw
+        monkeypatch.setattr(simulate, "_draw", lambda *a: real(*a) * np.inf)
+        with pytest.raises(ValueError, match=r"chisquare\(3\) at n=10: "
+                           r"200 of 200 statistics are not finite"):
+            power_curve(Scenario.S2, DistSpec("chisquare", (3.0,)), [10],
+                        replicates=200, seed=1)
 
     def test_default_grid_is_sane(self):
         assert DEFAULT_N_GRID[0] >= 4

@@ -5,14 +5,31 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from sumnorm.model import GroupRecord, QuantileSummary, Scenario
+from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
+                           UnsupportedSummaryError)
 from sumnorm.symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES,
                               DegenerateSummaryError, coeff_kappa, coeff_phi,
                               coeff_tau, format_p_value, format_statistic,
                               run_test, statistic)
-from sumnorm.symmetry import test_s1 as s1_test
-from sumnorm.symmetry import test_s2 as s2_test
-from sumnorm.symmetry import test_s3 as s3_test
+
+
+def _record(**kwargs) -> GroupRecord:
+    defaults = dict(study_id="s", group_label="g", arm="case")
+    defaults.update(kwargs)
+    return GroupRecord(**defaults)
+
+
+def _s1(a, m, b, n) -> GroupRecord:
+    return _record(n=n, summary=QuantileSummary(median=m, min=a, max=b))
+
+
+def _s2(q1, m, q3, n) -> GroupRecord:
+    return _record(n=n, summary=QuantileSummary(median=m, q1=q1, q3=q3))
+
+
+def _s3(a, q1, m, q3, b, n) -> GroupRecord:
+    return _record(n=n, summary=QuantileSummary(median=m, min=a, q1=q1,
+                                                q3=q3, max=b))
 
 
 class TestCoefficients:
@@ -55,7 +72,7 @@ class TestCoefficients:
 class TestS1:
     def test_table_row(self):
         # asthma arm of the min/median/max study with n=23
-        r = s1_test(0.4, 5.3, 27.4, 23)
+        r = run_test(_s1(0.4, 5.3, 27.4, 23))
         assert r.scenario is Scenario.S1
         assert r.statistic == pytest.approx(3.0220297652994423, abs=1e-9)
         assert r.p_value == pytest.approx(0.0025108585729653674, abs=1e-12)
@@ -64,29 +81,30 @@ class TestS1:
         assert r.alpha == 0.05
 
     def test_symmetric_input(self):
-        r = s1_test(-2.0, 0.0, 2.0, 50)
+        r = run_test(_s1(-2.0, 0.0, 2.0, 50))
         assert r.statistic == 0.0
         assert r.p_value == 1.0
         assert r.reject is False
 
     def test_alpha_passthrough(self):
-        skewed = s1_test(0.0, 1.0, 10.0, 30, alpha=0.5)
+        skewed = run_test(_s1(0.0, 1.0, 10.0, 30), alpha=0.5)
         assert skewed.alpha == 0.5
 
     def test_ordering_rejected(self):
-        with pytest.raises(ValueError, match="a <= m <= b"):
-            s1_test(0.0, 5.0, 3.0, 20)
+        with pytest.raises(UnsupportedSummaryError,
+                           match="ordering violation"):
+            run_test(_s1(0.0, 5.0, 3.0, 20))
 
     def test_degenerate_range(self):
         with pytest.raises(DegenerateSummaryError, match="b - a = 0"):
-            s1_test(2.0, 2.0, 2.0, 20)
+            run_test(_s1(2.0, 2.0, 2.0, 20))
 
 
 class TestS2:
     def test_near_symmetric_table_row(self):
         # healthy arm whose quartiles are symmetric up to float noise;
         # the table keeps the scientific-notation artifact
-        r = s2_test(0.4, 0.6, 0.8, 32)
+        r = run_test(_s2(0.4, 0.6, 0.8, 32))
         assert r.statistic == pytest.approx(2.205316697617185e-15, abs=1e-20)
         assert format_statistic(r.statistic) == "2.205e-15"
         assert r.p_value == pytest.approx(1.0, abs=1e-12)
@@ -94,50 +112,52 @@ class TestS2:
 
     def test_skewed_input_rejects(self):
         # quartile row with a right-shifted median gap at n=100
-        r = s2_test(7.6, 9.6, 16.25, 100)
+        r = run_test(_s2(7.6, 9.6, 16.25, 100))
         assert r.statistic > 1.96
         assert r.reject is True
 
     def test_mild_asymmetry_retained(self):
         # skew is visible but the statistic stays under the cutoff
-        r = s2_test(30.0, 38.0, 60.0, 26)
+        r = run_test(_s2(30.0, 38.0, 60.0, 26))
         assert 0.0 < r.statistic < 1.96
         assert r.reject is False
 
     def test_ordering_rejected(self):
-        with pytest.raises(ValueError, match="q1 <= m <= q3"):
-            s2_test(0.0, 5.0, 3.0, 20)
+        with pytest.raises(UnsupportedSummaryError,
+                           match="ordering violation"):
+            run_test(_s2(0.0, 5.0, 3.0, 20))
 
     def test_degenerate_iqr(self):
         with pytest.raises(DegenerateSummaryError, match="q3 - q1 = 0"):
-            s2_test(2.0, 2.0, 2.0, 20)
+            run_test(_s2(2.0, 2.0, 2.0, 20))
 
 
 class TestS3:
     def test_worked_example(self):
-        r = s3_test(0.0, 1.0, 2.0, 5.0, 20.0, 60)
+        r = run_test(_s3(0.0, 1.0, 2.0, 5.0, 20.0, 60))
         assert r.statistic == pytest.approx(5.898493239209216, abs=1e-9)
         assert r.reject is True
 
     def test_antisymmetric_population_quantiles(self):
-        r = s3_test(-3.0, -0.6745, 0.0, 0.6745, 3.0, 200)
+        r = run_test(_s3(-3.0, -0.6745, 0.0, 0.6745, 3.0, 200))
         assert r.statistic == 0.0
         assert r.p_value == 1.0
         assert r.reject is False
 
     def test_kappa_c_choice_shrinks_statistic(self):
-        base = s3_test(0.0, 1.0, 2.0, 5.0, 20.0, 60)
-        alt = s3_test(0.0, 1.0, 2.0, 5.0, 20.0, 60, kappa_c=10.5)
+        base = run_test(_s3(0.0, 1.0, 2.0, 5.0, 20.0, 60))
+        alt = run_test(_s3(0.0, 1.0, 2.0, 5.0, 20.0, 60), kappa_c=10.5)
         # larger C inflates the denominator, so |T| shrinks
         assert abs(alt.statistic) < abs(base.statistic)
 
     def test_ordering_rejected(self):
-        with pytest.raises(ValueError, match="a <= q1 <= m <= q3 <= b"):
-            s3_test(0.0, 3.0, 2.0, 5.0, 20.0, 60)
+        with pytest.raises(UnsupportedSummaryError,
+                           match="ordering violation"):
+            run_test(_s3(0.0, 3.0, 2.0, 5.0, 20.0, 60))
 
     def test_degenerate_spread(self):
         with pytest.raises(DegenerateSummaryError, match="both zero"):
-            s3_test(1.0, 1.0, 1.0, 1.0, 1.0, 20)
+            run_test(_s3(1.0, 1.0, 1.0, 1.0, 1.0, 20))
 
 
 class TestStatistic:
@@ -154,10 +174,10 @@ class TestStatistic:
         s3 = statistic(Scenario.S3, a, q1, m, q3, b, n, kappa_c)
         for i, row in enumerate(self._ROWS.tolist()):
             ra, rq1, rm, rq3, rb = row
-            assert s1[i] == s1_test(ra, rm, rb, n).statistic
-            assert s2[i] == s2_test(rq1, rm, rq3, n).statistic
-            assert s3[i] == s3_test(ra, rq1, rm, rq3, rb, n,
-                                    kappa_c=kappa_c).statistic
+            assert s1[i] == run_test(_s1(ra, rm, rb, n)).statistic
+            assert s2[i] == run_test(_s2(rq1, rm, rq3, n)).statistic
+            assert s3[i] == run_test(_s3(ra, rq1, rm, rq3, rb, n),
+                                     kappa_c=kappa_c).statistic
 
     def test_direct_scenario_rejected(self):
         with pytest.raises(ValueError, match="no test statistic"):
@@ -168,20 +188,14 @@ class TestOverflow:
     # a + b overflows to inf and a + b - 2m to nan; |nan| > crit is
     # False, so without the check the test would "retain".
     @pytest.mark.parametrize("run", [
-        lambda: s1_test(1e308, 1.5e308, 1.7e308, 20),
-        lambda: s2_test(1e308, 1.5e308, 1.7e308, 20),
-        lambda: s3_test(1e308, 1.2e308, 1.5e308, 1.6e308, 1.7e308, 20),
+        lambda: run_test(_s1(1e308, 1.5e308, 1.7e308, 20)),
+        lambda: run_test(_s2(1e308, 1.5e308, 1.7e308, 20)),
+        lambda: run_test(_s3(1e308, 1.2e308, 1.5e308, 1.6e308, 1.7e308, 20)),
     ], ids=["s1", "s2", "s3"])
     def test_non_finite_statistic_is_refused_in_words(self, run):
         with pytest.raises(DegenerateSummaryError,
                            match="overflow the float range"):
             run()
-
-
-def _record(**kwargs) -> GroupRecord:
-    defaults = dict(study_id="s", group_label="g", arm="case")
-    defaults.update(kwargs)
-    return GroupRecord(**defaults)
 
 
 class TestRunTest:
@@ -193,19 +207,27 @@ class TestRunTest:
         g = _record(n=23, summary=QuantileSummary(median=5.3, min=0.4,
                                                   max=27.4))
         r = run_test(g)
-        assert r == s1_test(0.4, 5.3, 27.4, 23)
+        assert r.scenario is Scenario.S1
+        assert r.statistic == statistic(Scenario.S1, 0.4, None, 5.3, None,
+                                        27.4, 23)
 
     def test_s2_dispatch(self):
         g = _record(n=26, summary=QuantileSummary(median=38, q1=30,
                                                   q3=60))
         r = run_test(g)
-        assert r == s2_test(30, 38, 60, 26)
+        assert r.scenario is Scenario.S2
+        assert r.statistic == statistic(Scenario.S2, None, 30, 38, 60, None,
+                                        26)
 
     def test_s3_dispatch_with_options(self):
         g = _record(n=60, summary=QuantileSummary(median=2, min=0, q1=1,
                                                   q3=5, max=20))
         r = run_test(g, alpha=0.01, kappa_c=10.5)
-        assert r == s3_test(0, 1, 2, 5, 20, 60, alpha=0.01, kappa_c=10.5)
+        assert r.scenario is Scenario.S3
+        assert r.statistic == statistic(Scenario.S3, 0, 1, 2, 5, 20, 60,
+                                        kappa_c=10.5)
+        assert r.alpha == 0.01
+        assert r.n == 60
 
     def test_unsupported_summary_propagates(self):
         g = _record(n=20, summary=QuantileSummary(median=5.0, min=1.0))
@@ -224,8 +246,8 @@ class TestInvariance:
     def test_s1_location_scale_invariant(self, t, n, c, d):
         a, m, b = t
         assume(b - a > 1e-6 * max(1.0, abs(a), abs(b)))
-        base = s1_test(a, m, b, n).statistic
-        moved = s1_test(c * a + d, c * m + d, c * b + d, n).statistic
+        base = run_test(_s1(a, m, b, n)).statistic
+        moved = run_test(_s1(c * a + d, c * m + d, c * b + d, n)).statistic
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
     @given(t=_triple(), n=st.integers(4, 5000),
@@ -233,24 +255,24 @@ class TestInvariance:
     def test_s2_location_scale_invariant(self, t, n, c, d):
         q1, m, q3 = t
         assume(q3 - q1 > 1e-6 * max(1.0, abs(q1), abs(q3)))
-        base = s2_test(q1, m, q3, n).statistic
-        moved = s2_test(c * q1 + d, c * m + d, c * q3 + d, n).statistic
+        base = run_test(_s2(q1, m, q3, n)).statistic
+        moved = run_test(_s2(c * q1 + d, c * m + d, c * q3 + d, n)).statistic
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
     @given(t=_triple(), n=st.integers(2, 5000))
     def test_s1_reflection_antisymmetry(self, t, n):
         a, m, b = t
         assume(b - a > 1e-6 * max(1.0, abs(a), abs(b)))
-        base = s1_test(a, m, b, n).statistic
-        mirrored = s1_test(-b, -m, -a, n).statistic
+        base = run_test(_s1(a, m, b, n)).statistic
+        mirrored = run_test(_s1(-b, -m, -a, n)).statistic
         assert mirrored == pytest.approx(-base, rel=1e-12, abs=1e-12)
 
     @given(t=_triple(), n=st.integers(4, 5000))
     def test_s2_reflection_antisymmetry(self, t, n):
         q1, m, q3 = t
         assume(q3 - q1 > 1e-6 * max(1.0, abs(q1), abs(q3)))
-        base = s2_test(q1, m, q3, n).statistic
-        mirrored = s2_test(-q3, -m, -q1, n).statistic
+        base = run_test(_s2(q1, m, q3, n)).statistic
+        mirrored = run_test(_s2(-q3, -m, -q1, n)).statistic
         assert mirrored == pytest.approx(-base, rel=1e-12, abs=1e-12)
 
     @given(vals=st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5)
@@ -258,8 +280,8 @@ class TestInvariance:
     def test_s3_reflection_antisymmetry(self, vals, n):
         a, q1, m, q3, b = vals
         assume((b - a) + (q3 - q1) > 1e-6 * max(1.0, abs(a), abs(b)))
-        base = s3_test(a, q1, m, q3, b, n).statistic
-        mirrored = s3_test(-b, -q3, -m, -q1, -a, n).statistic
+        base = run_test(_s3(a, q1, m, q3, b, n)).statistic
+        mirrored = run_test(_s3(-b, -q3, -m, -q1, -a, n)).statistic
         assert mirrored == pytest.approx(-base, rel=1e-12, abs=1e-12)
 
     @given(t=_triple(), n=st.integers(2, 5000),
@@ -267,7 +289,7 @@ class TestInvariance:
     def test_reject_implies_small_p(self, t, n, alpha):
         a, m, b = t
         assume(b - a > 1e-6 * max(1.0, abs(a), abs(b)))
-        r = s1_test(a, m, b, n, alpha=alpha)
+        r = run_test(_s1(a, m, b, n), alpha=alpha)
         if r.reject:
             assert r.p_value < r.alpha
 
@@ -276,7 +298,7 @@ class TestInvariance:
         # |a + b - 2m| <= b - a whenever a <= m <= b
         a, m, b = t
         assume(b - a > 1e-6 * max(1.0, abs(a), abs(b)))
-        r = s1_test(a, m, b, n)
+        r = run_test(_s1(a, m, b, n))
         assert abs(r.statistic) <= coeff_tau(n) * (1.0 + 1e-12)
 
     @given(vals=st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5)
