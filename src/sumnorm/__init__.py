@@ -9,6 +9,6 @@ order-statistic asymptotics they rely on are checked by the acceptance
 scorecard.
 """
 
-from . import estimators, meta, model, normal, plots, simulate, symmetry
+from . import estimators, meta, model, normal, plots, symmetry
 
 __version__ = "0.1.0"

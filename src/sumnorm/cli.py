@@ -24,13 +24,17 @@ from .model import Scenario, SummaryDataError, parse_studies
 from .plots import curve_svg, forest_svg
 from .symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES, format_p_value,
                        format_statistic, run_test)
-from . import simulate as sim
 
 __all__ = ["main"]
 
 _ENV_ALPHA = "SUMNORM_ALPHA"
 _ENV_SEED = "SUMNORM_SEED"
 _ENV_KAPPA = "SUMNORM_KAPPA_C"
+
+# simulate's sample sizes, and its replicates per size under H0 and H1.
+DEFAULT_N_GRID = (10, 25, 50, 100, 200, 300, 400, 500, 750, 1000)
+DEFAULT_TYPE1_REPLICATES = 100_000
+DEFAULT_POWER_REPLICATES = 10_000
 
 # Advisory band echoed next to large-n type I error rates.
 _TYPE1_BAND = (0.03, 0.07)
@@ -92,6 +96,15 @@ def _require_seed(args) -> int:
 
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-") or "outcome"
+
+
+def _dist_stem(dist) -> str:
+    """``family-p1-p2``, one per spec: each parameter's repr less ".0" and
+    an exponent's "+", with "m" for a leading "-" and "p" for ".", so
+    normal(-1.5,2) gives normal-m1p5-2 and 1e300 is not 1e-300."""
+    return "-".join([dist.family, *(
+        re.sub(r"^-", "m", repr(float(p)).removesuffix(".0"))
+        .replace("e+", "e").replace(".", "p") for p in dist.params)])
 
 
 def _group_table(args, headers: Sequence[str], cells) -> int:
@@ -180,7 +193,7 @@ def cmd_meta(args) -> int:
 
 def _parse_grid(text: str | None) -> tuple[int, ...]:
     if text is None:
-        return sim.DEFAULT_N_GRID
+        return DEFAULT_N_GRID
     try:
         grid = tuple(int(tok) for tok in text.split(","))
     except ValueError:
@@ -200,6 +213,7 @@ def _parse_scenario(text: str) -> Scenario:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate as sim  # numpy: loaded for this command only
     alpha = _resolve(args, "alpha")
     kappa_c = _resolve(args, "kappa_c")
     seed = _require_seed(args)
@@ -218,20 +232,18 @@ def cmd_simulate(args) -> int:
             dist = sim.DistSpec.parse(args.dist)
         except ValueError as exc:
             raise _ConfigError(str(exc)) from None
-        replicates = args.replicates or 10_000
+        replicates = args.replicates or DEFAULT_POWER_REPLICATES
         try:
             result = sim.power_curve(scenario, dist, grid, replicates, alpha,
                                      seed, kappa_c)
         except ValueError as exc:  # non-finite statistics
             raise _ConfigError(str(exc)) from None
-        # Drop the "+" of an exponent, so 1e+308 and 1e-308 slug apart.
-        label = dist.label().replace("e+", "e")
-        stem = f"power_{scenario.value.lower()}_{_slug(label)}"
+        stem = f"power_{scenario.value.lower()}_{_dist_stem(dist)}"
         title = (f"power, {scenario.value}, {dist.label()}, "
                  f"R={replicates}, seed={seed}")
         reference = None
     else:
-        replicates = args.replicates or 100_000
+        replicates = args.replicates or DEFAULT_TYPE1_REPLICATES
         result = sim.type1_curve(scenario, grid, replicates, alpha, seed,
                                  kappa_c)
         stem = f"type1_{scenario.value.lower()}"
@@ -265,6 +277,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import simulate as sim  # numpy: loaded for this command only
     seed = _require_seed(args)
     names = [tok.strip() for tok in args.pairs.split(",") if tok.strip()]
     if not names:
@@ -357,10 +370,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="alternative, e.g. lognormal:0,1 or chisquare:1")
     p_sim.add_argument("--grid", default=None,
                        help="comma-separated sample sizes "
-                            f"(default {','.join(map(str, sim.DEFAULT_N_GRID))})")
+                            f"(default {','.join(map(str, DEFAULT_N_GRID))})")
     p_sim.add_argument("--replicates", type=int, default=None,
                        help="replicates per grid point "
-                            "(default 100000 type1, 10000 power)")
+                            f"(default {DEFAULT_TYPE1_REPLICATES} type1, "
+                            f"{DEFAULT_POWER_REPLICATES} power)")
     p_sim.add_argument("--output-dir", "--out", default=".",
                        help="directory for the CSV and SVG")
     _add_alpha_flag(p_sim)

@@ -21,6 +21,10 @@ path: normal, lognormal, exponential, Weibull, chi-square(1) and
 beta(1, b), which covers ``POWER_ALTERNATIVES``.  Chi-square with other
 degrees of freedom and beta(a != 1, b) sort whole samples instead, and
 so does the demo, which needs every value.
+
+Their Phi^-1 is :func:`std_normal_quantiles`, the AS 241 algorithm of
+``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
+operation order.  No other module imports numpy.
 """
 
 from __future__ import annotations
@@ -36,14 +40,13 @@ import numpy as np
 from .estimators import estimate_mean, estimate_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
-from .normal import critical_value, std_normal_quantiles
+from .normal import critical_value
 from .symmetry import DEFAULT_KAPPA_C, statistic
 
 __all__ = [
     "DistSpec",
     "ExperimentResult",
     "DemoResult",
-    "DEFAULT_N_GRID",
     "POWER_ALTERNATIVES",
     "DEMO_PAIRS",
     "summarize",
@@ -51,13 +54,93 @@ __all__ = [
     "power_curve",
     "skew_distortion_demo",
     "isotonic_fit_r2",
+    "std_normal_quantiles",
     "write_experiment_csv",
 ]
 
-DEFAULT_N_GRID = (10, 25, 50, 100, 200, 300, 400, 500, 750, 1000)
-
 # Fixed chunk height keeps memory bounded without breaking determinism.
 _CHUNK_ROWS = 20000
+
+# AS 241's rational approximations, coefficients highest power first, as
+# in CPython's ``statistics._normal_dist_inv_cdf``: the central one in
+# r = 0.180625 - (p - 0.5)^2 for |p - 0.5| <= 0.425, and two tail ones in
+# s = sqrt(-ln(min(p, 1 - p))), for s <= 5 and beyond.
+_CENTRAL = ((2.5090809287301226727e+3, 3.3430575583588128105e+4,
+             6.7265770927008700853e+4, 4.5921953931549871457e+4,
+             1.3731693765509461125e+4, 1.9715909503065514427e+3,
+             1.3314166789178437745e+2, 3.3871328727963666080e+0),
+            (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+             3.9307895800092710610e+4, 2.1213794301586595867e+4,
+             5.3941960214247511077e+3, 6.8718700749205790830e+2,
+             4.2313330701600911252e+1, 1.0))
+_NEAR_TAIL = ((7.74545014278341407640e-4, 2.27238449892691845833e-2,
+               2.41780725177450611770e-1, 1.27045825245236838258e+0,
+               3.64784832476320460504e+0, 5.76949722146069140550e+0,
+               4.63033784615654529590e+0, 1.42343711074968357734e+0),
+              (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+               1.51986665636164571966e-2, 1.48103976427480074590e-1,
+               6.89767334985100004550e-1, 1.67638483018380384940e+0,
+               2.05319162663775882187e+0, 1.0))
+_FAR_TAIL = ((2.01033439929228813265e-7, 2.71155556874348757815e-5,
+              1.24266094738807843860e-3, 2.65321895265761230930e-2,
+              2.96560571828504891230e-1, 1.78482653991729133580e+0,
+              5.46378491116411436990e+0, 6.65790464350110377720e+0),
+             (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+              1.84631831751005468180e-5, 7.86869131145613259100e-4,
+              1.48753612908506148525e-2, 1.36929880922735805310e-1,
+              5.99832206555887937690e-1, 1.0))
+
+
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    # In place, in the same operation order as the scalar code.
+    y = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def std_normal_quantiles(p, upper) -> np.ndarray:
+    """Phi^-1 of every element of ``p``, Wichura's AS 241 over arrays.
+
+    Each branch is evaluated only on the elements that take it.
+
+    Parameters
+    ----------
+    p : array_like
+        Probabilities strictly inside (0, 1).  Not checked: this is the
+        Monte Carlo's inner loop.
+    upper : array_like
+        1 - p, of the same shape, computed by the caller without
+        cancellation.  It is read only where p > 0.5, so the upper tail
+        keeps the full relative precision of ``upper`` instead of that
+        of ``1 - p``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Within a few ulp of ``normal.std_normal_quantile`` elementwise.
+    """
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    x[central] = qc * _horner(_CENTRAL[0], r) / _horner(_CENTRAL[1], r)
+    tail = ~central
+    lower = q[tail] < 0.0
+    s = np.sqrt(-np.log(np.where(lower, p[tail], np.asarray(upper)[tail])))
+    far = s > 5.0
+    near = ~far
+    z = np.empty_like(s)
+    z[near] = (_horner(_NEAR_TAIL[0], s[near] - 1.6)
+               / _horner(_NEAR_TAIL[1], s[near] - 1.6))
+    z[far] = (_horner(_FAR_TAIL[0], s[far] - 5.0)
+              / _horner(_FAR_TAIL[1], s[far] - 5.0))
+    x[tail] = np.where(lower, -z, z)
+    return x
+
 
 
 def _log_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -250,19 +333,16 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
                             kappa_c=kappa_c)
 
 
-def type1_curve(scenario: Scenario, n_grid: Sequence[int] = DEFAULT_N_GRID,
-                replicates: int = 100_000, alpha: float = 0.05,
-                seed: int = 0,
+def type1_curve(scenario: Scenario, n_grid: Sequence[int], replicates: int,
+                alpha: float = 0.05, seed: int = 0,
                 kappa_c: float = DEFAULT_KAPPA_C) -> ExperimentResult:
     """Rejection rate under the standard-normal null, per grid point."""
     return _rejection_curve(scenario, DistSpec("normal", (0.0, 1.0)),
                             n_grid, replicates, alpha, seed, kappa_c)
 
 
-def power_curve(scenario: Scenario, dist: DistSpec,
-                n_grid: Sequence[int] = DEFAULT_N_GRID,
-                replicates: int = 10_000, alpha: float = 0.05,
-                seed: int = 0,
+def power_curve(scenario: Scenario, dist: DistSpec, n_grid: Sequence[int],
+                replicates: int, alpha: float = 0.05, seed: int = 0,
                 kappa_c: float = DEFAULT_KAPPA_C) -> ExperimentResult:
     """Rejection rate under a (typically skewed) alternative."""
     return _rejection_curve(scenario, dist, n_grid, replicates, alpha,
@@ -342,24 +422,16 @@ def isotonic_fit_r2(rates: Sequence[float]) -> float:
     nondecreasing scores exactly 1; a flat curve scores 1 by convention
     (zero total variance).
     """
-    y = list(float(r) for r in rates)
+    y = [float(r) for r in rates]
     if not y:
         raise ValueError("rates must be nonempty")
-    values = []
-    counts = []
+    blocks = []  # [mean, count] of each pooled run
     for v in y:
-        values.append(v)
-        counts.append(1)
-        while len(values) > 1 and values[-2] > values[-1]:
-            merged = (values[-1] * counts[-1] + values[-2] * counts[-2]) \
-                / (counts[-1] + counts[-2])
-            counts[-2] += counts[-1]
-            values[-2] = merged
-            values.pop()
-            counts.pop()
-    fitted = []
-    for v, c in zip(values, counts):
-        fitted.extend([v] * c)
+        blocks.append([v, 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            (v1, c1), (v0, c0) = blocks.pop(), blocks[-1]
+            blocks[-1] = [(v1 * c1 + v0 * c0) / (c1 + c0), c0 + c1]
+    fitted = [v for v, c in blocks for _ in range(c)]
     mean_y = sum(y) / len(y)
     ss_tot = sum((v - mean_y) ** 2 for v in y)
     if ss_tot == 0.0:

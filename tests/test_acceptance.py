@@ -34,11 +34,11 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import sumnorm
+from sumnorm.cli import DEFAULT_N_GRID
 from sumnorm.meta import EffectSize, pool, run_pipeline
 from sumnorm.model import Scenario, parse_studies
 from sumnorm.normal import std_normal_quantile
 from sumnorm.simulate import (
-    DEFAULT_N_GRID,
     POWER_ALTERNATIVES,
     DistSpec,
     _statistics,

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumnorm
-from sumnorm.cli import main
+from sumnorm.cli import _dist_stem, main
+from sumnorm.simulate import _FAMILIES, DistSpec
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -351,6 +352,25 @@ def test_meta_never_crashes_on_generated_rows(text):
             json.loads(report.read_text(), parse_constant=_reject_constant)
 
 
+# Parameters that differ only in sign, decimal point, exponent sign or
+# the seventh significant digit, and any finite float.  Each example is
+# a list of one family's specs, long enough to hold such pairs.
+_PARAMS = st.one_of(st.sampled_from([-1.0, 1.0, 1.5, 2.0, 5.2, 15.0,
+                                     1.0000001, 1e300, 1e-300, -1e-300]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _specs_of(family):
+    arity, positive, *_ = _FAMILIES[family]
+    return st.tuples(*(_PARAMS.filter(lambda p: p > 0) if i in positive
+                       else _PARAMS for i in range(arity))).map(
+        lambda params: DistSpec(family, params))
+
+
+_SPEC_LISTS = st.sampled_from(sorted(_FAMILIES)).flatmap(
+    lambda family: st.lists(_specs_of(family), min_size=16, max_size=32))
+
+
 class TestSimulateCommand:
     def test_type1_run(self, capsys, tmp_path):
         out_dir = tmp_path / "sim"
@@ -399,7 +419,11 @@ class TestSimulateCommand:
         assert list(out_dir.iterdir()) == []
 
     def test_exponent_sign_kept_in_file_names(self, capsys, tmp_path):
-        for dist in ("exponential:1e300", "exponential:1e-300"):
+        # So are a parameter's sign and decimal point: normal:-1,1 and
+        # normal:1,1, or normal:1.5,2 and normal:1,5.2, get their own files.
+        for dist in ("exponential:1e300", "exponential:1e-300",
+                     "normal:-1,1", "normal:1,1", "normal:1.5,2",
+                     "normal:1,5.2"):
             assert main(["simulate", "--power", "--dist", dist,
                          "--scenario", "s1", "--grid", "10",
                          "--replicates", "50", "--seed", "1",
@@ -408,7 +432,30 @@ class TestSimulateCommand:
             "power_s1_exponential-1e-300.csv",
             "power_s1_exponential-1e-300.svg",
             "power_s1_exponential-1e300.csv",
-            "power_s1_exponential-1e300.svg"]
+            "power_s1_exponential-1e300.svg",
+            "power_s1_normal-1-1.csv", "power_s1_normal-1-1.svg",
+            "power_s1_normal-1-5p2.csv", "power_s1_normal-1-5p2.svg",
+            "power_s1_normal-1p5-2.csv", "power_s1_normal-1p5-2.svg",
+            "power_s1_normal-m1-1.csv", "power_s1_normal-m1-1.svg"]
+
+    def test_integer_parameters_keep_their_stems(self, capsys, tmp_path):
+        # The names the bundled benchmark looks for: the --dist text with
+        # every run of other characters turned into one "-".
+        for dist in ("lognormal:0,1", "exponential:1", "beta:1,5",
+                     "chisquare:1", "weibull:2,1", "normal:1234567,10"):
+            assert main(["simulate", "--power", "--dist", dist,
+                         "--scenario", "s2", "--grid", "10",
+                         "--replicates", "50", "--seed", "1",
+                         "--output-dir", str(tmp_path)]) == 0
+            family, _, params = dist.partition(":")
+            name = re.sub(r"[^a-z0-9]+", "-", f"{family}({params})")
+            assert (tmp_path / f"power_s2_{name.strip('-')}.csv").is_file()
+
+    @settings(max_examples=50)
+    @given(_SPEC_LISTS)
+    def test_distinct_specs_get_distinct_stems(self, specs):
+        distinct = set(specs)
+        assert len({_dist_stem(spec) for spec in distinct}) == len(distinct)
 
     def test_byte_deterministic_artifacts(self, capsys, tmp_path):
         dirs = (tmp_path / "a", tmp_path / "b")
@@ -669,13 +716,29 @@ def test_module_entry_point_exit_codes(leptin_csv, tmp_path, src_env):
     assert "error:" in failed.stderr
 
 
-def test_runtime_imports_only_numpy_and_stdlib(src_env):
+def test_runtime_imports_only_numpy_and_stdlib(src_env, data_dir,
+                                               tmp_path):
     # scipy, hypothesis and pytest are test oracles and tools, never
-    # runtime dependencies of the library or the CLI.
-    code = ("import sys, sumnorm, sumnorm.cli; "
-            "print(sorted({'scipy', 'hypothesis', 'pytest'} "
-            "& {m.split('.')[0] for m in sys.modules}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
-                          capture_output=True, text=True)
+    # runtime dependencies of the library or the CLI.  numpy is loaded
+    # by simulate alone: importing the CLI and running test, estimate
+    # and meta leave it out of a fresh interpreter.
+    csv_path = str(data_dir / "zhang2017.csv")
+    runs = [["test", csv_path], ["estimate", csv_path],
+            ["meta", csv_path, "--output-dir", str(tmp_path / "meta")],
+            ["simulate", "--type1", "--scenario", "s1", "--grid", "10",
+             "--replicates", "50", "--seed", "1",
+             "--output-dir", str(tmp_path / "sim")]]
+    code = ("import json, sys, sumnorm.cli\n"
+            "def loaded():\n"
+            "    return sorted({'numpy', 'scipy', 'hypothesis', 'pytest'}\n"
+            "                  & {m.split('.')[0] for m in sys.modules})\n"
+            "seen = [['import', 0, loaded()]]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append([argv[0], sumnorm.cli.main(argv), loaded()])\n"
+            "print(json.dumps(seen))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          env=src_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import", 0, []], ["test", 0, []], ["estimate", 0, []],
+        ["meta", 0, []], ["simulate", 0, ["numpy"]]]

@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sumnorm import simulate
+from sumnorm.cli import DEFAULT_N_GRID
 from sumnorm.model import QuantileSummary, Scenario
-from sumnorm.normal import critical_value
-from sumnorm.simulate import (DEFAULT_N_GRID, DEMO_PAIRS, POWER_ALTERNATIVES,
-                              DistSpec, _draw, _generator, _order_columns,
-                              _statistics, _summary_matrix, isotonic_fit_r2,
-                              power_curve, skew_distortion_demo, summarize,
-                              type1_curve, write_experiment_csv)
+from sumnorm.normal import critical_value, std_normal_quantile
+from sumnorm.simulate import (DEMO_PAIRS, POWER_ALTERNATIVES, DistSpec, _draw,
+                              _generator, _order_columns, _statistics,
+                              _summary_matrix, isotonic_fit_r2, power_curve,
+                              skew_distortion_demo, std_normal_quantiles,
+                              summarize, type1_curve, write_experiment_csv)
 from sumnorm.symmetry import DEFAULT_KAPPA_C
 
 
@@ -353,3 +354,38 @@ class TestWriteExperimentCsv:
         write_experiment_csv(r, a)
         write_experiment_csv(r, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _within_ulps(got, want, ulps=4):
+    return np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+
+
+class TestQuantileArray:
+    # The scalar std_normal_quantile is the oracle of the numpy port.
+
+    def test_dense_grid_both_tails(self):
+        lower = np.logspace(-300, math.log10(0.5), 4000)
+        p = np.concatenate([lower, np.linspace(1e-4, 1 - 1e-4, 9999),
+                            1.0 - lower[lower > 1e-16]])
+        want = np.array([std_normal_quantile(float(x)) for x in p])
+        assert _within_ulps(std_normal_quantiles(p, 1.0 - p), want)
+
+    @pytest.mark.parametrize("edge", [0.075, 0.925, math.exp(-25.0)])
+    def test_branch_edges(self, edge):
+        p = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+        want = np.array([std_normal_quantile(float(x)) for x in p])
+        assert _within_ulps(std_normal_quantiles(p, 1.0 - p), want)
+
+    def test_upper_tail_read_from_upper(self):
+        # 1 - u rounds to 1.0 below u = 1e-16; the separate upper keeps
+        # the whole tail, which is the mirror of the lower one.
+        u = np.logspace(-300, -1, 600)
+        want = np.array([-std_normal_quantile(float(x)) for x in u])
+        assert _within_ulps(std_normal_quantiles(1.0 - u, u), want)
+
+    def test_center_and_shape(self):
+        p = np.array([[0.5, 0.25], [0.75, 0.975]])
+        got = std_normal_quantiles(p, 1.0 - p)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.0
+        assert got[1, 1] == std_normal_quantile(0.975)
