@@ -99,12 +99,12 @@ def _slug(label: str) -> str:
 
 
 def _dist_stem(dist) -> str:
-    """``family-p1-p2``, one per spec: each parameter's repr less ".0" and
-    an exponent's "+", with "m" for a leading "-" and "p" for ".", so
+    """``family-p1-p2``, one per spec: ``dist.param_text()`` less an
+    exponent's "+", with "m" for a leading "-" and "p" for ".", so
     normal(-1.5,2) gives normal-m1p5-2 and 1e300 is not 1e-300."""
-    return "-".join([dist.family, *(
-        re.sub(r"^-", "m", repr(float(p)).removesuffix(".0"))
-        .replace("e+", "e").replace(".", "p") for p in dist.params)])
+    text = re.sub(r"(^|,)-", r"\1m", dist.param_text())
+    return f"{dist.family}-" + text.replace("e+", "e").replace(
+        ".", "p").replace(",", "-")
 
 
 def _group_table(args, headers: Sequence[str], cells) -> int:

@@ -16,15 +16,19 @@ statistics are U_(k_i) = (G_1 + ... + G_i) / G with G the sum of all
 six, and 1 - U_(k_i) is the sum of the G_j after the i-th over G.  The
 family's quantile maps both to the sample scale, each tail from the one
 of the two that keeps its precision.  So a row costs six gammas at any
-n.  The families with a closed-form or Phi^-1-based quantile take this
-path: normal, lognormal, exponential, Weibull, chi-square(1) and
-beta(1, b), which covers ``POWER_ALTERNATIVES``.  Chi-square with other
-degrees of freedom and beta(a != 1, b) sort whole samples instead, and
-so does the demo, which needs every value.
+n.  A chunk draws them gap by gap, one row of a (6, rows) array per
+standard_gamma call, and forms the running sums G_1 + ... + G_i and
+G_{i+1} + ... + G_6 by adding whole rows in place.  The families with a
+closed-form or Phi^-1-based quantile take this path: normal, lognormal,
+exponential, Weibull, chi-square(1) and beta(1, b), which covers
+``POWER_ALTERNATIVES``.  Chi-square with other degrees of freedom and
+beta(a != 1, b) sort whole samples instead, and so does the demo, which
+needs every value.
 
 Their Phi^-1 is :func:`std_normal_quantiles`, the AS 241 algorithm of
 ``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
-operation order.  No other module imports numpy.
+operation order, taken one order statistic (row) at a time.  No other
+module imports numpy.
 """
 
 from __future__ import annotations
@@ -93,17 +97,65 @@ _FAR_TAIL = ((2.01033439929228813265e-7, 2.71155556874348757815e-5,
 
 def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     # In place, in the same operation order as the scalar code.
-    y = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
+    y = x * coeffs[0]
+    y += coeffs[1]
+    for c in coeffs[2:]:
         y *= x
         y += c
     return y
 
 
+def _central_quantiles(q: np.ndarray) -> np.ndarray:
+    # Phi^-1 from q = p - 0.5 with |q| <= 0.425.
+    r = 0.180625 - q * q
+    return q * _horner(_CENTRAL[0], r) / _horner(_CENTRAL[1], r)
+
+
+def _rational(coeffs, x: np.ndarray) -> np.ndarray:
+    return _horner(coeffs[0], x) / _horner(coeffs[1], x)
+
+
+def _tail_quantiles(s: np.ndarray) -> np.ndarray:
+    # |Phi^-1| from s = sqrt(-ln(min(p, 1 - p))) > 0.425's tail.
+    far = s > 5.0
+    if not far.any():
+        return _rational(_NEAR_TAIL, s - 1.6)
+    near = ~far
+    z = np.empty_like(s)
+    z[near] = _rational(_NEAR_TAIL, s[near] - 1.6)
+    z[far] = _rational(_FAR_TAIL, s[far] - 5.0)
+    return z
+
+
+def _quantile_row(p: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    q = p - 0.5
+    # initial=: an empty row counts as central.
+    lo, hi = q.min(initial=np.inf), q.max(initial=-np.inf)
+    if lo >= -0.425 and hi <= 0.425:  # all central
+        return _central_quantiles(q)
+    if hi < -0.425:  # all in the lower tail
+        return -_tail_quantiles(np.sqrt(-np.log(p)))
+    if lo > 0.425:  # all in the upper tail
+        return _tail_quantiles(np.sqrt(-np.log(upper)))
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    x[central] = _central_quantiles(q[central])
+    tail = ~central
+    lower = q[tail] < 0.0
+    z = _tail_quantiles(np.sqrt(-np.log(np.where(lower, p[tail],
+                                                 upper[tail]))))
+    x[tail] = np.where(lower, -z, z)
+    return x
+
+
 def std_normal_quantiles(p, upper) -> np.ndarray:
     """Phi^-1 of every element of ``p``, Wichura's AS 241 over arrays.
 
-    Each branch is evaluated only on the elements that take it.
+    Works one row (first-axis slice) at a time.  A row whose elements
+    all take one branch (central, lower tail or upper tail) is evaluated
+    whole; a mixed row evaluates each branch only on the elements that
+    take it.  Either way every element gets the operations of its own
+    branch, so the result does not depend on its neighbours.
 
     Parameters
     ----------
@@ -122,25 +174,12 @@ def std_normal_quantiles(p, upper) -> np.ndarray:
         Within a few ulp of ``normal.std_normal_quantile`` elementwise.
     """
     p = np.asarray(p, dtype=float)
-    q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    x[central] = qc * _horner(_CENTRAL[0], r) / _horner(_CENTRAL[1], r)
-    tail = ~central
-    lower = q[tail] < 0.0
-    s = np.sqrt(-np.log(np.where(lower, p[tail], np.asarray(upper)[tail])))
-    far = s > 5.0
-    near = ~far
-    z = np.empty_like(s)
-    z[near] = (_horner(_NEAR_TAIL[0], s[near] - 1.6)
-               / _horner(_NEAR_TAIL[1], s[near] - 1.6))
-    z[far] = (_horner(_FAR_TAIL[0], s[far] - 5.0)
-              / _horner(_FAR_TAIL[1], s[far] - 5.0))
-    x[tail] = np.where(lower, -z, z)
+    x = np.empty_like(p)
+    for p_row, upper_row, x_row in zip(
+            np.atleast_2d(p), np.atleast_2d(np.asarray(upper, dtype=float)),
+            np.atleast_2d(x)):
+        x_row[...] = _quantile_row(p_row, upper_row)
     return x
-
 
 
 def _log_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -213,19 +252,29 @@ class DistSpec:
             raise ValueError(f"non-numeric parameters in {text!r}") from None
         return DistSpec(family=family.strip().lower(), params=params)
 
+    def param_text(self) -> str:
+        """The parameters as ``p1,p2``, each its round-trip repr less a
+        trailing ".0", so the text parses back to the same spec."""
+        return ",".join(repr(float(p)).removesuffix(".0")
+                        for p in self.params)
+
     def label(self) -> str:
-        inner = ",".join(f"{p:g}" for p in self.params)
-        return f"{self.family}({inner})"
+        return f"{self.family}({self.param_text()})"
 
 
 def _draw(dist: DistSpec, rng: np.random.Generator, shape,
           gaps: np.ndarray | None = None) -> np.ndarray:
     """Every variate of this module: ``shape`` draws from ``dist``, or,
-    given the rank ``gaps`` of the spacings path, standard gammas of
-    those shapes broadcast to ``shape``."""
+    given the rank ``gaps`` of the spacings path, a ``shape`` array whose
+    i-th row holds standard gammas of shape ``gaps[i]``."""
     if gaps is None:
         return _FAMILIES[dist.family][2](rng, dist.params, shape)
-    return rng.standard_gamma(gaps, shape)
+    # Row by row in C order: the stream of one broadcast
+    # standard_gamma(gaps[:, None], shape) call, without its iterator.
+    g = np.empty(shape)
+    for k, row in zip(gaps, g):
+        rng.standard_gamma(k, out=row)
+    return g
 
 
 def _generator(seed: int, *stream: int) -> np.random.Generator:
@@ -272,10 +321,16 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int,
             blocks.append(x[:, columns])
             continue
         # One row per gap, so every sum runs along contiguous memory.
-        g = _draw(dist, rng, (len(gaps), rows), gaps[:, None])
+        # The running sums add whole rows in place: the additions of
+        # np.cumsum along axis 0, at a fraction of its cost there.
+        g = _draw(dist, rng, (len(gaps), rows), gaps)
         total = g.sum(axis=0)
-        below = np.cumsum(g[:-1], axis=0)
-        above = np.cumsum(g[:0:-1], axis=0)[::-1]
+        below = g[:-1].copy()
+        for i in range(1, len(below)):
+            below[i] += below[i - 1]
+        above = g[1:]
+        for i in range(len(above) - 2, -1, -1):
+            above[i] += above[i + 1]
         blocks.append(quantile(below / total, above / total).T)
     return np.concatenate(blocks)
 
@@ -446,7 +501,7 @@ def write_experiment_csv(result: ExperimentResult, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "rate", "se", "replicates", "scenario",
                          "family", "params", "seed"])
-        params = ",".join(f"{p:g}" for p in result.dist.params)
+        params = result.dist.param_text()
         for n, rate, se in zip(result.n_grid, result.rates, result.ses):
             writer.writerow([n, f"{rate:.6f}", f"{se:.6f}",
                              result.replicates, result.scenario.value,

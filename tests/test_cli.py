@@ -3,6 +3,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -298,7 +299,14 @@ _COLUMNS = ("mean", "sd", "min", "q1", "median", "q3", "max")
 _PATTERNS = (("mean", "sd"), ("min", "median", "max"),
              ("q1", "median", "q3"), ("min", "q1", "median", "q3", "max"),
              _COLUMNS)
-_NUMBERS = ["0", "1", "-1", "1e-9", "1e308", "-1e308"]
+# Finite decimals as text, sign x mantissa x exponent (+-d.ddd e x),
+# from the subnormal 1e-323 to 1e308: zero, the float edges and all
+# between, with an everyday exponent -2..2 about half the time.
+_NUMBERS = st.builds(lambda m, e: f"{m / 1000:.3f}e{e}",
+                     st.integers(-9999, 9999),
+                     st.sampled_from([*range(-2, 3)] * 126
+                                     + [*range(-320, 309)])).filter(
+    lambda text: math.isfinite(float(text)))
 _MESSY = ["", "NS", "nan", "x"]
 
 
@@ -309,7 +317,8 @@ def _meta_csv(draw) -> str:
     # estimators and the pooling more often, the more so when a row's
     # quantiles are drawn in order.  Two or four rows are one or two
     # case/control studies; a third row is a subgroup of study a.
-    cell = st.sampled_from(_NUMBERS + _MESSY * draw(st.booleans()))
+    cell = (st.one_of(_NUMBERS, st.sampled_from(_MESSY))
+            if draw(st.booleans()) else _NUMBERS)
     rows = draw(st.integers(2, 4))
     lines = [_HEADER]
     for i in range(rows):
@@ -322,7 +331,7 @@ def _meta_csv(draw) -> str:
         fields = draw(st.sampled_from(_PATTERNS))
         row = {c: draw(cell) if c in fields else "" for c in _COLUMNS}
         if draw(st.booleans()):
-            quantiles = [c for c in _COLUMNS[2:] if row[c] in _NUMBERS]
+            quantiles = [c for c in _COLUMNS[2:] if row[c] not in _MESSY]
             values = sorted((row[c] for c in quantiles), key=float)
             row.update(zip(quantiles, values))
         lines.append(",".join([study, "o", arm, f"g{i}", n,
@@ -456,6 +465,32 @@ class TestSimulateCommand:
     def test_distinct_specs_get_distinct_stems(self, specs):
         distinct = set(specs)
         assert len({_dist_stem(spec) for spec in distinct}) == len(distinct)
+
+    @settings(max_examples=25)
+    @given(st.lists(_NUMBERS, min_size=2, max_size=2))
+    def test_power_at_float_edge_parameters(self, params):
+        # Every family with the same parameters: exit 0 with rates in
+        # [0, 1], or exit 2 with one error line and no files.
+        for family, (arity, *_) in sorted(_FAMILIES.items()):
+            dist = f"{family}:{','.join(params[:arity])}"
+            with tempfile.TemporaryDirectory() as tmp:
+                out_dir = Path(tmp) / "sim"
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(["simulate", "--power", "--dist", dist,
+                                 "--scenario", "s3", "--grid", "4,10",
+                                 "--replicates", "50", "--seed", "1",
+                                 "--output-dir", str(out_dir)])
+                assert code in (0, 2), dist
+                if code == 2:
+                    (line,) = err.getvalue().splitlines()
+                    assert line.startswith("error: "), dist
+                    assert not any(out_dir.glob("*")), dist
+                else:
+                    rates = [float(r[1]) for r in _table_rows(out.getvalue())]
+                    assert len(rates) == 2
+                    assert all(0.0 <= r <= 1.0 for r in rates), dist
 
     def test_byte_deterministic_artifacts(self, capsys, tmp_path):
         dirs = (tmp_path / "a", tmp_path / "b")

@@ -35,6 +35,19 @@ class TestDistSpec:
         assert DistSpec("lognormal", (0.0, 1.0)).label() == "lognormal(0,1)"
         assert DistSpec("beta", (2.0, 5.5)).label() == "beta(2,5.5)"
 
+    def test_label_and_csv_params_round_trip(self, tmp_path):
+        dist = DistSpec("normal", (1.0000001, 1234567.0))
+        assert dist.label() == "normal(1.0000001,1234567)"
+        result = simulate.ExperimentResult(
+            scenario=Scenario.S1, dist=dist, n_grid=(10,), rates=(0.5,),
+            ses=(0.1,), replicates=50, alpha=0.05, seed=1)
+        out = tmp_path / "curve.csv"
+        write_experiment_csv(result, out)
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["params"] == "1.0000001,1234567"
+        assert DistSpec.parse(f"normal:{row['params']}") == dist
+
     def test_hashable(self):
         assert len({DistSpec("normal", (0.0, 1.0)),
                     DistSpec("normal", (0.0, 1.0))}) == 1
@@ -269,6 +282,109 @@ class TestSpacings:
             for i in range(4):
                 if columns[i] == columns[i + 1]:  # n = 4..7: min is q1
                     assert np.array_equal(x[:, i], x[:, i + 1])
+
+
+class TestFastPathsBitIdentical:
+    # Each fast path of the spacings sampler against the formulation it
+    # replaced, kept here as the oracle: the same bytes, not a tolerance.
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 10, 1000])
+    def test_gamma_rows_match_one_broadcast_call(self, n):
+        gaps = np.diff([0, *(k + 1 for k in _order_columns(n)), n + 1])
+        assert bool(np.any(gaps == 0)) == (n <= 7)  # tied ranks
+        shape = (len(gaps), 999)
+        rng, oracle_rng = _generator(5, n, 0), _generator(5, n, 0)
+        got = _draw(DistSpec("normal", (0.0, 1.0)), rng, shape, gaps)
+        want = oracle_rng.standard_gamma(gaps[:, None], shape)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[gaps == 0] == 0.0)
+        assert rng.random() == oracle_rng.random()  # same draws consumed
+
+    @staticmethod
+    def _masked_quantiles(p, upper):
+        # The whole-array evaluation: every branch on the elements that
+        # take it, Horner started from a filled array.
+        def horner(coeffs, x):
+            y = np.full_like(x, coeffs[0])
+            for c in coeffs[1:]:
+                y *= x
+                y += c
+            return y
+
+        central_c, near_c, far_c = (simulate._CENTRAL, simulate._NEAR_TAIL,
+                                    simulate._FAR_TAIL)
+        p = np.asarray(p, dtype=float)
+        q = p - 0.5
+        x = np.empty_like(q)
+        central = np.abs(q) <= 0.425
+        qc = q[central]
+        r = 0.180625 - qc * qc
+        x[central] = qc * horner(central_c[0], r) / horner(central_c[1], r)
+        tail = ~central
+        lower = q[tail] < 0.0
+        s = np.sqrt(-np.log(np.where(lower, p[tail],
+                                     np.asarray(upper)[tail])))
+        far = s > 5.0
+        near = ~far
+        z = np.empty_like(s)
+        z[near] = (horner(near_c[0], s[near] - 1.6)
+                   / horner(near_c[1], s[near] - 1.6))
+        z[far] = (horner(far_c[0], s[far] - 5.0)
+                  / horner(far_c[1], s[far] - 5.0))
+        x[tail] = np.where(lower, -z, z)
+        return x
+
+    @staticmethod
+    def _log_uniform(rng, lo, hi, size=1000):
+        return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+    def _assert_same_bytes(self, p, upper):
+        got = std_normal_quantiles(p, upper)
+        want = self._masked_quantiles(p, upper)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_branch_rows(self):
+        # All central, all lower tail, all upper tail, and both tails
+        # wholly beyond s = 5 (p < e^-25).
+        rng = np.random.default_rng(0)
+        far = math.exp(-25.0)
+        u = np.stack([rng.uniform(0.0751, 0.5, 1000),
+                      self._log_uniform(rng, far, 0.0749),
+                      self._log_uniform(rng, far, 0.0749),
+                      self._log_uniform(rng, 1e-300, far),
+                      self._log_uniform(rng, 1e-300, far)])
+        p, upper = u.copy(), 1.0 - u
+        for row in (0, 2, 4):  # the mirror images, read from upper
+            p[row], upper[row] = 1.0 - u[row], u[row]
+        self._assert_same_bytes(p, upper)
+
+    def test_mixed_rows(self):
+        # Rows straddling 0.075, 0.925 and s = 5 (in both tails), and a
+        # row over the whole of (0, 1).
+        rng = np.random.default_rng(1)
+        far = math.exp(-25.0)
+
+        def around(edge):
+            ulps = np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)
+            return np.concatenate([ulps, edge * rng.uniform(0.5, 1.5, 997)])
+
+        u = np.stack([around(0.075), around(0.075), around(far),
+                      around(far), self._log_uniform(rng, 1e-300, 0.5)])
+        p, upper = u.copy(), 1.0 - u
+        for row in (1, 3):
+            p[row], upper[row] = 1.0 - u[row], u[row]
+        p[4, ::2], upper[4, ::2] = upper[4, ::2], p[4, ::2]
+        p[0, :3] = np.nextafter(0.925, 0.0), 0.925, np.nextafter(0.925, 1.0)
+        upper[0, :3] = 1.0 - p[0, :3]
+        self._assert_same_bytes(p, upper)
+
+    @pytest.mark.parametrize("p", [
+        np.array([1e-300, 0.01, 0.075, 0.3, 0.5, 0.8, 0.925, 0.99]),
+        np.array([[0.5, 0.25], [0.75, 0.975]]),
+        np.array([[1e-20, 1e-3], [0.1, 0.9]])])
+    def test_other_shapes(self, p):
+        self._assert_same_bytes(p, 1.0 - p)
 
 
 class TestSkewDistortionDemo:
