@@ -36,8 +36,10 @@ DEFAULT_N_GRID = (10, 25, 50, 100, 200, 300, 400, 500, 750, 1000)
 DEFAULT_TYPE1_REPLICATES = 100_000
 DEFAULT_POWER_REPLICATES = 10_000
 
-# Advisory band echoed next to large-n type I error rates.
-_TYPE1_BAND = (0.03, 0.07)
+# Advisory band alpha +- 40% echoed next to large-n type I error rates;
+# alpha - 0.4 * alpha and alpha + 0.4 * alpha are 0.03 and 0.07 exactly
+# at alpha = 0.05, where 1.4 * alpha is one ulp below 0.07.
+_TYPE1_BAND_HALF_WIDTH = 0.4
 _TYPE1_BAND_MIN_N = 200
 
 
@@ -60,7 +62,8 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 # setting -> (env var, default, type, label, check, rule the check states)
 _SETTINGS = {
     "alpha": (_ENV_ALPHA, 0.05, float, "alpha",
-              lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+              lambda v: v / 2.0 > 0.0 and v < 1.0,
+              "lie in (0, 1) with alpha/2 > 0"),
     "kappa_c": (_ENV_KAPPA, DEFAULT_KAPPA_C, float, "kappa constant",
                 lambda v: v in KAPPA_C_CHOICES,
                 f"be one of {KAPPA_C_CHOICES}"),
@@ -225,31 +228,25 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    if args.power and args.dist is None:
+        raise _ConfigError("--power needs --dist family:p1[,p2]")
+    replicates = args.replicates or (DEFAULT_POWER_REPLICATES if args.power
+                                     else DEFAULT_TYPE1_REPLICATES)
+    try:
+        dist = (sim.DistSpec.parse(args.dist) if args.power
+                else sim.DistSpec("normal", (0.0, 1.0)))
+        result = sim.power_curve(scenario, dist, grid, replicates, alpha,
+                                 seed, kappa_c)
+    except ValueError as exc:  # a bad --dist, or non-finite statistics
+        raise _ConfigError(str(exc)) from None
     if args.power:
-        if args.dist is None:
-            raise _ConfigError("--power needs --dist family:p1[,p2]")
-        try:
-            dist = sim.DistSpec.parse(args.dist)
-        except ValueError as exc:
-            raise _ConfigError(str(exc)) from None
-        replicates = args.replicates or DEFAULT_POWER_REPLICATES
-        try:
-            result = sim.power_curve(scenario, dist, grid, replicates, alpha,
-                                     seed, kappa_c)
-        except ValueError as exc:  # non-finite statistics
-            raise _ConfigError(str(exc)) from None
         stem = f"power_{scenario.value.lower()}_{_dist_stem(dist)}"
-        title = (f"power, {scenario.value}, {dist.label()}, "
-                 f"R={replicates}, seed={seed}")
-        reference = None
+        curve, reference = "power", None
     else:
-        replicates = args.replicates or DEFAULT_TYPE1_REPLICATES
-        result = sim.type1_curve(scenario, grid, replicates, alpha, seed,
-                                 kappa_c)
         stem = f"type1_{scenario.value.lower()}"
-        title = (f"type I error, {scenario.value}, normal(0,1), "
-                 f"R={replicates}, seed={seed}")
-        reference = alpha
+        curve, reference = "type I error", alpha
+    title = (f"{curve}, {scenario.value}, {dist.label()}, "
+             f"R={replicates}, seed={seed}")
 
     csv_path = out_dir / f"{stem}.csv"
     svg_path = out_dir / f"{stem}.svg"
@@ -257,15 +254,14 @@ def cmd_simulate(args) -> int:
     svg_path.write_text(curve_svg(result.n_grid, result.rates, title,
                                   reference=reference), encoding="utf-8")
 
+    lo = alpha - _TYPE1_BAND_HALF_WIDTH * alpha
+    hi = alpha + _TYPE1_BAND_HALF_WIDTH * alpha
     rows = []
     for n, rate, se in zip(result.n_grid, result.rates, result.ses):
-        if args.power:
-            verdict = "-"
-        elif n >= _TYPE1_BAND_MIN_N:
-            lo, hi = _TYPE1_BAND
-            verdict = "ok" if lo <= rate <= hi else f"outside [{lo}, {hi}]"
-        else:
-            verdict = "-"
+        verdict = "-"
+        if not args.power and n >= _TYPE1_BAND_MIN_N:
+            verdict = ("ok" if lo <= rate <= hi
+                       else f"outside [{lo:g}, {hi:g}]")
         rows.append([str(n), f"{rate:.4f}", f"{se:.4f}", verdict])
     print(_render_table(["n", "rate", "se", "verdict"], rows))
     if args.power:

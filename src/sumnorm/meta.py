@@ -2,10 +2,10 @@
 
 The pipeline mirrors the recommended workflow for quantile-summarized
 studies: symmetry-test every group that reports quantiles, exclude a
-study from an outcome when any of its groups rejects, estimate moments
-for the survivors, combine multi-arm subgroups, compute standardized
-mean differences, and pool them (fixed-effect or DerSimonian-Laird
-random-effects).
+study from an outcome when any of its groups rejects or cannot be
+tested (with the reason in words), estimate moments for the survivors,
+combine multi-arm subgroups, compute standardized mean differences, and
+pool them (fixed-effect or DerSimonian-Laird random-effects).
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ import numbers
 from dataclasses import dataclass
 
 from .estimators import EstimatedMoments, estimate_moments
-from .model import (GroupRecord, Study, UnsupportedSummaryError,
-                    pooled_moments)
+from .model import GroupRecord, Study, pooled_moments
 from .normal import critical_value
-from .symmetry import (DEFAULT_KAPPA_C, DegenerateSummaryError, TestResult,
-                       run_test)
+from .symmetry import DEFAULT_KAPPA_C, TestResult, run_test
 
 __all__ = [
     "EffectSize",
@@ -243,11 +241,12 @@ def _screen_study(study: Study, alpha: float, kappa_c: float) -> tuple[tuple[Gro
     tests = []
     reasons = []
     for group in study.groups:
-        # A group that breaks an invariant, or one no test fits, is
-        # excluded with the reason in words instead of being tested.
+        # A group that breaks an invariant, that no test fits or whose
+        # test is undefined is excluded with the reason in words, as
+        # ``sumnorm test`` prints it.
         try:
             result = run_test(group, alpha=alpha, kappa_c=kappa_c)
-        except (DegenerateSummaryError, UnsupportedSummaryError) as exc:
+        except ValueError as exc:
             tests.append(GroupTest(group_label=group.group_label,
                                    arm=group.arm, n=group.n,
                                    result=None, error=str(exc)))
@@ -276,7 +275,13 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
     Returns one report per distinct outcome, in order of first
     appearance.  An outcome whose studies are all excluded yields a
     report with ``pooled`` set to None and a reason, not an error.
+
+    Raises
+    ------
+    ValueError
+        On an ``alpha`` that :func:`normal.critical_value` refuses.
     """
+    critical_value(alpha)  # a group's ValueError only excludes its study
     outcomes: dict[str, list[Study]] = {}
     for study in studies:
         outcomes.setdefault(study.outcome_label, []).append(study)

@@ -255,7 +255,7 @@ def _record_from_row(row: dict, where: str) -> tuple[str, GroupRecord]:
 
 
 def _rows_from_csv(path: Path) -> Iterable[tuple[dict, str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SummaryDataError(f"{path}: empty file")
@@ -272,7 +272,7 @@ def _rows_from_csv(path: Path) -> Iterable[tuple[dict, str]]:
 
 
 def _rows_from_json(path: Path) -> Iterable[tuple[dict, str]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -289,6 +289,16 @@ def _rows_from_json(path: Path) -> Iterable[tuple[dict, str]]:
         yield row, f"{path}:row {i}"
 
 
+def _decoded_rows(path: Path, read_rows) -> Iterable[tuple[dict, str]]:
+    # The readers open with utf-8-sig, which also drops the byte order
+    # mark that spreadsheets write.
+    try:
+        yield from read_rows(path)
+    except UnicodeDecodeError as exc:
+        raise SummaryDataError(
+            f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_studies(path: str | Path, format: str | None = None) -> list[Study]:
     """Read a CSV or JSON dataset into a list of studies.
 
@@ -299,23 +309,24 @@ def parse_studies(path: str | Path, format: str | None = None) -> list[Study]:
     Parameters
     ----------
     path : str or Path
-        Input file.
+        Input file, UTF-8 text with or without a byte order mark.
     format : {"csv", "json"}, optional
         Defaults to the file extension.
 
     Raises
     ------
     SummaryDataError
-        On malformed files (with the offending line), duplicate
-        (study, group, outcome) keys, or studies missing an arm.
+        On files that are not UTF-8 text, malformed files (with the
+        offending line), duplicate (study, group, outcome) keys, or
+        studies missing an arm.
     """
     path = Path(path)
     if format is None:
         format = path.suffix.lstrip(".").lower() or "csv"
     if format == "csv":
-        rows = _rows_from_csv(path)
+        rows = _decoded_rows(path, _rows_from_csv)
     elif format == "json":
-        rows = _rows_from_json(path)
+        rows = _decoded_rows(path, _rows_from_json)
     else:
         raise SummaryDataError(f"unsupported format {format!r}; use csv or json")
 

@@ -62,14 +62,18 @@ def critical_value(alpha: float) -> float:
 
     At the conventional alpha = 0.05 the literal 1.96 is returned, the
     threshold quoted by the screening procedure; other levels use the
-    exact quantile.  alpha = 1 is allowed as a degenerate limit (the
-    threshold collapses to 0, so any nonzero statistic rejects).
+    exact quantile -Phi^-1(alpha/2), which keeps its precision where
+    1 - alpha/2 would round to 1 (alpha below about 2.2e-16).  alpha = 1
+    is allowed as a degenerate limit (the threshold collapses to 0, so
+    any nonzero statistic rejects); an alpha whose half underflows to 0
+    is not.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got alpha={alpha!r}")
+    if not (alpha / 2.0 > 0.0 and alpha <= 1.0):
+        raise ValueError(
+            f"alpha must lie in (0, 1] with alpha/2 > 0, got alpha={alpha!r}")
     if alpha == 0.05:
         return 1.96
-    return std_normal_quantile(1.0 - alpha / 2.0)
+    return -std_normal_quantile(alpha / 2.0)
 
 
 def extreme_width(n: int) -> float:
@@ -77,8 +81,18 @@ def extreme_width(n: int) -> float:
 
     2 * Phi^-1((n - 0.375)/(n + 0.25)), with (n - 0.375)/(n + 0.25)
     the expected CDF position of the sample maximum.
+
+    Raises
+    ------
+    ValueError
+        If that position rounds to 1, first at n = 2**52 + 1.
     """
-    return 2.0 * std_normal_quantile((n - 0.375) / (n + 0.25))
+    p = (n - 0.375) / (n + 0.25)
+    if p == 1.0:
+        raise ValueError(
+            f"n={n} is too large for the expected normal range: "
+            f"(n - 0.375)/(n + 0.25) rounds to 1 above n = 2**52")
+    return 2.0 * std_normal_quantile(p)
 
 
 def quartile_width(n: int) -> float:

@@ -1,4 +1,8 @@
-"""Monte-Carlo harness: type I error, power, and the skew demo.
+"""Monte-Carlo harness: rejection-rate curves and the skew demo.
+
+:func:`power_curve` gives the rejection rate of a scenario's test under
+any distribution; under the standard normal, the null, that rate is the
+type I error.
 
 Replicates are drawn in fixed-size chunks, each chunk from its own
 generator seeded by (seed, n, chunk index).  Results are therefore
@@ -54,7 +58,6 @@ __all__ = [
     "POWER_ALTERNATIVES",
     "DEMO_PAIRS",
     "summarize",
-    "type1_curve",
     "power_curve",
     "skew_distortion_demo",
     "isotonic_fit_r2",
@@ -388,18 +391,13 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
                             kappa_c=kappa_c)
 
 
-def type1_curve(scenario: Scenario, n_grid: Sequence[int], replicates: int,
-                alpha: float = 0.05, seed: int = 0,
-                kappa_c: float = DEFAULT_KAPPA_C) -> ExperimentResult:
-    """Rejection rate under the standard-normal null, per grid point."""
-    return _rejection_curve(scenario, DistSpec("normal", (0.0, 1.0)),
-                            n_grid, replicates, alpha, seed, kappa_c)
-
-
 def power_curve(scenario: Scenario, dist: DistSpec, n_grid: Sequence[int],
                 replicates: int, alpha: float = 0.05, seed: int = 0,
                 kappa_c: float = DEFAULT_KAPPA_C) -> ExperimentResult:
-    """Rejection rate under a (typically skewed) alternative."""
+    """Rejection rate under ``dist``, per grid point: the type I error
+    under ``DistSpec("normal", (0.0, 1.0))``, the power under a skewed
+    alternative.  Raises ValueError on a bad argument or on a grid cell
+    whose statistics are not all finite."""
     return _rejection_curve(scenario, dist, n_grid, replicates, alpha,
                             seed, kappa_c)
 

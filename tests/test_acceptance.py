@@ -45,7 +45,6 @@ from sumnorm.simulate import (
     _summary_matrix,
     isotonic_fit_r2,
     power_curve,
-    type1_curve,
 )
 from sumnorm.symmetry import (DEFAULT_KAPPA_C, _null_variance, critical_value,
                               run_test, statistic)
@@ -340,7 +339,7 @@ def test_criterion_4_type1_error_bands(capsys):
     t0 = time.monotonic()
     # The shared-matrix shortcut below must agree with the public curve
     # API exactly; prove it once at a cheap size.
-    probe = type1_curve(Scenario.S2, (50,), replicates=2000, seed=0)
+    probe = power_curve(Scenario.S2, _NORMAL, (50,), replicates=2000, seed=0)
     matrix = _summary_matrix(_NORMAL, 50, 2000, 0)
     stats = _statistics(Scenario.S2, matrix, 50, DEFAULT_KAPPA_C)
     manual = float(np.mean(np.abs(stats) > critical_value(0.05)))

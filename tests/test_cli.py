@@ -3,7 +3,6 @@ import csv
 import importlib
 import io
 import json
-import math
 import re
 import shutil
 import subprocess
@@ -19,6 +18,8 @@ from hypothesis import strategies as st
 import sumnorm
 from sumnorm.cli import _dist_stem, main
 from sumnorm.simulate import _FAMILIES, DistSpec
+
+from strategies import NUMBERS, SIZES
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -104,6 +105,14 @@ class TestTestCommand:
         from_csv = capsys.readouterr().out
         assert from_json == from_csv
 
+    def test_byte_order_mark_input(self, capsys, tmp_path, leptin_csv):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(leptin_csv).read_bytes())
+        assert main(["test", str(marked)]) == 0
+        from_marked = capsys.readouterr().out
+        main(["test", leptin_csv])
+        assert from_marked == capsys.readouterr().out
+
     def test_violation_row_reported_not_fatal(self, capsys, tmp_path):
         header = ("study_id,outcome,arm,group_label,n,mean,sd,"
                   "min,q1,median,q3,max\n")
@@ -173,7 +182,50 @@ class TestEstimateCommand:
         assert capsys.readouterr().out == first
 
 
+_HUGE_N = 10**17
+
+
+def _huge_n_csv(tmp_path) -> Path:
+    # Study "big" has an S1 group past n = 2**52; study "ok" is direct.
+    p = tmp_path / "huge_n.csv"
+    p.write_text("study_id,outcome,arm,group_label,n,mean,sd,"
+                 "min,q1,median,q3,max\n"
+                 f"big,o,case,case,{_HUGE_N},,,1,,2,,4\n"
+                 "big,o,control,control,20,1,1,,,,,\n"
+                 "ok,o,case,case,20,2,1,,,,,\n"
+                 "ok,o,control,control,20,1,1,,,,,\n")
+    return p
+
+
+_HUGE_N_WORDS = (f"n={_HUGE_N} is too large for the expected normal range: "
+                 "(n - 0.375)/(n + 0.25) rounds to 1 above n = 2**52")
+
+
 class TestMetaCommand:
+    def test_unrepresentable_n_excluded_in_words(self, capsys, tmp_path):
+        # meta used to die in normal.extreme_width; it now excludes the
+        # study with the words that test and estimate print.
+        p = _huge_n_csv(tmp_path)
+        out_dir = tmp_path / "meta"
+        assert main(["meta", str(p), "--output-dir", str(out_dir)]) == 0
+        assert "excluded: big" in capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())
+        (big,) = [s for s in report["outcomes"][0]["studies"]
+                  if s["study_id"] == "big"]
+        assert big["included"] is False
+        assert big["exclusion_reasons"] == [f"group case: {_HUGE_N_WORDS}"]
+        for command in ("test", "estimate"):
+            assert main([command, str(p)]) == 0
+            (case_row,) = [r for r in _table_rows(capsys.readouterr().out)
+                           if r[0] == "big" and r[1] == "case"]
+            assert case_row[-1] == f"error: {_HUGE_N_WORDS}"
+
+    def test_alpha_below_double_epsilon(self, capsys, tmp_path, data_dir):
+        assert main(["meta", str(data_dir / "zhang2017.csv"),
+                     "--alpha", "1e-17",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert "error" not in capsys.readouterr().out
+
     def test_two_outcome_run(self, capsys, tmp_path, data_dir):
         out_dir = tmp_path / "meta"
         code = main(["meta", str(data_dir / "zhang2017.csv"),
@@ -299,14 +351,6 @@ _COLUMNS = ("mean", "sd", "min", "q1", "median", "q3", "max")
 _PATTERNS = (("mean", "sd"), ("min", "median", "max"),
              ("q1", "median", "q3"), ("min", "q1", "median", "q3", "max"),
              _COLUMNS)
-# Finite decimals as text, sign x mantissa x exponent (+-d.ddd e x),
-# from the subnormal 1e-323 to 1e308: zero, the float edges and all
-# between, with an everyday exponent -2..2 about half the time.
-_NUMBERS = st.builds(lambda m, e: f"{m / 1000:.3f}e{e}",
-                     st.integers(-9999, 9999),
-                     st.sampled_from([*range(-2, 3)] * 126
-                                     + [*range(-320, 309)])).filter(
-    lambda text: math.isfinite(float(text)))
 _MESSY = ["", "NS", "nan", "x"]
 
 
@@ -317,8 +361,8 @@ def _meta_csv(draw) -> str:
     # estimators and the pooling more often, the more so when a row's
     # quantiles are drawn in order.  Two or four rows are one or two
     # case/control studies; a third row is a subgroup of study a.
-    cell = (st.one_of(_NUMBERS, st.sampled_from(_MESSY))
-            if draw(st.booleans()) else _NUMBERS)
+    cell = (st.one_of(NUMBERS, st.sampled_from(_MESSY))
+            if draw(st.booleans()) else NUMBERS)
     rows = draw(st.integers(2, 4))
     lines = [_HEADER]
     for i in range(rows):
@@ -327,7 +371,7 @@ def _meta_csv(draw) -> str:
             arm = draw(st.sampled_from(["case", "control"]))
         else:
             arm = ("case", "control")[i % 2]
-        n = str(draw(st.integers(1, 6)))
+        n = str(draw(SIZES))
         fields = draw(st.sampled_from(_PATTERNS))
         row = {c: draw(cell) if c in fields else "" for c in _COLUMNS}
         if draw(st.booleans()):
@@ -359,6 +403,32 @@ def test_meta_never_crashes_on_generated_rows(text):
         report = out_dir / "report.json"
         if report.exists():
             json.loads(report.read_text(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=50)
+@given(NUMBERS)
+def test_any_alpha_text_exits_zero_or_two(data_dir, alpha):
+    # Every command that takes --alpha runs at any level whose half is a
+    # positive float below 1/2, and refuses any other in one line.  The
+    # leptin file has no group that a usable level could turn into an
+    # error row.
+    usable = 0.0 < float(alpha) / 2.0 and float(alpha) < 1.0
+    leptin = str(data_dir / "zhang2017_leptin.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["test", leptin], ["meta", leptin, "--output-dir", tmp],
+                     ["simulate", "--type1", "--scenario", "s3",
+                      "--grid", "4,10", "--replicates", "50", "--seed", "1",
+                      "--output-dir", tmp]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([*argv, f"--alpha={alpha}"])
+            assert code == (0 if usable else 2), argv
+            if code == 2:
+                (line,) = err.getvalue().splitlines()
+                assert line.startswith("error: alpha must "), argv
+            else:
+                assert "error:" not in out.getvalue(), argv
 
 
 # Parameters that differ only in sign, decimal point, exponent sign or
@@ -395,6 +465,44 @@ class TestSimulateCommand:
         assert (out_dir / "type1_s1.csv").is_file()
         assert (out_dir / "type1_s1.svg").is_file()
         assert f"csv: {out_dir / 'type1_s1.csv'}" in out
+
+    def test_type1_band_scales_with_alpha(self, capsys, tmp_path):
+        # The band is alpha +- 40%; at alpha = 0.01 these rates used to
+        # be flagged against the fixed [0.03, 0.07].
+        assert main(["simulate", "--type1", "--scenario", "s2",
+                     "--grid", "200,1000", "--replicates", "20000",
+                     "--seed", "1", "--alpha", "0.01",
+                     "--output-dir", str(tmp_path)]) == 0
+        rows = _table_rows(capsys.readouterr().out)
+        assert [r[3] for r in rows] == ["ok", "ok"]
+
+    def test_type1_band_edges_at_default_alpha(self, capsys, tmp_path,
+                                               monkeypatch):
+        # Rates of exactly 0.03 and 0.07 are inside; 1.4 * 0.05 is one
+        # ulp below 0.07, so the band must not be computed that way.
+        from sumnorm import simulate
+
+        def curve(scenario, dist, n_grid, replicates, alpha, seed, kappa_c):
+            return simulate.ExperimentResult(
+                scenario=scenario, dist=dist, n_grid=(100, 200, 300, 400, 500),
+                rates=(0.5, 0.03, 0.07, 0.0299, 0.0701), ses=(0.0,) * 5,
+                replicates=replicates, alpha=alpha, seed=seed,
+                kappa_c=kappa_c)
+
+        monkeypatch.setattr(simulate, "power_curve", curve)
+        assert main(["simulate", "--type1", "--scenario", "s1",
+                     "--seed", "1", "--output-dir", str(tmp_path)]) == 0
+        rows = _table_rows(capsys.readouterr().out)
+        assert [r[3] for r in rows] == [
+            "-", "ok", "ok", "outside [0.03, 0.07]", "outside [0.03, 0.07]"]
+
+    def test_alpha_below_double_epsilon(self, capsys, tmp_path):
+        # 1 - alpha/2 rounds to 1 here; the threshold is still finite.
+        assert main(["simulate", "--type1", "--scenario", "s1",
+                     "--grid", "10", "--replicates", "10", "--seed", "1",
+                     "--alpha", "1e-17", "--output-dir", str(tmp_path)]) == 0
+        rows = _table_rows(capsys.readouterr().out)
+        assert [r[1] for r in rows] == ["0.0000"]
 
     def test_power_run(self, capsys, tmp_path):
         out_dir = tmp_path / "sim"
@@ -467,7 +575,7 @@ class TestSimulateCommand:
         assert len({_dist_stem(spec) for spec in distinct}) == len(distinct)
 
     @settings(max_examples=25)
-    @given(st.lists(_NUMBERS, min_size=2, max_size=2))
+    @given(st.lists(NUMBERS, min_size=2, max_size=2))
     def test_power_at_float_edge_parameters(self, params):
         # Every family with the same parameters: exit 0 with rates in
         # [0, 1], or exit 2 with one error line and no files.
@@ -628,10 +736,22 @@ class TestErrorPaths:
         self._expect_config_error(capsys, ["demo", "--seed", seed], fragment)
 
     @pytest.mark.parametrize("alpha,fragment", [
-        ("1.5", "(0, 1)"), ("0", "(0, 1)"), ("abc", "number")])
+        ("1.5", "(0, 1)"), ("0", "(0, 1)"), ("abc", "number"),
+        ("5e-324", "alpha/2 > 0")])
     def test_bad_alpha_flag(self, capsys, leptin_csv, alpha, fragment):
         self._expect_config_error(
             capsys, ["test", leptin_csv, "--alpha", alpha], fragment)
+
+    @pytest.mark.parametrize("command", ["test", "estimate", "meta"])
+    def test_not_utf8_input(self, capsys, tmp_path, command):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("study_id,outcome,arm,group_label,n,mean,sd,"
+                      "min,q1,median,q3,max\n"
+                      "caf\xe9,o,case,case,12,1,1,,,,,\n".encode("latin-1"))
+        argv = [command, str(p)]
+        if command == "meta":
+            argv += ["--output-dir", str(tmp_path / "meta")]
+        self._expect_config_error(capsys, argv, f"{p}: not UTF-8 text")
 
     def test_bad_alpha_env(self, capsys, monkeypatch, leptin_csv):
         monkeypatch.setenv("SUMNORM_ALPHA", "nope")

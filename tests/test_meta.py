@@ -17,6 +17,8 @@ from sumnorm.model import (GroupRecord, QuantileSummary, Scenario, Study,
 from sumnorm.plots import curve_svg, forest_svg
 from sumnorm.symmetry import run_test, statistic
 
+from strategies import NUMBERS, SIZES
+
 
 class TestChiSquareSf:
     @pytest.mark.parametrize("df", [*range(1, 31), 45, 120, 500])
@@ -406,6 +408,19 @@ class TestRunPipeline:
         assert at_05.excluded_ids == ("skew",)
         assert at_1e5.included_ids == ("skew",)
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, 5e-324])
+    def test_bad_alpha_raises(self, alpha):
+        # A group's ValueError excludes its study; a bad alpha is no
+        # group's fault, so it is refused before any group is screened.
+        studies = [_summary_study("skew", "o", _SKEWED, _SYMMETRIC)]
+        with pytest.raises(ValueError, match="alpha"):
+            run_pipeline(studies, alpha=alpha)
+
+    def test_tiny_alpha_screens(self):
+        studies = [_summary_study("skew", "o", _SKEWED, _SYMMETRIC)]
+        (report,) = run_pipeline(studies, alpha=1e-17)
+        assert report.included_ids == ("skew",)
+
     def test_hedges_passthrough(self):
         studies = [_direct_study("a", "o", 10, 2.0, 1.0, 10, 0.0, 1.0)]
         (plain,) = run_pipeline(studies)
@@ -443,6 +458,18 @@ class TestHandBuiltRecords:
         assert self._excluded_reason(case) == (
             "group case: n >= 4 required with quartiles, got n=2")
 
+    def test_unrepresentable_n_excluded(self):
+        # Above n = 2**52 the expected normal range rounds away, so T1
+        # is undefined; the study is excluded in the words the test
+        # command prints, not with a traceback.
+        n = 10**17
+        case = GroupRecord(study_id="hand", group_label="case", arm="case",
+                           n=n, summary=QuantileSummary(min=1.0, median=2.0,
+                                                        max=4.0))
+        assert self._excluded_reason(case) == (
+            f"group case: n={n} is too large for the expected normal "
+            f"range: (n - 0.375)/(n + 0.25) rounds to 1 above n = 2**52")
+
     def test_group_n_is_the_only_n(self):
         # The test, the estimate and the pooled arm size all use group.n.
         _, summary = _SKEWED
@@ -464,24 +491,30 @@ class TestHandBuiltRecords:
 
 
 _FIELDS = ("min", "q1", "median", "q3", "max")
+# The S1, S2 and S3 reporting patterns.
+_PATTERNS = (("min", "median", "max"), ("q1", "median", "q3"), _FIELDS)
 
 
 @st.composite
 def _hand_built_group(draw, study_id, label, arm):
-    # Moments, a summary, both, or neither; summary fields unset or set,
-    # and the set ones ordered, in any order, or tied.
+    # Moments, a summary, both, or neither; summary fields those of a
+    # reporting pattern or any set of them, and the set ones ordered,
+    # in any order, or tied.
     form = draw(st.sampled_from(["moments", "summary", "both", "neither"]))
     mean = sd = summary = None
     if form in ("moments", "both"):
         mean = draw(st.sampled_from([0.0, 1.0, 5.0]))
         sd = draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
     if form in ("summary", "both"):
-        present = [f for f in _FIELDS if draw(st.booleans())]
+        if draw(st.booleans()):
+            present = list(draw(st.sampled_from(_PATTERNS)))
+        else:
+            present = [f for f in _FIELDS if draw(st.booleans())]
         layout = draw(st.sampled_from(["ordered", "any", "tied"]))
         if layout == "tied":
             values = [1.0] * len(present)
         else:
-            values = draw(st.lists(st.integers(-3, 3).map(float),
+            values = draw(st.lists(NUMBERS.map(float),
                                    min_size=len(present),
                                    max_size=len(present)))
             if layout == "ordered":
@@ -489,7 +522,7 @@ def _hand_built_group(draw, study_id, label, arm):
         summary = QuantileSummary(**{"median": None,
                                      **dict(zip(present, values))})
     return GroupRecord(study_id=study_id, group_label=label, arm=arm,
-                       n=draw(st.integers(1, 6)), reported_mean=mean,
+                       n=draw(SIZES), reported_mean=mean,
                        reported_sd=sd, summary=summary)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,19 @@ class TestRoundTrip:
                        encoding="utf-8")
         assert parse_studies(out) == parse_studies(src)
 
+    @pytest.mark.parametrize("name", ["zhang2017.csv", "zhang2017.json"])
+    def test_byte_order_mark_ignored(self, data_dir, tmp_path, name):
+        # Spreadsheets save "UTF-8" CSV with a leading BOM.
+        src = data_dir / "zhang2017.csv"
+        plain = tmp_path / name
+        if name.endswith(".json"):
+            _csv_as_json(src, plain)
+        else:
+            plain.write_bytes(src.read_bytes())
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_studies(marked) == parse_studies(src)
+
 
 def _write(tmp_path, text, name="in.csv"):
     p = tmp_path / name
@@ -311,6 +325,16 @@ class TestParseErrors:
         p = _write(tmp_path, _HEADER)
         with pytest.raises(SummaryDataError, match="unsupported format"):
             parse_studies(p, format="xml")
+
+    @pytest.mark.parametrize("name", ["in.csv", "in.json"])
+    def test_not_utf8(self, tmp_path, name):
+        # A Latin-1 file: "é" is the lone byte 0xe9.
+        p = tmp_path / name
+        p.write_bytes((_HEADER + "caf\xe9,o,case,case,12,1,1,,,,,\n")
+                      .encode("latin-1"))
+        with pytest.raises(SummaryDataError,
+                           match=re.escape(f"{p}: not UTF-8 text")):
+            parse_studies(p)
 
     def test_invalid_json(self, tmp_path):
         p = _write(tmp_path, "{not json", name="in.json")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
 from sumnorm.normal import (critical_value, extreme_width, quartile_width,
                             std_normal_quantile, two_sided_p)
@@ -102,7 +103,8 @@ class TestCriticalValue:
     def test_degenerate_limit(self):
         assert critical_value(1.0) == 0.0
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.01, 1.01])
+    @pytest.mark.parametrize("alpha", [0.0, -0.01, 1.01, 5e-324,
+                                       float("nan")])
     def test_domain_errors(self, alpha):
         with pytest.raises(ValueError):
             critical_value(alpha)
@@ -125,10 +127,19 @@ class TestOrderStatisticWidths:
             want = ndtri(p)
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
-    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 0.2])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-100, 1e-17, 3e-16, 1e-9,
+                                       0.001, 0.01, 0.1, 0.2, 0.5, 0.999])
     def test_critical_value_to_full_precision(self, alpha):
+        # 1 - alpha/2 rounds to 1 below alpha ~ 2.2e-16; alpha/2 does not.
         assert critical_value(alpha) == pytest.approx(
-            float(ndtri(1.0 - alpha / 2.0)), rel=1e-14, abs=0)
+            float(norm.isf(alpha / 2.0)), rel=1e-14, abs=0)
+
+    def test_extreme_width_refuses_unrepresentable_n(self):
+        # (n - 0.375)/(n + 0.25) first rounds to 1 at n = 2**52 + 1.
+        assert math.isfinite(extreme_width(2**52))
+        for n in (2**52 + 1, 10**17):
+            with pytest.raises(ValueError, match=f"n={n} is too large"):
+                extreme_width(n)
 
     def test_large_n_limits(self):
         # The quartile width tends to the population IQR 2 * Phi^-1(0.75);

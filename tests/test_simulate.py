@@ -15,8 +15,10 @@ from sumnorm.simulate import (DEMO_PAIRS, POWER_ALTERNATIVES, DistSpec, _draw,
                               _generator, _order_columns, _statistics,
                               _summary_matrix, isotonic_fit_r2, power_curve,
                               skew_distortion_demo, std_normal_quantiles,
-                              summarize, type1_curve, write_experiment_csv)
+                              summarize, write_experiment_csv)
 from sumnorm.symmetry import DEFAULT_KAPPA_C
+
+_NORMAL = DistSpec("normal", (0.0, 1.0))
 
 
 class TestDistSpec:
@@ -124,28 +126,31 @@ class TestSummarize:
 
 class TestRejectionCurves:
     def test_type1_deterministic(self):
-        a = type1_curve(Scenario.S1, [50], replicates=400, seed=11)
-        b = type1_curve(Scenario.S1, [50], replicates=400, seed=11)
+        a = power_curve(Scenario.S1, _NORMAL, [50], replicates=400, seed=11)
+        b = power_curve(Scenario.S1, _NORMAL, [50], replicates=400, seed=11)
         assert a == b
 
     def test_rate_independent_of_grid(self):
         # chunk seeding is per (seed, n), so a shared grid changes nothing
-        alone = type1_curve(Scenario.S2, [100], replicates=500, seed=3)
-        paired = type1_curve(Scenario.S2, [50, 100], replicates=500, seed=3)
+        alone = power_curve(Scenario.S2, _NORMAL, [100],
+                            replicates=500, seed=3)
+        paired = power_curve(Scenario.S2, _NORMAL, [50, 100],
+                             replicates=500, seed=3)
         assert alone.rates[0] == paired.rates[1]
 
     def test_alpha_one_rejects_everything(self):
-        r = type1_curve(Scenario.S1, [50], replicates=200, alpha=1.0, seed=2)
+        r = power_curve(Scenario.S1, _NORMAL, [50],
+                        replicates=200, alpha=1.0, seed=2)
         assert r.rates == (1.0,)
 
     def test_null_rate_near_alpha(self):
-        r = type1_curve(Scenario.S1, [200], replicates=2000, seed=4)
+        r = power_curve(Scenario.S1, _NORMAL, [200], replicates=2000, seed=4)
         assert 0.03 < r.rates[0] < 0.075
 
     def test_normal_alternative_matches_null(self):
         # power against a shifted normal is still just the type I rate:
         # the statistics are location-scale invariant
-        null = type1_curve(Scenario.S3, [100], replicates=500, seed=6)
+        null = power_curve(Scenario.S3, _NORMAL, [100], replicates=500, seed=6)
         alt = power_curve(Scenario.S3, DistSpec("normal", (5.0, 3.0)),
                           [100], replicates=500, seed=6)
         assert alt.rates == null.rates
@@ -156,7 +161,7 @@ class TestRejectionCurves:
         assert r.rates[0] > 0.9
 
     def test_monte_carlo_se(self):
-        r = type1_curve(Scenario.S1, [50], replicates=400, seed=11)
+        r = power_curve(Scenario.S1, _NORMAL, [50], replicates=400, seed=11)
         rate = r.rates[0]
         assert r.ses[0] == pytest.approx(
             math.sqrt(rate * (1 - rate) / 400), rel=1e-12)
@@ -175,11 +180,11 @@ class TestRejectionCurves:
 
     def test_n_below_minimum_rejected(self):
         with pytest.raises(ValueError, match="below the scenario minimum"):
-            type1_curve(Scenario.S1, [3], replicates=100, seed=1)
+            power_curve(Scenario.S1, _NORMAL, [3], replicates=100, seed=1)
 
     def test_replicates_domain(self):
         with pytest.raises(ValueError, match="replicates"):
-            type1_curve(Scenario.S1, [50], replicates=0, seed=1)
+            power_curve(Scenario.S1, _NORMAL, [50], replicates=0, seed=1)
 
     @pytest.mark.parametrize("dist", [DistSpec("lognormal", (1000.0, 1.0)),
                                       DistSpec("normal", (1e308, 1e308)),
@@ -448,7 +453,8 @@ class TestIsotonicFit:
 
 class TestWriteExperimentCsv:
     def test_format(self, tmp_path):
-        r = type1_curve(Scenario.S1, [50, 100], replicates=400, seed=11)
+        r = power_curve(Scenario.S1, _NORMAL, [50, 100],
+                        replicates=400, seed=11)
         out = tmp_path / "curve.csv"
         write_experiment_csv(r, out)
         with open(out, newline="") as fh:
