@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .estimators import EstimatedMoments, estimate_moments
 from .model import GroupRecord, Study, pooled_moments
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, TestResult, run_test
+from .symmetry import DEFAULT_KAPPA_C, TestResult, coeff_kappa, run_test
 
 __all__ = [
     "EffectSize",
@@ -279,9 +279,12 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
     Raises
     ------
     ValueError
-        On an ``alpha`` that :func:`normal.critical_value` refuses.
+        On an ``alpha`` that :func:`normal.critical_value` refuses, or a
+        ``kappa_c`` that :func:`symmetry.coeff_kappa` refuses.
     """
-    critical_value(alpha)  # a group's ValueError only excludes its study
+    # Checked here, since a group's ValueError only excludes its study.
+    critical_value(alpha)
+    coeff_kappa(4, kappa_c)
     outcomes: dict[str, list[Study]] = {}
     for study in studies:
         outcomes.setdefault(study.outcome_label, []).append(study)

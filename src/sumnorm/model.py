@@ -289,16 +289,6 @@ def _rows_from_json(path: Path) -> Iterable[tuple[dict, str]]:
         yield row, f"{path}:row {i}"
 
 
-def _decoded_rows(path: Path, read_rows) -> Iterable[tuple[dict, str]]:
-    # The readers open with utf-8-sig, which also drops the byte order
-    # mark that spreadsheets write.
-    try:
-        yield from read_rows(path)
-    except UnicodeDecodeError as exc:
-        raise SummaryDataError(
-            f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def parse_studies(path: str | Path, format: str | None = None) -> list[Study]:
     """Read a CSV or JSON dataset into a list of studies.
 
@@ -323,27 +313,30 @@ def parse_studies(path: str | Path, format: str | None = None) -> list[Study]:
     path = Path(path)
     if format is None:
         format = path.suffix.lstrip(".").lower() or "csv"
-    if format == "csv":
-        rows = _decoded_rows(path, _rows_from_csv)
-    elif format == "json":
-        rows = _decoded_rows(path, _rows_from_json)
-    else:
+    read_rows = {"csv": _rows_from_csv, "json": _rows_from_json}.get(format)
+    if read_rows is None:
         raise SummaryDataError(f"unsupported format {format!r}; use csv or json")
 
     by_study: dict[tuple[str, str], dict[str, list[GroupRecord]]] = {}
     seen_keys: set[tuple[str, str, str]] = set()
     count = 0
-    for row, where in rows:
-        count += 1
-        outcome, record = _record_from_row(row, where)
-        key = (record.study_id, record.group_label, outcome)
-        if key in seen_keys:
-            raise SummaryDataError(
-                f"{where}: duplicate (study, group, outcome) key {key}")
-        seen_keys.add(key)
-        arms = by_study.setdefault((record.study_id, outcome),
-                                   {"case": [], "control": []})
-        arms[record.arm].append(record)
+    # The readers open files as utf-8-sig, which also drops the byte
+    # order mark that spreadsheets write.
+    try:
+        for row, where in read_rows(path):
+            count += 1
+            outcome, record = _record_from_row(row, where)
+            key = (record.study_id, record.group_label, outcome)
+            if key in seen_keys:
+                raise SummaryDataError(
+                    f"{where}: duplicate (study, group, outcome) key {key}")
+            seen_keys.add(key)
+            arms = by_study.setdefault((record.study_id, outcome),
+                                       {"case": [], "control": []})
+            arms[record.arm].append(record)
+    except UnicodeDecodeError as exc:
+        raise SummaryDataError(
+            f"{path}: not UTF-8 text ({exc.reason})") from None
     if count == 0:
         raise SummaryDataError(f"{path}: no data rows")
 

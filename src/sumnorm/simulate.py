@@ -49,7 +49,7 @@ from .estimators import estimate_mean, estimate_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, statistic
+from .symmetry import DEFAULT_KAPPA_C, coeff_kappa, statistic
 
 __all__ = [
     "DistSpec",
@@ -287,18 +287,18 @@ def _generator(seed: int, *stream: int) -> np.random.Generator:
 
 def _order_columns(n: int) -> list[int]:
     # 0-based positions of the minimum, the [0.25n], [0.5n], [0.75n]
-    # order statistics and the maximum.  Callers require n >= 4, so
-    # every 1-based index is at least 1.
+    # order statistics and the maximum.  Every caller gets its n >= 4
+    # check here; from n = 4 every 1-based index is at least 1.
+    if n < 4:
+        raise ValueError(f"n={n} is below the scenario minimum: a "
+                         f"five-number summary needs n >= 4")
     return [0, int(0.25 * n) - 1, int(0.5 * n) - 1, int(0.75 * n) - 1, n - 1]
 
 
 def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
     """Five-number summary using the [np]-th order-statistic convention."""
     x = np.asarray(sorted_sample)
-    n = x.shape[-1]
-    if n < 4:
-        raise ValueError(f"summarize needs n >= 4, got n={n}")
-    a, q1, m, q3, b = (float(v) for v in x[_order_columns(n)])
+    a, q1, m, q3, b = (float(v) for v in x[_order_columns(x.shape[-1])])
     return QuantileSummary(min=a, q1=q1, median=m, q3=q3, max=b)
 
 
@@ -362,11 +362,11 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
                      n_grid: Sequence[int], replicates: int, alpha: float,
                      seed: int, kappa_c: float) -> ExperimentResult:
     if replicates < 1:
-        raise ValueError("replicates must be positive")
-    for n in n_grid:
-        if n < 4:  # every scenario is drawn from a five-number summary
-            raise ValueError(f"n={n} is below the scenario minimum 4")
+        raise ValueError(f"replicates must be positive, got {replicates}")
+    for n in n_grid:  # the whole grid, before any draw
+        _order_columns(n)
     crit = critical_value(alpha)
+    coeff_kappa(4, kappa_c)  # refuses a kappa_c that S1 and S2 ignore
     rates = []
     ses = []
     for n in n_grid:

@@ -84,8 +84,11 @@ def coeff_kappa(n: int, c: float = DEFAULT_KAPPA_C) -> float:
     """Scaling coefficient for the five-number statistic, n >= 4.
 
     ``c`` is the small-sample correction constant in the denominator;
-    both published readings (10.14 and 10.5) are accepted.
+    the two published readings, ``KAPPA_C_CHOICES``, are accepted and
+    any other value raises ValueError.
     """
+    if c not in KAPPA_C_CHOICES:
+        raise ValueError(f"kappa_c must be one of {KAPPA_C_CHOICES}, got {c}")
     if n < 4:
         raise ValueError(f"kappa(n) needs n >= 4, got n={n}")
     num = extreme_width(n) + quartile_width(n)
@@ -98,9 +101,9 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
 
     Plain arithmetic, so the summary values may be floats or equally
     shaped numpy arrays; fields the scenario does not use are ignored
-    (pass None).  No ordering or degeneracy checks: a collapsed range
-    gives inf or nan here, which :func:`run_test` refuses before calling
-    it.
+    (pass None).  No ordering or degeneracy checks: on floats a zero
+    spread raises ZeroDivisionError, which :func:`run_test` turns into
+    words; on arrays it gives inf or nan.
     """
     if scenario is Scenario.S1:
         return coeff_tau(n) * (a + b - 2.0 * m) / (b - a)
@@ -112,18 +115,16 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
     raise ValueError(f"no test statistic for scenario {scenario}")
 
 
-# scenario -> (whether the spread its statistic divides by is zero, the
-# words for that).  The spreads of an ordered summary are nonnegative,
-# so the S3 sum is zero only when the range and the IQR both are.
+# scenario -> the words for a zero divisor in its statistic, which on
+# floats raises ZeroDivisionError even over an inf or nan numerator.  An
+# ordered summary's spreads are nonnegative, so the S3 sum is zero only
+# when the range and the IQR both are.
 _ZERO_SPREAD = {
-    Scenario.S1: (lambda s: s.max == s.min,
-                  "degenerate range b - a = 0 (a = b = {s.min}); "
-                  "statistic undefined"),
-    Scenario.S2: (lambda s: s.q3 == s.q1,
-                  "degenerate IQR q3 - q1 = 0 (q1 = q3 = {s.q1}); "
-                  "statistic undefined"),
-    Scenario.S3: (lambda s: (s.max - s.min) + (s.q3 - s.q1) == 0.0,
-                  "degenerate summary: range and IQR are both zero"),
+    Scenario.S1: "degenerate range b - a = 0 (a = b = {s.min}); "
+                 "statistic undefined",
+    Scenario.S2: "degenerate IQR q3 - q1 = 0 (q1 = q3 = {s.q1}); "
+                 "statistic undefined",
+    Scenario.S3: "degenerate summary: range and IQR are both zero",
 }
 
 
@@ -148,10 +149,12 @@ def run_test(group: GroupRecord, alpha: float = 0.05,
     if scenario is Scenario.DIRECT:
         return None
     s, n = group.summary, group.n
-    zero_spread, words = _ZERO_SPREAD[scenario]
-    if zero_spread(s):
-        raise DegenerateSummaryError(words.format(s=s))
-    t = statistic(scenario, s.min, s.q1, s.median, s.q3, s.max, n, kappa_c)
+    try:
+        t = statistic(scenario, s.min, s.q1, s.median, s.q3, s.max, n,
+                      kappa_c)
+    except ZeroDivisionError:
+        raise DegenerateSummaryError(
+            _ZERO_SPREAD[scenario].format(s=s)) from None
     if not math.isfinite(t):
         # |nan| > crit is False, so a nan would read as "retain".
         raise DegenerateSummaryError(

@@ -1,18 +1,58 @@
-"""The README's library section is a checked contract.
+"""The README's command transcripts and library section are checked.
 
-Its fenced ``python`` example must run, and every lower-level name it
-lists must resolve, so deleting a documented name fails here.
+Each ``$ sumnorm ...`` block must print what it shows, its fenced
+``python`` example must run, and every lower-level name it lists must
+resolve, so deleting a documented name fails here.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from sumnorm.cli import main
+
 _ROOT = Path(__file__).resolve().parents[1]
 _README = (_ROOT / "README.md").read_text(encoding="utf-8")
+
+# (command line, the output lines shown under it)
+_TRANSCRIPTS = [(m.group(1), m.group(2).splitlines())
+                for m in re.finditer(r"```\n\$ sumnorm ([^\n]*)\n(.*?)```",
+                                     _README, re.S)]
+
+
+def _shown_output(lines: list[str]) -> str:
+    # A "..." line stands for any number of omitted output lines.
+    return "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + "\n"
+                   for line in lines)
+
+
+def test_every_command_has_a_transcript():
+    assert sorted(cmd.split()[0] for cmd, _ in _TRANSCRIPTS) == [
+        "demo", "estimate", "meta", "simulate", "test"]
+
+
+@pytest.mark.parametrize("command, shown", _TRANSCRIPTS,
+                         ids=[cmd.split()[0] for cmd, _ in _TRANSCRIPTS])
+def test_command_transcript(command, shown, tmp_path, monkeypatch):
+    # Run from a fresh directory holding the bundled data at the path
+    # the README names, so output paths such as out/ print as shown.
+    data = Path("src", "sumnorm", "data")
+    shutil.copytree(_ROOT / data, tmp_path / data)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(shlex.split(command)) == 0
+    assert re.fullmatch(_shown_output(shown), out.getvalue()), (
+        out.getvalue())
 
 
 def _documented_names() -> list[str]:

@@ -113,6 +113,14 @@ class TestSummarize:
         with pytest.raises(ValueError, match="n >= 4"):
             summarize(np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("n", [3, 0, -5])
+    def test_order_columns_refuse_small_n(self, n):
+        # The one n >= 4 check: summarize and every grid cell use it.
+        with pytest.raises(ValueError, match=re.escape(
+                f"n={n} is below the scenario minimum: a five-number "
+                f"summary needs n >= 4")):
+            _order_columns(n)
+
     @given(n=st.integers(4, 400), seed=st.integers(0, 50))
     def test_matches_sorted_positions(self, n, seed):
         x = np.sort(_draw(DistSpec("normal", (0.0, 1.0)), _generator(seed), n))
@@ -181,6 +189,21 @@ class TestRejectionCurves:
     def test_n_below_minimum_rejected(self):
         with pytest.raises(ValueError, match="below the scenario minimum"):
             power_curve(Scenario.S1, _NORMAL, [3], replicates=100, seed=1)
+
+    def test_grid_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the grid")
+
+        monkeypatch.setattr(simulate, "_draw", no_draw)
+        with pytest.raises(ValueError, match="n=3 is below"):
+            power_curve(Scenario.S1, _NORMAL, [50, 3], replicates=10, seed=1)
+
+    @pytest.mark.parametrize("kappa_c", [-1e6, math.nan, 9.9])
+    def test_bad_kappa_c_raises(self, kappa_c):
+        # S1 never uses kappa_c, so only an explicit check refuses it.
+        with pytest.raises(ValueError, match="kappa_c must be one of"):
+            power_curve(Scenario.S1, _NORMAL, [50], replicates=10, seed=1,
+                        kappa_c=kappa_c)
 
     def test_replicates_domain(self):
         with pytest.raises(ValueError, match="replicates"):

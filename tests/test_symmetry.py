@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestCoefficients:
     def test_quartile_domain(self, coeff):
         with pytest.raises(ValueError, match="n >= 4"):
             coeff(3)
+
+    @pytest.mark.parametrize("c", [-1e6, math.nan, 9.9, 10.0])
+    def test_kappa_c_outside_choices_refused(self, c):
+        with pytest.raises(ValueError, match=re.escape(
+                f"kappa_c must be one of {KAPPA_C_CHOICES}, got {c}")):
+            coeff_kappa(100, c)
 
 
 class TestS1:
@@ -196,6 +203,24 @@ class TestOverflow:
         with pytest.raises(DegenerateSummaryError,
                            match="overflow the float range"):
             run()
+
+    # A zero spread is a zero spread even where the contrast over it
+    # overflows to nan: float division by 0 raises either way.
+    @pytest.mark.parametrize("run,words", [
+        (lambda: run_test(_s1(1e308, 1e308, 1e308, 20)), "b - a = 0"),
+        (lambda: run_test(_s2(1e308, 1e308, 1e308, 20)), "q3 - q1 = 0"),
+        (lambda: run_test(_s3(*[1e308] * 5, 20)), "both zero"),
+    ], ids=["s1", "s2", "s3"])
+    def test_zero_spread_over_nan_contrast_is_degenerate(self, run, words):
+        with pytest.raises(DegenerateSummaryError, match=words):
+            run()
+
+    def test_coefficient_refusal_comes_before_zero_spread(self):
+        # The statistic forms tau(n) before it divides, so a degenerate
+        # range at an n whose expected range rounds away reports n.
+        with pytest.raises(ValueError, match="too large") as info:
+            run_test(_s1(2.0, 2.0, 2.0, 2**52 + 1))
+        assert not isinstance(info.value, DegenerateSummaryError)
 
 
 class TestRunTest:
