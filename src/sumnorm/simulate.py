@@ -11,6 +11,24 @@ rate at a given n does not depend on which other n values share the
 grid.  The order-statistic asymptotics behind the tests are checked by
 the acceptance scorecard from ``_summary_matrix``, not here.
 
+The cells of a curve, one per n, run concurrently: the calling thread
+and one helper thread per further usable CPU (``os.sched_getaffinity``)
+take the next cell in turn.  numpy's samplers and ufuncs release the
+interpreter lock, so the cells overlap.  A helper takes at most one
+cell fewer than an even split would give it, and the calling thread
+takes the rest, so a helper slowed by other load on its CPU is done
+before the calling thread is and the curve's time is the calling
+thread's (4 cells on 2 CPUs split 3 + 1, 3 cells 2 + 1).  A cell
+reads only its own streams and writes only its own rate, so a curve is
+the same at any CPU count.  After a cell fails no further cell starts,
+and the failure at the lowest grid position is raised, the one a
+serial loop would raise.  A cell's working set is a few rows of its
+chunk: the spacings path holds the (6, rows) gammas, their sum and the
+(5, rows) result and maps one order statistic (row) at a time, and the
+sort path draws and sorts a chunk ``_SORT_VALUES`` values at a time.
+So concurrent cells add little memory, and the sort path's does not
+grow with n.
+
 Each replicate needs only five order statistics of a sample of n, and
 the Renyi representation (Renyi 1953; Devroye 1986, *Non-Uniform Random
 Variate Generation*, ch. V) draws them exactly without the other n - 5.
@@ -29,16 +47,18 @@ exponential, Weibull, chi-square(1) and beta(1, b), which covers
 beta(a != 1, b) sort whole samples instead, and so does the demo, which
 needs every value.
 
-Their Phi^-1 is :func:`std_normal_quantiles`, the AS 241 algorithm of
-``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
-operation order, taken one order statistic (row) at a time.  No other
-module imports numpy.
+Their Phi^-1 is the AS 241 algorithm of ``normal.std_normal_quantile``
+on numpy arrays, same coefficients, same operation order, taken one
+order statistic (row) at a time; :func:`std_normal_quantiles` applies
+it to arrays of any shape.  No other module imports numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -67,6 +87,9 @@ __all__ = [
 
 # Fixed chunk height keeps memory bounded without breaking determinism.
 _CHUNK_ROWS = 20000
+# The sort path draws and sorts a chunk in blocks of at most this many
+# values (2 MiB), so its memory does not grow with n.
+_SORT_VALUES = 1 << 18
 
 # AS 241's rational approximations, coefficients highest power first, as
 # in CPython's ``statistics._normal_dist_inv_cdf``: the central one in
@@ -109,13 +132,21 @@ def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
 
 
 def _central_quantiles(q: np.ndarray) -> np.ndarray:
-    # Phi^-1 from q = p - 0.5 with |q| <= 0.425.
-    r = 0.180625 - q * q
-    return q * _horner(_CENTRAL[0], r) / _horner(_CENTRAL[1], r)
+    # Phi^-1 from q = p - 0.5 with |q| <= 0.425.  The scalar code's
+    # operations in its order, in place where it can be, so that fewer
+    # rows are held at once.
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _horner(_CENTRAL[0], r)
+    x *= q
+    x /= _horner(_CENTRAL[1], r)
+    return x
 
 
 def _rational(coeffs, x: np.ndarray) -> np.ndarray:
-    return _horner(coeffs[0], x) / _horner(coeffs[1], x)
+    y = _horner(coeffs[0], x)
+    y /= _horner(coeffs[1], x)
+    return y
 
 
 def _tail_quantiles(s: np.ndarray) -> np.ndarray:
@@ -131,15 +162,16 @@ def _tail_quantiles(s: np.ndarray) -> np.ndarray:
 
 
 def _quantile_row(p: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    q = p - 0.5
-    # initial=: an empty row counts as central.
-    lo, hi = q.min(initial=np.inf), q.max(initial=-np.inf)
+    # The extremes of q = p - 0.5, which rounds monotonically in p, so a
+    # tail row never forms q.  initial=: an empty row counts as central.
+    lo, hi = p.min(initial=np.inf) - 0.5, p.max(initial=-np.inf) - 0.5
     if lo >= -0.425 and hi <= 0.425:  # all central
-        return _central_quantiles(q)
+        return _central_quantiles(p - 0.5)
     if hi < -0.425:  # all in the lower tail
         return -_tail_quantiles(np.sqrt(-np.log(p)))
     if lo > 0.425:  # all in the upper tail
         return _tail_quantiles(np.sqrt(-np.log(upper)))
+    q = p - 0.5
     x = np.empty_like(q)
     central = np.abs(q) <= 0.425
     x[central] = _central_quantiles(q[central])
@@ -194,20 +226,20 @@ def _log_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # quantile).  Parameters: normal mu, sigma; lognormal mu, sigma of the
 # underlying normal; chisquare degrees of freedom; exponential rate
 # lambda; beta alpha, beta; weibull shape k, scale lambda.  The quantile
-# column maps the parameters to the quantile function of (U, 1 - U), or
-# to None where the family has no closed form for them.
+# column maps the parameters to the quantile function of one row of
+# (U, 1 - U), or to None where the family has no closed form for them.
 _FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable]] = {
     "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape),
                lambda p: lambda u, v: (
-                   p[0] + p[1] * std_normal_quantiles(u, v))),
+                   p[0] + p[1] * _quantile_row(u, v))),
     "lognormal": (2, (1,),
                   lambda rng, p, shape: rng.lognormal(p[0], p[1], shape),
                   lambda p: lambda u, v: np.exp(
-                      p[0] + p[1] * std_normal_quantiles(u, v))),
+                      p[0] + p[1] * _quantile_row(u, v))),
     # chi-square(1) is Z^2 with Phi(Z) = (1 - U) / 2.
     "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape),
                   lambda p: None if p[0] != 1 else lambda u, v: (
-                      std_normal_quantiles(v / 2, (1 + u) / 2) ** 2)),
+                      _quantile_row(v / 2, (1 + u) / 2) ** 2)),
     "exponential": (1, (0,),
                     lambda rng, p, shape: rng.exponential(1.0 / p[0], shape),
                     lambda p: lambda u, v: -_log_upper(u, v) / p[0]),
@@ -307,35 +339,50 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int,
     """(replicates, 5) matrix of [min, q1, median, q3, max] rows.
 
     Spacings when the family has a quantile (see the module docstring),
-    whole sorted samples otherwise; both on the (seed, n, chunk) streams.
+    sorted samples otherwise; both on the (seed, n, chunk) streams.  The
+    matrix is the transpose of a (5, replicates) array that each chunk
+    fills a row at a time.
     """
     columns = _order_columns(n)
     quantile = _FAMILIES[dist.family][3](dist.params)
     # Gamma shapes: the gaps between 0, the 1-based ranks and n + 1.  A
     # gap is 0 where ranks tie (n = 4..7); that gamma is exactly 0.
     gaps = np.diff([0, *(k + 1 for k in columns), n + 1])
-    blocks = []
+    out = np.empty((len(columns), replicates))
     for chunk_index, done in enumerate(range(0, replicates, _CHUNK_ROWS)):
         rng = _generator(seed, n, chunk_index)
         rows = min(_CHUNK_ROWS, replicates - done)
+        chunk = out[:, done:done + rows]
         if quantile is None:
-            x = _draw(dist, rng, (rows, n))
-            x.sort(axis=1)
-            blocks.append(x[:, columns])
+            # A Generator fills in C order, so drawing the chunk's
+            # samples a block at a time takes the same values from its
+            # stream as drawing them at once.
+            block = max(1, _SORT_VALUES // n)
+            for lo in range(0, rows, block):
+                x = _draw(dist, rng, (min(block, rows - lo), n))
+                x.sort(axis=1)
+                chunk[:, lo:lo + len(x)] = x[:, columns].T
+                del x  # not held while the next block is drawn
             continue
         # One row per gap, so every sum runs along contiguous memory.
-        # The running sums add whole rows in place: the additions of
-        # np.cumsum along axis 0, at a fraction of its cost there.
+        # The running sums add whole rows in place, the additions of
+        # np.cumsum along axis 0 at a fraction of its cost there:
+        # G_1 + ... + G_i into the chunk's rows, G_{i+1} + ... + G_6
+        # into g's.
         g = _draw(dist, rng, (len(gaps), rows), gaps)
         total = g.sum(axis=0)
-        below = g[:-1].copy()
-        for i in range(1, len(below)):
-            below[i] += below[i - 1]
+        chunk[0] = g[0]
+        for i in range(1, len(chunk)):
+            np.add(g[i], chunk[i - 1], out=chunk[i])
         above = g[1:]
         for i in range(len(above) - 2, -1, -1):
             above[i] += above[i + 1]
-        blocks.append(quantile(below / total, above / total).T)
-    return np.concatenate(blocks)
+        chunk /= total
+        above /= total
+        del total  # one row less to hold while the quantiles run
+        for below_row, above_row in zip(chunk, above):
+            below_row[...] = quantile(below_row, above_row)
+    return out.T
 
 
 def _statistics(scenario: Scenario, summaries: np.ndarray, n: int,
@@ -358,6 +405,64 @@ class ExperimentResult:
     kappa_c: float = DEFAULT_KAPPA_C
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_cells(cell: Callable[[int], float], count: int) -> list[float]:
+    """``[cell(i) for i in range(count)]``, computed concurrently.
+
+    The calling thread and up to ``min(count, _usable_cpus()) - 1``
+    helper threads take the indices in order.  Each helper takes at most
+    one index fewer than an even split over the threads would give it,
+    and the calling thread takes the rest; where that leaves a helper
+    nothing, none starts.  So the calling thread always computes the
+    most cells, and a helper whose CPU other load slows down still
+    finishes before the calling thread does instead of holding up the
+    call.  After a cell raises no further index is taken; once all
+    threads are joined, the exception of the lowest failing index is
+    raised, the one a loop in index order would raise.
+    """
+    results: list = [None] * count
+    indices = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+    threads = max(1, min(count, _usable_cpus()))
+    share = -(-count // threads) - 1  # the most cells one helper takes
+
+    def work(limit: int) -> None:
+        for _ in range(limit):
+            if stop.is_set():
+                return
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = cell(i)
+            except Exception as exc:  # raised below, in index order
+                results[i] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=work, args=(share,))
+               for _ in range(threads - 1 if share else 0)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(count)
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def _rejection_curve(scenario: Scenario, dist: DistSpec,
                      n_grid: Sequence[int], replicates: int, alpha: float,
                      seed: int, kappa_c: float) -> ExperimentResult:
@@ -367,11 +472,12 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
         _order_columns(n)
     crit = critical_value(alpha)
     coeff_kappa(4, kappa_c)  # refuses a kappa_c that S1 and S2 ignore
-    rates = []
-    ses = []
-    for n in n_grid:
+
+    def rate_at(i: int) -> float:
+        n = n_grid[i]
         # Draws that overflow, or round to a zero spread, give inf or nan
-        # statistics; a nan would count as "retain", so the cell is refused.
+        # statistics; a nan would count as "retain", so the cell is
+        # refused.  The error state is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             summaries = _summary_matrix(dist, n, replicates, seed)
             stats = _statistics(scenario, summaries, n, kappa_c)
@@ -381,9 +487,10 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
                 f"{dist.label()} at n={n}: {bad} of {replicates} statistics "
                 f"are not finite; the draws overflow the float range or "
                 f"round to a zero spread")
-        rate = float(np.mean(np.abs(stats) > crit))
-        rates.append(rate)
-        ses.append(math.sqrt(rate * (1.0 - rate) / replicates))
+        return float(np.mean(np.abs(stats) > crit))
+
+    rates = _run_cells(rate_at, len(n_grid))
+    ses = [math.sqrt(rate * (1.0 - rate) / replicates) for rate in rates]
     return ExperimentResult(scenario=scenario, dist=dist,
                             n_grid=tuple(int(n) for n in n_grid),
                             rates=tuple(rates), ses=tuple(ses),

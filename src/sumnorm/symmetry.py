@@ -141,17 +141,24 @@ def run_test(group: GroupRecord, alpha: float = 0.05,
         For a group that :func:`classify_scenario` refuses, an unordered
         summary among them.
     DegenerateSummaryError
-        If the spread the statistic divides by is zero, or the statistic
-        is not finite because the summary values overflow the float
-        range; the group should be flagged rather than silently accepted.
+        If the spread the statistic divides by is zero, or a summary
+        value or the statistic overflows the float range; the group
+        should be flagged rather than silently accepted.
     """
     scenario = classify_scenario(group)
     if scenario is Scenario.DIRECT:
         return None
     s, n = group.summary, group.n
     try:
-        t = statistic(scenario, s.min, s.q1, s.median, s.q3, s.max, n,
-                      kappa_c)
+        # A hand-built summary may hold Python ints, which the float
+        # arithmetic below would refuse with OverflowError.
+        values = [None if v is None else float(v)
+                  for v in (s.min, s.q1, s.median, s.q3, s.max)]
+    except OverflowError:
+        raise DegenerateSummaryError(
+            "the summary values overflow the float range") from None
+    try:
+        t = statistic(scenario, *values, n, kappa_c)
     except ZeroDivisionError:
         raise DegenerateSummaryError(
             _ZERO_SPREAD[scenario].format(s=s)) from None

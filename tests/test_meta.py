@@ -280,6 +280,16 @@ class TestRunPipeline:
         (entry,) = [s for s in report.studies if s.study_id == "nomedian"]
         assert any("no median" in r for r in entry.exclusion_reasons)
 
+    def test_int_summary_beyond_float_range_excluded_in_words(self):
+        huge = (20, QuantileSummary(min=1, median=10**400, max=10**400))
+        studies = [_summary_study("huge", "o", huge, _SYMMETRIC),
+                   _direct_study("a", "o", 20, 5.0, 2.0, 20, 4.0, 2.0)]
+        (report,) = run_pipeline(studies)
+        assert report.excluded_ids == ("huge",)
+        (entry,) = [s for s in report.studies if s.study_id == "huge"]
+        assert entry.exclusion_reasons == (
+            "group case: the summary values overflow the float range",)
+
     def test_flagged_and_unsupported_groups_excluded_in_words(self, tmp_path):
         # Rows the parser flags (q1 > median, a mean without an SD) or
         # that no test fits (min/q1/median only) exclude their study.

@@ -1,6 +1,12 @@
 import csv
 import math
 import re
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -310,6 +316,146 @@ class TestSpacings:
             for i in range(4):
                 if columns[i] == columns[i + 1]:  # n = 4..7: min is q1
                     assert np.array_equal(x[:, i], x[:, i + 1])
+
+
+def _force_cpus(monkeypatch, count):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: count)
+
+
+class TestConcurrentCells:
+    # A curve's grid cells run on the calling thread and up to
+    # min(len(grid), usable CPUs) - 1 helper threads, each helper taking
+    # at most one cell fewer than an even split.  The CPU count is
+    # forced, so these tests run the same on any machine.
+
+    @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES + _SORTED_FAMILIES[:1],
+                             ids=DistSpec.label)
+    def test_same_result_at_any_cpu_count(self, monkeypatch, dist):
+        results = []
+        for cpus in (1, 4):
+            _force_cpus(monkeypatch, cpus)
+            results.append(power_curve(Scenario.S3, dist, (4, 10, 25, 50, 100),
+                                       replicates=500, seed=9))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("cpus,grid,helpers,share", [
+        (1, (10, 20, 30), 0, 0), (4, (10, 20), 0, 0),
+        (2, (10, 20, 30), 1, 1), (2, (10, 20, 30, 40), 1, 1),
+        (4, (10, 20, 30, 40, 50), 3, 1), (2, (10, 20, 30, 40, 50, 60), 1, 2)])
+    def test_helper_threads(self, monkeypatch, cpus, grid, helpers, share):
+        _force_cpus(monkeypatch, cpus)
+        start = threading.active_count()
+        seen = []
+        real = simulate._statistics
+
+        def recording(*args):
+            # The thread, not its ident: a finished helper's ident can
+            # be given to the next one.
+            seen.append((threading.active_count(), threading.current_thread()))
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_statistics", recording)
+        power_curve(Scenario.S1, _NORMAL, grid, replicates=50, seed=1)
+        assert len(seen) == len(grid)
+        assert max(count for count, _ in seen) <= start + helpers
+        cells = Counter(thread for _, thread in seen)
+        on_caller = cells.pop(threading.current_thread(), 0)
+        # The calling thread computes more cells than any helper, so a
+        # helper slowed by other load never holds up the curve.
+        assert all(count <= share for count in cells.values())
+        assert on_caller > share
+        assert threading.active_count() == start
+
+    def test_each_cell_once_under_fast_switching(self, monkeypatch):
+        # More threads than cores, switching as often as possible: a cell
+        # handed out twice, or never, breaks the counts or the curve.
+        grid = tuple(range(4, 44))
+        _force_cpus(monkeypatch, 1)
+        serial = power_curve(Scenario.S2, _NORMAL, grid, replicates=20, seed=2)
+        _force_cpus(monkeypatch, 16)
+        seen = []
+        real = simulate._statistics
+
+        def recording(scenario, summaries, n, kappa_c):
+            seen.append(n)
+            return real(scenario, summaries, n, kappa_c)
+
+        monkeypatch.setattr(simulate, "_statistics", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = power_curve(Scenario.S2, _NORMAL, grid, replicates=20,
+                                   seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(grid)
+        assert threaded == serial
+
+    def test_first_failure_in_grid_order_raised(self, monkeypatch):
+        # On 2 CPUs a helper takes one of the 4 cells.  When that is
+        # n=30, it fails after n=10 has: the error still names n=30, as
+        # a loop over the grid would.
+        _force_cpus(monkeypatch, 2)
+        start = threading.active_count()
+        real = simulate._draw
+
+        def failing(dist, rng, shape, gaps=None):
+            n = shape[1]  # the sort path draws (rows, n)
+            if n == 30:
+                time.sleep(0.2)
+            x = real(dist, rng, shape, gaps)
+            return x * np.inf if n in (10, 30) else x
+
+        monkeypatch.setattr(simulate, "_draw", failing)
+        with pytest.raises(ValueError, match=r"chisquare\(3\) at n=30: "
+                           r"200 of 200 statistics are not finite"):
+            power_curve(Scenario.S2, DistSpec("chisquare", (3.0,)),
+                        [40, 30, 20, 10], replicates=200, seed=1)
+        assert threading.active_count() == start
+
+    def test_overflow_refused_without_warning_on_helpers(self, monkeypatch):
+        # numpy's error state is per thread; each cell sets its own.  A
+        # warning on a helper is recorded here rather than raised, where
+        # the calling thread's error for n=10 would hide it.
+        _force_cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"at n=10: \d+ of 200 "):
+                power_curve(Scenario.S1, DistSpec("lognormal", (1000.0, 1.0)),
+                            [10, 50, 100, 200], replicates=200, seed=1)
+        assert caught == []
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("dist", _SORTED_FAMILIES, ids=DistSpec.label)
+    @pytest.mark.parametrize("values", [100, 1])  # 3 rows, 1 row a block
+    def test_sort_blocks_match_one_block(self, monkeypatch, dist, values):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
+        whole = _summary_matrix(dist, 30, 700, 4)
+        monkeypatch.setattr(simulate, "_SORT_VALUES", values)
+        assert np.array_equal(_summary_matrix(dist, 30, 700, 4), whole)
+
+    @staticmethod
+    def _peak(dist, n, replicates):
+        _summary_matrix(dist, n, 100, 0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            result = _summary_matrix(dist, n, replicates, 0)
+            return tracemalloc.get_traced_memory()[1], result.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES, ids=DistSpec.label)
+    def test_spacings_cell_peak(self, dist):
+        # The gammas, the result and a few rows of temporaries.
+        peak, result = self._peak(dist, 50, 20_000)
+        assert peak < 5 * result
+
+    @pytest.mark.parametrize("dist", _SORTED_FAMILIES, ids=DistSpec.label)
+    def test_sort_cell_peak_does_not_grow_with_n(self, dist):
+        # 2000 samples of 1000 are 16 MB; one block is at most 2 MiB.
+        peak, result = self._peak(dist, 1000, 2000)
+        assert peak < 8 * simulate._SORT_VALUES + 5 * result
 
 
 class TestFastPathsBitIdentical:

@@ -198,7 +198,9 @@ class TestOverflow:
         lambda: run_test(_s1(1e308, 1.5e308, 1.7e308, 20)),
         lambda: run_test(_s2(1e308, 1.5e308, 1.7e308, 20)),
         lambda: run_test(_s3(1e308, 1.2e308, 1.5e308, 1.6e308, 1.7e308, 20)),
-    ], ids=["s1", "s2", "s3"])
+        # Python ints beyond the float range, as a library caller may pass
+        lambda: run_test(_s1(1, 10**400, 10**400, 20)),
+    ], ids=["s1", "s2", "s3", "s1-int"])
     def test_non_finite_statistic_is_refused_in_words(self, run):
         with pytest.raises(DegenerateSummaryError,
                            match="overflow the float range"):
