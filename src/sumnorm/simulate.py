@@ -11,23 +11,26 @@ rate at a given n does not depend on which other n values share the
 grid.  The order-statistic asymptotics behind the tests are checked by
 the acceptance scorecard from ``_summary_matrix``, not here.
 
-The cells of a curve, one per n, run concurrently: the calling thread
+A curve's unit of work is one chunk of one cell (one n).  The units
+wait in one queue, in grid order, then chunk order; the calling thread
 and one helper thread per further usable CPU (``os.sched_getaffinity``)
-take the next cell in turn.  numpy's samplers and ufuncs release the
-interpreter lock, so the cells overlap.  A helper takes at most one
-cell fewer than an even split would give it, and the calling thread
-takes the rest, so a helper slowed by other load on its CPU is done
-before the calling thread is and the curve's time is the calling
-thread's (4 cells on 2 CPUs split 3 + 1, 3 cells 2 + 1).  A cell
-reads only its own streams and writes only its own rate, so a curve is
-the same at any CPU count.  After a cell fails no further cell starts,
-and the failure at the lowest grid position is raised, the one a
-serial loop would raise.  A cell's working set is a few rows of its
-chunk: the spacings path holds the (6, rows) gammas, their sum and the
-(5, rows) result and maps one order statistic (row) at a time, and the
-sort path draws and sorts a chunk ``_SORT_VALUES`` values at a time.
-So concurrent cells add little memory, and the sort path's does not
-grow with n.
+each take the next unit until none is left.  The helpers start with the
+first curve that needs them and stay parked between curves.  numpy's
+samplers and ufuncs release the interpreter lock, so the units overlap,
+and a helper slowed by other load on its CPU holds up the curve by at
+most one chunk.  A unit reads only its own stream and returns two
+counts, its rejections and its non-finite statistics; a cell's rate is
+its rejections over the replicates, the same float as the mean of the
+rejection flags, so a curve is the same at any CPU count.  After a cell
+fails no unit of a later cell starts, the failing cell's own units
+finish so that its count is whole, and the failure at the lowest grid
+position is raised, the one a serial loop would raise.  A unit's
+working set is a few rows of its chunk: the spacings path holds the
+(6, rows) gammas, their sum and the (5, rows) result and maps one order
+statistic (row) at a time, and the sort path draws and sorts a chunk
+``_SORT_VALUES`` values at a time.  So a curve holds at most one chunk
+per thread, at any number of replicates, and the sort path's memory
+does not grow with n.
 
 Each replicate needs only five order statistics of a sample of n, and
 the Renyi representation (Renyi 1953; Devroye 1986, *Non-Uniform Random
@@ -49,8 +52,7 @@ needs every value.
 
 Their Phi^-1 is the AS 241 algorithm of ``normal.std_normal_quantile``
 on numpy arrays, same coefficients, same operation order, taken one
-order statistic (row) at a time; :func:`std_normal_quantiles` applies
-it to arrays of any shape.  No other module imports numpy.
+order statistic (row) at a time.  No other module imports numpy.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,7 +84,6 @@ __all__ = [
     "power_curve",
     "skew_distortion_demo",
     "isotonic_fit_r2",
-    "std_normal_quantiles",
     "write_experiment_csv",
 ]
 
@@ -90,6 +92,17 @@ _CHUNK_ROWS = 20000
 # The sort path draws and sorts a chunk in blocks of at most this many
 # values (2 MiB), so its memory does not grow with n.
 _SORT_VALUES = 1 << 18
+
+# glibc hands a freed block above its mmap threshold back to the system,
+# then raises that threshold to the block's size, and its heap trim
+# threshold to twice that, for the rest of the process.  One block the
+# size of a chunk's result and gamma rows, freed here, does so once, so
+# that a chunk's arrays come from the heap and stay mapped for the next
+# chunk.  Otherwise the thresholds stay near the largest single array,
+# and the ~2 MB a chunk allocates is trimmed after every chunk and
+# faulted in again: about 25000 minor page faults per default --type1
+# curve, on any number of CPUs.
+np.empty((5 + 6, _CHUNK_ROWS))
 
 # AS 241's rational approximations, coefficients highest power first, as
 # in CPython's ``statistics._normal_dist_inv_cdf``: the central one in
@@ -162,6 +175,17 @@ def _tail_quantiles(s: np.ndarray) -> np.ndarray:
 
 
 def _quantile_row(p: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Phi^-1 of each element of the 1-D ``p``, within a few ulp of
+    ``normal.std_normal_quantile``.
+
+    ``p`` is strictly inside (0, 1), unchecked (the Monte Carlo's inner
+    loop).  ``upper`` is 1 - p, computed by the caller without
+    cancellation; it is read only where p > 0.5, so the upper tail keeps
+    its full relative precision.  A row whose elements all take one
+    branch (central, lower tail or upper tail) is evaluated whole; a
+    mixed row evaluates each branch only on the elements that take it.
+    Either way every element gets the operations of its own branch.
+    """
     # The extremes of q = p - 0.5, which rounds monotonically in p, so a
     # tail row never forms q.  initial=: an empty row counts as central.
     lo, hi = p.min(initial=np.inf) - 0.5, p.max(initial=-np.inf) - 0.5
@@ -180,40 +204,6 @@ def _quantile_row(p: np.ndarray, upper: np.ndarray) -> np.ndarray:
     z = _tail_quantiles(np.sqrt(-np.log(np.where(lower, p[tail],
                                                  upper[tail]))))
     x[tail] = np.where(lower, -z, z)
-    return x
-
-
-def std_normal_quantiles(p, upper) -> np.ndarray:
-    """Phi^-1 of every element of ``p``, Wichura's AS 241 over arrays.
-
-    Works one row (first-axis slice) at a time.  A row whose elements
-    all take one branch (central, lower tail or upper tail) is evaluated
-    whole; a mixed row evaluates each branch only on the elements that
-    take it.  Either way every element gets the operations of its own
-    branch, so the result does not depend on its neighbours.
-
-    Parameters
-    ----------
-    p : array_like
-        Probabilities strictly inside (0, 1).  Not checked: this is the
-        Monte Carlo's inner loop.
-    upper : array_like
-        1 - p, of the same shape, computed by the caller without
-        cancellation.  It is read only where p > 0.5, so the upper tail
-        keeps the full relative precision of ``upper`` instead of that
-        of ``1 - p``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Within a few ulp of ``normal.std_normal_quantile`` elementwise.
-    """
-    p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
-    for p_row, upper_row, x_row in zip(
-            np.atleast_2d(p), np.atleast_2d(np.asarray(upper, dtype=float)),
-            np.atleast_2d(x)):
-        x_row[...] = _quantile_row(p_row, upper_row)
     return x
 
 
@@ -334,25 +324,30 @@ def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
     return QuantileSummary(min=a, q1=q1, median=m, q3=q3, max=b)
 
 
-def _summary_matrix(dist: DistSpec, n: int, replicates: int,
-                    seed: int) -> np.ndarray:
-    """(replicates, 5) matrix of [min, q1, median, q3, max] rows.
+def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
+                    chunk: int | None = None) -> np.ndarray:
+    """(replicates, 5) matrix of [min, q1, median, q3, max] rows, or,
+    given a ``chunk`` index, the rows of that chunk of them only.
 
     Spacings when the family has a quantile (see the module docstring),
     sorted samples otherwise; both on the (seed, n, chunk) streams.  The
-    matrix is the transpose of a (5, replicates) array that each chunk
-    fills a row at a time.
+    matrix is the transpose of a (5, rows) array that each chunk fills a
+    row at a time.
     """
     columns = _order_columns(n)
     quantile = _FAMILIES[dist.family][3](dist.params)
     # Gamma shapes: the gaps between 0, the 1-based ranks and n + 1.  A
     # gap is 0 where ranks tie (n = 4..7); that gamma is exactly 0.
     gaps = np.diff([0, *(k + 1 for k in columns), n + 1])
-    out = np.empty((len(columns), replicates))
-    for chunk_index, done in enumerate(range(0, replicates, _CHUNK_ROWS)):
-        rng = _generator(seed, n, chunk_index)
+    starts = range(0, replicates, _CHUNK_ROWS)
+    if chunk is not None:
+        starts = starts[chunk:chunk + 1]
+    first = starts.start
+    out = np.empty((len(columns), min(replicates, starts.stop) - first))
+    for done in starts:
+        rng = _generator(seed, n, done // _CHUNK_ROWS)
         rows = min(_CHUNK_ROWS, replicates - done)
-        chunk = out[:, done:done + rows]
+        part = out[:, done - first:done - first + rows]
         if quantile is None:
             # A Generator fills in C order, so drawing the chunk's
             # samples a block at a time takes the same values from its
@@ -361,26 +356,26 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int,
             for lo in range(0, rows, block):
                 x = _draw(dist, rng, (min(block, rows - lo), n))
                 x.sort(axis=1)
-                chunk[:, lo:lo + len(x)] = x[:, columns].T
+                part[:, lo:lo + len(x)] = x[:, columns].T
                 del x  # not held while the next block is drawn
             continue
         # One row per gap, so every sum runs along contiguous memory.
         # The running sums add whole rows in place, the additions of
         # np.cumsum along axis 0 at a fraction of its cost there:
-        # G_1 + ... + G_i into the chunk's rows, G_{i+1} + ... + G_6
+        # G_1 + ... + G_i into the part's rows, G_{i+1} + ... + G_6
         # into g's.
         g = _draw(dist, rng, (len(gaps), rows), gaps)
         total = g.sum(axis=0)
-        chunk[0] = g[0]
-        for i in range(1, len(chunk)):
-            np.add(g[i], chunk[i - 1], out=chunk[i])
+        part[0] = g[0]
+        for i in range(1, len(part)):
+            np.add(g[i], part[i - 1], out=part[i])
         above = g[1:]
         for i in range(len(above) - 2, -1, -1):
             above[i] += above[i + 1]
-        chunk /= total
+        part /= total
         above /= total
         del total  # one row less to hold while the quantiles run
-        for below_row, above_row in zip(chunk, above):
+        for below_row, above_row in zip(part, above):
             below_row[...] = quantile(below_row, above_row)
     return out.T
 
@@ -412,54 +407,94 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_cells(cell: Callable[[int], float], count: int) -> list[float]:
-    """``[cell(i) for i in range(count)]``, computed concurrently.
+# Helper threads live as long as the process, parked on one task queue.
+# A thread that exits can hand its malloc arena back to the C library
+# after ``Thread.join`` has returned; a helper started in that window
+# gets a new arena, which then keeps about 3 MB of freed memory for good.
+_helper_tasks: queue.SimpleQueue = queue.SimpleQueue()
+_helpers: list[threading.Thread] = []
+_helpers_lock = threading.Lock()
 
-    The calling thread and up to ``min(count, _usable_cpus()) - 1``
-    helper threads take the indices in order.  Each helper takes at most
-    one index fewer than an even split over the threads would give it,
-    and the calling thread takes the rest; where that leaves a helper
-    nothing, none starts.  So the calling thread always computes the
-    most cells, and a helper whose CPU other load slows down still
-    finishes before the calling thread does instead of holding up the
-    call.  After a cell raises no further index is taken; once all
-    threads are joined, the exception of the lowest failing index is
-    raised, the one a loop in index order would raise.
+
+def _helper(tasks: queue.SimpleQueue) -> None:
+    for task in iter(tasks.get, None):  # None stops the thread
+        task()
+
+
+def _on_helpers(task: Callable[[], None], count: int) -> threading.Semaphore:
+    """Queue ``count`` runs of ``task`` for the helper threads, first
+    starting helpers until ``count`` are alive.  The returned semaphore
+    is released once per finished run."""
+    done = threading.Semaphore(0)
+
+    def run() -> None:
+        try:
+            task()
+        finally:
+            done.release()
+
+    with _helpers_lock:
+        _helpers[:] = [thread for thread in _helpers if thread.is_alive()]
+        for _ in range(count - len(_helpers)):
+            thread = threading.Thread(target=_helper, args=(_helper_tasks,),
+                                      daemon=True)
+            thread.start()
+            _helpers.append(thread)
+    for _ in range(count):
+        _helper_tasks.put(run)
+    return done
+
+
+def _run_units(unit: Callable[[int, int], tuple[int, int]], cells: int,
+               chunks: int) -> list:
+    """Per cell, the sums over its chunks of
+    ``unit(cell, chunk) = (rejections, non-finite statistics)``.
+
+    The (cell, chunk) units wait in one queue, in cell order, then chunk
+    order.  The calling thread and ``min(units, _usable_cpus()) - 1``
+    helper threads each take the next unit until none is left.  Once a
+    cell has a non-finite statistic, or a unit of it raises, no unit of
+    a later cell starts; the cell's own units were queued before them
+    and still run, so its counts are whole.  A cell's entry is its
+    ``[rejections, non-finite]`` sums, or the exception one of its units
+    raised; the entries of cells after the first that failed are not
+    complete.
     """
-    results: list = [None] * count
-    indices = iter(range(count))
+    results: list = [[0, 0] for _ in range(cells)]
+    units = iter([(cell, chunk) for cell in range(cells)
+                  for chunk in range(chunks)])
     lock = threading.Lock()
-    stop = threading.Event()
-    threads = max(1, min(count, _usable_cpus()))
-    share = -(-count // threads) - 1  # the most cells one helper takes
+    last = cells - 1  # the last cell whose units still start
 
-    def work(limit: int) -> None:
-        for _ in range(limit):
-            if stop.is_set():
-                return
+    def work() -> None:
+        nonlocal last
+        while True:
             with lock:
-                i = next(indices, None)
-            if i is None:
-                return
+                cell, chunk = next(units, (cells, 0))
+                if cell > last:
+                    return
             try:
-                results[i] = cell(i)
-            except Exception as exc:  # raised below, in index order
-                results[i] = exc
-                stop.set()
+                rejections, bad = unit(cell, chunk)
+            except Exception as exc:  # raised by the caller, in cell order
+                with lock:
+                    results[cell] = exc
+                    last = min(last, cell)
+                continue
+            with lock:
+                if bad:
+                    last = min(last, cell)
+                if isinstance(results[cell], list):
+                    results[cell][0] += rejections
+                    results[cell][1] += bad
 
-    helpers = [threading.Thread(target=work, args=(share,))
-               for _ in range(threads - 1 if share else 0)]
-    for thread in helpers:
-        thread.start()
+    helpers = max(0, min(cells * chunks, _usable_cpus()) - 1)
+    done = _on_helpers(work, helpers)
     try:
-        work(count)
+        work()
     finally:
-        stop.set()
-        for thread in helpers:
-            thread.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
+        last = -1  # an interrupted caller stops the helpers too
+        for _ in range(helpers):
+            done.acquire()
     return results
 
 
@@ -473,23 +508,30 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
     crit = critical_value(alpha)
     coeff_kappa(4, kappa_c)  # refuses a kappa_c that S1 and S2 ignore
 
-    def rate_at(i: int) -> float:
+    def unit(i: int, chunk: int) -> tuple[int, int]:
         n = n_grid[i]
         # Draws that overflow, or round to a zero spread, give inf or nan
         # statistics; a nan would count as "retain", so the cell is
         # refused.  The error state is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            summaries = _summary_matrix(dist, n, replicates, seed)
+            summaries = _summary_matrix(dist, n, replicates, seed, chunk)
             stats = _statistics(scenario, summaries, n, kappa_c)
-        bad = int(np.count_nonzero(~np.isfinite(stats)))
+            return (int(np.count_nonzero(np.abs(stats) > crit)),
+                    int(np.count_nonzero(~np.isfinite(stats))))
+
+    rates = []
+    for n, result in zip(n_grid, _run_units(
+            unit, len(n_grid), -(-replicates // _CHUNK_ROWS))):
+        if isinstance(result, Exception):
+            raise result
+        rejections, bad = result
         if bad:
             raise ValueError(
                 f"{dist.label()} at n={n}: {bad} of {replicates} statistics "
                 f"are not finite; the draws overflow the float range or "
                 f"round to a zero spread")
-        return float(np.mean(np.abs(stats) > crit))
-
-    rates = _run_cells(rate_at, len(n_grid))
+        # The np.mean of the rejection flags: their float sum is exact.
+        rates.append(rejections / replicates)
     ses = [math.sqrt(rate * (1.0 - rate) / replicates) for rate in rates]
     return ExperimentResult(scenario=scenario, dist=dist,
                             n_grid=tuple(int(n) for n in n_grid),

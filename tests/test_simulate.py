@@ -1,12 +1,12 @@
 import csv
 import math
+import queue
 import re
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,10 +18,10 @@ from sumnorm.cli import DEFAULT_N_GRID
 from sumnorm.model import QuantileSummary, Scenario
 from sumnorm.normal import critical_value, std_normal_quantile
 from sumnorm.simulate import (DEMO_PAIRS, POWER_ALTERNATIVES, DistSpec, _draw,
-                              _generator, _order_columns, _statistics,
-                              _summary_matrix, isotonic_fit_r2, power_curve,
-                              skew_distortion_demo, std_normal_quantiles,
-                              summarize, write_experiment_csv)
+                              _generator, _order_columns, _quantile_row,
+                              _statistics, _summary_matrix, isotonic_fit_r2,
+                              power_curve, skew_distortion_demo, summarize,
+                              write_experiment_csv)
 from sumnorm.symmetry import DEFAULT_KAPPA_C
 
 _NORMAL = DistSpec("normal", (0.0, 1.0))
@@ -322,11 +322,28 @@ def _force_cpus(monkeypatch, count):
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: count)
 
 
+@pytest.fixture
+def own_helpers(monkeypatch):
+    # A helper pool of the test's own, empty at the start and stopped at
+    # the end, so the test sees exactly the helpers its curves start.
+    tasks, helpers = queue.SimpleQueue(), []
+    monkeypatch.setattr(simulate, "_helper_tasks", tasks)
+    monkeypatch.setattr(simulate, "_helpers", helpers)
+    yield helpers
+    for _ in helpers:
+        tasks.put(None)
+    for thread in helpers:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.mark.usefixtures("own_helpers")
 class TestConcurrentCells:
-    # A curve's grid cells run on the calling thread and up to
-    # min(len(grid), usable CPUs) - 1 helper threads, each helper taking
-    # at most one cell fewer than an even split.  The CPU count is
-    # forced, so these tests run the same on any machine.
+    # A curve's (cell, chunk) units run on the calling thread and
+    # min(units, usable CPUs) - 1 helper threads, each taking the next
+    # unit until none is left.  The helpers stay, parked, for the next
+    # curve.  The CPU count is forced, so these tests run the same on
+    # any machine.
 
     @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES + _SORTED_FAMILIES[:1],
                              ids=DistSpec.label)
@@ -338,33 +355,37 @@ class TestConcurrentCells:
                                        replicates=500, seed=9))
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("cpus,grid,helpers,share", [
-        (1, (10, 20, 30), 0, 0), (4, (10, 20), 0, 0),
-        (2, (10, 20, 30), 1, 1), (2, (10, 20, 30, 40), 1, 1),
-        (4, (10, 20, 30, 40, 50), 3, 1), (2, (10, 20, 30, 40, 50, 60), 1, 2)])
-    def test_helper_threads(self, monkeypatch, cpus, grid, helpers, share):
+    @pytest.mark.parametrize("cpus,grid,replicates", [
+        (1, (10, 20, 30), 50), (4, (10, 20), 50), (2, (10, 20, 30), 50),
+        (2, (10, 20, 30, 40), 50), (4, (10, 20, 30, 40, 50), 50),
+        (2, (10, 20, 30, 40, 50, 60), 50), (4, (10,), 700), (2, (10,), 1000),
+        (4, (10, 20), 1000)])
+    def test_each_unit_once_on_one_helper_per_further_cpu(
+            self, monkeypatch, own_helpers, cpus, grid, replicates):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
         _force_cpus(monkeypatch, cpus)
-        start = threading.active_count()
-        seen = []
-        real = simulate._statistics
+        before = set(threading.enumerate())
+        units = []
+        real = simulate._summary_matrix
 
-        def recording(*args):
-            # The thread, not its ident: a finished helper's ident can
-            # be given to the next one.
-            seen.append((threading.active_count(), threading.current_thread()))
-            return real(*args)
+        def recording(dist, n, replicates, seed, chunk=None):
+            units.append((n, chunk, threading.current_thread()))
+            return real(dist, n, replicates, seed, chunk)
 
-        monkeypatch.setattr(simulate, "_statistics", recording)
-        power_curve(Scenario.S1, _NORMAL, grid, replicates=50, seed=1)
-        assert len(seen) == len(grid)
-        assert max(count for count, _ in seen) <= start + helpers
-        cells = Counter(thread for _, thread in seen)
-        on_caller = cells.pop(threading.current_thread(), 0)
-        # The calling thread computes more cells than any helper, so a
-        # helper slowed by other load never holds up the curve.
-        assert all(count <= share for count in cells.values())
-        assert on_caller > share
-        assert threading.active_count() == start
+        monkeypatch.setattr(simulate, "_summary_matrix", recording)
+        power_curve(Scenario.S1, _NORMAL, grid, replicates, seed=1)
+        every = [(n, c) for n in grid for c in range(-(-replicates // 300))]
+        assert sorted((n, c) for n, c, _ in units) == every
+        assert len(own_helpers) <= min(len(every), cpus) - 1
+        assert {t for *_, t in units} <= {threading.current_thread(),
+                                          *own_helpers}
+        # No thread is left but the parked helpers, and the next curve
+        # reuses them: a thread started per curve can cost its memory
+        # arena.
+        after = set(threading.enumerate())
+        assert after - before == set(own_helpers)
+        power_curve(Scenario.S1, _NORMAL, grid, replicates, seed=1)
+        assert set(threading.enumerate()) == after
 
     def test_each_cell_once_under_fast_switching(self, monkeypatch):
         # More threads than cores, switching as often as possible: a cell
@@ -392,11 +413,12 @@ class TestConcurrentCells:
         assert threaded == serial
 
     def test_first_failure_in_grid_order_raised(self, monkeypatch):
-        # On 2 CPUs a helper takes one of the 4 cells.  When that is
-        # n=30, it fails after n=10 has: the error still names n=30, as
-        # a loop over the grid would.
+        # On 2 CPUs the helper takes n=30, the second unit, and the
+        # calling thread n=40, 20 and 10.  n=30 fails after n=10 has:
+        # the error still names n=30, as a loop over the grid would.
         _force_cpus(monkeypatch, 2)
-        start = threading.active_count()
+        power_curve(Scenario.S2, _NORMAL, [10, 20], replicates=10, seed=1)
+        start = threading.active_count()  # with the parked helper
         real = simulate._draw
 
         def failing(dist, rng, shape, gaps=None):
@@ -414,7 +436,7 @@ class TestConcurrentCells:
         assert threading.active_count() == start
 
     def test_overflow_refused_without_warning_on_helpers(self, monkeypatch):
-        # numpy's error state is per thread; each cell sets its own.  A
+        # numpy's error state is per thread; each unit sets its own.  A
         # warning on a helper is recorded here rather than raised, where
         # the calling thread's error for n=10 would hide it.
         _force_cpus(monkeypatch, 2)
@@ -424,6 +446,56 @@ class TestConcurrentCells:
                 power_curve(Scenario.S1, DistSpec("lognormal", (1000.0, 1.0)),
                             [10, 50, 100, 200], replicates=200, seed=1)
         assert caught == []
+
+
+class TestChunkUnits:
+    # Cells of several chunks: with _CHUNK_ROWS = 300, R = 1000 is three
+    # whole chunks and a partial one of 100 rows.
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
+
+    @pytest.mark.parametrize("dist", [DistSpec("lognormal", (0.0, 1.0)),
+                                      _SORTED_FAMILIES[0]], ids=DistSpec.label)
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_rates_are_the_mean_over_the_whole_matrix(self, monkeypatch,
+                                                      dist, cpus):
+        _force_cpus(monkeypatch, cpus)
+        grid, crit = (10, 20, 30), critical_value(0.05)
+        got = power_curve(Scenario.S3, dist, grid, replicates=1000, seed=9)
+        want = tuple(float(np.mean(np.abs(_statistics(
+            Scenario.S3, _summary_matrix(dist, n, 1000, 9), n,
+            DEFAULT_KAPPA_C)) > crit)) for n in grid)
+        assert got.rates == want
+        assert 0.0 < min(want) and max(want) < 1.0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_last_chunk_overflow_counts_the_whole_cell(self, monkeypatch,
+                                                        cpus):
+        # n=10's last chunk overflows in half its rows.  On 2 CPUs its
+        # first chunk, on the calling thread, is slow, so the helper
+        # reaches the last chunk first: the error still waits for the
+        # slow chunk, counts over all R, and no unit of n=25 starts.
+        _force_cpus(monkeypatch, cpus)
+        units = []
+        real = simulate._summary_matrix
+
+        def overflowing(dist, n, replicates, seed, chunk=None):
+            units.append((n, chunk))
+            if (n, chunk) == (10, 0):
+                time.sleep(0.2)
+            x = real(dist, n, replicates, seed, chunk)
+            if (n, chunk) == (10, 3):
+                x[::2] = np.inf
+            return x
+
+        monkeypatch.setattr(simulate, "_summary_matrix", overflowing)
+        with pytest.raises(ValueError, match=r"normal\(0,1\) at n=10: "
+                           r"50 of 1000 statistics are not finite"):
+            power_curve(Scenario.S1, _NORMAL, [10, 25], replicates=1000,
+                        seed=1)
+        assert sorted(units) == [(10, 0), (10, 1), (10, 2), (10, 3)]
 
 
 class TestWorkingSet:
@@ -456,6 +528,26 @@ class TestWorkingSet:
         # 2000 samples of 1000 are 16 MB; one block is at most 2 MiB.
         peak, result = self._peak(dist, 1000, 2000)
         assert peak < 8 * simulate._SORT_VALUES + 5 * result
+
+    @staticmethod
+    def _curve_peak(dist, replicates):
+        power_curve(Scenario.S1, dist, [50], 100, seed=0)  # first calls
+        tracemalloc.start()
+        try:
+            power_curve(Scenario.S1, dist, [50], replicates, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("dist", [_NORMAL, _SORTED_FAMILIES[0]],
+                             ids=DistSpec.label)
+    def test_curve_peak_does_not_grow_with_replicates(self, monkeypatch, dist):
+        # A curve holds one chunk per thread, never a cell's whole
+        # (5, R) matrix: five chunks cost about what one does.
+        _force_cpus(monkeypatch, 1)
+        one = self._curve_peak(dist, simulate._CHUNK_ROWS)
+        five = self._curve_peak(dist, 5 * simulate._CHUNK_ROWS)
+        assert five < 1.5 * one
 
 
 class TestFastPathsBitIdentical:
@@ -513,7 +605,7 @@ class TestFastPathsBitIdentical:
         return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
     def _assert_same_bytes(self, p, upper):
-        got = std_normal_quantiles(p, upper)
+        got = _quantile_rows(p, upper)
         want = self._masked_quantiles(p, upper)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -552,13 +644,6 @@ class TestFastPathsBitIdentical:
         p[0, :3] = np.nextafter(0.925, 0.0), 0.925, np.nextafter(0.925, 1.0)
         upper[0, :3] = 1.0 - p[0, :3]
         self._assert_same_bytes(p, upper)
-
-    @pytest.mark.parametrize("p", [
-        np.array([1e-300, 0.01, 0.075, 0.3, 0.5, 0.8, 0.925, 0.99]),
-        np.array([[0.5, 0.25], [0.75, 0.975]]),
-        np.array([[1e-20, 1e-3], [0.1, 0.9]])])
-    def test_other_shapes(self, p):
-        self._assert_same_bytes(p, 1.0 - p)
 
 
 class TestSkewDistortionDemo:
@@ -647,6 +732,12 @@ class TestWriteExperimentCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _quantile_rows(p, upper):
+    # Phi^-1 of a 2-D array, one row at a time, as the sampler takes it.
+    return np.array([_quantile_row(p_row, upper_row)
+                     for p_row, upper_row in zip(p, upper)])
+
+
 def _within_ulps(got, want, ulps=4):
     return np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
 
@@ -659,24 +750,24 @@ class TestQuantileArray:
         p = np.concatenate([lower, np.linspace(1e-4, 1 - 1e-4, 9999),
                             1.0 - lower[lower > 1e-16]])
         want = np.array([std_normal_quantile(float(x)) for x in p])
-        assert _within_ulps(std_normal_quantiles(p, 1.0 - p), want)
+        assert _within_ulps(_quantile_row(p, 1.0 - p), want)
 
     @pytest.mark.parametrize("edge", [0.075, 0.925, math.exp(-25.0)])
     def test_branch_edges(self, edge):
         p = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
         want = np.array([std_normal_quantile(float(x)) for x in p])
-        assert _within_ulps(std_normal_quantiles(p, 1.0 - p), want)
+        assert _within_ulps(_quantile_row(p, 1.0 - p), want)
 
     def test_upper_tail_read_from_upper(self):
         # 1 - u rounds to 1.0 below u = 1e-16; the separate upper keeps
         # the whole tail, which is the mirror of the lower one.
         u = np.logspace(-300, -1, 600)
         want = np.array([-std_normal_quantile(float(x)) for x in u])
-        assert _within_ulps(std_normal_quantiles(1.0 - u, u), want)
+        assert _within_ulps(_quantile_row(1.0 - u, u), want)
 
     def test_center_and_shape(self):
         p = np.array([[0.5, 0.25], [0.75, 0.975]])
-        got = std_normal_quantiles(p, 1.0 - p)
+        got = _quantile_rows(p, 1.0 - p)
         assert got.shape == (2, 2)
         assert got[0, 0] == 0.0
         assert got[1, 1] == std_normal_quantile(0.975)
