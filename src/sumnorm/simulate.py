@@ -50,9 +50,15 @@ exponential, Weibull, chi-square(1) and beta(1, b), which covers
 beta(a != 1, b) sort whole samples instead, and so does the demo, which
 needs every value.
 
-Their Phi^-1 is the AS 241 algorithm of ``normal.std_normal_quantile``
-on numpy arrays, same coefficients, same operation order, taken one
-order statistic (row) at a time.  No other module imports numpy.
+Their Phi^-1 is the AS 241 algorithm (Wichura 1988) of
+``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
+operation order, taken one order statistic (row) at a time.  A row is
+evaluated whole by the branch, central or tail, that most of its
+elements take, and the other branch then overwrites its own few
+elements, so a row that straddles a branch edge costs about one branch
+and every element still gets the operations of its own.  ln(1 - U) for
+the exponential, Weibull and beta(1, b) quantiles is split the same
+way.  No other module imports numpy.
 """
 
 from __future__ import annotations
@@ -174,6 +180,36 @@ def _tail_quantiles(s: np.ndarray) -> np.ndarray:
     return z
 
 
+def _by_majority(mask: np.ndarray, where_true: Callable,
+                 where_false: Callable) -> np.ndarray:
+    """``where_true(i)`` on the elements of the 1-D ``mask`` that are
+    true and ``where_false(i)`` on the others, each given an index ``i``
+    into the row.  The side most elements take runs once on the whole
+    row (``i`` is ``...``), and the other side then overwrites its own
+    elements (``i`` their positions).  So every element gets the
+    operations of its own side, at about the cost of one side when the
+    other has few elements.  Ties go to ``where_true``.
+    """
+    count = np.count_nonzero(mask)
+    if 2 * count < len(mask):
+        mask, where_true, where_false = ~mask, where_false, where_true
+        count = len(mask) - count
+    out = where_true(...)
+    if count < len(mask):
+        rest = np.flatnonzero(~mask)
+        out[rest] = where_false(rest)
+    return out
+
+
+def _signed_tails(p: np.ndarray, upper: np.ndarray,
+                  lower: np.ndarray) -> np.ndarray:
+    # Phi^-1 by the tail formula: from p and negated where ``lower``,
+    # from upper = 1 - p elsewhere.
+    z = _tail_quantiles(np.sqrt(-np.log(np.where(lower, p, upper))))
+    np.negative(z, out=z, where=lower)
+    return z
+
+
 def _quantile_row(p: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Phi^-1 of each element of the 1-D ``p``, within a few ulp of
     ``normal.std_normal_quantile``.
@@ -182,9 +218,11 @@ def _quantile_row(p: np.ndarray, upper: np.ndarray) -> np.ndarray:
     loop).  ``upper`` is 1 - p, computed by the caller without
     cancellation; it is read only where p > 0.5, so the upper tail keeps
     its full relative precision.  A row whose elements all take one
-    branch (central, lower tail or upper tail) is evaluated whole; a
-    mixed row evaluates each branch only on the elements that take it.
-    Either way every element gets the operations of its own branch.
+    branch (central, lower tail or upper tail) is evaluated whole.  A
+    mixed row is evaluated whole by the branch most of its elements
+    take, central or tail, and the other branch then overwrites the
+    elements that take it.  Either way every element gets the operations
+    of its own branch.
     """
     # The extremes of q = p - 0.5, which rounds monotonically in p, so a
     # tail row never forms q.  initial=: an empty row counts as central.
@@ -195,21 +233,20 @@ def _quantile_row(p: np.ndarray, upper: np.ndarray) -> np.ndarray:
         return -_tail_quantiles(np.sqrt(-np.log(p)))
     if lo > 0.425:  # all in the upper tail
         return _tail_quantiles(np.sqrt(-np.log(upper)))
+    # Each formula is finite on the other's elements: the central
+    # denominator stays above 0.002 for |q| <= 0.5, and a central
+    # element's s - 1.6 keeps the near-tail denominator above 0.14.
     q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    x[central] = _central_quantiles(q[central])
-    tail = ~central
-    lower = q[tail] < 0.0
-    z = _tail_quantiles(np.sqrt(-np.log(np.where(lower, p[tail],
-                                                 upper[tail]))))
-    x[tail] = np.where(lower, -z, z)
-    return x
+    return _by_majority(
+        np.abs(q) <= 0.425, lambda i: _central_quantiles(q[i]),
+        lambda i: _signed_tails(p[i], upper[i], q[i] < 0.0))
 
 
 def _log_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # ln(1 - U), from U in the lower half and from 1 - U = v above it.
-    return np.where(u < 0.5, np.log1p(-u), np.log(v))
+    # ln(1 - U): log1p(-U) for U in the lower half, ln(v) from the exact
+    # v = 1 - U above it.
+    return _by_majority(u < 0.5, lambda i: np.log1p(-u[i]),
+                        lambda i: np.log(v[i]))
 
 
 # family -> (number of parameters, indices that must be > 0, sampler,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib
@@ -839,6 +840,52 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenario", "s1", "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_main_calls_share_one_parser(self, monkeypatch, capsys,
+                                         leptin_csv):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        assert main(["test", leptin_csv]) == 0
+        assert main(["estimate", leptin_csv]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_kept_parser_prints_what_a_fresh_one_does(self, src_env,
+                                                      leptin_csv):
+        # A refused argv, then a good one and --help, in one process,
+        # against each argv alone in a fresh process: the same exit
+        # codes, stdout and stderr.
+        code = ("import contextlib, io, json, sys\n"
+                "from sumnorm.cli import main\n"
+                "runs = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    out, err = io.StringIO(), io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out), \\\n"
+                "            contextlib.redirect_stderr(err):\n"
+                "        try:\n"
+                "            status = main(argv)\n"
+                "        except SystemExit as exc:\n"
+                "            status = exc.code\n"
+                "    runs.append([status, out.getvalue(), err.getvalue()])\n"
+                "print(json.dumps(runs))\n")
+
+        def run(argvs):
+            proc = subprocess.run([sys.executable, "-c", code,
+                                   json.dumps(argvs)], env=src_env,
+                                  capture_output=True, text=True, check=True)
+            return json.loads(proc.stdout)
+
+        argvs = [["simulate", "--scenario", "s1", "--seed", "1"],
+                 ["test", leptin_csv], ["--help"]]
+        together = run(argvs)
+        assert [status for status, _, _ in together] == [2, 0, 0]
+        assert together[0][2].startswith("usage: sumnorm simulate")
+        assert together == [run([argv])[0] for argv in argvs]
 
 
 @pytest.mark.skipif(shutil.which("sumnorm") is None,

@@ -645,6 +645,67 @@ class TestFastPathsBitIdentical:
         upper[0, :3] = 1.0 - p[0, :3]
         self._assert_same_bytes(p, upper)
 
+    @pytest.mark.parametrize("central", [19000, 10001, 10000, 9999, 1000])
+    def test_mixed_row_majorities(self, monkeypatch, central):
+        # 20000 elements, ``central`` of them central and the rest in
+        # both tails down to 1e-300, in random order.  A row at least
+        # half central runs the central formula on all 20000 elements;
+        # any other runs it on its central ones only.
+        rng = np.random.default_rng(central)
+        c = rng.uniform(0.0751, 0.9249, central)
+        t = self._log_uniform(rng, 1e-300, 0.0749, 20000 - central)
+        p, upper = np.concatenate([c, t]), np.concatenate([1.0 - c, 1.0 - t])
+        mirror = central + np.flatnonzero(rng.uniform(size=len(t)) < 0.5)
+        p[mirror], upper[mirror] = upper[mirror], p[mirror]
+        order = rng.permutation(20000)
+        sizes = []
+        central_quantiles = simulate._central_quantiles
+
+        def recording(q):
+            sizes.append(len(q))
+            return central_quantiles(q)
+
+        monkeypatch.setattr(simulate, "_central_quantiles", recording)
+        self._assert_same_bytes(p[order][None], upper[order][None])
+        assert sizes == [20000 if 2 * central >= 20000 else central]
+
+    @pytest.mark.parametrize("at", [0, 19999])
+    def test_single_minority_element_at_either_end(self, at):
+        # One tail element (far lower, upper) among 19999 central ones,
+        # and one central element among 19999 lower or upper tail ones,
+        # first or last in the row.
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0.0751, 0.9249, 19999)
+        t = self._log_uniform(rng, 1e-300, 0.0749, 19999)
+        rows = []
+        for p, upper, singles in (
+                (c, 1.0 - c, [(1e-300, 1.0), (0.999, 1e-3)]),
+                (t, 1.0 - t, [(0.5, 0.5), (0.9, 0.1)]),
+                (1.0 - t, t, [(0.1, 0.9), (0.3, 0.7)])):
+            for one in singles:
+                rows.append([np.insert(row, at, value)
+                             for row, value in zip((p, upper), one)])
+        p, upper = map(np.stack, zip(*rows))
+        self._assert_same_bytes(p, upper)
+
+    @pytest.mark.parametrize("below", [20000, 15000, 10000, 5000, 0])
+    def test_log_upper_rows(self, below):
+        # 20000 elements, ``below`` of them under 0.5 and the rest at or
+        # above it, exactly 0.5 included, in random order.
+        rng = np.random.default_rng(below)
+        w = np.concatenate([self._log_uniform(rng, 1e-300, 0.4999, below),
+                            self._log_uniform(rng, 2.0 ** -52, 0.5,
+                                              20000 - below)])
+        w[below::7] = 0.5
+        u, v = w.copy(), 1.0 - w
+        u[below:], v[below:] = v[below:], w[below:]
+        order = rng.permutation(20000)
+        u, v = u[order], v[order]
+        assert np.count_nonzero(u < 0.5) == below
+        assert below == 20000 or np.any(u == 0.5)
+        want = np.where(u < 0.5, np.log1p(-u), np.log(v))
+        assert simulate._log_upper(u, v).tobytes() == want.tobytes()
+
 
 class TestSkewDistortionDemo:
     def test_deterministic(self):
