@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -152,6 +153,51 @@ def cmd_estimate(args) -> int:
     return _group_table(args, ["scenario", "mean", "sd", "source"], cells)
 
 
+def _indented_json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, which
+    took more time than the pipeline whose report it wrote.  This writes
+    the same text: strings through the C escaper, floats by ``repr``
+    (NaN and infinities raise ``ValueError``), and dicts with str keys
+    and lists nested at two spaces a level.  Any other type, a tuple
+    included, raises ``TypeError``.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON "
+                             f"compliant: {obj!r}")
+        return float.__repr__(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _indented_json(value, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [_indented_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                    f"serializable")
+
+
 def cmd_meta(args) -> int:
     alpha = _resolve(args, "alpha")
     kappa_c = _resolve(args, "kappa_c")
@@ -163,9 +209,7 @@ def cmd_meta(args) -> int:
     payload = {"alpha": alpha, "model": args.model,
                "outcomes": [report_to_dict(r) for r in reports]}
     report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(payload, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8")
+    report_path.write_text(_indented_json(payload) + "\n", encoding="utf-8")
     taken: set[str] = set()
     for report in reports:
         pooled = report.pooled

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -43,6 +44,11 @@ CSV_COLUMNS = ("study_id", "outcome", "arm", "group_label", "n",
 # Cells holding this literal are treated as missing, mirroring the
 # "not specified" marker used in the source tables.
 _MISSING_LITERAL = "NS"
+
+# Label characters that UTF-8 cannot encode (lone surrogates) or that
+# XML 1.0 forbids; a label lands in report.json, stdout and the SVGs.
+_ILLEGAL_LABEL_CHAR = re.compile(
+    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class Scenario(Enum):
@@ -228,6 +234,17 @@ def _record_from_row(row: dict, where: str) -> tuple[str, GroupRecord]:
     outcome = str(row.get("outcome") or "").strip()
     group_label = str(row.get("group_label") or "").strip()
     arm = str(row.get("arm") or "").strip().lower()
+    # One search per row; the per-column search runs only on a refusal.
+    if _ILLEGAL_LABEL_CHAR.search(study_id + outcome + arm + group_label):
+        for column in ("study_id", "outcome", "arm", "group_label"):
+            text = str(row.get(column) or "")
+            bad = _ILLEGAL_LABEL_CHAR.search(text)
+            if bad:
+                raise SummaryDataError(
+                    f"{where}: column {column!r} holds {text!r}, with the "
+                    f"character U+{ord(bad.group()):04X}; a label may not "
+                    f"hold a control character other than tab, line feed "
+                    f"or carriage return, a surrogate, U+FFFE or U+FFFF")
     if not study_id or not outcome:
         raise SummaryDataError(f"{where}: study_id and outcome must be nonempty")
     if arm not in ("case", "control"):

@@ -151,7 +151,7 @@ def forest_svg(report: PipelineReport) -> str:
                f'text-anchor="middle">Standardized mean difference</text>')
     out.append(f'<text x="10" y="{_fmt(axis_y + 34)}" {_FONT} font-size="12">'
                f'Q={pooled.q_stat:.2f}, I²={pooled.i_squared:.0f}%, '
-               f'p={format_p_value(pooled.q_p)}</text>')
+               f'p={_esc(format_p_value(pooled.q_p))}</text>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sumnorm
-from sumnorm.cli import _dist_stem, main
+from sumnorm.cli import _dist_stem, _indented_json, main
 from sumnorm.simulate import _FAMILIES, DistSpec
 
 from strategies import NUMBERS, SIZES
@@ -272,6 +273,22 @@ class TestMetaCommand:
         assert "LDL-C" in (out_dir / "forest_ldl-c.svg").read_text()
         assert "LDL C" in (out_dir / "forest_ldl-c-2.svg").read_text()
 
+    @pytest.mark.parametrize("label", ["a\tb", "Müller 2019"])
+    def test_tab_and_non_ascii_labels_run(self, capsys, tmp_path, label):
+        p = tmp_path / "labels.csv"
+        p.write_text("\n".join([_HEADER] + [
+            f"{label},{label},{arm},{arm},20,,,1,3,5,7,9"
+            for arm in ("case", "control")]) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "meta"
+        for argv in (["test", str(p)], ["estimate", str(p)],
+                     ["meta", str(p), "--output-dir", str(out_dir)]):
+            assert main(argv) == 0, argv
+        assert label in capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["outcomes"][0]["outcome"] == label
+        (svg,) = out_dir.glob("forest_*.svg")
+        assert label in "".join(ET.parse(svg).getroot().itertext())
+
     def test_out_is_an_alias_of_output_dir(self, capsys, tmp_path, data_dir):
         dirs = (tmp_path / "long", tmp_path / "short")
         main(["meta", str(data_dir / "zhang2017.csv"),
@@ -401,8 +418,9 @@ _DOMINATED_CSV = "\n".join([_HEADER, "a,o,case,g0,20,5,1e-9,,,,,",
 @given(_meta_csv())
 @example(_DOMINATED_CSV)
 def test_meta_never_crashes_on_generated_rows(text):
-    # Any CSV ends in exit 0 or 2 without a traceback, and report.json,
-    # when written, is strict JSON.
+    # Any CSV ends in exit 0 or 2 without a traceback; report.json, when
+    # written, is strict JSON in the stdlib's indent=2 layout, and every
+    # forest SVG is well-formed XML.
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "rows.csv"
         csv_path.write_text(text)
@@ -413,7 +431,12 @@ def test_meta_never_crashes_on_generated_rows(text):
         assert code in (0, 2)
         report = out_dir / "report.json"
         if report.exists():
-            json.loads(report.read_text(), parse_constant=_reject_constant)
+            text = report.read_text()
+            payload = json.loads(text, parse_constant=_reject_constant)
+            assert text == json.dumps(payload, indent=2,
+                                      allow_nan=False) + "\n"
+        for svg in out_dir.glob("forest_*.svg"):
+            ET.parse(svg)
 
 
 @settings(max_examples=50)
@@ -440,6 +463,66 @@ def test_any_alpha_text_exits_zero_or_two(data_dir, alpha):
                 assert line.startswith("error: alpha must "), argv
             else:
                 assert "error:" not in out.getvalue(), argv
+
+
+# JSON leaves: ints past 2**63, floats at the repr edges, and text with
+# quotes, backslashes, control characters and lone surrogates.
+_JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                               st.sampled_from('"\\\x00\x1f\x7f\ud800\udfff'
+                                               '\u2028\xe9')))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**63 - 2, 2**200), st.integers(-2**200, -2**63 + 2),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308]),
+    _JSON_TEXT)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_JSON_TEXT, children,
+                                               max_size=4)),
+    max_leaves=24)
+
+
+@st.composite
+def _json_holding(draw, leaf):
+    """A JSON tree that holds a ``leaf`` at a drawn depth and position."""
+    tree = draw(leaf)
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(_JSON, max_size=2))
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(siblings)))
+            tree = [*siblings[:at], tree, *siblings[at:]]
+        else:
+            tree = {**dict(zip(draw(st.lists(_JSON_TEXT, min_size=2,
+                                             max_size=2)), siblings)),
+                    draw(_JSON_TEXT): tree}
+    return tree
+
+
+@settings(max_examples=300)
+@given(_JSON)
+def test_indented_json_writes_the_stdlib_bytes(obj):
+    assert _indented_json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@settings(max_examples=100)
+@given(_json_holding(st.sampled_from([float("nan"), float("inf"),
+                                      float("-inf")])))
+def test_indented_json_refuses_non_finite_floats(obj):
+    with pytest.raises(ValueError):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _indented_json(obj)
+
+
+@settings(max_examples=50)
+@given(_json_holding(st.sets(st.integers(), max_size=2)))
+def test_indented_json_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        _indented_json(obj)
 
 
 # Parameters that differ only in sign, decimal point, exponent sign or
@@ -763,6 +846,33 @@ class TestErrorPaths:
         if command == "meta":
             argv += ["--output-dir", str(tmp_path / "meta")]
         self._expect_config_error(capsys, argv, f"{p}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["test", "estimate", "meta"])
+    @pytest.mark.parametrize("name,column", [("ctl.csv", "study_id"),
+                                             ("surrogate.json", "outcome")])
+    def test_unwritable_label_refused(self, capsys, tmp_path, command, name,
+                                      column):
+        # A C0 control character made the forest SVG ill-formed, and a lone
+        # surrogate crashed the SVG write; both are refused on input.
+        p = tmp_path / name
+        if name.endswith(".csv"):
+            p.write_text(_HEADER + "\n" + "".join(
+                f"a\x01b,o,{arm},{arm},20,,,1,3,5,7,9\n"
+                for arm in ("case", "control")))
+        else:
+            p.write_text(json.dumps([
+                {"study_id": "a", "outcome": "o\ud800", "arm": arm, "n": 20,
+                 "min": 1, "median": 5, "max": 9}
+                for arm in ("case", "control")]))
+        out_dir = tmp_path / "meta"
+        argv = [command, str(p)]
+        if command == "meta":
+            argv += ["--output-dir", str(out_dir)]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {p}:")
+        assert f"column {column!r}" in line
+        assert not out_dir.exists()
 
     def test_bad_alpha_env(self, capsys, monkeypatch, leptin_csv):
         monkeypatch.setenv("SUMNORM_ALPHA", "nope")

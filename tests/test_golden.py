@@ -133,21 +133,21 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
                               'report.json': '1bc9f97333b928f79a514cc154208fa67cb54935ba134985bf8e525a9d831982'},
           'meta/ferretti2017': {'stdout': 'e8e8d2bee1cd074c06bac71f8775a13e680d249db7bbf1ef8f9c4b87a06b5a30',
                                 'forest_mmp-3.svg': '6a59dac92edb74f55f952ed3a9f04eef9cea1c4fc47eaecc1c052670423b733d',
-                                'forest_mmp-9.svg': '250c4c6331ab267da7d259aec71d5663661db9498ee8449dde535cc938a66bf5',
+                                'forest_mmp-9.svg': 'c7d60d34d41c061a8a37c30b7c381ca106a0ba13ac40726a080424792dccb52b',
                                 'forest_timp-i.svg': 'f7add32b7d49ee7bc00977ea7b7e4a3fcd701ff27bbef1e16737141fc6d042cc',
                                 'report.json': '484fea190f679ac6852c4a536f6425dc9c3e337d884895164238f6b07ed84f4c'},
           'meta/ferretti2017_mmp9': {'stdout': '00e340fbfe74d34f0efc9e4f5fee32684455b9d2ba04bcb2da3f959d468d7fb0',
-                                     'forest_mmp-9.svg': '250c4c6331ab267da7d259aec71d5663661db9498ee8449dde535cc938a66bf5',
+                                     'forest_mmp-9.svg': 'c7d60d34d41c061a8a37c30b7c381ca106a0ba13ac40726a080424792dccb52b',
                                      'report.json': '9167d9349c534a42b68517fdc17976a44a594adaf56831ad21787ede96ef1af3'},
           'meta/hawkins2017_bnp': {'stdout': '008dbdb46be8c2db1caec27515f53401a5da0c0ff66bc457953182fe9371d349',
-                                   'forest_bnp.svg': '5581cbb8aec4d98464742a6556968f5b076dc5500156364a08864be35c4ef27e',
+                                   'forest_bnp.svg': 'f99e1e5846f09f24cabcf0ba32e5e54ff5325daa346bef720d0ee96025d0fea4',
                                    'report.json': '602cd011f07de8617777d41f5bbb0e000708006d8b07ca960c0b79dae973e20c'},
           'meta/zhang2017': {'stdout': '2b190a3bb597347f56b85891b54f166d2248c92cd595723c8020854bdf979792',
-                             'forest_adiponectin.svg': '75989e71aef11c577facb10ebc86b3a136021ffc8c44068de51127a40e163ec6',
-                             'forest_leptin.svg': '52c163678fa406feb9c3b403471b353ebb26aef1b884a3335de541fd8e7b1713',
+                             'forest_adiponectin.svg': '588f29631cf3b0688800c541279415c76ba446a17adda5796603a73ceb549190',
+                             'forest_leptin.svg': '9f0cfd9ac0724a319c18d29b0a6e56c683fceb83e38c3920eb55f5aa36b6325c',
                              'report.json': 'eb6696ab0216e1302a2f5b25c37b07be6c6bf026c5c61a4eca5b8db5dc57fee3'},
           'meta/zhang2017_leptin': {'stdout': 'ca56fb0d6254f82b32a76bea39b172ea1ec8fd2474d92d64b27cd74a7f3a8745',
-                                    'forest_leptin.svg': '52c163678fa406feb9c3b403471b353ebb26aef1b884a3335de541fd8e7b1713',
+                                    'forest_leptin.svg': '9f0cfd9ac0724a319c18d29b0a6e56c683fceb83e38c3920eb55f5aa36b6325c',
                                     'report.json': 'b83f43df0f0a3ea4c2fd8104b18c5cb87fb9efcfff77ee6311f81c82e764c924'},
           'meta-hedges-fixed/banach2016': {'stdout': '1c1641b9e2c136bdd442240852686ae3142d75d40431d9b398677d8730e0a7ae',
                                            'forest_hdl-c.svg': 'b3abf9e88e14635a09741602116d68bdb15d5d4d4017c697d24d1813e78a660a',
@@ -157,21 +157,21 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
                                            'report.json': 'bfaff65c8081d4fe3541c99973405deae873e87307006e494a164d85d486de7a'},
           'meta-hedges-fixed/ferretti2017': {'stdout': 'fe40458b0a4a65f34d3ebf6040b3bc01f253478f4d42d6e050b9b3a26b7865c7',
                                              'forest_mmp-3.svg': '44d8fec6af43623104eccae76adff6fc24d1191091b97fcdca7ddcb49ebf6fed',
-                                             'forest_mmp-9.svg': '49ed1c40b8ae52ec015e26659b1f8daa74812dc6cb9e5efdadfc69fd703844be',
+                                             'forest_mmp-9.svg': '528c9466b1ec865fb596175a2bfa78b19fc527509c75346f7f6e0612693112c0',
                                              'forest_timp-i.svg': 'de09ccae62503c0e934684a95de49bf2a20f86c3fdfe1b037bfee27806f61842',
                                              'report.json': 'd4ee462fffb53cc3de211dcea0201ac607127ec277d7bf05749892fa46767eab'},
           'meta-hedges-fixed/ferretti2017_mmp9': {'stdout': 'e838c1e9d6d9317cd5fd51a72d9d92fe6777f2ae79e97b98e39bb1269a482426',
-                                                  'forest_mmp-9.svg': '49ed1c40b8ae52ec015e26659b1f8daa74812dc6cb9e5efdadfc69fd703844be',
+                                                  'forest_mmp-9.svg': '528c9466b1ec865fb596175a2bfa78b19fc527509c75346f7f6e0612693112c0',
                                                   'report.json': '269e0813071073cc123af4c22ed7db8ca63104002e0576691df479867b949819'},
           'meta-hedges-fixed/hawkins2017_bnp': {'stdout': 'e1c847a916de863fdba9c50e89c4a89bae812e13348af1cb3d304154a764e6d2',
-                                                'forest_bnp.svg': '66926a6b30c8dc628029eda3daad0ecd27a122f78dc660e988a8bfb059ceb6fb',
+                                                'forest_bnp.svg': '0efb8d87d1561b4b134c28eb4f9c62b713a35e033a2cf9389e2e5bbed9511283',
                                                 'report.json': 'eab8ebeae9803cd3ccf9e2b9af175351b8ee335ddcb7206cd6c13bf97ae3827d'},
           'meta-hedges-fixed/zhang2017': {'stdout': '205ea538679a09979fdda88c9a323e3ff0b3f9f4b8fb60ae92d1036b243ff51d',
-                                          'forest_adiponectin.svg': '2360421fe5385dc2ccf1b412d2d63dea568383a3ceac013e2f8dce5abeb8e2c6',
-                                          'forest_leptin.svg': '186d8583769a7c624ecdb054d04d9014f47ee9c5e107fc3467e34f2a8d5024be',
+                                          'forest_adiponectin.svg': '13bd4f409f94866ee4dd7db53f5a767a42769f92f8481eb492d8823bb6bc219e',
+                                          'forest_leptin.svg': '5bb2b05e0b54994afaee416063d27deb4eb78a17de1021b590c8b9fb94299c0d',
                                           'report.json': '662759f322799cc58f48727a588545d2e2ff4b4fd41e953e2e25b3e509851a93'},
           'meta-hedges-fixed/zhang2017_leptin': {'stdout': '2a23a881b94e516a2c535b28b3cc46790b8307b1413a9b0cf3fc798a7ae1993e',
-                                                 'forest_leptin.svg': '186d8583769a7c624ecdb054d04d9014f47ee9c5e107fc3467e34f2a8d5024be',
+                                                 'forest_leptin.svg': '5bb2b05e0b54994afaee416063d27deb4eb78a17de1021b590c8b9fb94299c0d',
                                                  'report.json': '1b2b5c9ad2c949ad3bb58f65abee769cca7128b660660741551f74fb407060e8'},
           'test/banach2016': {'stdout': '3f850ea1b80dc3f26ec8bca56f861ab77f69dbd566b48af96050b4eaaddb1316'},
           'test/ferretti2017': {'stdout': '246474c1a4990bce6d85c8a022415e543478f4c86fd97427ce6dfb4a66eb711a'},

@@ -1,5 +1,6 @@
 import json
 import math
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -636,6 +637,16 @@ class TestForestSvg:
         svg = forest_svg(report)
         assert "a&lt;b&gt;" in svg
         assert "x &amp; y" in svg
+
+    def test_heterogeneity_floor_is_escaped(self):
+        # Q's p-value prints as "<0.001" here; a bare "<" made the SVG
+        # ill-formed XML.
+        studies = [_direct_study("alpha", "o", 50, 9.0, 1.0, 50, 1.0, 1.0),
+                   _direct_study("beta", "o", 50, 1.0, 1.0, 50, 9.0, 1.0)]
+        (report,) = run_pipeline(studies)
+        svg = forest_svg(report)
+        assert "p=&lt;0.001" in svg
+        ET.fromstring(svg.encode("utf-8"))
 
     def test_no_included_studies_rejected(self):
         studies = [_summary_study("skew", "o", _SKEWED, _SYMMETRIC)]
