@@ -181,13 +181,9 @@ def _indented_json(obj, indent: str = "\n") -> str:
     if kind is dict:
         if not obj:
             return "{}"
-        items = []
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not "
-                                f"{type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": "
-                         + _indented_json(value, inner))
+        # The C escaper raises TypeError on a key that is not a str.
+        items = [encode_basestring_ascii(key) + ": "
+                 + _indented_json(value, inner) for key, value in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list:
         if not obj:

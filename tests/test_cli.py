@@ -489,13 +489,12 @@ def _json_holding(draw, leaf):
     """A JSON tree that holds a ``leaf`` at a drawn depth and position."""
     tree = draw(leaf)
     for _ in range(draw(st.integers(0, 4))):
-        siblings = draw(st.lists(_JSON, max_size=2))
         if draw(st.booleans()):
+            siblings = draw(st.lists(_JSON, max_size=2))
             at = draw(st.integers(0, len(siblings)))
             tree = [*siblings[:at], tree, *siblings[at:]]
         else:
-            tree = {**dict(zip(draw(st.lists(_JSON_TEXT, min_size=2,
-                                             max_size=2)), siblings)),
+            tree = {**draw(st.dictionaries(_JSON_TEXT, _JSON, max_size=2)),
                     draw(_JSON_TEXT): tree}
     return tree
 
