@@ -49,7 +49,20 @@ class _ConfigError(Exception):
     """Unusable flag/environment combination; maps to exit code 2."""
 
 
+# A label may hold a tab, line feed or carriage return (XML allows
+# them); printed raw, they would split or shift a line of output.
+_ESCAPED_WHITESPACE = str.maketrans({"\t": "\\t", "\n": "\\n",
+                                     "\r": "\\r"})
+
+
+def _printable(text: str) -> str:
+    """``text`` with each tab, line feed and carriage return as the
+    two characters of its escape, ``\\t``, ``\\n`` or ``\\r``."""
+    return text.translate(_ESCAPED_WHITESPACE)
+
+
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    rows = [[_printable(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -210,7 +223,7 @@ def cmd_meta(args) -> int:
     for report in reports:
         pooled = report.pooled
         if pooled is None:
-            print(f"warning: {report.outcome_label}: "
+            print(f"warning: {_printable(report.outcome_label)}: "
                   f"{report.pooled_omitted_reason}")
             continue
         # Distinct outcomes can share a slug; a later one gets -2, -3, ...
@@ -223,14 +236,14 @@ def cmd_meta(args) -> int:
         svg_path = out_dir / f"forest_{slug}.svg"
         svg_path.write_text(forest_svg(report), encoding="utf-8")
         included = len(report.included_ids)
-        print(f"{report.outcome_label}: SMD {pooled.smd:.3f} "
+        print(f"{_printable(report.outcome_label)}: SMD {pooled.smd:.3f} "
               f"[{pooled.ci_low:.3f}, {pooled.ci_high:.3f}]  "
               f"Q {pooled.q_stat:.2f}  p {format_p_value(pooled.q_p)}  "
               f"I2 {pooled.i_squared:.1f}%  tau2 {pooled.tau_squared:.4f}  "
               f"included {included}/{len(report.studies)}")
         excluded = report.excluded_ids
         if excluded:
-            print(f"  excluded: {', '.join(excluded)}")
+            print(f"  excluded: {_printable(', '.join(excluded))}")
     print(f"report: {report_path}")
     return 0
 

@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass
 
 from .estimators import EstimatedMoments, estimate_moments
-from .model import GroupRecord, Study, pooled_moments
+from .model import GroupRecord, Study, left_sum, pooled_moments
 from .normal import critical_value
 from .symmetry import DEFAULT_KAPPA_C, TestResult, coeff_kappa, run_test
 
@@ -192,9 +192,9 @@ def pool(effects: list[EffectSize], model: str = "random") -> PooledResult:
         raise ValueError(f"model must be 'fixed' or 'random', got {model!r}")
     d = [e.smd for e in effects]
     w = [1.0 / (e.se ** 2) for e in effects]
-    sum_w = sum(w)
-    d_fixed = sum(wi * di for wi, di in zip(w, d)) / sum_w
-    q_stat = sum(wi * (di - d_fixed) ** 2 for wi, di in zip(w, d))
+    sum_w = left_sum(w)
+    d_fixed = left_sum(wi * di for wi, di in zip(w, d)) / sum_w
+    q_stat = left_sum(wi * (di - d_fixed) ** 2 for wi, di in zip(w, d))
     df = len(effects) - 1
     if df > 0:
         # sum_w - sum(w_i^2) / sum_w, summed as w_i w_j / sum_w over the
@@ -214,8 +214,8 @@ def pool(effects: list[EffectSize], model: str = "random") -> PooledResult:
         w_star = [1.0 / (e.se ** 2 + tau_squared) for e in effects]
     else:
         w_star = w
-    sum_w_star = sum(w_star)
-    pooled_smd = sum(wi * di for wi, di in zip(w_star, d)) / sum_w_star
+    sum_w_star = left_sum(w_star)
+    pooled_smd = left_sum(wi * di for wi, di in zip(w_star, d)) / sum_w_star
     pooled_se = 1.0 / math.sqrt(sum_w_star)
     return PooledResult(
         smd=pooled_smd,

@@ -45,10 +45,10 @@ CSV_COLUMNS = ("study_id", "outcome", "arm", "group_label", "n",
 # "not specified" marker used in the source tables.
 _MISSING_LITERAL = "NS"
 
-# Label characters that UTF-8 cannot encode (lone surrogates) or that
-# XML 1.0 forbids; a label lands in report.json, stdout and the SVGs.
-_ILLEGAL_LABEL_CHAR = re.compile(
-    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# The C0 controls XML 1.0 forbids.  A class that reached past U+00FF
+# would make ``re`` build a 64 KiB charmap, so the other characters a
+# label may not hold are found without one, in ``_unwritable_at``.
+_C0_CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 
 class Scenario(Enum):
@@ -189,6 +189,20 @@ def validate(group: GroupRecord) -> list[str]:
     return out
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The floats of ``values`` added one at a time, left to right.
+
+    Builtin ``sum`` does this before Python 3.12 and compensates the
+    rounding from 3.12 on, so pooled values would differ in their last
+    digits between versions.  The plain fold gives the same bytes on
+    every supported Python.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def pooled_moments(moments: Sequence[tuple[int, float, float]]) -> tuple[int, float, float]:
     """Combine per-group (n, mean, sd) triples into overall moments.
 
@@ -203,9 +217,9 @@ def pooled_moments(moments: Sequence[tuple[int, float, float]]) -> tuple[int, fl
     if not moments:
         raise ValueError("at least one (n, mean, sd) triple required")
     total_n = sum(n for n, _, _ in moments)
-    mean = sum(n * m for n, m, _ in moments) / total_n
-    ss = sum((n - 1) * sd * sd for n, _, sd in moments)
-    ss += sum(n * (m - mean) ** 2 for n, m, _ in moments)
+    mean = left_sum(n * m for n, m, _ in moments) / total_n
+    ss = left_sum((n - 1) * sd * sd for n, _, sd in moments)
+    ss += left_sum(n * (m - mean) ** 2 for n, m, _ in moments)
     sd = math.sqrt(ss / (total_n - 1))
     return total_n, mean, sd
 
@@ -229,20 +243,39 @@ def _parse_cell(raw: str | float | int | None, column: str, where: str) -> float
     return value
 
 
+def _unwritable_at(text: str) -> int:
+    """The index of the first character of ``text`` that a label may not
+    hold, or -1.  A label lands in report.json, stdout and the SVGs, so
+    it may not hold a character that UTF-8 cannot encode (a lone
+    surrogate) or that XML 1.0 forbids (a C0 control other than tab,
+    line feed and carriage return, U+FFFE or U+FFFF)."""
+    found = _C0_CONTROL.search(text)
+    if text.isascii():
+        return found.start() if found else -1
+    at = [i for i in (text.find("\ufffe"), text.find("\uffff")) if i >= 0]
+    if found:
+        at.append(found.start())
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # at the first lone surrogate
+        at.append(exc.start)
+    return min(at, default=-1)
+
+
 def _record_from_row(row: dict, where: str) -> tuple[str, GroupRecord]:
     study_id = str(row.get("study_id") or "").strip()
     outcome = str(row.get("outcome") or "").strip()
     group_label = str(row.get("group_label") or "").strip()
     arm = str(row.get("arm") or "").strip().lower()
-    # One search per row; the per-column search runs only on a refusal.
-    if _ILLEGAL_LABEL_CHAR.search(study_id + outcome + arm + group_label):
+    # One check per row; the per-column check runs only on a refusal.
+    if _unwritable_at(study_id + outcome + arm + group_label) >= 0:
         for column in ("study_id", "outcome", "arm", "group_label"):
             text = str(row.get(column) or "")
-            bad = _ILLEGAL_LABEL_CHAR.search(text)
-            if bad:
+            bad = _unwritable_at(text)
+            if bad >= 0:
                 raise SummaryDataError(
                     f"{where}: column {column!r} holds {text!r}, with the "
-                    f"character U+{ord(bad.group()):04X}; a label may not "
+                    f"character U+{ord(text[bad]):04X}; a label may not "
                     f"hold a control character other than tab, line feed "
                     f"or carriage return, a surrogate, U+FFFE or U+FFFF")
     if not study_id or not outcome:

@@ -16,11 +16,11 @@ wait in one queue, in grid order, then chunk order; the calling thread
 and one helper thread per further usable CPU (``os.sched_getaffinity``)
 each take the next unit until none is left.  The helpers start with the
 first curve that needs them and stay parked between curves.  numpy's
-samplers and ufuncs release the interpreter lock, so the units overlap,
-and a helper slowed by other load on its CPU holds up the curve by at
-most one chunk.  A unit reads only its own stream and returns two
-counts, its rejections and its non-finite statistics; a cell's rate is
-its rejections over the replicates, the same float as the mean of the
+samplers release the interpreter lock, so the units' draws overlap, and
+a helper slowed by other load on its CPU holds up the curve by at most
+one chunk.  A unit reads only its own stream and returns two counts,
+its rejections and its non-finite statistics; a cell's rate is its
+rejections over the replicates, the same float as the mean of the
 rejection flags, so a curve is the same at any CPU count.  After a cell
 fails no unit of a later cell starts, the failing cell's own units
 finish so that its count is whole, and the failure at the lowest grid
@@ -31,6 +31,16 @@ statistic (row) at a time, and the sort path draws and sorts a chunk
 ``_SORT_VALUES`` values at a time.  So a curve holds at most one chunk
 per thread, at any number of replicates, and the sort path's memory
 does not grow with n.
+
+The map from gammas to order statistics is a run of short ufunc calls
+on rows of ``_CHUNK_ROWS`` elements, and the interpreter lock is held
+between them, so concurrent maps serialise: on a 2-CPU x86 guest, Phi^-1
+of one row took about 160 us on one thread and 300 us on each of two
+threads at once, with one Horner pass per polynomial.  So the map is
+kept to few calls.  A curve maps only the order statistics its
+scenario's statistic reads (``symmetry.READS``), and each of AS 241's
+numerator/denominator pairs is evaluated in one Horner pass (220 us a
+row on each of two threads).
 
 Each replicate needs only five order statistics of a sample of n, and
 the Renyi representation (Renyi 1953; Devroye 1986, *Non-Uniform Random
@@ -52,13 +62,15 @@ needs every value.
 
 Their Phi^-1 is the AS 241 algorithm (Wichura 1988) of
 ``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
-operation order, taken one order statistic (row) at a time.  A row is
-evaluated whole by the branch, central or tail, that most of its
-elements take, and the other branch then overwrites its own few
-elements, so a row that straddles a branch edge costs about one branch
-and every element still gets the operations of its own.  ln(1 - U) for
-the exponential, Weibull and beta(1, b) quantiles is split the same
-way.  No other module imports numpy.
+operation order, taken one order statistic (row) at a time.  Each
+rational function's numerator and denominator are the two rows of one
+(2, len) Horner evaluation, element for element the scalar code's
+operations.  A row is evaluated whole by the branch, central or tail,
+that most of its elements take, and the other branch then overwrites
+its own few elements, so a row that straddles a branch edge costs about
+one branch and every element still gets the operations of its own.
+ln(1 - U) for the exponential, Weibull and beta(1, b) quantiles is
+split the same way.  No other module imports numpy.
 """
 
 from __future__ import annotations
@@ -78,7 +90,7 @@ from .estimators import estimate_mean, estimate_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, coeff_kappa, statistic
+from .symmetry import DEFAULT_KAPPA_C, READS, coeff_kappa, statistic
 
 __all__ = [
     "DistSpec",
@@ -140,11 +152,20 @@ _FAR_TAIL = ((2.01033439929228813265e-7, 2.71155556874348757815e-5,
               5.99832206555887937690e-1, 1.0))
 
 
-def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    # In place, in the same operation order as the scalar code.
-    y = x * coeffs[0]
-    y += coeffs[1]
-    for c in coeffs[2:]:
+# The same pairs as (8, 2, 1) columns, numerator over denominator, for
+# ``_horner``.
+_CENTRAL_PAIR, _NEAR_TAIL_PAIR, _FAR_TAIL_PAIR = (
+    tuple(np.array(pair).T[:, :, None])
+    for pair in (_CENTRAL, _NEAR_TAIL, _FAR_TAIL))
+
+
+def _horner(pair: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    # Both polynomials of a pair at x, as the rows of one (2, len(x))
+    # array: half the calls of one pass per polynomial.  In place, in
+    # the same operation order as the scalar code.
+    y = x * pair[0]
+    y += pair[1]
+    for c in pair[2:]:
         y *= x
         y += c
     return y
@@ -156,27 +177,27 @@ def _central_quantiles(q: np.ndarray) -> np.ndarray:
     # rows are held at once.
     r = q * q
     np.subtract(0.180625, r, out=r)
-    x = _horner(_CENTRAL[0], r)
-    x *= q
-    x /= _horner(_CENTRAL[1], r)
-    return x
+    y = _horner(_CENTRAL_PAIR, r)
+    np.multiply(y[0], q, out=r)
+    r /= y[1]
+    return r
 
 
-def _rational(coeffs, x: np.ndarray) -> np.ndarray:
-    y = _horner(coeffs[0], x)
-    y /= _horner(coeffs[1], x)
-    return y
+def _rational(pair: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    # The pair's quotient at x, written over x.
+    y = _horner(pair, x)
+    return np.divide(y[0], y[1], out=x)
 
 
 def _tail_quantiles(s: np.ndarray) -> np.ndarray:
     # |Phi^-1| from s = sqrt(-ln(min(p, 1 - p))) > 0.425's tail.
     far = s > 5.0
     if not far.any():
-        return _rational(_NEAR_TAIL, s - 1.6)
+        return _rational(_NEAR_TAIL_PAIR, s - 1.6)
     near = ~far
     z = np.empty_like(s)
-    z[near] = _rational(_NEAR_TAIL, s[near] - 1.6)
-    z[far] = _rational(_FAR_TAIL, s[far] - 5.0)
+    z[near] = _rational(_NEAR_TAIL_PAIR, s[near] - 1.6)
+    z[far] = _rational(_FAR_TAIL_PAIR, s[far] - 5.0)
     return z
 
 
@@ -362,16 +383,21 @@ def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
 
 
 def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
-                    chunk: int | None = None) -> np.ndarray:
+                    chunk: int | None = None, *,
+                    reads: Sequence[int] = (0, 1, 2, 3, 4)) -> np.ndarray:
     """(replicates, 5) matrix of [min, q1, median, q3, max] rows, or,
     given a ``chunk`` index, the rows of that chunk of them only.
 
     Spacings when the family has a quantile (see the module docstring),
     sorted samples otherwise; both on the (seed, n, chunk) streams.  The
     matrix is the transpose of a (5, rows) array that each chunk fills a
-    row at a time.
+    row at a time.  The spacings path maps only the positions in
+    ``reads`` through the quantile and fills the others with NaN, so a
+    statistic that reads an unmapped position is not finite; the sort
+    path fills all five.
     """
     columns = _order_columns(n)
+    unread = [i for i in range(len(columns)) if i not in reads]
     quantile = _FAMILIES[dist.family][3](dist.params)
     # Gamma shapes: the gaps between 0, the 1-based ranks and n + 1.  A
     # gap is 0 where ranks tie (n = 4..7); that gamma is exactly 0.
@@ -412,8 +438,10 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
         part /= total
         above /= total
         del total  # one row less to hold while the quantiles run
-        for below_row, above_row in zip(part, above):
-            below_row[...] = quantile(below_row, above_row)
+        for i in reads:
+            part[i] = quantile(part[i], above[i])
+        if unread:
+            part[unread] = np.nan
     return out.T
 
 
@@ -544,6 +572,9 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
         _order_columns(n)
     crit = critical_value(alpha)
     coeff_kappa(4, kappa_c)  # refuses a kappa_c that S1 and S2 ignore
+    reads = READS.get(scenario)
+    if reads is None:
+        raise ValueError(f"no test statistic for scenario {scenario}")
 
     def unit(i: int, chunk: int) -> tuple[int, int]:
         n = n_grid[i]
@@ -551,7 +582,8 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
         # statistics; a nan would count as "retain", so the cell is
         # refused.  The error state is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            summaries = _summary_matrix(dist, n, replicates, seed, chunk)
+            summaries = _summary_matrix(dist, n, replicates, seed, chunk,
+                                        reads=reads)
             stats = _statistics(scenario, summaries, n, kappa_c)
             return (int(np.count_nonzero(np.abs(stats) > crit)),
                     int(np.count_nonzero(~np.isfinite(stats))))

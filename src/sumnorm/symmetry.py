@@ -31,6 +31,7 @@ __all__ = [
     "coeff_phi",
     "coeff_kappa",
     "statistic",
+    "READS",
     "run_test",
     "format_statistic",
     "format_p_value",
@@ -113,6 +114,15 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
         return (coeff_kappa(n, kappa_c)
                 * (a + b + q1 + q3 - 4.0 * m) / ((b - a) + (q3 - q1)))
     raise ValueError(f"no test statistic for scenario {scenario}")
+
+
+# scenario -> the positions in (min, q1, median, q3, max) that its
+# statistic reads; the others it ignores.
+READS = {
+    Scenario.S1: (0, 2, 4),
+    Scenario.S2: (1, 2, 3),
+    Scenario.S3: (0, 1, 2, 3, 4),
+}
 
 
 # scenario -> the words for a zero divisor in its statistic, which on

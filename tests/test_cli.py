@@ -283,11 +283,46 @@ class TestMetaCommand:
         for argv in (["test", str(p)], ["estimate", str(p)],
                      ["meta", str(p), "--output-dir", str(out_dir)]):
             assert main(argv) == 0, argv
-        assert label in capsys.readouterr().out
+        assert label.replace("\t", "\\t") in capsys.readouterr().out
         report = json.loads((out_dir / "report.json").read_text())
         assert report["outcomes"][0]["outcome"] == label
         (svg,) = out_dir.glob("forest_*.svg")
         assert label in "".join(ET.parse(svg).getroot().itertext())
+
+    @pytest.mark.parametrize("label", ["a\nb", "t\tb", "c\rd"])
+    def test_control_whitespace_in_labels_printed_escaped(self, capsys,
+                                                          tmp_path, label):
+        # A quoted CSV label may hold a tab, line feed or carriage return.
+        # Every command prints it as its escape, so no row splits over
+        # two lines or shifts its columns; report.json keeps it as is.
+        shown = (label.replace("\t", "\\t").replace("\n", "\\n")
+                 .replace("\r", "\\r"))
+        p = tmp_path / "labels.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_HEADER.split(","))
+            for study, q1 in ((label, 3), ("plain", 3), (label + "!", 6)):
+                for arm in ("case", "control"):  # q1 = 6 > median: refused
+                    writer.writerow([study, label, arm, arm, 20, "", "", 1,
+                                     q1, 5, 7, 9])
+        for command in ("test", "estimate"):
+            assert main([command, str(p)]) == 0
+            header, rule, *rows = capsys.readouterr().out.splitlines()
+            group_at = header.index("group")
+            assert len(rule) >= group_at and len(rows) == 6
+            studies = [row[:group_at].rstrip() for row in rows]
+            assert studies == [s for s in (shown, "plain", shown + "!")
+                               for _ in range(2)]
+            assert [row[group_at:].split()[0] for row in rows] == \
+                ["case", "control"] * 3
+        out_dir = tmp_path / "meta"
+        assert main(["meta", str(p), "--output-dir", str(out_dir)]) == 0
+        pooled, excluded, report = capsys.readouterr().out.splitlines()
+        assert pooled.startswith(f"{shown}: SMD ")
+        assert excluded == f"  excluded: {shown}!"
+        assert report.startswith("report: ")
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["outcomes"][0]["outcome"] == label
 
     def test_out_is_an_alias_of_output_dir(self, capsys, tmp_path, data_dir):
         dirs = (tmp_path / "long", tmp_path / "short")

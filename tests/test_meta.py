@@ -1,5 +1,8 @@
+import builtins
+import functools
 import json
 import math
+import operator
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -116,7 +119,29 @@ def _effects_strategy():
         min_size=1, max_size=12)
 
 
+def _left_fold(values, start=0):
+    # Builtin sum as it is before Python 3.12: one addition at a time.
+    return functools.reduce(operator.add, values, start)
+
+
 class TestPool:
+    def test_same_floats_under_a_compensated_sum(self, monkeypatch):
+        # Python 3.12's builtin sum compensates float rounding; pool adds
+        # left to right on every version, so an fsum in place of the
+        # builtin changes nothing.  The weighted terms here are ones the
+        # two summations round differently.
+        effects = [_effect(-0.1, 0.26), _effect(-0.7, 0.18),
+                   _effect(1.0, 0.13), _effect(-0.3, 0.23)]
+        terms = [1.0 / e.se ** 2 * e.smd for e in effects]
+        assert math.fsum(terms) != _left_fold(terms)
+        for model in ("fixed", "random"):
+            monkeypatch.setattr(builtins, "sum", _left_fold)
+            want = pool(effects, model=model)
+            monkeypatch.setattr(builtins, "sum", math.fsum)
+            got = pool(effects, model=model)
+            monkeypatch.undo()
+            assert got == want
+
     def test_frozen_two_study_example(self):
         effects = [_effect(0.5, 0.2), _effect(1.0, 0.25)]
         fixed = pool(effects, model="fixed")

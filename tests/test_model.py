@@ -1,5 +1,9 @@
+import builtins
 import csv
+import functools
 import json
+import math
+import operator
 import re
 
 import numpy as np
@@ -11,6 +15,7 @@ from sumnorm.model import (CSV_COLUMNS, GroupRecord, QuantileSummary,
                            Scenario, SummaryDataError,
                            UnsupportedSummaryError, classify_scenario,
                            parse_studies, pooled_moments, validate)
+from sumnorm.model import _unwritable_at
 from sumnorm.symmetry import run_test
 
 
@@ -135,6 +140,24 @@ class TestPooledMoments:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pooled_moments([])
+
+    def test_same_floats_under_a_compensated_sum(self, monkeypatch):
+        # Python 3.12's builtin sum compensates float rounding;
+        # pooled_moments adds left to right on every version, so an fsum
+        # in place of the builtin changes nothing.  The terms here are
+        # ones the two summations round differently.
+        def left_fold(values, start=0):
+            return functools.reduce(operator.add, values, start)
+
+        triples = [(19, 1.3, 1.9), (24, 0.1, 1.4), (7, 0.3, 0.6)]
+        terms = [n * m for n, m, _ in triples]
+        assert math.fsum(terms) != left_fold(terms)
+        monkeypatch.setattr(builtins, "sum", left_fold)
+        want = pooled_moments(triples)
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        got = pooled_moments(triples)
+        monkeypatch.undo()
+        assert got == want
 
     @given(st.lists(st.tuples(st.integers(2, 60),
                               st.floats(-50, 50),
@@ -265,6 +288,30 @@ def _write(tmp_path, text, name="in.csv"):
 
 
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+# The one-class pattern the label check replaces, as the oracle: it
+# refused the same characters, but ``re`` compiles a class reaching past
+# U+00FF through a 64 KiB charmap.
+_ONE_CLASS = re.compile(
+    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_LABEL_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from("\x00\x08\t\n\x0b\r\x1f\ud800\udfff\ufffe\uffff")))
+
+
+class TestUnwritableLabelCharacters:
+    def test_every_code_point_as_the_one_class_pattern(self):
+        every = "".join(map(chr, range(0x110000)))
+        want = [m.start() for m in _ONE_CLASS.finditer(every)]
+        got = [i for i, c in enumerate(every) if _unwritable_at(c) == 0]
+        assert got == want
+        assert len(want) == 29 + 2048 + 2
+
+    @given(_LABEL_TEXT)
+    def test_first_refused_character_as_the_one_class_pattern(self, text):
+        found = _ONE_CLASS.search(text)
+        assert _unwritable_at(text) == (found.start() if found else -1)
 
 
 class TestParseErrors:

@@ -22,7 +22,7 @@ from sumnorm.simulate import (DEMO_PAIRS, POWER_ALTERNATIVES, DistSpec, _draw,
                               _statistics, _summary_matrix, isotonic_fit_r2,
                               power_curve, skew_distortion_demo, summarize,
                               write_experiment_csv)
-from sumnorm.symmetry import DEFAULT_KAPPA_C
+from sumnorm.symmetry import DEFAULT_KAPPA_C, READS
 
 _NORMAL = DistSpec("normal", (0.0, 1.0))
 
@@ -308,6 +308,46 @@ class TestSpacings:
             assert abs(r_fast - r_slow) <= k * se + 1e-12, scenario
 
     @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES, ids=DistSpec.label)
+    @pytest.mark.parametrize("n", [4, 5, 7, 10, 1000])
+    def test_reads_map_only_their_rows(self, dist, n):
+        # The rows a scenario reads are the full matrix's bytes; the
+        # others are NaN.  The sort path fills every row.
+        full = _summary_matrix(dist, n, 700, 6)
+        for scenario, reads in READS.items():
+            got = _summary_matrix(dist, n, 700, 6, reads=reads)
+            unread = [i for i in range(5) if i not in reads]
+            assert got[:, reads].tobytes() == full[:, reads].tobytes()
+            assert np.all(np.isnan(got[:, unread])), scenario
+            assert np.all(np.isfinite(got[:, reads])), scenario
+
+    @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
+                                          Scenario.S3])
+    def test_curve_maps_what_its_statistic_reads(self, monkeypatch,
+                                                 scenario):
+        seen = []
+        real = simulate._summary_matrix
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["reads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_summary_matrix", recording)
+        power_curve(scenario, _NORMAL, (10, 20), replicates=50, seed=1)
+        assert seen == [READS[scenario]] * 2
+
+    def test_curve_without_a_statistic_refused_before_any_draw(
+            self, monkeypatch):
+        monkeypatch.setattr(simulate, "_draw", None)  # any draw fails
+        with pytest.raises(ValueError, match="no test statistic"):
+            power_curve(Scenario.DIRECT, _NORMAL, (10,), replicates=50)
+
+    @pytest.mark.parametrize("dist", _SORTED_FAMILIES, ids=DistSpec.label)
+    def test_sort_path_fills_every_row(self, dist):
+        full = _summary_matrix(dist, 30, 300, 6)
+        got = _summary_matrix(dist, 30, 300, 6, reads=READS[Scenario.S1])
+        assert got.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES, ids=DistSpec.label)
     def test_rows_ordered_and_tied_ranks_equal(self, dist):
         for n in range(4, 12):
             x = _summary_matrix(dist, n, 500, 3)
@@ -368,9 +408,9 @@ class TestConcurrentCells:
         units = []
         real = simulate._summary_matrix
 
-        def recording(dist, n, replicates, seed, chunk=None):
+        def recording(dist, n, replicates, seed, chunk=None, **kwargs):
             units.append((n, chunk, threading.current_thread()))
-            return real(dist, n, replicates, seed, chunk)
+            return real(dist, n, replicates, seed, chunk, **kwargs)
 
         monkeypatch.setattr(simulate, "_summary_matrix", recording)
         power_curve(Scenario.S1, _NORMAL, grid, replicates, seed=1)
@@ -481,11 +521,11 @@ class TestChunkUnits:
         units = []
         real = simulate._summary_matrix
 
-        def overflowing(dist, n, replicates, seed, chunk=None):
+        def overflowing(dist, n, replicates, seed, chunk=None, **kwargs):
             units.append((n, chunk))
             if (n, chunk) == (10, 0):
                 time.sleep(0.2)
-            x = real(dist, n, replicates, seed, chunk)
+            x = real(dist, n, replicates, seed, chunk, **kwargs)
             if (n, chunk) == (10, 3):
                 x[::2] = np.inf
             return x

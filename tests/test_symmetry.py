@@ -10,8 +10,8 @@ from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
                            UnsupportedSummaryError)
 from sumnorm.symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES,
                               DegenerateSummaryError, coeff_kappa, coeff_phi,
-                              coeff_tau, format_p_value, format_statistic,
-                              run_test, statistic)
+                              READS, coeff_tau, format_p_value,
+                              format_statistic, run_test, statistic)
 
 
 def _record(**kwargs) -> GroupRecord:
@@ -189,6 +189,22 @@ class TestStatistic:
     def test_direct_scenario_rejected(self):
         with pytest.raises(ValueError, match="no test statistic"):
             statistic(Scenario.DIRECT, 1.0, 2.0, 3.0, 4.0, 5.0, 20)
+
+    @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
+                                          Scenario.S3])
+    def test_reads_are_the_positions_the_statistic_reads(self, scenario):
+        # NaN in every position outside READS leaves the statistic
+        # finite; NaN in any one position of it makes the statistic NaN.
+        reads = READS[scenario]
+        assert list(reads) == sorted(set(reads))
+        row = self._ROWS[0]
+        unread = row.copy()
+        unread[[i for i in range(5) if i not in reads]] = np.nan
+        assert math.isfinite(statistic(scenario, *unread, 37))
+        for i in reads:
+            one = row.copy()
+            one[i] = np.nan
+            assert math.isnan(statistic(scenario, *one, 37)), i
 
 
 class TestOverflow:
