@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import GroupRecord, QuantileSummary, Scenario, classify_scenario
+from .model import (SCENARIO_FIELDS, GroupRecord, QuantileSummary, Scenario,
+                    classify_scenario)
 from .normal import extreme_width, quartile_width
 
 __all__ = [
@@ -42,27 +43,20 @@ class EstimatedMoments:
     scenario: Scenario | None = None
 
 
-# scenario -> (the summary fields its formulas read, in order, the
-# words for them, and the smallest n the formulas are defined for).
-_READS = {
-    Scenario.S1: (("min", "median", "max"), "min and max", 2),
-    Scenario.S2: (("q1", "median", "q3"), "q1 and q3", 4),
-    Scenario.S3: (("min", "q1", "median", "q3", "max"), "all five numbers",
-                  4),
-}
-
-
 def _check(summary: QuantileSummary, scenario: Scenario, n: int,
            what: str) -> None:
     """Refuse a summary the ``what`` estimator of ``scenario`` cannot read:
     a field it reads is missing, the fields are unordered, or n is below
     the minimum."""
-    if scenario not in _READS:
+    if scenario not in SCENARIO_FIELDS:
         raise ValueError(f"no {what} estimator for scenario {scenario}")
-    names, words, n_min = _READS[scenario]
+    names, n_min = SCENARIO_FIELDS[scenario]
     values = [getattr(summary, name) for name in names]
     if None in values:
-        raise ValueError(f"{scenario.value} {what} estimation needs {words}")
+        *rest, last = [name for name, value in zip(names, values)
+                       if value is None]
+        raise ValueError(f"{scenario.value} {what} estimation needs "
+                         f"{', '.join(rest) + ' and ' if rest else ''}{last}")
     if any(lo > hi for lo, hi in zip(values, values[1:])):
         raise ValueError(f"{scenario.value} {what} estimation needs an "
                          f"ordered summary {' <= '.join(names)}, got "

@@ -36,6 +36,8 @@ __all__ = [
     "pooled_moments",
     "parse_studies",
     "CSV_COLUMNS",
+    "SUMMARY_FIELDS",
+    "SCENARIO_FIELDS",
 ]
 
 CSV_COLUMNS = ("study_id", "outcome", "arm", "group_label", "n",
@@ -60,6 +62,20 @@ class Scenario(Enum):
     DIRECT = "DIRECT"
 
 
+# The fields of a quantile summary, in ascending order.
+SUMMARY_FIELDS = ("min", "q1", "median", "q3", "max")
+
+# scenario -> (the summary fields it reports, in ascending order, and the
+# smallest n its estimators and statistic are defined for).
+SCENARIO_FIELDS = {
+    Scenario.S1: (("min", "median", "max"), 2),
+    Scenario.S2: (("q1", "median", "q3"), 4),
+    Scenario.S3: (SUMMARY_FIELDS, 4),
+}
+_SCENARIO_OF_FIELDS = {fields: scenario
+                       for scenario, (fields, _) in SCENARIO_FIELDS.items()}
+
+
 class SummaryDataError(ValueError):
     """Input file cannot be parsed into a valid list of studies."""
 
@@ -80,11 +96,8 @@ class QuantileSummary:
     max: float | None = None
 
     def present_fields(self) -> tuple[str, ...]:
-        names = []
-        for name in ("min", "q1", "median", "q3", "max"):
-            if getattr(self, name) is not None:
-                names.append(name)
-        return tuple(names)
+        return tuple([name for name in SUMMARY_FIELDS
+                      if getattr(self, name) is not None])
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,9 @@ def classify_scenario(group: GroupRecord) -> Scenario:
 
     The one gate for every consumer of a group: it runs :func:`validate`
     first, so a group that passes has exactly one form.  Moments are
-    DIRECT; a summary with extremes and quartiles is S3, extremes alone
-    S1, quartiles alone S2; anything else is unsupported.
+    DIRECT; a summary is the scenario whose ``SCENARIO_FIELDS`` are
+    exactly its present fields: extremes and quartiles S3, extremes
+    alone S1, quartiles alone S2; anything else is unsupported.
 
     Raises
     ------
@@ -133,19 +147,14 @@ def classify_scenario(group: GroupRecord) -> Scenario:
     s = group.summary
     if s is None:
         return Scenario.DIRECT
-    has_extremes = s.min is not None and s.max is not None
-    has_quartiles = s.q1 is not None and s.q3 is not None
-    if has_extremes and has_quartiles:
-        return Scenario.S3
-    if has_extremes and s.q1 is None and s.q3 is None:
-        return Scenario.S1
-    if has_quartiles and s.min is None and s.max is None:
-        return Scenario.S2
-    missing = [name for name in ("min", "q1", "q3", "max")
-               if getattr(s, name) is None]
+    present = s.present_fields()
+    scenario = _SCENARIO_OF_FIELDS.get(present)
+    if scenario is not None:
+        return scenario
+    missing = [name for name in SUMMARY_FIELDS if name not in present]
     raise UnsupportedSummaryError(
         f"group {group.study_id}/{group.group_label}: summary with fields "
-        f"{s.present_fields()} matches no scenario; missing {missing} "
+        f"{present} matches no scenario; missing {missing} "
         f"(need min/median/max, q1/median/q3, or all five)")
 
 
@@ -174,8 +183,7 @@ def validate(group: GroupRecord) -> list[str]:
         return out
     if s.median is None:
         out.append("quantile summary has no median")
-    ordered = [(name, getattr(s, name))
-               for name in ("min", "q1", "median", "q3", "max")
+    ordered = [(name, getattr(s, name)) for name in SUMMARY_FIELDS
                if getattr(s, name) is not None]
     for (lo_name, lo), (hi_name, hi) in zip(ordered, ordered[1:]):
         if lo > hi:
@@ -236,6 +244,8 @@ def _parse_cell(raw: str | float | int | None, column: str, where: str) -> float
         raise SummaryDataError(
             f"{where}: column {column!r} holds {raw!r}, expected a number, "
             f"an empty cell, or {_MISSING_LITERAL!r}") from None
+    except OverflowError:  # a JSON integer past the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SummaryDataError(
             f"{where}: column {column!r} holds {raw!r}, expected a finite "
@@ -291,7 +301,7 @@ def _record_from_row(row: dict, where: str) -> tuple[str, GroupRecord]:
     mean = _parse_cell(row.get("mean"), "mean", where)
     sd = _parse_cell(row.get("sd"), "sd", where)
     quantiles = {name: _parse_cell(row.get(name), name, where)
-                 for name in ("min", "q1", "median", "q3", "max")}
+                 for name in SUMMARY_FIELDS}
     summary = None
     if any(v is not None for v in quantiles.values()):
         if quantiles["median"] is None:
@@ -323,11 +333,20 @@ def _rows_from_csv(path: Path) -> Iterable[tuple[dict, str]]:
 
 def _rows_from_json(path: Path) -> Iterable[tuple[dict, str]]:
     with open(path, encoding="utf-8-sig") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SummaryDataError(
-                f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SummaryDataError(
+            f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError:  # an integer literal past int()'s digit limit
+        raise SummaryDataError(
+            f"{path}: invalid JSON: an integer literal has more digits "
+            f"than Python converts") from None
+    except RecursionError:
+        raise SummaryDataError(
+            f"{path}: invalid JSON: arrays or objects nested too deeply"
+        ) from None
     if not isinstance(data, list):
         raise SummaryDataError(f"{path}: expected a JSON array of row objects")
     for i, row in enumerate(data, start=1):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import GroupRecord, Scenario, classify_scenario
+from .model import (SCENARIO_FIELDS, SUMMARY_FIELDS, GroupRecord, Scenario,
+                    classify_scenario)
 from .normal import (critical_value, extreme_width, quartile_width,
                      two_sided_p)
 
@@ -116,13 +117,10 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
     raise ValueError(f"no test statistic for scenario {scenario}")
 
 
-# scenario -> the positions in (min, q1, median, q3, max) that its
-# statistic reads; the others it ignores.
-READS = {
-    Scenario.S1: (0, 2, 4),
-    Scenario.S2: (1, 2, 3),
-    Scenario.S3: (0, 1, 2, 3, 4),
-}
+# scenario -> the positions in SUMMARY_FIELDS that its statistic reads;
+# the others it ignores.
+READS = {scenario: tuple(map(SUMMARY_FIELDS.index, fields))
+         for scenario, (fields, _) in SCENARIO_FIELDS.items()}
 
 
 # scenario -> the words for a zero divisor in its statistic, which on

@@ -405,35 +405,57 @@ _PATTERNS = (("mean", "sd"), ("min", "median", "max"),
              ("q1", "median", "q3"), ("min", "q1", "median", "q3", "max"),
              _COLUMNS)
 _MESSY = ["", "NS", "nan", "x"]
+# A JSON integer literal of 300 to 5000 digits: past the float range
+# from 309 digits, and past int()'s default digit limit (4300).
+_HUGE = st.builds(lambda sign, lead, digits: f"{sign}{lead}{'0' * (digits - 1)}",
+                  st.sampled_from(["", "-"]), st.integers(1, 9),
+                  st.integers(300, 5000))
+_JSON_MESSY = ["null", '""', '"NS"', '"nan"', '"x"']
 
 
 @st.composite
-def _meta_csv(draw) -> str:
-    # In half the files a reported cell may also be empty, NS or a value
-    # the parser rejects; the other half reach the screen, the
-    # estimators and the pooling more often, the more so when a row's
-    # quantiles are drawn in order.  Two or four rows are one or two
-    # case/control studies; a third row is a subgroup of study a.
-    cell = (st.one_of(NUMBERS, st.sampled_from(_MESSY))
-            if draw(st.booleans()) else NUMBERS)
+def _meta_rows(draw, number, size, messy) -> list:
+    # In half the files a reported cell may also be ``messy``: empty, NS
+    # or a value the parser rejects; the other half reach the screen,
+    # the estimators and the pooling more often, the more so when a
+    # row's quantiles are drawn in order.  Two or four rows are one or
+    # two case/control studies; a third row is a subgroup of study a.
+    # Each row is (study, arm, n, cells), its unreported cells "".
+    cell = (st.one_of(number, st.sampled_from(messy))
+            if draw(st.booleans()) else number)
     rows = draw(st.integers(2, 4))
-    lines = [_HEADER]
+    out = []
     for i in range(rows):
         study = "b" if rows == 4 and i >= 2 else "a"
         if rows == 3 and i == 2:
             arm = draw(st.sampled_from(["case", "control"]))
         else:
             arm = ("case", "control")[i % 2]
-        n = str(draw(SIZES))
+        n = draw(size)
         fields = draw(st.sampled_from(_PATTERNS))
         row = {c: draw(cell) if c in fields else "" for c in _COLUMNS}
         if draw(st.booleans()):
-            quantiles = [c for c in _COLUMNS[2:] if row[c] not in _MESSY]
+            quantiles = [c for c in _COLUMNS[2:]
+                         if row[c] not in (*messy, "")]
             values = sorted((row[c] for c in quantiles), key=float)
             row.update(zip(quantiles, values))
-        lines.append(",".join([study, "o", arm, f"g{i}", n,
-                               *(row[c] for c in _COLUMNS)]))
-    return "\n".join(lines) + "\n"
+        out.append((study, arm, n, row))
+    return out
+
+
+def _csv_text(rows) -> str:
+    return "\n".join([_HEADER, *(
+        ",".join([study, "o", arm, f"g{i}", n, *(row[c] for c in _COLUMNS)])
+        for i, (study, arm, n, row) in enumerate(rows))]) + "\n"
+
+
+def _json_text(rows) -> str:
+    # By hand, so that the numbers are JSON number literals of any size.
+    return "[" + ",\n".join(
+        f'{{"study_id": "{study}", "outcome": "o", "arm": "{arm}", '
+        f'"group_label": "g{i}", "n": {n}'
+        + "".join(f', "{c}": {v}' for c, v in row.items() if v) + "}"
+        for i, (study, arm, n, row) in enumerate(rows)) + "]\n"
 
 
 def _reject_constant(name):
@@ -449,20 +471,17 @@ _DOMINATED_CSV = "\n".join([_HEADER, "a,o,case,g0,20,5,1e-9,,,,,",
                             "b,o,control,g3,20,4,2,,,,,"]) + "\n"
 
 
-@settings(max_examples=150)
-@given(_meta_csv())
-@example(_DOMINATED_CSV)
-def test_meta_never_crashes_on_generated_rows(text):
-    # Any CSV ends in exit 0 or 2 without a traceback; report.json, when
-    # written, is strict JSON in the stdlib's indent=2 layout, and every
-    # forest SVG is well-formed XML.
+def _meta_exits_cleanly(text, name):
+    # The file ends in exit 0 or 2 without a traceback; report.json,
+    # when written, is strict JSON in the stdlib's indent=2 layout, and
+    # every forest SVG is well-formed XML.
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = Path(tmp) / "rows.csv"
-        csv_path.write_text(text)
+        path = Path(tmp) / name
+        path.write_text(text)
         out_dir = Path(tmp) / "out"
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main(["meta", str(csv_path), "--output-dir", str(out_dir)])
+            code = main(["meta", str(path), "--output-dir", str(out_dir)])
         assert code in (0, 2)
         report = out_dir / "report.json"
         if report.exists():
@@ -472,6 +491,22 @@ def test_meta_never_crashes_on_generated_rows(text):
                                       allow_nan=False) + "\n"
         for svg in out_dir.glob("forest_*.svg"):
             ET.parse(svg)
+
+
+@settings(max_examples=150)
+@given(_meta_rows(NUMBERS, SIZES.map(str), _MESSY).map(_csv_text))
+@example(_DOMINATED_CSV)
+def test_meta_never_crashes_on_generated_rows(text):
+    _meta_exits_cleanly(text, "rows.csv")
+
+
+@settings(max_examples=150)
+@given(_meta_rows(st.one_of(NUMBERS, _HUGE),
+                  st.one_of(SIZES.map(str), _HUGE), _JSON_MESSY).map(_json_text))
+def test_meta_never_crashes_on_generated_json_rows(text):
+    # The same rows as JSON numbers, some of them integers too large for
+    # a float or for int()'s digit limit.
+    _meta_exits_cleanly(text, "rows.json")
 
 
 @settings(max_examples=50)
@@ -880,6 +915,32 @@ class TestErrorPaths:
         if command == "meta":
             argv += ["--output-dir", str(tmp_path / "meta")]
         self._expect_config_error(capsys, argv, f"{p}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["test", "estimate", "meta"])
+    @pytest.mark.parametrize("column,literal,fragment", [
+        ("min", "1" + "0" * 400, "row 1: column 'min' holds 1000"),
+        ("n", "1" + "0" * 400, "row 1: column 'n' holds 1000"),
+        ("min", "1" + "0" * 5000, "an integer literal has more digits"),
+        ("min", "[" * 100_000 + "]" * 100_000, "nested too deeply")],
+        ids=["min-401-digits", "n-401-digits", "min-5001-digits", "nested"])
+    def test_json_number_python_cannot_read_refused(
+            self, capsys, tmp_path, command, column, literal, fragment):
+        # An integer past the float range raised OverflowError, one past
+        # int()'s digit limit ValueError, and deep nesting RecursionError.
+        # The digit limit's own wording differs between versions, so the
+        # message does not quote it.
+        row = {"n": "20", "min": "1", "median": "2", "max": "4",
+               column: literal}
+        p = tmp_path / "huge.json"
+        p.write_text('[{"study_id": "a", "outcome": "o", "arm": "case"'
+                     + "".join(f', "{k}": {v}' for k, v in row.items())
+                     + "}]")
+        argv = [command, str(p)]
+        if command == "meta":
+            argv += ["--output-dir", str(tmp_path / "meta")]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and fragment in line
 
     @pytest.mark.parametrize("command", ["test", "estimate", "meta"])
     @pytest.mark.parametrize("name,column", [("ctl.csv", "study_id"),

@@ -183,7 +183,8 @@ class TestEstimateMean:
         s1_only = QuantileSummary(median=1.0, min=0.0, max=2.0)
         with pytest.raises(ValueError, match="q1 and q3"):
             estimate_mean(s1_only, Scenario.S2, 10)
-        with pytest.raises(ValueError, match="all five"):
+        with pytest.raises(ValueError, match="S3 mean estimation needs q1 "
+                           "and q3$"):
             estimate_mean(s1_only, Scenario.S3, 10)
 
     def test_direct_has_no_estimator(self):
@@ -199,8 +200,17 @@ class TestSharedChecks:
         s1_only = QuantileSummary(median=1.0, min=0.0, max=2.0)
         with pytest.raises(ValueError, match="q1 and q3"):
             estimate(s1_only, Scenario.S2, 10)
-        with pytest.raises(ValueError, match="all five"):
+        with pytest.raises(ValueError, match="S3 .* estimation needs q1 and "
+                           "q3$"):
             estimate(s1_only, Scenario.S3, 10)
+
+    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
+    def test_each_missing_field_named(self, estimate):
+        s = QuantileSummary(median=1.0, min=0.0)
+        with pytest.raises(ValueError, match="S3 .* needs q1, q3 and max$"):
+            estimate(s, Scenario.S3, 10)
+        with pytest.raises(ValueError, match="S1 .* needs max$"):
+            estimate(s, Scenario.S1, 10)
 
     @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
     def test_unordered_rejected(self, estimate):

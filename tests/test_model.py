@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumnorm.model import (CSV_COLUMNS, GroupRecord, QuantileSummary,
-                           Scenario, SummaryDataError,
+from sumnorm.model import (CSV_COLUMNS, SCENARIO_FIELDS, GroupRecord,
+                           QuantileSummary, Scenario, SummaryDataError,
                            UnsupportedSummaryError, classify_scenario,
                            parse_studies, pooled_moments, validate)
 from sumnorm.model import _unwritable_at
@@ -42,6 +42,13 @@ class TestClassifyScenario:
     def test_s3(self):
         g = _group(median=6, min=0, q1=2, q3=10, max=20)
         assert classify_scenario(g) is Scenario.S3
+
+    @pytest.mark.parametrize("scenario", list(SCENARIO_FIELDS))
+    def test_table_fields_at_the_smallest_n_are_the_scenario(self, scenario):
+        fields, n_min = SCENARIO_FIELDS[scenario]
+        g = _group(n=n_min, **{name: float(i) for i, name in enumerate(fields)})
+        assert classify_scenario(g) is scenario
+        assert run_test(g).scenario is scenario
 
     def test_both_forms_refused(self):
         # Moments and a summary together break an invariant; neither wins.

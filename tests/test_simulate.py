@@ -1,7 +1,11 @@
 import csv
 import math
+import os
+import pickle
 import queue
 import re
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -486,6 +490,92 @@ class TestConcurrentCells:
                 power_curve(Scenario.S1, DistSpec("lognormal", (1000.0, 1.0)),
                             [10, 50, 100, 200], replicates=200, seed=1)
         assert caught == []
+
+
+    def test_back_to_back_curves_keep_one_helper(self, monkeypatch,
+                                                 own_helpers):
+        # Curves that each need one helper reuse one parked thread, however
+        # many CPUs are usable: each further thread can keep a memory arena.
+        _force_cpus(monkeypatch, 8)
+        power_curve(Scenario.S1, _NORMAL, (10, 20), replicates=20, seed=0)
+        after = set(threading.enumerate())
+        for seed in range(300):
+            power_curve(Scenario.S1, _NORMAL, (10, 20), replicates=20,
+                        seed=seed)
+        assert len(own_helpers) == 1
+        assert set(threading.enumerate()) == after
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_curve(self, monkeypatch, own_helpers):
+        # The parent's parked helper does not run in the child; the child
+        # starts its own, which takes a unit, and leaves no task queued.
+        # The calling thread's first unit waits for a helper's, so that a
+        # helper is sure to take one.  A hang fails the test instead of
+        # stalling it.
+        _force_cpus(monkeypatch, 2)
+        args = (Scenario.S1, _NORMAL, (10, 20, 30), 50)
+        want = power_curve(*args, seed=3)
+        caller = threading.current_thread()
+        helped = threading.Event()
+        real = simulate._summary_matrix
+
+        def recording(*a, **kwargs):
+            if threading.current_thread() is caller:
+                helped.wait(timeout=10)
+            else:
+                helped.set()
+            return real(*a, **kwargs)
+
+        read, write = os.pipe()
+        with warnings.catch_warnings():  # forking with threads alive
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                monkeypatch.setattr(simulate, "_summary_matrix", recording)
+                got = power_curve(*args, seed=3)
+                os.write(write, pickle.dumps(
+                    (got, helped.is_set(), simulate._helper_tasks.empty(),
+                     [t.is_alive() for t in own_helpers])))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's curve did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+        with os.fdopen(read, "rb") as fh:
+            assert pickle.loads(fh.read()) == (want, True, True, [True])
+
+    def test_curve_runs_during_interpreter_shutdown(self, src_env):
+        # A non-daemon thread that runs a curve after the main thread has
+        # returned, while the interpreter waits to exit, still gets the
+        # curve, helpers included.
+        code = (
+            "import threading, time\n"
+            "from sumnorm import simulate\n"
+            "from sumnorm.model import Scenario\n"
+            "from sumnorm.simulate import DistSpec, power_curve\n"
+            "simulate._usable_cpus = lambda: 2\n"
+            "args = (Scenario.S1, DistSpec('normal', (0.0, 1.0)),"
+            " (10, 20, 30), 50)\n"
+            "print(power_curve(*args, seed=3).rates)\n"
+            "def late():\n"
+            "    while threading.main_thread().is_alive():\n"
+            "        time.sleep(0.01)\n"
+            "    print(power_curve(*args, seed=3).rates)\n"
+            "threading.Thread(target=late).start()\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        early, late = proc.stdout.splitlines()
+        assert early == late
 
 
 class TestChunkUnits:
