@@ -22,7 +22,8 @@ from typing import Sequence
 
 from .estimators import estimate_moments
 from .meta import run_pipeline, report_to_dict
-from .model import Scenario, SummaryDataError, parse_studies
+from .model import (Scenario, SummaryDataError, classify_scenario,
+                    parse_studies)
 from .plots import curve_svg, forest_svg
 from .symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES, format_p_value,
                        format_statistic, run_test)
@@ -158,7 +159,7 @@ def cmd_test(args) -> int:
 
 def cmd_estimate(args) -> int:
     def cells(group):
-        moments = estimate_moments(group)
+        moments = estimate_moments(group, classify_scenario(group))
         scenario = moments.scenario.value if moments.scenario else "direct"
         return [scenario, f"{moments.mean:.3f}", f"{moments.sd:.3f}",
                 moments.source]

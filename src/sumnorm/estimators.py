@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (SCENARIO_FIELDS, GroupRecord, QuantileSummary, Scenario,
-                    classify_scenario)
+from .model import SCENARIO_FIELDS, GroupRecord, QuantileSummary, Scenario
 from .normal import extreme_width, quartile_width
 
 __all__ = [
@@ -122,19 +121,21 @@ def estimate_sd(summary: QuantileSummary, scenario: Scenario, n: int) -> float:
     return (b - a + q3 - q1) / (extreme_width(n) + quartile_width(n))
 
 
-def estimate_moments(group: GroupRecord) -> EstimatedMoments:
+def estimate_moments(group: GroupRecord,
+                     scenario: Scenario) -> EstimatedMoments:
     """Moments of ``group``: passthrough when reported, otherwise
     :func:`estimate_mean` and :func:`estimate_sd` for its scenario.
 
+    ``scenario`` is :func:`model.classify_scenario` of ``group``, which the
+    caller has already run: it validates the group, so classifying once
+    serves both the symmetry test and the estimate.
+
     Raises
     ------
-    UnsupportedSummaryError
-        If :func:`classify_scenario` refuses ``group``.
     ValueError
         If an estimated mean or SD is not finite, because the summary
         values lie near the float limit.
     """
-    scenario = classify_scenario(group)
     if scenario is Scenario.DIRECT:
         return EstimatedMoments(mean=group.reported_mean, sd=group.reported_sd,
                                 source="reported")

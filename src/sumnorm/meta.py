@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass
 
 from .estimators import EstimatedMoments, estimate_moments
-from .model import GroupRecord, Study, left_sum, pooled_moments
+from .model import GroupRecord, Scenario, Study, left_sum, pooled_moments
 from .normal import critical_value
 from .symmetry import DEFAULT_KAPPA_C, TestResult, coeff_kappa, run_test
 
@@ -71,6 +71,7 @@ class GroupTest:
     n: int
     result: TestResult | None  # None when moments were reported directly
     error: str | None = None   # why the group could not be tested
+    scenario: Scenario | None = None  # the group's form; None on error
 
 
 @dataclass(frozen=True)
@@ -227,9 +228,12 @@ def pool(effects: list[EffectSize], model: str = "random") -> PooledResult:
         model=model)
 
 
-def _moments_for_arm(groups: tuple[GroupRecord, ...]) -> tuple[int, EstimatedMoments]:
-    """Estimate (and if multi-arm, combine) the moments of one arm."""
-    per_group = [(g, estimate_moments(g)) for g in groups]
+def _moments_for_arm(groups: tuple[GroupRecord, ...],
+                     tests: tuple[GroupTest, ...]) -> tuple[int, EstimatedMoments]:
+    """Estimate (and if multi-arm, combine) the moments of one arm, each
+    group for the scenario its screen ``tests`` classified."""
+    per_group = [(g, estimate_moments(g, t.scenario))
+                 for g, t in zip(groups, tests)]
     if len(per_group) == 1:
         g, m = per_group[0]
         return g.n, m
@@ -252,8 +256,11 @@ def _screen_study(study: Study, alpha: float, kappa_c: float) -> tuple[tuple[Gro
                                    result=None, error=str(exc)))
             reasons.append(f"group {group.group_label}: {exc}")
             continue
-        tests.append(GroupTest(group_label=group.group_label, arm=group.arm,
-                               n=group.n, result=result))
+        # run_test returns None for a group of reported moments only.
+        tests.append(GroupTest(
+            group_label=group.group_label, arm=group.arm, n=group.n,
+            result=result,
+            scenario=Scenario.DIRECT if result is None else result.scenario))
         if result is not None and result.reject:
             reasons.append(
                 f"group {group.group_label}: symmetry rejected "
@@ -298,9 +305,11 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
             tests, reasons = _screen_study(study, alpha, kappa_c)
             if not reasons:
                 try:
-                    n_case, case_moments = _moments_for_arm(study.case_groups)
+                    cases = len(study.case_groups)
+                    n_case, case_moments = _moments_for_arm(
+                        study.case_groups, tests[:cases])
                     n_control, control_moments = _moments_for_arm(
-                        study.control_groups)
+                        study.control_groups, tests[cases:])
                     effect = cohen_d(n_case, case_moments.mean,
                                      case_moments.sd, n_control,
                                      control_moments.mean,

@@ -26,11 +26,11 @@ fails no unit of a later cell starts, the failing cell's own units
 finish so that its count is whole, and the failure at the lowest grid
 position is raised, the one a serial loop would raise.  A unit's
 working set is a few rows of its chunk: the spacings path holds the
-(6, rows) gammas, their sum and the (5, rows) result and maps one order
-statistic (row) at a time, and the sort path draws and sorts a chunk
-``_SORT_VALUES`` values at a time.  So a curve holds at most one chunk
-per thread, at any number of replicates, and the sort path's memory
-does not grow with n.
+(4, rows) or (6, rows) gammas, their sum and the (5, rows) result and
+maps one order statistic (row) at a time, and the sort path draws and
+sorts a chunk ``_SORT_VALUES`` values at a time.  So a curve holds at
+most one chunk per thread, at any number of replicates, and the sort
+path's memory does not grow with n.
 
 The map from gammas to order statistics is a run of short ufunc calls
 on rows of ``_CHUNK_ROWS`` elements, and the interpreter lock is held
@@ -42,23 +42,28 @@ scenario's statistic reads (``symmetry.READS``), and each of AS 241's
 numerator/denominator pairs is evaluated in one Horner pass (220 us a
 row on each of two threads).
 
-Each replicate needs only five order statistics of a sample of n, and
-the Renyi representation (Renyi 1953; Devroye 1986, *Non-Uniform Random
-Variate Generation*, ch. V) draws them exactly without the other n - 5.
-With ranks k_1 <= ... <= k_5 and independent standard gammas G_j of
-shapes k_1, k_2 - k_1, ..., k_5 - k_4 and n + 1 - k_5, the uniform order
-statistics are U_(k_i) = (G_1 + ... + G_i) / G with G the sum of all
-six, and 1 - U_(k_i) is the sum of the G_j after the i-th over G.  The
-family's quantile maps both to the sample scale, each tail from the one
-of the two that keeps its precision.  So a row costs six gammas at any
-n.  A chunk draws them gap by gap, one row of a (6, rows) array per
-standard_gamma call, and forms the running sums G_1 + ... + G_i and
-G_{i+1} + ... + G_6 by adding whole rows in place.  The families with a
-closed-form or Phi^-1-based quantile take this path: normal, lognormal,
-exponential, Weibull, chi-square(1) and beta(1, b), which covers
-``POWER_ALTERNATIVES``.  Chi-square with other degrees of freedom and
-beta(a != 1, b) sort whole samples instead, and so does the demo, which
-needs every value.
+Each replicate needs at most five order statistics of a sample of n,
+and the Renyi representation (Renyi 1953; Devroye 1986, *Non-Uniform
+Random Variate Generation*, ch. V) draws them exactly without the
+others.  With ranks k_1 <= ... <= k_r and independent standard gammas
+G_j of shapes k_1, k_2 - k_1, ..., k_r - k_{r-1} and n + 1 - k_r, the
+uniform order statistics are U_(k_i) = (G_1 + ... + G_i) / G with G the
+sum of all r + 1, and 1 - U_(k_i) is the sum of the G_j after the i-th
+over G.  The ranks are those the statistic reads: a sum of independent
+standard gammas of shapes a and b is a standard gamma of shape a + b,
+so merging the gaps around an unread rank leaves the joint law of the
+read ones exactly as it was.  The family's quantile maps both sums to
+the sample scale, each tail from the one of the two that keeps its
+precision.  So a row costs r + 1 gammas at any n: four for S1 (min,
+median, max) and S2 (q1, median, q3), six for S3 and for the full
+five-column matrix.  A chunk draws them gap by gap, one row of an
+(r + 1, rows) array per standard_gamma call, and forms the running sums
+G_1 + ... + G_i and G_{i+1} + ... + G_{r+1} by adding whole rows in
+place.  The families with a closed-form or Phi^-1-based quantile take
+this path: normal, lognormal, exponential, Weibull, chi-square(1) and
+beta(1, b), which covers ``POWER_ALTERNATIVES``.  Chi-square with other
+degrees of freedom and beta(a != 1, b) sort whole samples instead, and
+so does the demo, which needs every value.
 
 Their Phi^-1 is the AS 241 algorithm (Wichura 1988) of
 ``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
@@ -114,12 +119,13 @@ _SORT_VALUES = 1 << 18
 # glibc hands a freed block above its mmap threshold back to the system,
 # then raises that threshold to the block's size, and its heap trim
 # threshold to twice that, for the rest of the process.  One block the
-# size of a chunk's result and gamma rows, freed here, does so once, so
-# that a chunk's arrays come from the heap and stay mapped for the next
-# chunk.  Otherwise the thresholds stay near the largest single array,
-# and the ~2 MB a chunk allocates is trimmed after every chunk and
-# faulted in again: about 25000 minor page faults per default --type1
-# curve, on any number of CPUs.
+# size of a chunk's result and its most gamma rows (six: S3 and the full
+# matrix; S1 and S2 draw four), freed here, does so once, so that a
+# chunk's arrays come from the heap and stay mapped for the next chunk.
+# Otherwise the thresholds stay near the largest single array, and the
+# ~2 MB a chunk allocates is trimmed after every chunk and faulted in
+# again: 23000-28000 minor page faults per default --type1 curve (S1,
+# S2 or S3) without the block, against at most a few dozen with it.
 np.empty((5 + 6, _CHUNK_ROWS))
 
 # AS 241's rational approximations, coefficients highest power first, as
@@ -348,8 +354,9 @@ class DistSpec:
 def _draw(dist: DistSpec, rng: np.random.Generator, shape,
           gaps: np.ndarray | None = None) -> np.ndarray:
     """Every variate of this module: ``shape`` draws from ``dist``, or,
-    given the rank ``gaps`` of the spacings path, a ``shape`` array whose
-    i-th row holds standard gammas of shape ``gaps[i]``."""
+    given the rank ``gaps`` of the spacings path (one more than the
+    order statistics read), a ``shape`` array whose i-th row holds
+    standard gammas of shape ``gaps[i]``."""
     if gaps is None:
         return _FAMILIES[dist.family][2](rng, dist.params, shape)
     # Row by row in C order: the stream of one broadcast
@@ -391,17 +398,21 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
     Spacings when the family has a quantile (see the module docstring),
     sorted samples otherwise; both on the (seed, n, chunk) streams.  The
     matrix is the transpose of a (5, rows) array that each chunk fills a
-    row at a time.  The spacings path maps only the positions in
-    ``reads`` through the quantile and fills the others with NaN, so a
-    statistic that reads an unmapped position is not finite; the sort
-    path fills all five.
+    row at a time.  The spacings path draws gammas for the gaps between
+    the ascending positions in ``reads`` only, maps those positions
+    through the quantile and fills the others with NaN, so a statistic
+    that reads an unmapped position is not finite.  Its draws therefore
+    depend on ``reads``: the read columns have the same joint law for
+    any ``reads``, not the same values.  The sort path fills all five,
+    the same values for any ``reads``.
     """
     columns = _order_columns(n)
     unread = [i for i in range(len(columns)) if i not in reads]
     quantile = _FAMILIES[dist.family][3](dist.params)
-    # Gamma shapes: the gaps between 0, the 1-based ranks and n + 1.  A
-    # gap is 0 where ranks tie (n = 4..7); that gamma is exactly 0.
-    gaps = np.diff([0, *(k + 1 for k in columns), n + 1])
+    # Gamma shapes: the gaps between 0, the 1-based ranks read and n + 1.
+    # A gap is 0 where read ranks tie (S3 at n = 4..7); that gamma is
+    # exactly 0.
+    gaps = np.diff([0, *(columns[i] + 1 for i in reads), n + 1])
     starts = range(0, replicates, _CHUNK_ROWS)
     if chunk is not None:
         starts = starts[chunk:chunk + 1]
@@ -425,21 +436,22 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
         # One row per gap, so every sum runs along contiguous memory.
         # The running sums add whole rows in place, the additions of
         # np.cumsum along axis 0 at a fraction of its cost there:
-        # G_1 + ... + G_i into the part's rows, G_{i+1} + ... + G_6
-        # into g's.
+        # G_1 + ... + G_j into the part's row of the j-th read rank,
+        # G_{j+1} + ... + G_k into g's, k = len(gaps).
         g = _draw(dist, rng, (len(gaps), rows), gaps)
         total = g.sum(axis=0)
-        part[0] = g[0]
-        for i in range(1, len(part)):
-            np.add(g[i], part[i - 1], out=part[i])
+        part[reads[0]] = g[0]
+        for j in range(1, len(reads)):
+            np.add(g[j], part[reads[j - 1]], out=part[reads[j]])
         above = g[1:]
-        for i in range(len(above) - 2, -1, -1):
-            above[i] += above[i + 1]
-        part /= total
+        for j in range(len(above) - 2, -1, -1):
+            above[j] += above[j + 1]
+        for i in reads:
+            part[i] /= total
         above /= total
         del total  # one row less to hold while the quantiles run
-        for i in reads:
-            part[i] = quantile(part[i], above[i])
+        for i, upper in zip(reads, above):
+            part[i] = quantile(part[i], upper)
         if unread:
             part[unread] = np.nan
     return out.T

@@ -46,8 +46,8 @@ from sumnorm.simulate import (
     isotonic_fit_r2,
     power_curve,
 )
-from sumnorm.symmetry import (DEFAULT_KAPPA_C, _null_variance, critical_value,
-                              run_test, statistic)
+from sumnorm.symmetry import (DEFAULT_KAPPA_C, READS, _null_variance,
+                              critical_value, run_test, statistic)
 
 _DATA = Path(sumnorm.__file__).parent / "data"
 _NORMAL = DistSpec("normal", (0.0, 1.0))
@@ -337,10 +337,11 @@ def test_criterion_3_mmp_table(capsys):
 
 def test_criterion_4_type1_error_bands(capsys):
     t0 = time.monotonic()
-    # The shared-matrix shortcut below must agree with the public curve
-    # API exactly; prove it once at a cheap size.
+    # The per-scenario matrices below must agree with the public curve
+    # API exactly; prove it once at a cheap size.  A curve draws only the
+    # order statistics its statistic reads, so each scenario has its own.
     probe = power_curve(Scenario.S2, _NORMAL, (50,), replicates=2000, seed=0)
-    matrix = _summary_matrix(_NORMAL, 50, 2000, 0)
+    matrix = _summary_matrix(_NORMAL, 50, 2000, 0, reads=READS[Scenario.S2])
     stats = _statistics(Scenario.S2, matrix, 50, DEFAULT_KAPPA_C)
     manual = float(np.mean(np.abs(stats) > critical_value(0.05)))
     assert probe.rates[0] == manual
@@ -349,9 +350,10 @@ def test_criterion_4_type1_error_bands(capsys):
     failures = []
     lines = []
     for n in (200, 300, 500, 1000):
-        matrix = _summary_matrix(_NORMAL, n, 100_000, 0)
         per_n = []
         for scenario in _SCENARIOS:
+            matrix = _summary_matrix(_NORMAL, n, 100_000, 0,
+                                     reads=READS[scenario])
             stats = _statistics(scenario, matrix, n, DEFAULT_KAPPA_C)
             rate = float(np.mean(np.abs(stats) > crit))
             per_n.append(f"{scenario.name}={rate:.4f}")
@@ -371,7 +373,8 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
     t0 = time.monotonic()
     probe = power_curve(Scenario.S1, DistSpec("lognormal", (0.0, 1.0)),
                         (50,), replicates=500, seed=0)
-    matrix = _summary_matrix(DistSpec("lognormal", (0.0, 1.0)), 50, 500, 0)
+    matrix = _summary_matrix(DistSpec("lognormal", (0.0, 1.0)), 50, 500, 0,
+                             reads=READS[Scenario.S1])
     stats = _statistics(Scenario.S1, matrix, 50, DEFAULT_KAPPA_C)
     manual = float(np.mean(np.abs(stats) > critical_value(0.05)))
     assert probe.rates[0] == manual
@@ -380,8 +383,9 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
     rates: dict[tuple, float] = {}
     for dist in POWER_ALTERNATIVES:
         for n in DEFAULT_N_GRID:
-            matrix = _summary_matrix(dist, n, 10_000, 0)
             for scenario in _SCENARIOS:
+                matrix = _summary_matrix(dist, n, 10_000, 0,
+                                         reads=READS[scenario])
                 stats = _statistics(scenario, matrix, n, DEFAULT_KAPPA_C)
                 rates[(scenario, dist.label(), n)] = float(
                     np.mean(np.abs(stats) > crit))

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from sumnorm.estimators import (EstimatedMoments, estimate_mean,
                                 estimate_moments, estimate_sd)
-from sumnorm.model import GroupRecord, QuantileSummary, Scenario
+from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
+                           classify_scenario)
 from sumnorm.normal import std_normal_quantile
 
 # Phi^-1(0.75), used to build population quartiles of N(mu, sigma^2)
@@ -263,7 +264,7 @@ class TestEstimateMoments:
     def test_reported_passthrough(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=20,
                         reported_mean=3.5, reported_sd=1.25)
-        got = estimate_moments(g)
+        got = estimate_moments(g, classify_scenario(g))
         assert got == EstimatedMoments(mean=3.5, sd=1.25, source="reported")
         assert got.scenario is None
 
@@ -271,7 +272,7 @@ class TestEstimateMoments:
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=23,
                         summary=QuantileSummary(median=5.3, min=0.4,
                                                 max=27.4))
-        got = estimate_moments(g)
+        got = estimate_moments(g, classify_scenario(g))
         assert got.source == "estimated"
         assert got.scenario is Scenario.S1
         assert got.mean == pytest.approx(7.671992221964471, abs=1e-9)
@@ -280,7 +281,7 @@ class TestEstimateMoments:
     def test_s2_dispatch(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=26,
                         summary=QuantileSummary(median=38, q1=30, q3=60))
-        got = estimate_moments(g)
+        got = estimate_moments(g, classify_scenario(g))
         assert got.scenario is Scenario.S2
         assert got.mean == pytest.approx(43.005, abs=1e-9)
         assert got.sd == pytest.approx(23.529996380388916, abs=1e-9)
@@ -289,11 +290,11 @@ class TestEstimateMoments:
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=50,
                         summary=QuantileSummary(median=4, min=0, q1=2,
                                                 q3=6, max=10))
-        got = estimate_moments(g)
+        got = estimate_moments(g, classify_scenario(g))
         assert got.scenario is Scenario.S3
         assert got.sd == pytest.approx(2.4151461926230002, abs=1e-9)
 
     def test_unclassifiable_propagates(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=20)
         with pytest.raises(ValueError):
-            estimate_moments(g)
+            estimate_moments(g, classify_scenario(g))

@@ -3,37 +3,31 @@
 Every run of ``test``, ``estimate`` and ``meta`` (default flags, and
 ``--hedges --model fixed``) on each bundled dataset, and a set of seeded
 ``simulate`` and ``demo`` runs, is compared with a fixed reference, not
-just with a rerun of itself.  A change that alters any of these bytes on
-purpose must say so in CHANGES.md and refresh the table below; print the
-current digests with
+just with a rerun of itself.  The reference table and the runner live in
+``golden_table.py``, which needs no pytest, so that the stdlib-only runs
+are also checked under every supported Python found here
+(``test_golden_table_on_every_supported_python``).  ``simulate`` and
+``demo`` need numpy, so they are checked under the interpreter that runs
+the suite only.  A change that alters any of these bytes on purpose must
+say so in CHANGES.md and refresh the table; print the current digests
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
+import glob
 import os
+import shutil
+import subprocess
 import tempfile
-from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
-from sumnorm.cli import main
-
-DATASETS = ("banach2016", "ferretti2017", "ferretti2017_mmp9",
-            "hawkins2017_bnp", "zhang2017", "zhang2017_leptin")
-
-RUNS = {
-    "test": ["test"],
-    "estimate": ["estimate"],
-    "meta": ["meta", "--output-dir", "out"],
-    "meta-hedges-fixed": ["meta", "--hedges", "--model", "fixed",
-                          "--output-dir", "out"],
-}
+from golden_table import (DATASETS, ENV, GOLDEN, RUNS, dataset_argv,
+                          run_digests)
 
 _OUT = ["--output-dir", "out"]
 _SMALL_GRID = ["--grid", "4,5,7,10,200", "--replicates", "2000", *_OUT]
@@ -82,146 +76,11 @@ SIM_RUNS = {
                        "lognormal,chisquare,exponential,beta,weibull,normal"],
 }
 
-_ENV = ("SUMNORM_ALPHA", "SUMNORM_SEED", "SUMNORM_KAPPA_C")
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def dataset_argv(run: str, dataset: str) -> list[str]:
-    csv_path = str(files("sumnorm") / "data" / f"{dataset}.csv")
-    return [RUNS[run][0], csv_path, *RUNS[run][1:]]
-
-
-def run_digests(argv: list[str], workdir: Path) -> dict[str, str]:
-    """sha256 of stdout and of every artifact of one run in ``workdir``.
-
-    Artifacts land in ``workdir/out`` under a relative path, so the
-    ``report:``, ``csv:`` and ``svg:`` lines do not depend on where
-    ``workdir`` is.
-    """
-    stdout = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(stdout):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
-    assert code == 0, f"{argv} exited {code}"
-    digests = {"stdout": _sha(stdout.getvalue().encode("utf-8"))}
-    out_dir = workdir / "out"
-    if out_dir.is_dir():
-        for path in sorted(out_dir.iterdir()):
-            digests[path.name] = _sha(path.read_bytes())
-    return digests
-
-
-# run/dataset -> {stdout or artifact name: sha256}
-GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa54f1d02196fcc8cee4ea7c2a6d30f'},
-          'estimate/ferretti2017': {'stdout': '7b442bed037c48670ecc7845b96e0e5dd35178f647e40bf20b7f24bee90fd891'},
-          'estimate/ferretti2017_mmp9': {'stdout': 'ecf645cd7aa43d806cd44ad63b491d28dafe409ed3b8fddfd37591873840e318'},
-          'estimate/hawkins2017_bnp': {'stdout': 'eaeec716b8086009128df2319be876b88e4d635b256eedc50b4c214ffe224e19'},
-          'estimate/zhang2017': {'stdout': '92fd1868428d09c580520522505ba49fa2059a9a8ebc03e04c20a309c6bf5074'},
-          'estimate/zhang2017_leptin': {'stdout': '7ecae8d032402e67d2be1380bb486be0f22dc009cb15bac61673f87d5197f6dd'},
-          'meta/banach2016': {'stdout': '902cc1ae460ad98c691c1ab1d057b6f6d3f31487802b2a99dc6311b56fb81f91',
-                              'forest_hdl-c.svg': '101615f0162ad57050ad64dd5873cb2f4c958fe288ada23586f7cc7eff943428',
-                              'forest_ldl-c.svg': 'f4c9922a24da389a5e90f0754d83f7e74865f7b898da0e5413eeee4975acf8be',
-                              'forest_total-cholesterol.svg': '91ac8a391c5f3ec50178c804c0a15ac9a09bf7b5cdf1a71a27cfd48b252fcc17',
-                              'forest_triglycerides.svg': '77b55567ac35fc5d98b1e17bd17caa1f4d8ff3f07754d8938bd1ef1b87183854',
-                              'report.json': '1bc9f97333b928f79a514cc154208fa67cb54935ba134985bf8e525a9d831982'},
-          'meta/ferretti2017': {'stdout': 'e8e8d2bee1cd074c06bac71f8775a13e680d249db7bbf1ef8f9c4b87a06b5a30',
-                                'forest_mmp-3.svg': '6a59dac92edb74f55f952ed3a9f04eef9cea1c4fc47eaecc1c052670423b733d',
-                                'forest_mmp-9.svg': 'c7d60d34d41c061a8a37c30b7c381ca106a0ba13ac40726a080424792dccb52b',
-                                'forest_timp-i.svg': 'f7add32b7d49ee7bc00977ea7b7e4a3fcd701ff27bbef1e16737141fc6d042cc',
-                                'report.json': '484fea190f679ac6852c4a536f6425dc9c3e337d884895164238f6b07ed84f4c'},
-          'meta/ferretti2017_mmp9': {'stdout': '00e340fbfe74d34f0efc9e4f5fee32684455b9d2ba04bcb2da3f959d468d7fb0',
-                                     'forest_mmp-9.svg': 'c7d60d34d41c061a8a37c30b7c381ca106a0ba13ac40726a080424792dccb52b',
-                                     'report.json': '9167d9349c534a42b68517fdc17976a44a594adaf56831ad21787ede96ef1af3'},
-          'meta/hawkins2017_bnp': {'stdout': '008dbdb46be8c2db1caec27515f53401a5da0c0ff66bc457953182fe9371d349',
-                                   'forest_bnp.svg': 'f99e1e5846f09f24cabcf0ba32e5e54ff5325daa346bef720d0ee96025d0fea4',
-                                   'report.json': '602cd011f07de8617777d41f5bbb0e000708006d8b07ca960c0b79dae973e20c'},
-          'meta/zhang2017': {'stdout': '2b190a3bb597347f56b85891b54f166d2248c92cd595723c8020854bdf979792',
-                             'forest_adiponectin.svg': '588f29631cf3b0688800c541279415c76ba446a17adda5796603a73ceb549190',
-                             'forest_leptin.svg': '9f0cfd9ac0724a319c18d29b0a6e56c683fceb83e38c3920eb55f5aa36b6325c',
-                             'report.json': 'eb6696ab0216e1302a2f5b25c37b07be6c6bf026c5c61a4eca5b8db5dc57fee3'},
-          'meta/zhang2017_leptin': {'stdout': 'ca56fb0d6254f82b32a76bea39b172ea1ec8fd2474d92d64b27cd74a7f3a8745',
-                                    'forest_leptin.svg': '9f0cfd9ac0724a319c18d29b0a6e56c683fceb83e38c3920eb55f5aa36b6325c',
-                                    'report.json': 'b83f43df0f0a3ea4c2fd8104b18c5cb87fb9efcfff77ee6311f81c82e764c924'},
-          'meta-hedges-fixed/banach2016': {'stdout': '1c1641b9e2c136bdd442240852686ae3142d75d40431d9b398677d8730e0a7ae',
-                                           'forest_hdl-c.svg': 'b3abf9e88e14635a09741602116d68bdb15d5d4d4017c697d24d1813e78a660a',
-                                           'forest_ldl-c.svg': 'c7adbfcbb6b2caa211fda8bd8179f5748399adf85a9ac03caba1a214813e7e83',
-                                           'forest_total-cholesterol.svg': '8aa9344b03baa26489dd5c0bcde9d53a152405417bc3d81023dc860fda6b6b05',
-                                           'forest_triglycerides.svg': 'a9bd753f76b10e82581f66deea5423b78f306094cc23edab8f603fed81a1cdbb',
-                                           'report.json': 'bfaff65c8081d4fe3541c99973405deae873e87307006e494a164d85d486de7a'},
-          'meta-hedges-fixed/ferretti2017': {'stdout': 'fe40458b0a4a65f34d3ebf6040b3bc01f253478f4d42d6e050b9b3a26b7865c7',
-                                             'forest_mmp-3.svg': '44d8fec6af43623104eccae76adff6fc24d1191091b97fcdca7ddcb49ebf6fed',
-                                             'forest_mmp-9.svg': '528c9466b1ec865fb596175a2bfa78b19fc527509c75346f7f6e0612693112c0',
-                                             'forest_timp-i.svg': 'de09ccae62503c0e934684a95de49bf2a20f86c3fdfe1b037bfee27806f61842',
-                                             'report.json': 'd4ee462fffb53cc3de211dcea0201ac607127ec277d7bf05749892fa46767eab'},
-          'meta-hedges-fixed/ferretti2017_mmp9': {'stdout': 'e838c1e9d6d9317cd5fd51a72d9d92fe6777f2ae79e97b98e39bb1269a482426',
-                                                  'forest_mmp-9.svg': '528c9466b1ec865fb596175a2bfa78b19fc527509c75346f7f6e0612693112c0',
-                                                  'report.json': '269e0813071073cc123af4c22ed7db8ca63104002e0576691df479867b949819'},
-          'meta-hedges-fixed/hawkins2017_bnp': {'stdout': 'e1c847a916de863fdba9c50e89c4a89bae812e13348af1cb3d304154a764e6d2',
-                                                'forest_bnp.svg': '0efb8d87d1561b4b134c28eb4f9c62b713a35e033a2cf9389e2e5bbed9511283',
-                                                'report.json': 'eab8ebeae9803cd3ccf9e2b9af175351b8ee335ddcb7206cd6c13bf97ae3827d'},
-          'meta-hedges-fixed/zhang2017': {'stdout': '205ea538679a09979fdda88c9a323e3ff0b3f9f4b8fb60ae92d1036b243ff51d',
-                                          'forest_adiponectin.svg': '13bd4f409f94866ee4dd7db53f5a767a42769f92f8481eb492d8823bb6bc219e',
-                                          'forest_leptin.svg': '5bb2b05e0b54994afaee416063d27deb4eb78a17de1021b590c8b9fb94299c0d',
-                                          'report.json': '662759f322799cc58f48727a588545d2e2ff4b4fd41e953e2e25b3e509851a93'},
-          'meta-hedges-fixed/zhang2017_leptin': {'stdout': '2a23a881b94e516a2c535b28b3cc46790b8307b1413a9b0cf3fc798a7ae1993e',
-                                                 'forest_leptin.svg': '5bb2b05e0b54994afaee416063d27deb4eb78a17de1021b590c8b9fb94299c0d',
-                                                 'report.json': '1b2b5c9ad2c949ad3bb58f65abee769cca7128b660660741551f74fb407060e8'},
-          'test/banach2016': {'stdout': '3f850ea1b80dc3f26ec8bca56f861ab77f69dbd566b48af96050b4eaaddb1316'},
-          'test/ferretti2017': {'stdout': '246474c1a4990bce6d85c8a022415e543478f4c86fd97427ce6dfb4a66eb711a'},
-          'test/ferretti2017_mmp9': {'stdout': 'b76ece3fe34493a590ae84a8be1987c6df756b5aaf0f35848c9fe428ad304851'},
-          'test/hawkins2017_bnp': {'stdout': 'a8172ddd05e5a1d4817e498e0bdefb6c10950178a49a7fe2534ccaa19de612e1'},
-          'test/zhang2017': {'stdout': '561456bb7e8a5d45714fadfde57e70bd1e542e75abd17a3b3876fdf4c8345aaa'},
-          'test/zhang2017_leptin': {'stdout': '7fd6e033d4363c695c0c81849fc88850f97fbae93e20159de398d0ab60d55059'},
-          'simulate/type1-s1': {'stdout': '24811bc38b06f8ba7268ea0ec2c614f7a00e32a39cf0dd3c827a181f8699a945',
-                                'type1_s1.csv': 'c9c81b933c0506e629995a20febbc0a1c89711a84cd1307c38845a9de2b52404',
-                                'type1_s1.svg': '4e480852df47544692a34ac030c494d6b8ee1d3582a56b3db83c7a75766986dc'},
-          'simulate/type1-s2': {'stdout': '76afbd5a73956b6c244c467c37f2daee657f09708fbb01aa10734b65048a73c5',
-                                'type1_s2.csv': 'd1684333d5f9f409390bcf25262f5ae2409e067a268b9ed765951512298bae59',
-                                'type1_s2.svg': 'fd50a28493f4a573bb8ebaaec10abd4bdee42ed064613e4a97412f1cb594d320'},
-          'simulate/type1-s3': {'stdout': 'f0f9c55b3d1cb1a117d4279bd06595c766758cc9c185528b9b85d7494a977abb',
-                                'type1_s3.csv': 'cc55ea25b6b19cd9b88567ee6d1ba518ca438e30c8f629430bb8e65c574bd02e',
-                                'type1_s3.svg': '88a3153d51908b9fc6586b1ee1058dbc43ba2b7aa0366629c411ea0afe9f1dd3'},
-          'simulate/type1-s3-chunks': {'stdout': '542f04d17e69f063584011c5b7ce035dbfb387c68bccd9b18ead01227c6ffb1b',
-                                       'type1_s3.csv': '4ce476a6c8760b35d2a688b250c07365dd2a904054c8620e049dc2d929ac8fbd',
-                                       'type1_s3.svg': 'acf83de95a3cc33e33583877a10580718af5b9ba12e89ccaa6fd009c42fee8c2'},
-          'simulate/type1-s3-kappa': {'stdout': 'cc76f621c0a2adbde214df9edf9ad9da295cad52aea424d6e56f216eda094c37',
-                                      'type1_s3.csv': '680b832393ec7767e1c3b069bde42dee61c58066bba7fc45b639d2b1f026624c',
-                                      'type1_s3.svg': 'ff350c7e32abe2ef1f3346d695a25f23a0bde165c5211c4b916c806276648e86'},
-          'simulate/power-normal': {'stdout': 'dcdb313a6323f999f3868299a242e4754130c1cf140e1827a6c8f48bed111a35',
-                                    'power_s1_normal-1-2.csv': '1987687257b58a7335aa012a63a61214ef43aa5dffb1967e30a240164c0128a2',
-                                    'power_s1_normal-1-2.svg': 'bed126326bb29d600f16ef8076ce90d18607743e7d09b60e05a8534bdf1b5e6e'},
-          'simulate/power-lognormal': {'stdout': 'd4fa1ab9611d97402e077174248c40061294bc6067fb2a89743514210820c0d3',
-                                       'power_s1_lognormal-0-1.csv': 'b8ebda88c153c7f0e822ae27f52a443e3a8277f4905cb9cbddd8db07c899f56b',
-                                       'power_s1_lognormal-0-1.svg': '3940645882e01cd4bd993b47bbabc9ef92a64a83afe69c33ac301b2f9ece9608'},
-          'simulate/power-chisquare': {'stdout': 'd7323c77e83437b905520b8412949f831ebf9b8fc745d5e47ddef03d107c68fb',
-                                       'power_s2_chisquare-1.csv': '2524d6db7d5e50a06fac804d08d46860b246c1ba9b888d5b682f02fc9f06b3bf',
-                                       'power_s2_chisquare-1.svg': 'aeafa9d2e955c7d68e18cd628af1e030dc76d0d42ce6f3f77f10b08d77a88c1f'},
-          'simulate/power-exponential': {'stdout': 'f9a57f685bd894e884338dc459784641d265bb2d8d509e7d9c7f589e41b4d98c',
-                                         'power_s2_exponential-3.csv': '0fe44e24aca5a89764bf7a7ca627a77015d92c564e835845ce90351a9ea819e7',
-                                         'power_s2_exponential-3.svg': '439f35dfd6ab1ec8e443675468ae1fff969ba60ae3d43e4d2dcf28abf25c6e73'},
-          'simulate/power-beta': {'stdout': '486a0dc70f91533410659c6d4fb1cc325e5ccce100a2bf5aa265ef6da8b147a8',
-                                  'power_s3_beta-1-5.csv': '175a55809c52ac893f8e7ad91e0db9c7f9eb79badd2ef7e36bb35dcecd9aa759',
-                                  'power_s3_beta-1-5.svg': '4079aacf0a207eef3ee30b538c41a0152b70fa35356e648e8c11700b156d855e'},
-          'simulate/power-weibull': {'stdout': 'c97675a6c15fd03f03d79ccae135dffdbcf64548cddff7860430593c3fb5da94',
-                                     'power_s3_weibull-2-3.csv': '360e46eb1d02db697a754c39e4fd3f0a4aef20ce4a14d4a37d5ba4bdc17bc265',
-                                     'power_s3_weibull-2-3.svg': '0e9721b2b06458c8057f2770144f2b5631253fb4f9066cd17501b69ceff58343'},
-          'simulate/power-chisquare-sorted': {'stdout': 'ad1479a554e227bb9bc796f1ec2a4d160dfd114f73d90879f32f2316f0094ea0',
-                                              'power_s1_chisquare-3.csv': 'dbc5fef29aac8f7282e301ef5d3b1209eac515184d34d64da651c811fca397f6',
-                                              'power_s1_chisquare-3.svg': '1234a26cc18576ee5e2709838d014a56866a398b237df66b47208829c3c294d3'},
-          'demo/all-pairs': {'stdout': '06054f78fc0aad14d83e92a1b2d1bd83945c855fb73a02168957f0c9205cfc0a'}}
-
 
 @pytest.mark.parametrize("dataset", DATASETS)
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_golden_digests(run, dataset, tmp_path, monkeypatch):
-    for name in _ENV:
+    for name in ENV:
         monkeypatch.delenv(name, raising=False)
     got = run_digests(dataset_argv(run, dataset), tmp_path)
     assert got == GOLDEN[f"{run}/{dataset}"]
@@ -229,13 +88,53 @@ def test_golden_digests(run, dataset, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SIM_RUNS))
 def test_simulate_golden_digests(name, tmp_path, monkeypatch):
-    for env in _ENV:
+    for env in ENV:
         monkeypatch.delenv(env, raising=False)
     assert run_digests(SIM_RUNS[name], tmp_path) == GOLDEN[name]
 
 
+def _python(minor: int) -> str | None:
+    """A Python 3.``minor`` interpreter that runs, or None.
+
+    ``python3.<minor>`` on PATH first, kept only if it starts and is that
+    version (a pyenv shim without a setting for it fails), then pyenv's
+    ``~/.pyenv/versions/3.<minor>.*/bin/python``.
+    """
+    candidates = [shutil.which(f"python3.{minor}"), *sorted(glob.glob(
+        os.path.expanduser(f"~/.pyenv/versions/3.{minor}.*/bin/python")))]
+    for exe in filter(None, candidates):
+        try:
+            proc = subprocess.run(
+                [exe, "-c", "import sys; print(sys.version_info[1])"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.strip() == str(minor):
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_golden_table_on_every_supported_python(minor, src_env):
+    # requires-python is >=3.10.  Float sums and the JSON and int()
+    # limits have differed between versions, so the stdlib-only runs
+    # and refusals are checked under each version found.
+    exe = _python(minor)
+    if exe is None:
+        pytest.skip(f"no Python 3.{minor} that runs: neither python3.{minor} "
+                    f"on PATH nor ~/.pyenv/versions/3.{minor}.*")
+    for name in ENV:
+        src_env.pop(name, None)
+    proc = subprocess.run(
+        [exe, str(Path(__file__).with_name("golden_table.py"))],
+        env=src_env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(": 0 mismatches in 24 golden runs and 18 "
+                                "refusals\n"), proc.stdout
+
+
 def _record_all() -> dict[str, dict[str, str]]:
-    for name in _ENV:
+    for name in ENV:
         os.environ.pop(name, None)
     table = {}
     for run in sorted(RUNS):

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from sumnorm import model
 from sumnorm.estimators import estimate_mean, estimate_moments, estimate_sd
 
 from sumnorm.meta import (EffectSize, GroupTest, PipelineReport, PooledResult,
                           StudyEntry, chi_square_sf, cohen_d, pool,
                           report_to_dict, run_pipeline)
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario, Study,
-                           parse_studies)
+                           classify_scenario, parse_studies)
 from sumnorm.plots import curve_svg, forest_svg
 from sumnorm.symmetry import run_test, statistic
 
@@ -468,6 +469,32 @@ class TestRunPipeline:
         (report,) = run_pipeline(studies, alpha=1e-17)
         assert report.included_ids == ("skew",)
 
+    def test_each_group_classified_once(self, monkeypatch, data_dir):
+        # The screen classifies a group once, and its GroupTest carries
+        # the scenario into estimation: one validation per group,
+        # multi-arm studies included.  classify_scenario runs validate.
+        calls = []
+        real = model.validate
+
+        def counting(group):
+            calls.append(group)
+            return real(group)
+
+        monkeypatch.setattr(model, "validate", counting)
+        for path in sorted(data_dir.glob("*.csv")):
+            studies = parse_studies(path)
+            calls.clear()
+            reports = run_pipeline(studies)
+            groups = [g for report in reports for study in studies
+                      if study.outcome_label == report.outcome_label
+                      for g in study.groups]
+            assert calls == groups, path.name
+            tests = [t for report in reports for entry in report.studies
+                     for t in entry.tests]
+            assert [t.scenario for t in tests] == [
+                None if t.error else classify_scenario(g)
+                for t, g in zip(tests, groups)], path.name
+
     def test_hedges_passthrough(self):
         studies = [_direct_study("a", "o", 10, 2.0, 1.0, 10, 0.0, 1.0)]
         (plain,) = run_pipeline(studies)
@@ -526,7 +553,7 @@ class TestHandBuiltRecords:
         assert result.n == 21
         assert result.statistic == statistic(Scenario.S2, None, 7.6, 9.6,
                                              16.25, None, 21)
-        moments = estimate_moments(case)
+        moments = estimate_moments(case, classify_scenario(case))
         assert moments.mean == estimate_mean(summary, Scenario.S2, 21)
         assert moments.sd == estimate_sd(summary, Scenario.S2, 21)
         (report,) = run_pipeline([study], alpha=1e-9)
@@ -595,7 +622,8 @@ def test_pipeline_never_raises_on_hand_built_records(studies):
         json.dumps(report_to_dict(report), allow_nan=False)
     for study in studies:
         for group in study.groups:
-            for consumer in (run_test, estimate_moments):
+            for consumer in (run_test, lambda g: estimate_moments(
+                    g, classify_scenario(g))):
                 try:
                     consumer(group)
                 except ValueError:
