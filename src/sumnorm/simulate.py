@@ -11,26 +11,36 @@ rate at a given n does not depend on which other n values share the
 grid.  The order-statistic asymptotics behind the tests are checked by
 the acceptance scorecard from ``_summary_matrix``, not here.
 
-A curve's unit of work is one chunk of one cell (one n).  The units
-wait in one queue, in grid order, then chunk order; the calling thread
-and one helper thread per further usable CPU (``os.sched_getaffinity``)
-each take the next unit until none is left.  The helpers start with the
-first curve that needs them and stay parked between curves.  numpy's
-samplers release the interpreter lock, so the units' draws overlap, and
-a helper slowed by other load on its CPU holds up the curve by at most
-one chunk.  A unit reads only its own stream and returns two counts,
-its rejections and its non-finite statistics; a cell's rate is its
-rejections over the replicates, the same float as the mean of the
-rejection flags, so a curve is the same at any CPU count.  After a cell
-fails no unit of a later cell starts, the failing cell's own units
-finish so that its count is whole, and the failure at the lowest grid
-position is raised, the one a serial loop would raise.  A unit's
-working set is a few rows of its chunk: the spacings path holds the
-(4, rows) or (6, rows) gammas, their sum and the (5, rows) result and
-maps one order statistic (row) at a time, and the sort path draws and
-sorts a chunk ``_SORT_VALUES`` values at a time.  So a curve holds at
-most one chunk per thread, at any number of replicates, and the sort
-path's memory does not grow with n.
+A curve's unit of work is one chunk of one cell (one n), in two
+stages: its draw, the chunk's gamma rows (or the sort path's whole
+work), and its count, which maps the gammas to order statistics and
+counts the statistic's rejections.  The
+calling thread and one helper thread per further usable CPU
+(``os.sched_getaffinity``) share the stages.  The draws start in grid
+order, then chunk order.  A free thread counts the lowest drawn chunk
+when no draw can start, or when as many chunks are drawn or being
+drawn, and not yet taken, as there are threads; otherwise it starts the
+next draw.  numpy's samplers release the interpreter lock and the
+count's short ufunc calls mostly hold it, so the next chunk's draw on
+one thread overlaps counts on another: three one-chunk cells on two
+CPUs run as two draws, then the third draw beside the first two counts,
+then the third count.  On one CPU each unit is drawn, then counted.
+The helpers start with the first curve that needs them and stay parked
+between curves, and a helper slowed by other load on its CPU holds up
+the curve by at most one chunk.  A unit reads only its own stream and
+returns two counts, its rejections and its non-finite statistics; a
+cell's rate is its rejections over the replicates, the same float as
+the mean of the rejection flags, so a curve is the same at any CPU
+count.  After a cell fails no stage of a later cell starts, the failing
+cell's own units finish so that its count is whole, and the failure at
+the lowest grid position is raised, the one a serial loop would raise.
+A stage's working set is a few rows of its chunk: the spacings path
+holds the (4, rows) or (6, rows) gammas, their sum and the (5, rows)
+result and maps one order statistic (row) at a time, and the sort path
+draws and sorts a chunk ``_SORT_VALUES`` values at a time, all in its
+draw stage.  So a curve holds at most one chunk per thread in a stage
+and fewer drawn chunks waiting than threads, at any number of
+replicates, and the sort path's memory does not grow with n.
 
 The map from gammas to order statistics is a run of short ufunc calls
 on rows of ``_CHUNK_ROWS`` elements, and the interpreter lock is held
@@ -81,6 +91,7 @@ split the same way.  No other module imports numpy.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import os
 import queue
@@ -123,9 +134,10 @@ _SORT_VALUES = 1 << 18
 # matrix; S1 and S2 draw four), freed here, does so once, so that a
 # chunk's arrays come from the heap and stay mapped for the next chunk.
 # Otherwise the thresholds stay near the largest single array, and the
-# ~2 MB a chunk allocates is trimmed after every chunk and faulted in
-# again: 23000-28000 minor page faults per default --type1 curve (S1,
-# S2 or S3) without the block, against at most a few dozen with it.
+# ~2 MB a chunk allocates is trimmed and faulted in again, chunk after
+# chunk: 3000-13000 minor page faults per default --type1 curve (S1, S2
+# or S3, 2 CPUs) without the block.  With it most curves take 0-2 and
+# a few up to 234 (at most 78 when each unit ran whole on one thread).
 np.empty((5 + 6, _CHUNK_ROWS))
 
 # AS 241's rational approximations, coefficients highest power first, as
@@ -389,11 +401,43 @@ def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
     return QuantileSummary(min=a, q1=q1, median=m, q3=q3, max=b)
 
 
+def _draw_chunk(dist: DistSpec, n: int, replicates: int, seed: int,
+                chunk: int, reads: Sequence[int]) -> np.ndarray:
+    """The draw stage of one chunk of a cell, from its (seed, n, chunk)
+    stream: the spacings path's (len(gaps), rows) standard gammas, or the
+    sort path's (5, rows) order statistics, which that path finds here
+    whole.  ``_summary_matrix`` maps the result."""
+    columns = _order_columns(n)
+    rng = _generator(seed, n, chunk)
+    rows = min(_CHUNK_ROWS, replicates - chunk * _CHUNK_ROWS)
+    if _FAMILIES[dist.family][3](dist.params) is None:
+        # A Generator fills in C order, so drawing the chunk's samples a
+        # block at a time takes the same values from its stream as
+        # drawing them at once.
+        part = np.empty((len(columns), rows))
+        block = max(1, _SORT_VALUES // n)
+        for lo in range(0, rows, block):
+            x = _draw(dist, rng, (min(block, rows - lo), n))
+            x.sort(axis=1)
+            part[:, lo:lo + len(x)] = x[:, columns].T
+            del x  # not held while the next block is drawn
+        return part
+    # Gamma shapes: the gaps between 0, the 1-based ranks read and n + 1.
+    # A gap is 0 where read ranks tie (S3 at n = 4..7); that gamma is
+    # exactly 0.  One row per gap, so every sum runs along contiguous
+    # memory.
+    gaps = np.diff([0, *(columns[i] + 1 for i in reads), n + 1])
+    return _draw(dist, rng, (len(gaps), rows), gaps)
+
+
 def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
                     chunk: int | None = None, *,
-                    reads: Sequence[int] = (0, 1, 2, 3, 4)) -> np.ndarray:
+                    reads: Sequence[int] = (0, 1, 2, 3, 4),
+                    drawn: np.ndarray | None = None) -> np.ndarray:
     """(replicates, 5) matrix of [min, q1, median, q3, max] rows, or,
-    given a ``chunk`` index, the rows of that chunk of them only.
+    given a ``chunk`` index, the rows of that chunk of them only.  Given
+    also that chunk's ``drawn``, from ``_draw_chunk``, it maps that draw
+    instead of drawing: the map stage of a curve's unit.
 
     Spacings when the family has a quantile (see the module docstring),
     sorted samples otherwise; both on the (seed, n, chunk) streams.  The
@@ -409,36 +453,22 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
     columns = _order_columns(n)
     unread = [i for i in range(len(columns)) if i not in reads]
     quantile = _FAMILIES[dist.family][3](dist.params)
-    # Gamma shapes: the gaps between 0, the 1-based ranks read and n + 1.
-    # A gap is 0 where read ranks tie (S3 at n = 4..7); that gamma is
-    # exactly 0.
-    gaps = np.diff([0, *(columns[i] + 1 for i in reads), n + 1])
     starts = range(0, replicates, _CHUNK_ROWS)
     if chunk is not None:
         starts = starts[chunk:chunk + 1]
     first = starts.start
     out = np.empty((len(columns), min(replicates, starts.stop) - first))
     for done in starts:
-        rng = _generator(seed, n, done // _CHUNK_ROWS)
-        rows = min(_CHUNK_ROWS, replicates - done)
-        part = out[:, done - first:done - first + rows]
+        g = drawn if drawn is not None else _draw_chunk(
+            dist, n, replicates, seed, done // _CHUNK_ROWS, reads)
+        part = out[:, done - first:done - first + g.shape[1]]
         if quantile is None:
-            # A Generator fills in C order, so drawing the chunk's
-            # samples a block at a time takes the same values from its
-            # stream as drawing them at once.
-            block = max(1, _SORT_VALUES // n)
-            for lo in range(0, rows, block):
-                x = _draw(dist, rng, (min(block, rows - lo), n))
-                x.sort(axis=1)
-                part[:, lo:lo + len(x)] = x[:, columns].T
-                del x  # not held while the next block is drawn
+            part[...] = g
             continue
-        # One row per gap, so every sum runs along contiguous memory.
         # The running sums add whole rows in place, the additions of
         # np.cumsum along axis 0 at a fraction of its cost there:
         # G_1 + ... + G_j into the part's row of the j-th read rank,
         # G_{j+1} + ... + G_k into g's, k = len(gaps).
-        g = _draw(dist, rng, (len(gaps), rows), gaps)
         total = g.sum(axis=0)
         part[reads[0]] = g[0]
         for j in range(1, len(reads)):
@@ -522,38 +552,64 @@ def _on_helpers(task: Callable[[], None], count: int) -> threading.Semaphore:
     return done
 
 
-def _run_units(unit: Callable[[int, int], tuple[int, int]], cells: int,
-               chunks: int) -> list:
-    """Per cell, the sums over its chunks of
-    ``unit(cell, chunk) = (rejections, non-finite statistics)``.
+def _run_units(draw: Callable[[int, int], np.ndarray],
+               count: Callable[[int, int, np.ndarray], tuple[int, int]],
+               cells: int, chunks: int) -> list:
+    """Per cell, the sums over its chunks of ``count(cell, chunk,
+    draw(cell, chunk)) = (rejections, non-finite statistics)``.
 
-    The (cell, chunk) units wait in one queue, in cell order, then chunk
-    order.  The calling thread and ``min(units, _usable_cpus()) - 1``
-    helper threads each take the next unit until none is left.  Once a
-    cell has a non-finite statistic, or a unit of it raises, no unit of
-    a later cell starts; the cell's own units were queued before them
-    and still run, so its counts are whole.  A cell's entry is its
-    ``[rejections, non-finite]`` sums, or the exception one of its units
-    raised; the entries of cells after the first that failed are not
-    complete.
+    A (cell, chunk) unit runs in two stages, its draw and its count, not
+    necessarily on one thread.  The draws start in cell order, then
+    chunk order.  The calling thread and ``min(units, _usable_cpus()) -
+    1`` helper threads each take the lowest drawn chunk waiting for its
+    count when no draw can start, or when the chunks drawn or being drawn
+    and not yet taken number as many as the threads; otherwise each
+    starts the next draw.  A thread stops when neither is left.  So one
+    thread draws while another counts, fewer drawn chunks wait than there
+    are threads, and on one thread each unit is drawn, then counted.
+    Once a cell has a non-finite statistic, or a stage of it raises, no
+    stage of a later cell starts; the cell's own units started their
+    draws before any later cell's, and still finish, so its counts are
+    whole.  A cell's entry is its ``[rejections, non-finite]`` sums, or
+    the exception one of its stages raised; the entries of cells after
+    the first that failed are not complete.
     """
     results: list = [[0, 0] for _ in range(cells)]
     units = iter([(cell, chunk) for cell in range(cells)
                   for chunk in range(chunks)])
+    following = next(units, None)  # the next unit to draw
+    waiting: list = []  # heap of drawn (cell, chunk, draw) not yet taken
+    drawing = 0
+    threads = min(cells * chunks, _usable_cpus())
     lock = threading.Lock()
-    last = cells - 1  # the last cell whose units still start
+    last = cells - 1  # the last cell whose stages still start
 
     def work() -> None:
-        nonlocal last
+        nonlocal following, drawing, last
         while True:
             with lock:
-                cell, chunk = next(units, (cells, 0))
-                if cell > last:
+                can_draw = following is not None and following[0] <= last
+                if (waiting and waiting[0][0] <= last and (
+                        not can_draw or len(waiting) + drawing >= threads)):
+                    cell, chunk, drawn = heapq.heappop(waiting)
+                elif can_draw:  # drawn None: this thread draws the unit
+                    (cell, chunk), drawn = following, None
+                    following = next(units, None)
+                    drawing += 1
+                else:
                     return
             try:
-                rejections, bad = unit(cell, chunk)
+                if drawn is None:
+                    drawn = draw(cell, chunk)
+                    with lock:
+                        drawing -= 1
+                        heapq.heappush(waiting, (cell, chunk, drawn))
+                    continue
+                rejections, bad = count(cell, chunk, drawn)
             except Exception as exc:  # raised by the caller, in cell order
                 with lock:
+                    if drawn is None:  # the draw raised
+                        drawing -= 1
                     results[cell] = exc
                     last = min(last, cell)
                 continue
@@ -564,12 +620,14 @@ def _run_units(unit: Callable[[int, int], tuple[int, int]], cells: int,
                     results[cell][0] += rejections
                     results[cell][1] += bad
 
-    helpers = max(0, min(cells * chunks, _usable_cpus()) - 1)
+    helpers = max(0, threads - 1)
     done = _on_helpers(work, helpers)
     try:
         work()
-    finally:
+    except BaseException:
         last = -1  # an interrupted caller stops the helpers too
+        raise
+    finally:
         for _ in range(helpers):
             done.acquire()
     return results
@@ -588,21 +646,26 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
     if reads is None:
         raise ValueError(f"no test statistic for scenario {scenario}")
 
-    def unit(i: int, chunk: int) -> tuple[int, int]:
+    # Draws that overflow, or round to a zero spread, give inf or nan
+    # statistics; a nan would count as "retain", so the cell is refused.
+    # The error state is per thread, so each stage sets it.
+    def draw(i: int, chunk: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _draw_chunk(dist, n_grid[i], replicates, seed, chunk,
+                               reads)
+
+    def count(i: int, chunk: int, drawn: np.ndarray) -> tuple[int, int]:
         n = n_grid[i]
-        # Draws that overflow, or round to a zero spread, give inf or nan
-        # statistics; a nan would count as "retain", so the cell is
-        # refused.  The error state is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             summaries = _summary_matrix(dist, n, replicates, seed, chunk,
-                                        reads=reads)
+                                        reads=reads, drawn=drawn)
             stats = _statistics(scenario, summaries, n, kappa_c)
             return (int(np.count_nonzero(np.abs(stats) > crit)),
                     int(np.count_nonzero(~np.isfinite(stats))))
 
     rates = []
     for n, result in zip(n_grid, _run_units(
-            unit, len(n_grid), -(-replicates // _CHUNK_ROWS))):
+            draw, count, len(n_grid), -(-replicates // _CHUNK_ROWS))):
         if isinstance(result, Exception):
             raise result
         rejections, bad = result

@@ -449,11 +449,10 @@ def own_helpers(monkeypatch):
 
 @pytest.mark.usefixtures("own_helpers")
 class TestConcurrentCells:
-    # A curve's (cell, chunk) units run on the calling thread and
-    # min(units, usable CPUs) - 1 helper threads, each taking the next
-    # unit until none is left.  The helpers stay, parked, for the next
-    # curve.  The CPU count is forced, so these tests run the same on
-    # any machine.
+    # A curve's (cell, chunk) units run in two stages, the draw and the
+    # count, on the calling thread and min(units, usable CPUs) - 1 helper
+    # threads.  The helpers stay, parked, for the next curve.  The CPU
+    # count is forced, so these tests run the same on any machine.
 
     @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES + _SORTED_FAMILIES[:1],
                              ids=DistSpec.label)
@@ -472,23 +471,47 @@ class TestConcurrentCells:
         (4, (10, 20), 1000)])
     def test_each_unit_once_on_one_helper_per_further_cpu(
             self, monkeypatch, own_helpers, cpus, grid, replicates):
+        # Each unit is drawn once and counted once, and at no time do more
+        # chunks wait, drawn and not yet counted, than there are threads.
+        # On one CPU each unit is drawn, then counted, in grid order.
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
         _force_cpus(monkeypatch, cpus)
         before = set(threading.enumerate())
-        units = []
-        real = simulate._summary_matrix
+        stages, waiting, most = [], 0, 0
+        real_draw, real = simulate._draw_chunk, simulate._summary_matrix
+        lock = threading.Lock()
+
+        def recording_draw(dist, n, replicates, seed, chunk, reads):
+            nonlocal waiting, most
+            drawn = real_draw(dist, n, replicates, seed, chunk, reads)
+            with lock:
+                stages.append(("draw", n, chunk, threading.current_thread()))
+                waiting += 1
+                most = max(most, waiting)
+            return drawn
 
         def recording(dist, n, replicates, seed, chunk=None, **kwargs):
-            units.append((n, chunk, threading.current_thread()))
+            nonlocal waiting
+            with lock:
+                stages.append(("count", n, chunk,
+                               threading.current_thread()))
+                waiting -= 1
             return real(dist, n, replicates, seed, chunk, **kwargs)
 
+        monkeypatch.setattr(simulate, "_draw_chunk", recording_draw)
         monkeypatch.setattr(simulate, "_summary_matrix", recording)
         power_curve(Scenario.S1, _NORMAL, grid, replicates, seed=1)
         every = [(n, c) for n in grid for c in range(-(-replicates // 300))]
-        assert sorted((n, c) for n, c, _ in units) == every
+        for stage in ("draw", "count"):
+            assert sorted((n, c) for s, n, c, _ in stages
+                          if s == stage) == every
+        assert most <= min(len(every), cpus)
+        if cpus == 1:
+            assert [s[:3] for s in stages] == [
+                (stage, n, c) for n, c in every for stage in ("draw", "count")]
         assert len(own_helpers) <= min(len(every), cpus) - 1
-        assert {t for *_, t in units} <= {threading.current_thread(),
-                                          *own_helpers}
+        assert {t for *_, t in stages} <= {threading.current_thread(),
+                                           *own_helpers}
         # No thread is left but the parked helpers, and the next curve
         # reuses them: a thread started per curve can cost its memory
         # arena.
@@ -496,6 +519,59 @@ class TestConcurrentCells:
         assert after - before == set(own_helpers)
         power_curve(Scenario.S1, _NORMAL, grid, replicates, seed=1)
         assert set(threading.enumerate()) == after
+
+    def test_next_draw_overlaps_counts(self, monkeypatch):
+        # Three one-chunk cells on 2 CPUs: the counts of cells 0 and 1
+        # each wait for cell 2's draw, so that draw must start while a
+        # drawn chunk waits, on the thread that does not count it.  Run
+        # as whole units, one thread per unit, both counts would wait
+        # with no thread left to draw cell 2, and time out.
+        _force_cpus(monkeypatch, 2)
+        grid = (10, 20, 30)
+        drawn_last, waits = threading.Event(), []
+        real_draw, real = simulate._draw, simulate._statistics
+
+        def draw(dist, rng, shape, gaps=None):
+            x = real_draw(dist, rng, shape, gaps)
+            if sum(gaps) == grid[2] + 1:
+                drawn_last.set()
+            return x
+
+        def statistics(scenario, summaries, n, kappa_c):
+            if n in grid[:2]:
+                waits.append(drawn_last.wait(timeout=10))
+            return real(scenario, summaries, n, kappa_c)
+
+        monkeypatch.setattr(simulate, "_draw", draw)
+        monkeypatch.setattr(simulate, "_statistics", statistics)
+        got = power_curve(Scenario.S1, _NORMAL, grid, replicates=50, seed=4)
+        assert waits == [True, True]
+        _force_cpus(monkeypatch, 1)
+        monkeypatch.setattr(simulate, "_statistics", real)
+        assert got == power_curve(Scenario.S1, _NORMAL, grid, replicates=50,
+                                  seed=4)
+
+    @pytest.mark.parametrize("stage", ["_draw_chunk", "_statistics"])
+    def test_raising_stage_raised_in_grid_order(self, monkeypatch, stage):
+        # A stage that raises fails its cell; with two failing cells the
+        # lower one's error is raised, though the other failed first.
+        _force_cpus(monkeypatch, 2)
+        start = threading.active_count()
+        real = getattr(simulate, stage)
+
+        def raising(dist_or_scenario, *args, **kwargs):
+            n = args[0] if stage == "_draw_chunk" else args[1]
+            if n == 20:
+                time.sleep(0.1)
+            if n in (20, 40):
+                raise RuntimeError(f"{stage} at n={n}")
+            return real(dist_or_scenario, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, stage, raising)
+        with pytest.raises(RuntimeError, match=f"{stage} at n=20$"):
+            power_curve(Scenario.S1, _NORMAL, (10, 20, 30, 40),
+                        replicates=50, seed=1)
+        assert threading.active_count() == start + 1  # the parked helper
 
     def test_each_cell_once_under_fast_switching(self, monkeypatch):
         # More threads than cores, switching as often as possible: a cell
