@@ -67,13 +67,19 @@ the sample scale, each tail from the one of the two that keeps its
 precision.  So a row costs r + 1 gammas at any n: four for S1 (min,
 median, max) and S2 (q1, median, q3), six for S3 and for the full
 five-column matrix.  A chunk draws them gap by gap, one row of an
-(r + 1, rows) array per standard_gamma call, and forms the running sums
-G_1 + ... + G_i and G_{i+1} + ... + G_{r+1} by adding whole rows in
-place.  The families with a closed-form or Phi^-1-based quantile take
-this path: normal, lognormal, exponential, Weibull, chi-square(1) and
-beta(1, b), which covers ``POWER_ALTERNATIVES``.  Chi-square with other
-degrees of freedom and beta(a != 1, b) sort whole samples instead, and
-so does the demo, which needs every value.
+(r + 1, rows) array per sampler call.  A gap of shape 1 (below a read
+minimum, above a read maximum, and between adjacent ranks at small n)
+takes standard_exponential, which is what standard_gamma calls at shape
+1, so the values and the stream position are the same at less cost; the
+others take standard_gamma.  The map forms the running sums G_1 + ... +
+G_i and G_{i+1} + ... + G_{r+1} by adding whole rows in place, and G as
+the last lower sum plus G_{r+1}: the additions that summing the rows
+makes, in the same order, made once.  The families with a closed-form
+or Phi^-1-based quantile take this path: normal, lognormal,
+exponential, Weibull, chi-square(1) and beta(1, b), which covers
+``POWER_ALTERNATIVES``.  Chi-square with other degrees of freedom and
+beta(a != 1, b) sort whole samples instead, and so does the demo,
+which needs every value.
 
 Their Phi^-1 is the AS 241 algorithm (Wichura 1988) of
 ``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
@@ -288,34 +294,66 @@ def _log_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
                         lambda i: np.log(v[i]))
 
 
+def _scaled(x: np.ndarray, scale: float) -> np.ndarray:
+    # scale * x, in place; x * 1.0 is x, so a unit scale does nothing.
+    if scale != 1.0:
+        x *= scale
+    return x
+
+
+def _located(z: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    # loc + scale * z, in place, for z from ``_quantile_row``.  That is
+    # never -0.0, so 0.0 + 1.0 * z is z bit for bit and unit parameters
+    # do nothing.  A scaled z can underflow to -0.0, which adding 0.0
+    # turns to 0.0, so a zero loc is still added when the scale is not 1.
+    if scale == 1.0 and loc == 0.0:
+        return z
+    _scaled(z, scale)
+    z += loc
+    return z
+
+
+def _negated_over(x: np.ndarray, rate: float) -> np.ndarray:
+    # -x / rate in one pass, in place: x / -rate has the same bits, since
+    # IEEE division is symmetric in sign, and at rate 1 it is -x.
+    if rate == 1.0:
+        return np.negative(x, out=x)
+    return np.divide(x, -rate, out=x)
+
+
 # family -> (number of parameters, indices that must be > 0, sampler,
 # quantile).  Parameters: normal mu, sigma; lognormal mu, sigma of the
 # underlying normal; chisquare degrees of freedom; exponential rate
 # lambda; beta alpha, beta; weibull shape k, scale lambda.  The quantile
 # column maps the parameters to the quantile function of one row of
 # (U, 1 - U), or to None where the family has no closed form for them.
+# The quantiles work in place on their fresh arrays and skip the passes
+# whose result is known, a multiply by a unit parameter and an add of a
+# zero one, which the type I curves and ``POWER_ALTERNATIVES`` would
+# otherwise make on every row.  At any parameters the bits are those of
+# the whole formula.
 _FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable]] = {
     "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape),
-               lambda p: lambda u, v: (
-                   p[0] + p[1] * _quantile_row(u, v))),
+               lambda p: lambda u, v: _located(_quantile_row(u, v), *p)),
     "lognormal": (2, (1,),
                   lambda rng, p, shape: rng.lognormal(p[0], p[1], shape),
                   lambda p: lambda u, v: np.exp(
-                      p[0] + p[1] * _quantile_row(u, v))),
+                      _located(_quantile_row(u, v), *p))),
     # chi-square(1) is Z^2 with Phi(Z) = (1 - U) / 2.
     "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape),
                   lambda p: None if p[0] != 1 else lambda u, v: (
                       _quantile_row(v / 2, (1 + u) / 2) ** 2)),
     "exponential": (1, (0,),
                     lambda rng, p, shape: rng.exponential(1.0 / p[0], shape),
-                    lambda p: lambda u, v: -_log_upper(u, v) / p[0]),
+                    lambda p: lambda u, v: _negated_over(_log_upper(u, v),
+                                                         p[0])),
     "beta": (2, (0, 1), lambda rng, p, shape: rng.beta(p[0], p[1], shape),
              lambda p: None if p[0] != 1 else lambda u, v: (
                  -np.expm1(_log_upper(u, v) / p[1]))),
     "weibull": (2, (0, 1),
                 lambda rng, p, shape: p[1] * rng.weibull(p[0], shape),
-                lambda p: lambda u, v: (
-                    p[1] * (-_log_upper(u, v)) ** (1 / p[0]))),
+                lambda p: lambda u, v: _scaled(
+                    (-_log_upper(u, v)) ** (1 / p[0]), p[1])),
 }
 
 
@@ -368,14 +406,21 @@ def _draw(dist: DistSpec, rng: np.random.Generator, shape,
     """Every variate of this module: ``shape`` draws from ``dist``, or,
     given the rank ``gaps`` of the spacings path (one more than the
     order statistics read), a ``shape`` array whose i-th row holds
-    standard gammas of shape ``gaps[i]``."""
+    standard gammas of shape ``gaps[i]``, a row of shape 1 drawn by the
+    exponential sampler that standard_gamma itself calls there."""
     if gaps is None:
         return _FAMILIES[dist.family][2](rng, dist.params, shape)
     # Row by row in C order: the stream of one broadcast
     # standard_gamma(gaps[:, None], shape) call, without its iterator.
+    # At shape 1 numpy's standard_gamma returns its standard_exponential
+    # draw, so a shape-1 row takes that sampler directly: the same values
+    # and stream position, without the gamma sampler's per-value checks.
     g = np.empty(shape)
     for k, row in zip(gaps, g):
-        rng.standard_gamma(k, out=row)
+        if k == 1:
+            rng.standard_exponential(out=row)
+        else:
+            rng.standard_gamma(k, out=row)
     return g
 
 
@@ -448,11 +493,14 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
     that reads an unmapped position is not finite.  Its draws therefore
     depend on ``reads``: the read columns have the same joint law for
     any ``reads``, not the same values.  The sort path fills all five,
-    the same values for any ``reads``.
+    the same values for any ``reads``; given its ``drawn``, it returns
+    that draw's transpose, not a copy.
     """
     columns = _order_columns(n)
     unread = [i for i in range(len(columns)) if i not in reads]
     quantile = _FAMILIES[dist.family][3](dist.params)
+    if drawn is not None and quantile is None:
+        return drawn.T  # the sort path's draw is its order statistics
     starts = range(0, replicates, _CHUNK_ROWS)
     if chunk is not None:
         starts = starts[chunk:chunk + 1]
@@ -468,11 +516,13 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
         # The running sums add whole rows in place, the additions of
         # np.cumsum along axis 0 at a fraction of its cost there:
         # G_1 + ... + G_j into the part's row of the j-th read rank,
-        # G_{j+1} + ... + G_k into g's, k = len(gaps).
-        total = g.sum(axis=0)
+        # G_{j+1} + ... + G_k into g's, k = len(gaps).  The total G is
+        # the last lower sum plus the last gap: the additions of
+        # g.sum(axis=0), in its order, made once.
         part[reads[0]] = g[0]
         for j in range(1, len(reads)):
             np.add(g[j], part[reads[j - 1]], out=part[reads[j]])
+        total = part[reads[-1]] + g[-1]
         above = g[1:]
         for j in range(len(above) - 2, -1, -1):
             above[j] += above[j + 1]

@@ -417,6 +417,16 @@ class TestSpacings:
         got = _summary_matrix(dist, 30, 300, 6, reads=READS[Scenario.S1])
         assert got.tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("dist", _SORTED_FAMILIES, ids=DistSpec.label)
+    def test_sort_path_maps_its_draw_without_a_copy(self, dist):
+        # The sort path's draw is already the chunk's order statistics:
+        # its map returns them as they are.
+        reads = READS[Scenario.S1]
+        drawn = simulate._draw_chunk(dist, 30, 300, 6, 0, reads)
+        got = _summary_matrix(dist, 30, 300, 6, 0, reads=reads, drawn=drawn)
+        assert np.shares_memory(got, drawn)
+        assert got.tobytes() == _summary_matrix(dist, 30, 300, 6).tobytes()
+
     @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES, ids=DistSpec.label)
     def test_rows_ordered_and_tied_ranks_equal(self, dist):
         for n in range(4, 12):
@@ -599,9 +609,10 @@ class TestConcurrentCells:
         assert threaded == serial
 
     def test_first_failure_in_grid_order_raised(self, monkeypatch):
-        # On 2 CPUs the helper takes n=30, the second unit, and the
-        # calling thread n=40, 20 and 10.  n=30 fails after n=10 has:
-        # the error still names n=30, as a loop over the grid would.
+        # On 2 CPUs n=30's draw is slow, so n=20 and n=10 are drawn and
+        # counted while it runs, by whichever thread is free: n=30 fails
+        # after n=10 has.  The error still names n=30, as a loop over the
+        # grid would.
         _force_cpus(monkeypatch, 2)
         power_curve(Scenario.S2, _NORMAL, [10, 20], replicates=10, seed=1)
         start = threading.active_count()  # with the parked helper
@@ -826,17 +837,83 @@ class TestFastPathsBitIdentical:
     # Each fast path of the spacings sampler against the formulation it
     # replaced, kept here as the oracle: the same bytes, not a tolerance.
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 10, 1000])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 10, 1000])
     def test_gamma_rows_match_one_broadcast_call(self, n):
-        gaps = np.diff([0, *(k + 1 for k in _order_columns(n)), n + 1])
-        assert bool(np.any(gaps == 0)) == (n <= 7)  # tied ranks
-        shape = (len(gaps), 999)
-        rng, oracle_rng = _generator(5, n, 0), _generator(5, n, 0)
-        got = _draw(DistSpec("normal", (0.0, 1.0)), rng, shape, gaps)
-        want = oracle_rng.standard_gamma(gaps[:, None], shape)
-        assert got.tobytes() == want.tobytes()
-        assert np.all(got[gaps == 0] == 0.0)
-        assert rng.random() == oracle_rng.random()  # same draws consumed
+        # The gaps of the ranks each scenario reads: shape-1 rows (drawn
+        # by the exponential sampler) among larger shapes, and zero
+        # shapes where S3's ranks tie.
+        columns = _order_columns(n)
+        for scenario, reads in READS.items():
+            gaps = np.diff([0, *(columns[i] + 1 for i in reads), n + 1])
+            if scenario is Scenario.S3:
+                assert bool(np.any(gaps == 0)) == (n <= 7)  # tied ranks
+            if scenario is Scenario.S1:
+                assert gaps[0] == gaps[-1] == 1  # the min's and the max's
+            shape = (len(gaps), 999)
+            rng, oracle_rng = _generator(5, n, 0), _generator(5, n, 0)
+            got = _draw(DistSpec("normal", (0.0, 1.0)), rng, shape, gaps)
+            want = oracle_rng.standard_gamma(gaps[:, None], shape)
+            assert got.tobytes() == want.tobytes(), scenario
+            assert np.all(got[gaps == 0] == 0.0)
+            # The same draws consumed.
+            assert rng.random() == oracle_rng.random(), scenario
+
+    # The map of the drawn gammas before its shortcuts: the total by one
+    # reduction, and each quantile by its whole formula.
+    _FORMULAS = {
+        "normal": lambda p: lambda u, v: p[0] + p[1] * _quantile_row(u, v),
+        "lognormal": lambda p: lambda u, v: np.exp(
+            p[0] + p[1] * _quantile_row(u, v)),
+        "chisquare": lambda p: lambda u, v: (
+            _quantile_row(v / 2, (1 + u) / 2) ** 2),
+        "exponential": lambda p: lambda u, v: (
+            -simulate._log_upper(u, v) / p[0]),
+        "beta": lambda p: lambda u, v: -np.expm1(
+            simulate._log_upper(u, v) / p[1]),
+        "weibull": lambda p: lambda u, v: (
+            p[1] * (-simulate._log_upper(u, v)) ** (1 / p[0])),
+    }
+
+    @classmethod
+    def _whole_formula_map(cls, dist, g, reads):
+        quantile = cls._FORMULAS[dist.family](dist.params)
+        out = np.full((5, g.shape[1]), np.nan)
+        total = g.sum(axis=0)
+        below = np.cumsum(g, axis=0)
+        above = np.cumsum(g[::-1], axis=0)[::-1]
+        for j, i in enumerate(reads):
+            out[i] = quantile(below[j] / total, above[j + 1] / total)
+        return out.T
+
+    @pytest.mark.parametrize("dist", [
+        DistSpec.parse(text) for text in (
+            "normal:0,1", "normal:1,2", "normal:0,2", "normal:0,5e-324",
+            "lognormal:0,1", "lognormal:1,0.5", "exponential:1",
+            "exponential:2.5", "weibull:2,1", "weibull:1.5,3", "beta:1,5",
+            "chisquare:1")], ids=DistSpec.label)
+    def test_map_matches_the_whole_formulas(self, dist):
+        # Every spacings family at unit and other parameters, a subnormal
+        # scale among them (its products underflow to -0.0, which the
+        # added 0.0 turns to 0.0).  np.cumsum along axis 0 makes the same
+        # additions in the same order as the map's running sums.
+        for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
+            reads = READS[scenario]
+            for n in (4, 5, 7, 10, 100, 1000):
+                g = simulate._draw_chunk(dist, n, 2000, 4, 0, reads)
+                want = self._whole_formula_map(dist, g, reads)
+                got = _summary_matrix(dist, n, 2000, 4, reads=reads)
+                assert got.tobytes() == want.tobytes(), (scenario, n)
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    max_size=40))
+    def test_quantile_row_never_negative_zero(self, ps):
+        # The unit-parameter quantiles skip 0.0 + z, which only differs
+        # from z at z = -0.0.  p = 0.5, the zero of Phi^-1, is in every
+        # row, whichever branch most of the row takes.
+        p = np.array(ps + [0.5])
+        z = _quantile_row(p, 1.0 - p)
+        assert not np.any((z == 0.0) & np.signbit(z))
+        assert z[-1] == 0.0
 
     @staticmethod
     def _masked_quantiles(p, upper):
