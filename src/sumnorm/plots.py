@@ -15,6 +15,7 @@ from .symmetry import format_p_value
 __all__ = ["forest_svg", "curve_svg"]
 
 _FONT = "font-family=\"DejaVu Sans, Helvetica, sans-serif\""
+_TICKS = 5  # how many ticks an axis aims for
 
 
 def _fmt(x: float) -> str:
@@ -26,12 +27,12 @@ def _esc(text: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi]; deterministic."""
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw_step = span / max(1, target - 1)
+    raw_step = span / (_TICKS - 1)
     magnitude = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * magnitude
@@ -50,6 +51,15 @@ def _tick_label(t: float) -> str:
     if t == int(t):
         return str(int(t))
     return f"{t:g}"
+
+
+def _svg_start(width: int, height: int) -> list[str]:
+    # The XML declaration, the root element and its white background.
+    return ['<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>']
 
 
 def forest_svg(report: PipelineReport) -> str:
@@ -91,12 +101,7 @@ def forest_svg(report: PipelineReport) -> str:
     def x_of(v: float) -> float:
         return plot_left + (v - lo) / (hi - lo) * (plot_right - plot_left)
 
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{width}" height="{height}" '
-               f'viewBox="0 0 {width} {height}">')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out = _svg_start(width, height)
     out.append(f'<text x="10" y="24" {_FONT} font-size="15" font-weight="bold">'
                f'{_esc(report.outcome_label)}</text>')
     out.append(f'<text x="10" y="{top - 10}" {_FONT} font-size="12" '
@@ -175,12 +180,7 @@ def curve_svg(ns: Sequence[int], rates: Sequence[float], title: str,
     def y_of(r: float) -> float:
         return bottom - r * (bottom - top)
 
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{width}" height="{height}" '
-               f'viewBox="0 0 {width} {height}">')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out = _svg_start(width, height)
     out.append(f'<text x="{_fmt(width / 2)}" y="26" {_FONT} font-size="14" '
                f'text-anchor="middle" font-weight="bold">{_esc(title)}</text>')
     out.append(f'<line x1="{_fmt(left)}" y1="{_fmt(bottom)}" '

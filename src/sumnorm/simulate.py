@@ -11,36 +11,39 @@ rate at a given n does not depend on which other n values share the
 grid.  The order-statistic asymptotics behind the tests are checked by
 the acceptance scorecard from ``_summary_matrix``, not here.
 
-A curve's unit of work is one chunk of one cell (one n), in two
-stages: its draw, the chunk's gamma rows (or the sort path's whole
-work), and its count, which maps the gammas to order statistics and
-counts the statistic's rejections.  The
-calling thread and one helper thread per further usable CPU
-(``os.sched_getaffinity``) share the stages.  The draws start in grid
-order, then chunk order.  A free thread counts the lowest drawn chunk
-when no draw can start, or when as many chunks are drawn or being
-drawn, and not yet taken, as there are threads; otherwise it starts the
-next draw.  numpy's samplers release the interpreter lock and the
-count's short ufunc calls mostly hold it, so the next chunk's draw on
-one thread overlaps counts on another: three one-chunk cells on two
-CPUs run as two draws, then the third draw beside the first two counts,
-then the third count.  On one CPU each unit is drawn, then counted.
-The helpers start with the first curve that needs them and stay parked
-between curves, and a helper slowed by other load on its CPU holds up
-the curve by at most one chunk.  A unit reads only its own stream and
-returns two counts, its rejections and its non-finite statistics; a
-cell's rate is its rejections over the replicates, the same float as
-the mean of the rejection flags, so a curve is the same at any CPU
-count.  After a cell fails no stage of a later cell starts, the failing
-cell's own units finish so that its count is whole, and the failure at
-the lowest grid position is raised, the one a serial loop would raise.
+A curve's unit of work is one chunk of one cell (one n), in two stages:
+its draw (``_draw_chunk``), the chunk's gamma rows or the sort path's
+order statistics, and its count, which maps that draw and no other
+(``_summary_matrix``) and counts the statistic's rejections.  A cell's
+whole matrix, which only the tests and the scorecard take, is the same
+maps stacked in chunk order.  The calling thread and one helper thread
+per further usable CPU (``os.sched_getaffinity``) share the stages.
+The draws start in grid order, then chunk order.  A free thread counts
+the lowest drawn chunk when no draw can start, or when as many chunks
+are drawn or being drawn, and not yet taken, as there are threads;
+otherwise it starts the next draw.  numpy's samplers release the
+interpreter lock and the count's short ufunc calls mostly hold it, so
+the next chunk's draw on one thread overlaps counts on another: three
+one-chunk cells on two CPUs run as two draws, then the third draw
+beside the first two counts, then the third count.  On one CPU each
+unit is drawn, then counted.  The helpers start with the first curve
+that needs them and stay parked between curves, and a helper slowed by
+other load on its CPU holds up the curve by at most one chunk.  A unit
+reads only its own stream and returns two counts, its rejections and
+its non-finite statistics; a cell's rate is its rejections over the
+replicates, the same float as the mean of the rejection flags, so a
+curve is the same at any CPU count.  After a cell fails no stage of a
+later cell starts, the failing cell's own units finish so that its
+count is whole, and the failure at the lowest grid position is raised,
+the one a serial loop would raise.
 A stage's working set is a few rows of its chunk: the spacings path
 holds the (4, rows) or (6, rows) gammas, their sum and the (5, rows)
 result and maps one order statistic (row) at a time, and the sort path
 draws and sorts a chunk ``_SORT_VALUES`` values at a time, all in its
 draw stage.  So a curve holds at most one chunk per thread in a stage
 and fewer drawn chunks waiting than threads, at any number of
-replicates, and the sort path's memory does not grow with n.
+replicates.  A sort block is at least one whole sample, so the sort
+path holds 2 MiB of values or one sample of n, whichever is larger.
 
 The map from gammas to order statistics is a run of short ufunc calls
 on rows of ``_CHUNK_ROWS`` elements, and the interpreter lock is held
@@ -129,8 +132,9 @@ __all__ = [
 
 # Fixed chunk height keeps memory bounded without breaking determinism.
 _CHUNK_ROWS = 20000
-# The sort path draws and sorts a chunk in blocks of at most this many
-# values (2 MiB), so its memory does not grow with n.
+# The sort path draws and sorts a chunk in blocks of this many values
+# (2 MiB), or of one sample where n is larger: it holds the larger of
+# the two, which grows with n past 2^18.
 _SORT_VALUES = 1 << 18
 
 # glibc hands a freed block above its mmap threshold back to the system,
@@ -214,15 +218,14 @@ def _rational(pair: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
 
 
 def _tail_quantiles(s: np.ndarray) -> np.ndarray:
-    # |Phi^-1| from s = sqrt(-ln(min(p, 1 - p))) > 0.425's tail.
-    far = s > 5.0
-    if not far.any():
-        return _rational(_NEAR_TAIL_PAIR, s - 1.6)
-    near = ~far
-    z = np.empty_like(s)
-    z[near] = _rational(_NEAR_TAIL_PAIR, s[near] - 1.6)
-    z[far] = _rational(_FAR_TAIL_PAIR, s[far] - 5.0)
-    return z
+    # |Phi^-1| from s = sqrt(-ln(min(p, 1 - p))) > 0.425's tail, near
+    # (s <= 5) and far split as a mixed row's branches are.  Each formula
+    # is finite on the other's elements: the far-tail denominator stays
+    # above 0.015 for 0.83 <= s <= 5 (any p <= 0.5), and the near-tail one
+    # above 82 for s > 5.
+    return _by_majority(
+        s <= 5.0, lambda i: _rational(_NEAR_TAIL_PAIR, s[i] - 1.6),
+        lambda i: _rational(_FAR_TAIL_PAIR, s[i] - 5.0))
 
 
 def _by_majority(mask: np.ndarray, where_true: Callable,
@@ -475,65 +478,58 @@ def _draw_chunk(dist: DistSpec, n: int, replicates: int, seed: int,
     return _draw(dist, rng, (len(gaps), rows), gaps)
 
 
-def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int,
-                    chunk: int | None = None, *,
+def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int, *,
                     reads: Sequence[int] = (0, 1, 2, 3, 4),
                     drawn: np.ndarray | None = None) -> np.ndarray:
-    """(replicates, 5) matrix of [min, q1, median, q3, max] rows, or,
-    given a ``chunk`` index, the rows of that chunk of them only.  Given
-    also that chunk's ``drawn``, from ``_draw_chunk``, it maps that draw
-    instead of drawing: the map stage of a curve's unit.
+    """The map stage of a curve's unit: the (rows, 5) [min, q1, median,
+    q3, max] rows of one chunk's ``drawn``, from ``_draw_chunk``.
+    Without ``drawn``, the cell's whole (replicates, 5) matrix: the
+    concatenation, chunk by chunk, of the maps of each chunk's draw.
 
     Spacings when the family has a quantile (see the module docstring),
-    sorted samples otherwise; both on the (seed, n, chunk) streams.  The
-    matrix is the transpose of a (5, rows) array that each chunk fills a
-    row at a time.  The spacings path draws gammas for the gaps between
-    the ascending positions in ``reads`` only, maps those positions
-    through the quantile and fills the others with NaN, so a statistic
-    that reads an unmapped position is not finite.  Its draws therefore
-    depend on ``reads``: the read columns have the same joint law for
-    any ``reads``, not the same values.  The sort path fills all five,
-    the same values for any ``reads``; given its ``drawn``, it returns
+    sorted samples otherwise; both on the (seed, n, chunk) streams.  A
+    map is the transpose of a (5, rows) array filled a row at a time.
+    The spacings path draws gammas for the gaps between the ascending
+    positions in ``reads`` only, maps those positions through the
+    quantile and fills the others with NaN, so a statistic that reads an
+    unmapped position is not finite.  Its draws therefore depend on
+    ``reads``: the read columns have the same joint law for any
+    ``reads``, not the same values.  The sort path's draw is already its
+    five order statistics, the same values for any ``reads``; its map is
     that draw's transpose, not a copy.
     """
-    columns = _order_columns(n)
-    unread = [i for i in range(len(columns)) if i not in reads]
+    if drawn is None:
+        return np.concatenate([
+            _summary_matrix(dist, n, replicates, seed, reads=reads,
+                            drawn=_draw_chunk(dist, n, replicates, seed,
+                                              chunk, reads))
+            for chunk in range(-(-replicates // _CHUNK_ROWS))])
     quantile = _FAMILIES[dist.family][3](dist.params)
-    if drawn is not None and quantile is None:
-        return drawn.T  # the sort path's draw is its order statistics
-    starts = range(0, replicates, _CHUNK_ROWS)
-    if chunk is not None:
-        starts = starts[chunk:chunk + 1]
-    first = starts.start
-    out = np.empty((len(columns), min(replicates, starts.stop) - first))
-    for done in starts:
-        g = drawn if drawn is not None else _draw_chunk(
-            dist, n, replicates, seed, done // _CHUNK_ROWS, reads)
-        part = out[:, done - first:done - first + g.shape[1]]
-        if quantile is None:
-            part[...] = g
-            continue
-        # The running sums add whole rows in place, the additions of
-        # np.cumsum along axis 0 at a fraction of its cost there:
-        # G_1 + ... + G_j into the part's row of the j-th read rank,
-        # G_{j+1} + ... + G_k into g's, k = len(gaps).  The total G is
-        # the last lower sum plus the last gap: the additions of
-        # g.sum(axis=0), in its order, made once.
-        part[reads[0]] = g[0]
-        for j in range(1, len(reads)):
-            np.add(g[j], part[reads[j - 1]], out=part[reads[j]])
-        total = part[reads[-1]] + g[-1]
-        above = g[1:]
-        for j in range(len(above) - 2, -1, -1):
-            above[j] += above[j + 1]
-        for i in reads:
-            part[i] /= total
-        above /= total
-        del total  # one row less to hold while the quantiles run
-        for i, upper in zip(reads, above):
-            part[i] = quantile(part[i], upper)
-        if unread:
-            part[unread] = np.nan
+    if quantile is None:
+        return drawn.T
+    out = np.empty((5, drawn.shape[1]))
+    # The running sums add whole rows in place, the additions of
+    # np.cumsum along axis 0 at a fraction of its cost there: G_1 + ... +
+    # G_j into out's row of the j-th read rank, G_{j+1} + ... + G_k into
+    # drawn's, k = len(gaps).  The total G is the last lower sum plus the
+    # last gap: the additions of drawn.sum(axis=0), in its order, made
+    # once.
+    out[reads[0]] = drawn[0]
+    for j in range(1, len(reads)):
+        np.add(drawn[j], out[reads[j - 1]], out=out[reads[j]])
+    total = out[reads[-1]] + drawn[-1]
+    above = drawn[1:]
+    for j in range(len(above) - 2, -1, -1):
+        above[j] += above[j + 1]
+    for i in reads:
+        out[i] /= total
+    above /= total
+    del total  # one row less to hold while the quantiles run
+    for i, upper in zip(reads, above):
+        out[i] = quantile(out[i], upper)
+    unread = [i for i in range(5) if i not in reads]
+    if unread:
+        out[unread] = np.nan
     return out.T
 
 
@@ -707,7 +703,7 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
     def count(i: int, chunk: int, drawn: np.ndarray) -> tuple[int, int]:
         n = n_grid[i]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            summaries = _summary_matrix(dist, n, replicates, seed, chunk,
+            summaries = _summary_matrix(dist, n, replicates, seed,
                                         reads=reads, drawn=drawn)
             stats = _statistics(scenario, summaries, n, kappa_c)
             return (int(np.count_nonzero(np.abs(stats) > crit)),

@@ -423,7 +423,7 @@ class TestSpacings:
         # its map returns them as they are.
         reads = READS[Scenario.S1]
         drawn = simulate._draw_chunk(dist, 30, 300, 6, 0, reads)
-        got = _summary_matrix(dist, 30, 300, 6, 0, reads=reads, drawn=drawn)
+        got = _summary_matrix(dist, 30, 300, 6, reads=reads, drawn=drawn)
         assert np.shares_memory(got, drawn)
         assert got.tobytes() == _summary_matrix(dist, 30, 300, 6).tobytes()
 
@@ -490,23 +490,25 @@ class TestConcurrentCells:
         stages, waiting, most = [], 0, 0
         real_draw, real = simulate._draw_chunk, simulate._summary_matrix
         lock = threading.Lock()
+        chunks = {}  # id of a drawn array -> its chunk index
 
         def recording_draw(dist, n, replicates, seed, chunk, reads):
             nonlocal waiting, most
             drawn = real_draw(dist, n, replicates, seed, chunk, reads)
             with lock:
                 stages.append(("draw", n, chunk, threading.current_thread()))
+                chunks[id(drawn)] = chunk
                 waiting += 1
                 most = max(most, waiting)
             return drawn
 
-        def recording(dist, n, replicates, seed, chunk=None, **kwargs):
+        def recording(dist, n, replicates, seed, **kwargs):
             nonlocal waiting
             with lock:
-                stages.append(("count", n, chunk,
+                stages.append(("count", n, chunks.pop(id(kwargs["drawn"])),
                                threading.current_thread()))
                 waiting -= 1
-            return real(dist, n, replicates, seed, chunk, **kwargs)
+            return real(dist, n, replicates, seed, **kwargs)
 
         monkeypatch.setattr(simulate, "_draw_chunk", recording_draw)
         monkeypatch.setattr(simulate, "_summary_matrix", recording)
@@ -753,6 +755,23 @@ class TestChunkUnits:
         assert got.rates == want
         assert 0.0 < min(want) and max(want) < 1.0
 
+    @pytest.mark.parametrize("dist", [
+        _NORMAL, DistSpec("lognormal", (0.0, 1.0)), *_SORTED_FAMILIES],
+        ids=DistSpec.label)
+    @pytest.mark.parametrize("scenario", list(READS))
+    def test_whole_matrix_is_its_chunk_maps(self, dist, scenario):
+        # R = 700: two whole chunks and a partial one of 100 rows, each
+        # drawn on its own stream and mapped alone, then stacked.
+        reads = READS[scenario]
+        maps = [_summary_matrix(dist, 30, 700, 4, reads=reads,
+                                drawn=simulate._draw_chunk(dist, 30, 700, 4,
+                                                           chunk, reads))
+                for chunk in range(3)]
+        assert [len(m) for m in maps] == [300, 300, 100]
+        whole = _summary_matrix(dist, 30, 700, 4, reads=reads)
+        assert whole.shape == (700, 5)
+        assert whole.tobytes() == np.concatenate(maps).tobytes()
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_last_chunk_overflow_counts_the_whole_cell(self, monkeypatch,
                                                         cpus):
@@ -761,18 +780,25 @@ class TestChunkUnits:
         # reaches the last chunk first: the error still waits for the
         # slow chunk, counts over all R, and no unit of n=25 starts.
         _force_cpus(monkeypatch, cpus)
-        units = []
-        real = simulate._summary_matrix
+        units, chunks = [], {}  # chunks: id of a drawn array -> its index
+        real_draw, real = simulate._draw_chunk, simulate._summary_matrix
 
-        def overflowing(dist, n, replicates, seed, chunk=None, **kwargs):
+        def recording_draw(dist, n, replicates, seed, chunk, reads):
+            drawn = real_draw(dist, n, replicates, seed, chunk, reads)
+            chunks[id(drawn)] = chunk
+            return drawn
+
+        def overflowing(dist, n, replicates, seed, **kwargs):
+            chunk = chunks.pop(id(kwargs["drawn"]))
             units.append((n, chunk))
             if (n, chunk) == (10, 0):
                 time.sleep(0.2)
-            x = real(dist, n, replicates, seed, chunk, **kwargs)
+            x = real(dist, n, replicates, seed, **kwargs)
             if (n, chunk) == (10, 3):
                 x[::2] = np.inf
             return x
 
+        monkeypatch.setattr(simulate, "_draw_chunk", recording_draw)
         monkeypatch.setattr(simulate, "_summary_matrix", overflowing)
         with pytest.raises(ValueError, match=r"normal\(0,1\) at n=10: "
                            r"50 of 1000 statistics are not finite"):
@@ -791,8 +817,8 @@ class TestWorkingSet:
         assert np.array_equal(_summary_matrix(dist, 30, 700, 4), whole)
 
     @staticmethod
-    def _peak(dist, n, replicates):
-        _summary_matrix(dist, n, 100, 0)  # first-call allocations
+    def _peak(dist, n, replicates, warm=100):
+        _summary_matrix(dist, n, warm, 0)  # first-call allocations
         tracemalloc.start()
         try:
             result = _summary_matrix(dist, n, replicates, 0)
@@ -811,6 +837,16 @@ class TestWorkingSet:
         # 2000 samples of 1000 are 16 MB; one block is at most 2 MiB.
         peak, result = self._peak(dist, 1000, 2000)
         assert peak < 8 * simulate._SORT_VALUES + 5 * result
+
+    @pytest.mark.parametrize("dist", _SORTED_FAMILIES, ids=DistSpec.label)
+    def test_sort_cell_peak_is_one_sample_past_the_block(self, dist):
+        # Past _SORT_VALUES values a sample, a block is one whole sample:
+        # at n = 2^20 the cell holds one 8 MiB sample at a time, not its
+        # four, so the bound is max(2 MiB, 8n bytes) of values.
+        n = 1 << 20
+        assert n > simulate._SORT_VALUES
+        peak, _ = self._peak(dist, n, 4, warm=1)
+        assert 8 * n <= peak < 1.01 * 8 * n
 
     @staticmethod
     def _curve_peak(dist, replicates):
@@ -1036,6 +1072,46 @@ class TestFastPathsBitIdentical:
                              for row, value in zip((p, upper), one)])
         p, upper = map(np.stack, zip(*rows))
         self._assert_same_bytes(p, upper)
+
+    @staticmethod
+    def _masked_tail_quantiles(s):
+        # The tail split before it went through ``_by_majority``: each
+        # formula on its own elements only, picked out by a boolean mask.
+        far = s > 5.0
+        if not far.any():
+            return simulate._rational(simulate._NEAR_TAIL_PAIR, s - 1.6)
+        near = ~far
+        z = np.empty_like(s)
+        z[near] = simulate._rational(simulate._NEAR_TAIL_PAIR, s[near] - 1.6)
+        z[far] = simulate._rational(simulate._FAR_TAIL_PAIR, s[far] - 5.0)
+        return z
+
+    @pytest.mark.parametrize("far", [19998, 15000, 10001, 10000, 9999, 5000,
+                                     2])
+    def test_tail_rows_split_by_majority(self, far):
+        # 20000 tail elements (p < 0.075), ``far`` of them beyond s = 5
+        # (p < e^-25) down to 1e-300, in random order: mostly far with a
+        # few near, and the reverse.  s = 5, its neighbours and the s of
+        # the smallest double are among them.  Each formula also runs on
+        # the other's elements, and no floating-point error may arise.
+        rng = np.random.default_rng(far)
+        edge = math.exp(-25.0)
+        w = np.concatenate([self._log_uniform(rng, 1e-300, edge / 1.001, far),
+                            self._log_uniform(rng, edge * 1.001, 0.0749,
+                                              20000 - far)])
+        s = np.sqrt(-np.log(w))
+        assert np.count_nonzero(s > 5.0) == far
+        s[:2] = np.nextafter(5.0, 6.0), math.sqrt(-math.log(5e-324))
+        s[-2:] = 5.0, np.nextafter(5.0, 0.0)
+        order = rng.permutation(20000)
+        w, s = w[order], s[order]
+        p, upper = w.copy(), 1.0 - w
+        p[::2], upper[::2] = upper[::2], w[::2]  # half in the upper tail
+        with np.errstate(all="raise"):
+            got = simulate._tail_quantiles(s)
+            want = self._masked_tail_quantiles(s)
+            assert got.tobytes() == want.tobytes()
+            self._assert_same_bytes(p[None], upper[None])
 
     @pytest.mark.parametrize("below", [20000, 15000, 10000, 5000, 0])
     def test_log_upper_rows(self, below):
