@@ -275,11 +275,14 @@ def cmd_simulate(args) -> int:
     seed = _require_seed(args)
     scenario = _parse_scenario(args.scenario)
     grid = _parse_grid(args.grid)
+    if args.power and args.dist is None:
+        raise _ConfigError("--power needs --dist family:p1[,p2]")
+    if args.type1 and args.dist is not None:
+        raise _ConfigError("--type1 runs the normal null; --dist goes with "
+                           "--power only")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.power and args.dist is None:
-        raise _ConfigError("--power needs --dist family:p1[,p2]")
     replicates = args.replicates
     if replicates is None:
         replicates = (DEFAULT_POWER_REPLICATES if args.power
@@ -420,7 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True,
                        help="s1 (min/median/max), s2 (quartiles), or s3 (both)")
     p_sim.add_argument("--dist", default=None,
-                       help="alternative, e.g. lognormal:0,1 or chisquare:1")
+                       help="alternative for --power, e.g. lognormal:0,1 or "
+                            "chisquare:1")
     p_sim.add_argument("--grid", default=None,
                        help="comma-separated sample sizes "
                             f"(default {','.join(map(str, DEFAULT_N_GRID))})")

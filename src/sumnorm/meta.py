@@ -241,31 +241,56 @@ def _moments_for_arm(groups: tuple[GroupRecord, ...],
     return n, EstimatedMoments(mean=mean, sd=sd, source="combined")
 
 
-def _screen_study(study: Study, alpha: float, kappa_c: float) -> tuple[tuple[GroupTest, ...], tuple[str, ...]]:
+def _study_entry(study: Study, alpha: float, kappa_c: float,
+                 hedges: bool) -> tuple[StudyEntry, bool]:
+    """Screen one study for one outcome, and estimate and compare the arms
+    of one that passes.  A group that cannot be tested, in the words
+    ``sumnorm test`` prints, or that rejects excludes the study, and so
+    does an undefined effect size; the bool marks the latter."""
     tests = []
     reasons = []
     for group in study.groups:
-        # A group that breaks an invariant, that no test fits or whose
-        # test is undefined is excluded with the reason in words, as
-        # ``sumnorm test`` prints it.
+        result = error = scenario = None
         try:
             result = run_test(group, alpha=alpha, kappa_c=kappa_c)
         except ValueError as exc:
-            tests.append(GroupTest(group_label=group.group_label,
-                                   arm=group.arm, n=group.n,
-                                   result=None, error=str(exc)))
+            error = str(exc)
             reasons.append(f"group {group.group_label}: {exc}")
-            continue
-        # run_test returns None for a group of reported moments only.
-        tests.append(GroupTest(
-            group_label=group.group_label, arm=group.arm, n=group.n,
-            result=result,
-            scenario=Scenario.DIRECT if result is None else result.scenario))
-        if result is not None and result.reject:
-            reasons.append(
-                f"group {group.group_label}: symmetry rejected "
-                f"(|{result.statistic:.3f}| > critical at alpha={alpha:g})")
-    return tuple(tests), tuple(reasons)
+        else:
+            # run_test returns None for a group of reported moments only.
+            scenario = Scenario.DIRECT if result is None else result.scenario
+            if result is not None and result.reject:
+                reasons.append(
+                    f"group {group.group_label}: symmetry rejected "
+                    f"(|{result.statistic:.3f}| > critical at alpha={alpha:g})")
+        tests.append(GroupTest(group_label=group.group_label, arm=group.arm,
+                               n=group.n, result=result, error=error,
+                               scenario=scenario))
+    tests = tuple(tests)
+    screened = not reasons
+    if screened:
+        try:
+            cases = len(study.case_groups)
+            n_case, case_moments = _moments_for_arm(study.case_groups,
+                                                    tests[:cases])
+            n_control, control_moments = _moments_for_arm(
+                study.control_groups, tests[cases:])
+            effect = cohen_d(n_case, case_moments.mean, case_moments.sd,
+                             n_control, control_moments.mean,
+                             control_moments.sd, hedges=hedges)
+        except ValueError as exc:
+            reasons.append(f"no effect size: {exc}")
+        except OverflowError:
+            reasons.append("no effect size: the moments overflow the float "
+                           "range")
+        else:
+            return StudyEntry(study_id=study.study_id, tests=tests,
+                              included=True, exclusion_reasons=(),
+                              case_moments=case_moments,
+                              control_moments=control_moments,
+                              effect=effect), False
+    return StudyEntry(study_id=study.study_id, tests=tests, included=False,
+                      exclusion_reasons=tuple(reasons)), screened
 
 
 def run_pipeline(studies: list[Study], alpha: float = 0.05,
@@ -298,49 +323,19 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
 
     reports = []
     for outcome_label, outcome_studies in outcomes.items():
-        entries = []
-        effects = []
-        undefined = 0  # studies that passed the screen without an effect
-        for study in outcome_studies:
-            tests, reasons = _screen_study(study, alpha, kappa_c)
-            if not reasons:
-                try:
-                    cases = len(study.case_groups)
-                    n_case, case_moments = _moments_for_arm(
-                        study.case_groups, tests[:cases])
-                    n_control, control_moments = _moments_for_arm(
-                        study.control_groups, tests[cases:])
-                    effect = cohen_d(n_case, case_moments.mean,
-                                     case_moments.sd, n_control,
-                                     control_moments.mean,
-                                     control_moments.sd, hedges=hedges)
-                except ValueError as exc:
-                    reasons = (f"no effect size: {exc}",)
-                except OverflowError:
-                    reasons = ("no effect size: the moments overflow the "
-                               "float range",)
-                undefined += bool(reasons)
-            if reasons:
-                entries.append(StudyEntry(study_id=study.study_id,
-                                          tests=tests, included=False,
-                                          exclusion_reasons=reasons))
-                continue
-            entries.append(StudyEntry(
-                study_id=study.study_id, tests=tests, included=True,
-                exclusion_reasons=(), case_moments=case_moments,
-                control_moments=control_moments, effect=effect))
-            effects.append(effect)
+        entries, undefined = zip(*[_study_entry(study, alpha, kappa_c, hedges)
+                                   for study in outcome_studies])
+        effects = [entry.effect for entry in entries if entry.included]
+        pooled = reason = None
         if effects:
             pooled = pool(effects, model=model)
-            reason = None
         else:
-            pooled = None
             reason = "all studies excluded by the symmetry screen"
-            if undefined:
+            if any(undefined):
                 reason += " or for an undefined effect size"
         reports.append(PipelineReport(outcome_label=outcome_label,
                                       alpha=alpha, model=model,
-                                      studies=tuple(entries), pooled=pooled,
+                                      studies=entries, pooled=pooled,
                                       pooled_omitted_reason=reason))
     return reports
 
@@ -358,9 +353,7 @@ def _test_to_dict(t: GroupTest) -> dict:
     return out
 
 
-def _moments_to_dict(n: int | None, m: EstimatedMoments | None) -> dict | None:
-    if m is None:
-        return None
+def _moments_to_dict(n: int, m: EstimatedMoments) -> dict:
     out = {"n": n, "mean": m.mean, "sd": m.sd, "source": m.source}
     if m.scenario is not None:
         out["scenario"] = m.scenario.value

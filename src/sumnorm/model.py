@@ -167,6 +167,12 @@ def validate(group: GroupRecord) -> list[str]:
     out: list[str] = []
     if group.n < 1:
         out.append(f"n must be a positive integer, got {group.n}")
+    else:
+        try:
+            float(group.n)
+        except OverflowError:
+            # Not formatted: str() refuses an int of over 4300 digits.
+            out.append("n overflows the float range")
     if group.arm not in ("case", "control"):
         out.append(f"arm must be 'case' or 'control', got {group.arm!r}")
     has_moments = group.reported_mean is not None and group.reported_sd is not None

@@ -1015,6 +1015,17 @@ class TestErrorPaths:
              "--output-dir", str(tmp_path)],
             "--dist")
 
+    def test_type1_refuses_dist(self, capsys, tmp_path):
+        # --type1 used to drop --dist and run the normal null.
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--type1", "--scenario", "s1", "--dist",
+                     "lognormal:0,1", "--seed", "1",
+                     "--output-dir", str(out_dir)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("error: --type1 runs the normal null; --dist goes "
+                        "with --power only")
+        assert not out_dir.exists()
+
     def test_bad_dist(self, capsys, tmp_path):
         self._expect_config_error(
             capsys,
@@ -1025,6 +1036,9 @@ class TestErrorPaths:
     def test_unknown_pair(self, capsys):
         self._expect_config_error(capsys, ["demo", "--pairs", "cauchy",
                                            "--seed", "1"], "unknown pair")
+        self._expect_config_error(capsys, ["demo", "--pairs", ",",
+                                           "--seed", "1"],
+                                  "--pairs must name at least one pair")
 
 
 class TestArgparseBehavior:

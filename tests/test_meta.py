@@ -316,6 +316,16 @@ class TestRunPipeline:
         (entry,) = [s for s in report.studies if s.study_id == "huge"]
         assert entry.exclusion_reasons == (
             "group case: the summary values overflow the float range",)
+        # An n past the float range used to raise OverflowError out of
+        # run_pipeline, through the S1 statistic's n - 0.375.
+        for n in (10**400, 10**5000):
+            big = (n, QuantileSummary(min=1.0, median=2.0, max=3.0))
+            (report,) = run_pipeline([_summary_study("big", "o", big,
+                                                     _SYMMETRIC)])
+            (entry,) = report.studies
+            assert entry.exclusion_reasons == (
+                "group case: n overflows the float range",)
+            assert report.pooled is None
 
     def test_flagged_and_unsupported_groups_excluded_in_words(self, tmp_path):
         # Rows the parser flags (q1 > median, a mean without an SD) or
@@ -362,7 +372,11 @@ class TestRunPipeline:
          "overflow the float range"),
         ("20,5.0,1e200,,,,,", "20,4.0,1e200,,,,,",
          "no effect size: the moments overflow the float range"),
-    ], ids=["n1", "zero-sd", "huge-cells", "infinite-sd", "sd-squared"])
+        ("20,1.7e308,1,,,,,", "20,-1.7e308,1,,,,,",
+         "no effect size: pooled SD, d or its SE is not finite: the "
+         "moments overflow the float range"),
+    ], ids=["n1", "zero-sd", "huge-cells", "infinite-sd", "sd-squared",
+            "infinite-d"])
     def test_undefined_effect_size_excluded_in_words(
             self, tmp_path, case_cells, control_cells, reason):
         # Each bad study used to raise out of run_pipeline (or, for the

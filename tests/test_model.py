@@ -86,6 +86,14 @@ class TestValidate:
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=0,
                         reported_mean=1.0, reported_sd=1.0)
         assert any("positive" in v for v in validate(g))
+        # An n past the float range made run_test raise OverflowError; the
+        # message must not format n, whose str() fails past 4300 digits.
+        for n in (10**400, 10**5000):
+            g = _group(n=n, median=2.0, min=1.0, max=3.0)
+            assert validate(g) == ["n overflows the float range"]
+            with pytest.raises(UnsupportedSummaryError,
+                               match="n overflows the float range"):
+                run_test(g)
 
     def test_bad_arm(self):
         g = GroupRecord(study_id="s", group_label="g", arm="treated", n=5,
@@ -353,6 +361,12 @@ class TestParseErrors:
         with pytest.raises(SummaryDataError, match="arm"):
             parse_studies(p)
 
+    def test_empty_study_id(self, tmp_path):
+        p = _write(tmp_path, _HEADER + ",o,case,case,12,1,1,,,,,\n")
+        with pytest.raises(SummaryDataError,
+                           match="study_id and outcome must be nonempty"):
+            parse_studies(p)
+
     def test_quantiles_without_median(self, tmp_path):
         p = _write(tmp_path, _HEADER + "a,o,case,case,12,,,1,,,9,\n")
         with pytest.raises(SummaryDataError, match="median is missing"):
@@ -398,6 +412,9 @@ class TestParseErrors:
     def test_json_not_array(self, tmp_path):
         p = _write(tmp_path, "{}", name="in.json")
         with pytest.raises(SummaryDataError, match="array"):
+            parse_studies(p)
+        p = _write(tmp_path, "[1]", name="in.json")
+        with pytest.raises(SummaryDataError, match="row 1 is not an object"):
             parse_studies(p)
 
     def test_json_unknown_field(self, tmp_path):

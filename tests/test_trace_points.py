@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sumnorm import simulate
+from sumnorm import cli, meta, simulate
 from sumnorm.model import Scenario
 from sumnorm.simulate import DistSpec, power_curve
 
@@ -33,14 +33,9 @@ def test_every_layer_resolves(layers):
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-@pytest.mark.parametrize("dist", [DistSpec("normal", (0.0, 1.0)),
-                                  DistSpec("chisquare", (3.0,))],
-                         ids=DistSpec.label)
-def test_curve_runs_through_the_simulate_layers(monkeypatch, layers, dist):
-    # A two-cell curve, the spacings path and the sort path, calls each
-    # wrapped stage of the Monte Carlo.
-    calls = []
-
+def _record_calls(monkeypatch, layers, module, calls):
+    """Make each wrapped attribute of ``module`` append its name to
+    ``calls`` when called."""
     def counting(attr, fn):
         def wrapper(*args, **kwargs):
             calls.append(attr)  # atomic: helper threads call these too
@@ -48,10 +43,38 @@ def test_curve_runs_through_the_simulate_layers(monkeypatch, layers, dist):
         return wrapper
 
     for module_name, attr, *_ in layers:
-        if module_name == simulate.__name__:
-            monkeypatch.setattr(simulate, attr,
-                                counting(attr, getattr(simulate, attr)))
+        if module_name == module.__name__:
+            monkeypatch.setattr(module, attr,
+                                counting(attr, getattr(module, attr)))
+
+
+@pytest.mark.parametrize("dist", [DistSpec("normal", (0.0, 1.0)),
+                                  DistSpec("chisquare", (3.0,))],
+                         ids=DistSpec.label)
+def test_curve_runs_through_the_simulate_layers(monkeypatch, layers, dist):
+    # A two-cell curve, the spacings path and the sort path, calls each
+    # wrapped stage of the Monte Carlo.
+    calls = []
+    _record_calls(monkeypatch, layers, simulate, calls)
     power_curve(Scenario.S1, dist, (10, 20), replicates=50, seed=1)
     assert set(calls) >= {"_rejection_curve", "_draw", "_summary_matrix",
                           "_statistics"}
     assert calls.count("_summary_matrix") == calls.count("_statistics") == 2
+
+
+def test_meta_runs_through_the_pipeline_layers(monkeypatch, layers, data_dir,
+                                               tmp_path):
+    # A meta run on a bundled file, with included and excluded studies,
+    # calls each wrapped stage of the pipeline.  curve_svg is the one
+    # wrapped cli attribute that only simulate calls.
+    calls = []
+    for module in (meta, cli):
+        _record_calls(monkeypatch, layers, module, calls)
+    assert cli.main(["meta", str(data_dir / "zhang2017_leptin.csv"),
+                     "--output-dir", str(tmp_path)]) == 0
+    wrapped = {attr for module_name, attr, *_ in layers
+               if module_name in (meta.__name__, cli.__name__)}
+    assert set(calls) == wrapped - {"curve_svg"}
+    assert wrapped >= {"parse_studies", "run_pipeline", "run_test",
+                       "estimate_moments", "cohen_d", "pool",
+                       "report_to_dict", "forest_svg"}
