@@ -30,10 +30,6 @@ from .symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES, format_p_value,
 
 __all__ = ["main"]
 
-_ENV_ALPHA = "SUMNORM_ALPHA"
-_ENV_SEED = "SUMNORM_SEED"
-_ENV_KAPPA = "SUMNORM_KAPPA_C"
-
 # simulate's sample sizes, and its replicates per size under H0 and H1.
 DEFAULT_N_GRID = (10, 25, 50, 100, 200, 300, 400, 500, 750, 1000)
 DEFAULT_TYPE1_REPLICATES = 100_000
@@ -75,26 +71,38 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-# setting -> (env var, default, type, label, check, rule the check states)
+# setting -> (env var, default, type, label, check, rule the check states,
+# flag help); a setting without a default is required.
 _SETTINGS = {
-    "alpha": (_ENV_ALPHA, 0.05, float, "alpha",
+    "alpha": ("SUMNORM_ALPHA", 0.05, float, "alpha",
               lambda v: v / 2.0 > 0.0 and v < 1.0,
-              "lie in (0, 1) with alpha/2 > 0"),
-    "kappa_c": (_ENV_KAPPA, DEFAULT_KAPPA_C, float, "kappa constant",
+              "lie in (0, 1) with alpha/2 > 0",
+              "significance level in (0, 1)"),
+    "kappa_c": ("SUMNORM_KAPPA_C", DEFAULT_KAPPA_C, float, "kappa constant",
                 lambda v: v in KAPPA_C_CHOICES,
-                f"be one of {KAPPA_C_CHOICES}"),
-    "seed": (_ENV_SEED, None, int, "seed", lambda v: v >= 0, "be nonnegative"),
+                f"be one of {KAPPA_C_CHOICES}",
+                f"finite-sample constant for the five-number statistic, "
+                f"one of {KAPPA_C_CHOICES}"),
+    "seed": ("SUMNORM_SEED", None, int, "seed", lambda v: v >= 0,
+             "be nonnegative", "nonnegative integer seed"),
 }
 _TYPE_NOUN = {float: "a number", int: "an integer"}
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _resolve(args, name: str):
     """The flag, else the SUMNORM_* environment variable, else the default."""
-    env, default, kind, label, check, rule = _SETTINGS[name]
+    env, default, kind, label, check, rule, _ = _SETTINGS[name]
     raw = getattr(args, name)
     if raw is None:
         raw = os.environ.get(env)
     if raw is None:
+        if default is None:
+            raise _ConfigError(
+                f"a {label} is required ({_flag(name)} or {env})")
         return default
     try:
         value = kind(raw)
@@ -104,13 +112,6 @@ def _resolve(args, name: str):
     if not check(value):
         raise _ConfigError(f"{label} must {rule}, got {value}")
     return value
-
-
-def _require_seed(args) -> int:
-    seed = _resolve(args, "seed")
-    if seed is None:
-        raise _ConfigError(f"a seed is required (--seed or {_ENV_SEED})")
-    return seed
 
 
 def _slug(label: str) -> str:
@@ -140,10 +141,7 @@ def _group_table(args, headers: Sequence[str], cells) -> int:
     return 0
 
 
-def cmd_test(args) -> int:
-    alpha = _resolve(args, "alpha")
-    kappa_c = _resolve(args, "kappa_c")
-
+def cmd_test(args, alpha: float, kappa_c: float) -> int:
     def cells(group):
         result = run_test(group, alpha=alpha, kappa_c=kappa_c)
         if result is None:
@@ -208,9 +206,7 @@ def _indented_json(obj, indent: str = "\n") -> str:
                     f"serializable")
 
 
-def cmd_meta(args) -> int:
-    alpha = _resolve(args, "alpha")
-    kappa_c = _resolve(args, "kappa_c")
+def cmd_meta(args, alpha: float, kappa_c: float) -> int:
     studies = parse_studies(args.input, format=args.format)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,11 +264,8 @@ def _parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, alpha: float, kappa_c: float, seed: int) -> int:
     from . import simulate as sim  # numpy: loaded for this command only
-    alpha = _resolve(args, "alpha")
-    kappa_c = _resolve(args, "kappa_c")
-    seed = _require_seed(args)
     scenario = _parse_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     if args.power and args.dist is None:
@@ -280,9 +273,6 @@ def cmd_simulate(args) -> int:
     if args.type1 and args.dist is not None:
         raise _ConfigError("--type1 runs the normal null; --dist goes with "
                            "--power only")
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     replicates = args.replicates
     if replicates is None:
         replicates = (DEFAULT_POWER_REPLICATES if args.power
@@ -294,6 +284,8 @@ def cmd_simulate(args) -> int:
                                  seed, kappa_c)
     except ValueError as exc:  # a refused argument or non-finite statistics
         raise _ConfigError(str(exc)) from None
+    out_dir = Path(args.output_dir)  # made once nothing is refused
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.power:
         stem = f"power_{scenario.value.lower()}_{_dist_stem(dist)}"
         curve, reference = "power", None
@@ -327,9 +319,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args, seed: int) -> int:
     from . import simulate as sim  # numpy: loaded for this command only
-    seed = _require_seed(args)
     names = [tok.strip() for tok in args.pairs.split(",") if tok.strip()]
     if not names:
         raise _ConfigError("--pairs must name at least one pair")
@@ -358,22 +349,15 @@ def _add_input_flags(sub) -> None:
                      help="input format (default: by file extension)")
 
 
-def _add_alpha_flag(sub) -> None:
-    sub.add_argument("--alpha", default=None,
-                     help=f"significance level in (0, 1) "
-                          f"(default 0.05; env {_ENV_ALPHA})")
-
-
-def _add_kappa_flag(sub) -> None:
-    sub.add_argument("--kappa-c", default=None,
-                     help=f"finite-sample constant for the five-number "
-                          f"statistic, one of {KAPPA_C_CHOICES} "
-                          f"(default {DEFAULT_KAPPA_C}; env {_ENV_KAPPA})")
-
-
-def _add_seed_flag(sub) -> None:
-    sub.add_argument("--seed", default=None,
-                     help=f"nonnegative integer seed (env {_ENV_SEED})")
+def _add_settings(sub, func, *names: str) -> None:
+    """Add the flags of the ``_SETTINGS`` ``names`` to ``sub``; ``main``
+    resolves them in this order and calls ``func(args, *values)``."""
+    for name in names:
+        env, default, *_, text = _SETTINGS[name]
+        shown = "" if default is None else f"default {default}; "
+        sub.add_argument(_flag(name), default=None,
+                         help=f"{text} ({shown}env {env})")
+    sub.set_defaults(func=func, settings=names)
 
 
 # Built on the first main() call, not at import, and then kept: parsing
@@ -391,27 +375,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test = subs.add_parser(
         "test", help="run the symmetry test on every summarized group")
     _add_input_flags(p_test)
-    _add_alpha_flag(p_test)
-    _add_kappa_flag(p_test)
-    p_test.set_defaults(func=cmd_test)
+    _add_settings(p_test, cmd_test, "alpha", "kappa_c")
 
     p_est = subs.add_parser(
         "estimate", help="estimate mean and SD for every group")
     _add_input_flags(p_est)
-    p_est.set_defaults(func=cmd_estimate)
+    _add_settings(p_est, cmd_estimate)
 
     p_meta = subs.add_parser(
         "meta", help="screen, estimate, pool, and draw forest plots")
     _add_input_flags(p_meta)
-    _add_alpha_flag(p_meta)
-    _add_kappa_flag(p_meta)
+    _add_settings(p_meta, cmd_meta, "alpha", "kappa_c")
     p_meta.add_argument("--model", choices=["fixed", "random"],
                         default="random", help="pooling model")
     p_meta.add_argument("--hedges", action="store_true",
                         help="apply the small-sample correction to d")
     p_meta.add_argument("--output-dir", "--out", default=".",
                         help="directory for report.json and forest SVGs")
-    p_meta.set_defaults(func=cmd_meta)
 
     p_sim = subs.add_parser(
         "simulate", help="Monte-Carlo rejection-rate curves")
@@ -434,10 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"{DEFAULT_POWER_REPLICATES} power)")
     p_sim.add_argument("--output-dir", "--out", default=".",
                        help="directory for the CSV and SVG")
-    _add_alpha_flag(p_sim)
-    _add_kappa_flag(p_sim)
-    _add_seed_flag(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    _add_settings(p_sim, cmd_simulate, "alpha", "kappa_c", "seed")
 
     p_demo = subs.add_parser(
         "demo", help="true vs summary-estimated effect sizes on skewed pairs")
@@ -445,16 +422,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="lognormal,chisquare,exponential,beta,weibull",
                         help="comma-separated pair names; 'normal' is a "
                              "symmetric control pair")
-    _add_seed_flag(p_demo)
-    p_demo.set_defaults(func=cmd_demo)
+    _add_settings(p_demo, cmd_demo, "seed")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Each setting the command declares, in order, before it runs.
+        return args.func(args, *[_resolve(args, name)
+                                 for name in args.settings])
     except (_ConfigError, SummaryDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -165,13 +165,14 @@ def validate(group: GroupRecord) -> list[str]:
     record is well formed.  :func:`classify_scenario` raises them.
     """
     out: list[str] = []
+    # No message formats an n below 1 or past the float range: str()
+    # fails on an int of over 4300 digits.
     if group.n < 1:
-        out.append(f"n must be a positive integer, got {group.n}")
+        out.append("n must be a positive integer")
     else:
         try:
             float(group.n)
         except OverflowError:
-            # Not formatted: str() refuses an int of over 4300 digits.
             out.append("n overflows the float range")
     if group.arm not in ("case", "control"):
         out.append(f"arm must be 'case' or 'control', got {group.arm!r}")
@@ -196,9 +197,9 @@ def validate(group: GroupRecord) -> list[str]:
             out.append(f"ordering violation: {lo_name} <= {hi_name} fails "
                        f"({lo} > {hi})")
     has_quartiles = s.q1 is not None or s.q3 is not None
-    if has_quartiles and group.n < 4:
+    if has_quartiles and 1 <= group.n < 4:
         out.append(f"n >= 4 required with quartiles, got n={group.n}")
-    elif not has_quartiles and group.n < 2:
+    elif not has_quartiles and 1 <= group.n < 2:
         out.append(f"n >= 2 required with extremes, got n={group.n}")
     return out
 

@@ -712,6 +712,8 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
     rates = []
     for n, result in zip(n_grid, _run_units(
             draw, count, len(n_grid), -(-replicates // _CHUNK_ROWS))):
+        if isinstance(result, MemoryError):  # the sort path's one sample
+            raise ValueError(f"{dist.label()} at n={n}: {result}") from None
         if isinstance(result, Exception):
             raise result
         rejections, bad = result
@@ -735,8 +737,9 @@ def power_curve(scenario: Scenario, dist: DistSpec, n_grid: Sequence[int],
                 kappa_c: float = DEFAULT_KAPPA_C) -> ExperimentResult:
     """Rejection rate under ``dist``, per grid point: the type I error
     under ``DistSpec("normal", (0.0, 1.0))``, the power under a skewed
-    alternative.  Raises ValueError on a bad argument or on a grid cell
-    whose statistics are not all finite."""
+    alternative.  Raises ValueError on a bad argument, on a grid cell
+    whose statistics are not all finite, or on one that runs out of
+    memory (the sort path holds a whole sample of n)."""
     return _rejection_curve(scenario, dist, n_grid, replicates, alpha,
                             seed, kappa_c)
 

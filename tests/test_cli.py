@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -613,6 +615,93 @@ _SPEC_LISTS = st.sampled_from(sorted(_FAMILIES)).flatmap(
     lambda family: st.lists(_specs_of(family), min_size=16, max_size=32))
 
 
+# simulate flag texts: (accepted, refused).  A run on the sort path (a
+# --power --dist without a closed-form quantile) sorts whole samples, so
+# only the spacings path, whose draws do not grow with n, gets a large n.
+_SIMULATE_TEXTS = {
+    "scenario": (["s1", "s2", "s3", " S3"], ["s4", ""]),
+    "replicates": (["1", "2", "17", "30"], ["0", "-3"]),
+    "dist": (["1", "3", "+2.5", "0.5"],  # parameters
+             ["0", "-1", "1e308", "-1e308", "nan", "inf", "-inf"]),
+    "grid": (["4", "5", "9", "16", "40"],  # sizes
+             ["3", "0", "-5", "2.5", "1e3", "", "x"]),
+    "alpha": (["0.05", "0.2", "1e-300"],
+              ["1", "0", "-0.1", "5e-324", "nan", "nope"]),
+    "kappa-c": (["10.14", "10.5"], ["9", "inf", "x"]),
+    "seed": (["0", "7", str(10**30)], ["-1", "1.5", "x"]),
+}
+_LARGE_SIZES = [str(10**9), str(2**52 + 1), str(10**17), str(10**30)]
+_SETTING_ENV = {"alpha": "SUMNORM_ALPHA", "kappa-c": "SUMNORM_KAPPA_C",
+                "seed": "SUMNORM_SEED"}
+
+
+def _sorts_samples(dist_text: str) -> bool:
+    try:
+        dist = DistSpec.parse(dist_text)
+    except ValueError:
+        return False  # refused before any draw
+    return _FAMILIES[dist.family][3](dist.params) is None
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_simulate_never_crashes_on_generated_arguments(data):
+    # Exit 0, or exit 2 with one error line and no output directory.  At
+    # most one flag, ``odd``, draws refused texts too, so that most runs
+    # reach the curve.
+    odd = data.draw(st.sampled_from([None, None, "mode", *_SIMULATE_TEXTS]))
+
+    def texts(flag, extra=()):
+        accepted, refused = _SIMULATE_TEXTS[flag]
+        return st.sampled_from(accepted + list(extra)
+                               + (refused if flag == odd else []))
+
+    power = data.draw(st.booleans())
+    argv = ["simulate", "--power" if power else "--type1",
+            "--scenario=" + data.draw(texts("scenario")),
+            "--replicates=" + data.draw(texts("replicates"))]
+    dist = None
+    if power != (odd == "mode"):
+        family = data.draw(st.sampled_from(sorted(_FAMILIES) + (
+            ["cauchy"] if odd == "dist" else [])))
+        arity = (data.draw(st.integers(1, 3)) if odd == "dist"
+                 else _FAMILIES[family][0])
+        dist = family + ":" + ",".join(data.draw(st.lists(
+            texts("dist"), min_size=arity, max_size=arity)))
+        argv.append(f"--dist={dist}")
+    large = [] if power and dist and _sorts_samples(dist) else _LARGE_SIZES
+    grid = data.draw(st.none() | st.lists(texts("grid", large), min_size=1,
+                                          max_size=3))
+    if grid is not None:
+        argv.append("--grid=" + ",".join(grid))
+    env = {}
+    for flag, name in _SETTING_ENV.items():
+        where = data.draw(st.sampled_from(
+            ["flag", "env", "both"] + (["neither"] if flag != "seed"
+                                       or odd == "seed" else [])))
+        if where in ("flag", "both"):
+            argv.append(f"--{flag}={data.draw(texts(flag))}")
+        if where == "env":
+            env[name] = data.draw(texts(flag))
+        elif where == "both":  # not read: the flag comes first
+            env[name] = data.draw(st.sampled_from(
+                sum(_SIMULATE_TEXTS[flag], [])))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, env):
+        out_dir = Path(tmp) / "sim"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([*argv, "--output-dir", str(out_dir)])
+        assert code in (0, 2)
+        if code == 2:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert not out_dir.exists()
+        else:
+            assert err.getvalue() == ""
+
+
 class TestSimulateCommand:
     def test_type1_run(self, capsys, tmp_path):
         out_dir = tmp_path / "sim"
@@ -696,7 +785,24 @@ class TestSimulateCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
         assert "at n=10: " in line and "not finite" in line
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
+
+    def test_sort_path_sample_past_memory_exits_two(self, capsys, tmp_path):
+        # chisquare(3) has no closed-form quantile, so each replicate
+        # sorts a whole sample: 10**17 values ask for 711 PiB at once,
+        # which numpy refuses without allocating.
+        out_dir = tmp_path / "sim"
+        n = 10**17
+        code = main(["simulate", "--power", "--dist", "chisquare:3",
+                     "--scenario", "s1", "--grid", str(n),
+                     "--replicates", "10", "--seed", "1",
+                     "--output-dir", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: chisquare(3) at n={n}: ")
+        assert not out_dir.exists()
 
     def test_exponent_sign_kept_in_file_names(self, capsys, tmp_path):
         # So are a parameter's sign and decimal point: normal:-1,1 and
@@ -757,7 +863,7 @@ class TestSimulateCommand:
                 if code == 2:
                     (line,) = err.getvalue().splitlines()
                     assert line.startswith("error: "), dist
-                    assert not any(out_dir.glob("*")), dist
+                    assert not out_dir.exists(), dist
                 else:
                     rates = [float(r[1]) for r in _table_rows(out.getvalue())]
                     assert len(rates) == 2
@@ -973,6 +1079,32 @@ class TestErrorPaths:
         monkeypatch.setenv("SUMNORM_ALPHA", "nope")
         self._expect_config_error(capsys, ["test", leptin_csv], "number")
 
+    @pytest.mark.parametrize("command,declared", [
+        ("test", {"alpha", "kappa_c"}), ("estimate", set()),
+        ("meta", {"alpha", "kappa_c"}),
+        ("simulate", {"alpha", "kappa_c", "seed"}), ("demo", {"seed"})])
+    @pytest.mark.parametrize("setting,name,text,fragment", [
+        ("alpha", "SUMNORM_ALPHA", "nope", "alpha must be a number"),
+        ("kappa_c", "SUMNORM_KAPPA_C", "9", "kappa constant must be one of"),
+        ("seed", "SUMNORM_SEED", "-1", "seed must be nonnegative")])
+    def test_env_read_only_by_commands_that_declare_it(
+            self, capsys, monkeypatch, tmp_path, leptin_csv, command,
+            declared, setting, name, text, fragment):
+        argv = {"test": ["test", leptin_csv],
+                "estimate": ["estimate", leptin_csv],
+                "meta": ["meta", leptin_csv, "--output-dir", str(tmp_path)],
+                "simulate": ["simulate", "--type1", "--scenario", "s1",
+                             "--grid", "10", "--replicates", "10",
+                             "--output-dir", str(tmp_path)],
+                "demo": ["demo", "--pairs", "normal"]}[command]
+        monkeypatch.setenv("SUMNORM_SEED", "1")
+        monkeypatch.setenv(name, text)
+        if setting in declared:
+            self._expect_config_error(capsys, argv, fragment)
+        else:
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("kappa,fragment", [
         ("9.9", "one of"), ("abc", "number")])
     def test_bad_kappa(self, capsys, leptin_csv, kappa, fragment):
@@ -1126,6 +1258,18 @@ def test_console_script_entry_is_cli_main():
     module, _, attr = target.partition(":")
     entry = getattr(importlib.import_module(module), attr)
     assert entry is main
+
+
+def test_version_read_from_package():
+    # The package's __version__ is the one place the version is written.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "sumnorm.__version__"}
 
 
 def test_module_entry_point_exit_codes(leptin_csv, tmp_path, src_env):

@@ -86,8 +86,15 @@ class TestValidate:
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=0,
                         reported_mean=1.0, reported_sd=1.0)
         assert any("positive" in v for v in validate(g))
-        # An n past the float range made run_test raise OverflowError; the
-        # message must not format n, whose str() fails past 4300 digits.
+        # Neither message may format n, whose str() fails past 4300
+        # digits: run_pipeline excluded such a study with that failure.
+        for n in (-1, -10**400, -10**5000):
+            g = _group(n=n, median=2.0, min=1.0, max=3.0)
+            assert validate(g) == ["n must be a positive integer"]
+            with pytest.raises(UnsupportedSummaryError,
+                               match="n must be a positive integer"):
+                run_test(g)
+        # An n past the float range made run_test raise OverflowError.
         for n in (10**400, 10**5000):
             g = _group(n=n, median=2.0, min=1.0, max=3.0)
             assert validate(g) == ["n overflows the float range"]
