@@ -25,8 +25,7 @@ from .meta import run_pipeline, report_to_dict
 from .model import (Scenario, SummaryDataError, classify_scenario,
                     parse_studies)
 from .plots import curve_svg, forest_svg
-from .symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES, format_p_value,
-                       format_statistic, run_test)
+from .symmetry import format_p_value, format_statistic, run_test
 
 __all__ = ["main"]
 
@@ -78,11 +77,6 @@ _SETTINGS = {
               lambda v: v / 2.0 > 0.0 and v < 1.0,
               "lie in (0, 1) with alpha/2 > 0",
               "significance level in (0, 1)"),
-    "kappa_c": ("SUMNORM_KAPPA_C", DEFAULT_KAPPA_C, float, "kappa constant",
-                lambda v: v in KAPPA_C_CHOICES,
-                f"be one of {KAPPA_C_CHOICES}",
-                f"finite-sample constant for the five-number statistic, "
-                f"one of {KAPPA_C_CHOICES}"),
     "seed": ("SUMNORM_SEED", None, int, "seed", lambda v: v >= 0,
              "be nonnegative", "nonnegative integer seed"),
 }
@@ -141,9 +135,9 @@ def _group_table(args, headers: Sequence[str], cells) -> int:
     return 0
 
 
-def cmd_test(args, alpha: float, kappa_c: float) -> int:
+def cmd_test(args, alpha: float) -> int:
     def cells(group):
-        result = run_test(group, alpha=alpha, kappa_c=kappa_c)
+        result = run_test(group, alpha=alpha)
         if result is None:
             # Mean and SD reported directly; nothing to test.
             return ["direct", "NS", "NS", "-"]
@@ -206,12 +200,12 @@ def _indented_json(obj, indent: str = "\n") -> str:
                     f"serializable")
 
 
-def cmd_meta(args, alpha: float, kappa_c: float) -> int:
+def cmd_meta(args, alpha: float) -> int:
     studies = parse_studies(args.input, format=args.format)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_pipeline(studies, alpha=alpha, model=args.model,
-                           kappa_c=kappa_c, hedges=args.hedges)
+                           hedges=args.hedges)
     payload = {"alpha": alpha, "model": args.model,
                "outcomes": [report_to_dict(r) for r in reports]}
     report_path = out_dir / "report.json"
@@ -264,7 +258,7 @@ def _parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def cmd_simulate(args, alpha: float, kappa_c: float, seed: int) -> int:
+def cmd_simulate(args, alpha: float, seed: int) -> int:
     from . import simulate as sim  # numpy: loaded for this command only
     scenario = _parse_scenario(args.scenario)
     grid = _parse_grid(args.grid)
@@ -280,8 +274,7 @@ def cmd_simulate(args, alpha: float, kappa_c: float, seed: int) -> int:
     try:
         dist = (sim.DistSpec.parse(args.dist) if args.power
                 else sim.DistSpec("normal", (0.0, 1.0)))
-        result = sim.power_curve(scenario, dist, grid, replicates, alpha,
-                                 seed, kappa_c)
+        result = sim.power_curve(scenario, dist, grid, replicates, alpha, seed)
     except ValueError as exc:  # a refused argument or non-finite statistics
         raise _ConfigError(str(exc)) from None
     out_dir = Path(args.output_dir)  # made once nothing is refused
@@ -375,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test = subs.add_parser(
         "test", help="run the symmetry test on every summarized group")
     _add_input_flags(p_test)
-    _add_settings(p_test, cmd_test, "alpha", "kappa_c")
+    _add_settings(p_test, cmd_test, "alpha")
 
     p_est = subs.add_parser(
         "estimate", help="estimate mean and SD for every group")
@@ -385,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_meta = subs.add_parser(
         "meta", help="screen, estimate, pool, and draw forest plots")
     _add_input_flags(p_meta)
-    _add_settings(p_meta, cmd_meta, "alpha", "kappa_c")
+    _add_settings(p_meta, cmd_meta, "alpha")
     p_meta.add_argument("--model", choices=["fixed", "random"],
                         default="random", help="pooling model")
     p_meta.add_argument("--hedges", action="store_true",
@@ -414,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"{DEFAULT_POWER_REPLICATES} power)")
     p_sim.add_argument("--output-dir", "--out", default=".",
                        help="directory for the CSV and SVG")
-    _add_settings(p_sim, cmd_simulate, "alpha", "kappa_c", "seed")
+    _add_settings(p_sim, cmd_simulate, "alpha", "seed")
 
     p_demo = subs.add_parser(
         "demo", help="true vs summary-estimated effect sizes on skewed pairs")

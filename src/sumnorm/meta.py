@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .estimators import EstimatedMoments, estimate_moments
 from .model import GroupRecord, Scenario, Study, left_sum, pooled_moments
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, TestResult, coeff_kappa, run_test
+from .symmetry import TestResult, run_test
 
 __all__ = [
     "EffectSize",
@@ -241,7 +241,7 @@ def _moments_for_arm(groups: tuple[GroupRecord, ...],
     return n, EstimatedMoments(mean=mean, sd=sd, source="combined")
 
 
-def _study_entry(study: Study, alpha: float, kappa_c: float,
+def _study_entry(study: Study, alpha: float,
                  hedges: bool) -> tuple[StudyEntry, bool]:
     """Screen one study for one outcome, and estimate and compare the arms
     of one that passes.  A group that cannot be tested, in the words
@@ -252,7 +252,7 @@ def _study_entry(study: Study, alpha: float, kappa_c: float,
     for group in study.groups:
         result = error = scenario = None
         try:
-            result = run_test(group, alpha=alpha, kappa_c=kappa_c)
+            result = run_test(group, alpha=alpha)
         except ValueError as exc:
             error = str(exc)
             reasons.append(f"group {group.group_label}: {exc}")
@@ -294,7 +294,7 @@ def _study_entry(study: Study, alpha: float, kappa_c: float,
 
 
 def run_pipeline(studies: list[Study], alpha: float = 0.05,
-                 model: str = "random", kappa_c: float = DEFAULT_KAPPA_C,
+                 model: str = "random",
                  hedges: bool = False) -> list[PipelineReport]:
     """Screen, estimate, and pool every outcome present in ``studies``.
 
@@ -311,19 +311,17 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
     Raises
     ------
     ValueError
-        On an ``alpha`` that :func:`normal.critical_value` refuses, or a
-        ``kappa_c`` that :func:`symmetry.coeff_kappa` refuses.
+        On an ``alpha`` that :func:`normal.critical_value` refuses.
     """
     # Checked here, since a group's ValueError only excludes its study.
     critical_value(alpha)
-    coeff_kappa(4, kappa_c)
     outcomes: dict[str, list[Study]] = {}
     for study in studies:
         outcomes.setdefault(study.outcome_label, []).append(study)
 
     reports = []
     for outcome_label, outcome_studies in outcomes.items():
-        entries, undefined = zip(*[_study_entry(study, alpha, kappa_c, hedges)
+        entries, undefined = zip(*[_study_entry(study, alpha, hedges)
                                    for study in outcome_studies])
         effects = [entry.effect for entry in entries if entry.included]
         pooled = reason = None

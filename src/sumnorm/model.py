@@ -158,33 +158,45 @@ def classify_scenario(group: GroupRecord) -> Scenario:
         f"(need min/median/max, q1/median/q3, or all five)")
 
 
+def _overflows(value) -> bool:
+    """Whether ``float(value)`` fails: a hand-built int past the range."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def validate(group: GroupRecord) -> list[str]:
     """Check the type invariants of ``group``.
 
     Returns a list of human-readable violations; an empty list means the
-    record is well formed.  :func:`classify_scenario` raises them.
+    record is well formed, every number in it a float or an int that
+    ``float()`` holds.  :func:`classify_scenario` raises them.
     """
     out: list[str] = []
-    # No message formats an n below 1 or past the float range: str()
-    # fails on an int of over 4300 digits.
+    # No message formats an n below 1 or a number past the float range:
+    # str() fails on an int of over 4300 digits.
     if group.n < 1:
         out.append("n must be a positive integer")
-    else:
-        try:
-            float(group.n)
-        except OverflowError:
-            out.append("n overflows the float range")
+    elif _overflows(group.n):
+        out.append("n overflows the float range")
     if group.arm not in ("case", "control"):
         out.append(f"arm must be 'case' or 'control', got {group.arm!r}")
-    has_moments = group.reported_mean is not None and group.reported_sd is not None
+    mean, sd = group.reported_mean, group.reported_sd
+    has_moments = mean is not None and sd is not None
     has_summary = group.summary is not None
     if not has_moments and not has_summary:
         out.append("neither (mean, sd) nor a quantile summary is present")
     if has_moments and has_summary:
         out.append("both (mean, sd) and a quantile summary are present; "
                    "exactly one form is allowed")
-    if group.reported_sd is not None and group.reported_sd < 0:
-        out.append(f"sd must be nonnegative, got {group.reported_sd}")
+    if mean is not None and _overflows(mean):
+        out.append("mean overflows the float range")
+    if sd is not None and _overflows(sd):
+        out.append("sd overflows the float range")
+    elif sd is not None and sd < 0:
+        out.append(f"sd must be nonnegative, got {sd}")
     s = group.summary
     if s is None:
         return out
@@ -192,10 +204,13 @@ def validate(group: GroupRecord) -> list[str]:
         out.append("quantile summary has no median")
     ordered = [(name, getattr(s, name)) for name in SUMMARY_FIELDS
                if getattr(s, name) is not None]
-    for (lo_name, lo), (hi_name, hi) in zip(ordered, ordered[1:]):
-        if lo > hi:
-            out.append(f"ordering violation: {lo_name} <= {hi_name} fails "
-                       f"({lo} > {hi})")
+    if any(_overflows(value) for _, value in ordered):
+        out.append("the summary values overflow the float range")
+    else:
+        for (lo_name, lo), (hi_name, hi) in zip(ordered, ordered[1:]):
+            if lo > hi:
+                out.append(f"ordering violation: {lo_name} <= {hi_name} "
+                           f"fails ({lo} > {hi})")
     has_quartiles = s.q1 is not None or s.q3 is not None
     if has_quartiles and 1 <= group.n < 4:
         out.append(f"n >= 4 required with quartiles, got n={group.n}")

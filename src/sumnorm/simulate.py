@@ -115,7 +115,7 @@ from .estimators import estimate_mean, estimate_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import DEFAULT_KAPPA_C, READS, coeff_kappa, statistic
+from .symmetry import READS, statistic
 
 __all__ = [
     "DistSpec",
@@ -533,9 +533,9 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int, *,
     return out.T
 
 
-def _statistics(scenario: Scenario, summaries: np.ndarray, n: int,
-                kappa_c: float) -> np.ndarray:
-    return statistic(scenario, *summaries.T, n, kappa_c)
+def _statistics(scenario: Scenario, summaries: np.ndarray,
+                n: int) -> np.ndarray:
+    return statistic(scenario, *summaries.T, n)
 
 
 @dataclass(frozen=True)
@@ -550,7 +550,6 @@ class ExperimentResult:
     replicates: int
     alpha: float
     seed: int
-    kappa_c: float = DEFAULT_KAPPA_C
 
 
 def _usable_cpus() -> int:
@@ -681,13 +680,12 @@ def _run_units(draw: Callable[[int, int], np.ndarray],
 
 def _rejection_curve(scenario: Scenario, dist: DistSpec,
                      n_grid: Sequence[int], replicates: int, alpha: float,
-                     seed: int, kappa_c: float) -> ExperimentResult:
+                     seed: int) -> ExperimentResult:
     if replicates < 1:
         raise ValueError(f"replicates must be positive, got {replicates}")
     for n in n_grid:  # the whole grid, before any draw
         _order_columns(n)
     crit = critical_value(alpha)
-    coeff_kappa(4, kappa_c)  # refuses a kappa_c that S1 and S2 ignore
     reads = READS.get(scenario)
     if reads is None:
         raise ValueError(f"no test statistic for scenario {scenario}")
@@ -705,7 +703,7 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             summaries = _summary_matrix(dist, n, replicates, seed,
                                         reads=reads, drawn=drawn)
-            stats = _statistics(scenario, summaries, n, kappa_c)
+            stats = _statistics(scenario, summaries, n)
             return (int(np.count_nonzero(np.abs(stats) > crit)),
                     int(np.count_nonzero(~np.isfinite(stats))))
 
@@ -728,20 +726,18 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
     return ExperimentResult(scenario=scenario, dist=dist,
                             n_grid=tuple(int(n) for n in n_grid),
                             rates=tuple(rates), ses=tuple(ses),
-                            replicates=replicates, alpha=alpha, seed=seed,
-                            kappa_c=kappa_c)
+                            replicates=replicates, alpha=alpha, seed=seed)
 
 
 def power_curve(scenario: Scenario, dist: DistSpec, n_grid: Sequence[int],
-                replicates: int, alpha: float = 0.05, seed: int = 0,
-                kappa_c: float = DEFAULT_KAPPA_C) -> ExperimentResult:
+                replicates: int, alpha: float = 0.05,
+                seed: int = 0) -> ExperimentResult:
     """Rejection rate under ``dist``, per grid point: the type I error
     under ``DistSpec("normal", (0.0, 1.0))``, the power under a skewed
     alternative.  Raises ValueError on a bad argument, on a grid cell
     whose statistics are not all finite, or on one that runs out of
     memory (the sort path holds a whole sample of n)."""
-    return _rejection_curve(scenario, dist, n_grid, replicates, alpha,
-                            seed, kappa_c)
+    return _rejection_curve(scenario, dist, n_grid, replicates, alpha, seed)
 
 
 POWER_ALTERNATIVES = (

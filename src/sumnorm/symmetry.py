@@ -8,9 +8,10 @@ approximately standard normal:
 * T2 = phi(n) * (q1 + q3 - 2m) / (q3 - q1)      from the quartiles
 * T3 = kappa(n) * (a + b + q1 + q3 - 4m) / (b - a + q3 - q1)
 
-The kappa denominator carries a small-sample correction constant whose
-published value is ambiguous (10.14 from the derivation, 10.5 in the
-summary table); it is configurable and defaults to the derived 10.14.
+The kappa denominator carries a small-sample correction constant,
+``KAPPA_C``.  The derivation gives 10.14, which is what this module
+uses; the paper's summary table prints 10.5, a reading that does not
+follow from the derivation and is recorded here only.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .normal import (critical_value, extreme_width, quartile_width,
                      two_sided_p)
 
 __all__ = [
-    "DEFAULT_KAPPA_C",
-    "KAPPA_C_CHOICES",
+    "KAPPA_C",
     "DegenerateSummaryError",
     "TestResult",
     "coeff_tau",
@@ -38,8 +38,7 @@ __all__ = [
     "format_p_value",
 ]
 
-DEFAULT_KAPPA_C = 10.14
-KAPPA_C_CHOICES = (10.14, 10.5)
+KAPPA_C = 10.14
 
 
 class DegenerateSummaryError(ValueError):
@@ -63,7 +62,7 @@ def _null_variance(n: int, c: float) -> float:
     """pi^2 / (6 ln n) + c / n, the null variance of a symmetry contrast.
 
     For n standard-normal draws, c = pi gives that of a + b - 2m (T1)
-    and c = kappa_c that of a + b + q1 + q3 - 4m (T3).
+    and c = KAPPA_C that of a + b + q1 + q3 - 4m (T3).
     """
     return math.pi ** 2 / 6.0 / math.log(n) + c / n
 
@@ -82,23 +81,15 @@ def coeff_phi(n: int) -> float:
     return 1.09 * math.sqrt(n) * (quartile_width(n) / 2.0)
 
 
-def coeff_kappa(n: int, c: float = DEFAULT_KAPPA_C) -> float:
-    """Scaling coefficient for the five-number statistic, n >= 4.
-
-    ``c`` is the small-sample correction constant in the denominator;
-    the two published readings, ``KAPPA_C_CHOICES``, are accepted and
-    any other value raises ValueError.
-    """
-    if c not in KAPPA_C_CHOICES:
-        raise ValueError(f"kappa_c must be one of {KAPPA_C_CHOICES}, got {c}")
+def coeff_kappa(n: int) -> float:
+    """Scaling coefficient for the five-number statistic, n >= 4."""
     if n < 4:
         raise ValueError(f"kappa(n) needs n >= 4, got n={n}")
     num = extreme_width(n) + quartile_width(n)
-    return num / math.sqrt(_null_variance(n, c))
+    return num / math.sqrt(_null_variance(n, KAPPA_C))
 
 
-def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
-              kappa_c: float = DEFAULT_KAPPA_C):
+def statistic(scenario: Scenario, a, q1, m, q3, b, n: int):
     """T1, T2 or T3 of one summary, or of arrays of summaries.
 
     Plain arithmetic, so the summary values may be floats or equally
@@ -112,7 +103,7 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int,
     if scenario is Scenario.S2:
         return coeff_phi(n) * (q1 + q3 - 2.0 * m) / (q3 - q1)
     if scenario is Scenario.S3:
-        return (coeff_kappa(n, kappa_c)
+        return (coeff_kappa(n)
                 * (a + b + q1 + q3 - 4.0 * m) / ((b - a) + (q3 - q1)))
     raise ValueError(f"no test statistic for scenario {scenario}")
 
@@ -136,8 +127,7 @@ _ZERO_SPREAD = {
 }
 
 
-def run_test(group: GroupRecord, alpha: float = 0.05,
-             kappa_c: float = DEFAULT_KAPPA_C) -> TestResult | None:
+def run_test(group: GroupRecord, alpha: float = 0.05) -> TestResult | None:
     """The symmetry test of ``group`` for the scenario it reports.
 
     Returns None for groups that report mean and SD directly; those need
@@ -147,26 +137,22 @@ def run_test(group: GroupRecord, alpha: float = 0.05,
     ------
     UnsupportedSummaryError
         For a group that :func:`classify_scenario` refuses, an unordered
-        summary among them.
+        summary or one past the float range among them.
     DegenerateSummaryError
-        If the spread the statistic divides by is zero, or a summary
-        value or the statistic overflows the float range; the group
-        should be flagged rather than silently accepted.
+        If the spread the statistic divides by is zero, or the statistic
+        overflows the float range; the group should be flagged rather
+        than silently accepted.
     """
     scenario = classify_scenario(group)
     if scenario is Scenario.DIRECT:
         return None
     s, n = group.summary, group.n
+    # A hand-built summary may hold Python ints.  Validation keeps each
+    # within the float range, but a sum of two need not be.
+    values = [None if v is None else float(v)
+              for v in (s.min, s.q1, s.median, s.q3, s.max)]
     try:
-        # A hand-built summary may hold Python ints, which the float
-        # arithmetic below would refuse with OverflowError.
-        values = [None if v is None else float(v)
-                  for v in (s.min, s.q1, s.median, s.q3, s.max)]
-    except OverflowError:
-        raise DegenerateSummaryError(
-            "the summary values overflow the float range") from None
-    try:
-        t = statistic(scenario, *values, n, kappa_c)
+        t = statistic(scenario, *values, n)
     except ZeroDivisionError:
         raise DegenerateSummaryError(
             _ZERO_SPREAD[scenario].format(s=s)) from None

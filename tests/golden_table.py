@@ -2,8 +2,8 @@
 
 ``GOLDEN`` holds the digests of every run of ``test``, ``estimate`` and
 ``meta`` (default flags, and ``--hedges --model fixed``) on each bundled
-dataset, and of the seeded ``simulate`` and ``demo`` runs that
-``test_golden.py`` lists.  A change that alters any of these bytes on
+dataset, and of the seeded ``simulate`` and ``demo`` runs and the runs
+on ``s3_groups.csv`` that ``test_golden.py`` lists.  A change that alters any of these bytes on
 purpose must say so in CHANGES.md and refresh the table; print the
 current digests with
 
@@ -22,7 +22,8 @@ ones whose handling has differed between Python versions: JSON numbers
 past the float range or ``int()``'s digit limit, arrays nested past the
 recursion limit, and labels no artifact can hold.  It prints each
 mismatch and exits 1 if there is one.  ``simulate`` and ``demo`` need
-numpy and are checked by ``test_golden.py`` only.
+numpy; they and the ``s3_groups.csv`` runs are checked by
+``test_golden.py`` only.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import tempfile
 from importlib.resources import files
 from pathlib import Path
 
-from sumnorm.cli import main
+from sumnorm.cli import _SETTINGS, main
 
 DATASETS = ("banach2016", "ferretti2017", "ferretti2017_mmp9",
             "hawkins2017_bnp", "zhang2017", "zhang2017_leptin")
@@ -50,9 +51,9 @@ RUNS = {
                           "--output-dir", "out"],
 }
 
-# The settings a run reads from the environment; every golden run is
+# The SUMNORM_* variables of the CLI's settings; every golden run is
 # made without them.
-ENV = ("SUMNORM_ALPHA", "SUMNORM_SEED", "SUMNORM_KAPPA_C")
+ENV = tuple(env for env, *_ in _SETTINGS.values())
 
 
 def _sha(data: bytes) -> str:
@@ -161,9 +162,6 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
           'simulate/type1-s3-chunks': {'stdout': '542f04d17e69f063584011c5b7ce035dbfb387c68bccd9b18ead01227c6ffb1b',
                                        'type1_s3.csv': '4ce476a6c8760b35d2a688b250c07365dd2a904054c8620e049dc2d929ac8fbd',
                                        'type1_s3.svg': 'acf83de95a3cc33e33583877a10580718af5b9ba12e89ccaa6fd009c42fee8c2'},
-          'simulate/type1-s3-kappa': {'stdout': 'cc76f621c0a2adbde214df9edf9ad9da295cad52aea424d6e56f216eda094c37',
-                                      'type1_s3.csv': '680b832393ec7767e1c3b069bde42dee61c58066bba7fc45b639d2b1f026624c',
-                                      'type1_s3.svg': 'ff350c7e32abe2ef1f3346d695a25f23a0bde165c5211c4b916c806276648e86'},
           'simulate/power-normal': {'stdout': 'a3f2a69a728a56f04b2b85f55c13a78d3c6fec831f6b0ae8e0e76fe5d1ce6b1c',
                                     'power_s1_normal-1-2.csv': 'b085925d573cd1c0d9b5b00067368b38dad14fe6629c87fc95a989d6999f9202',
                                     'power_s1_normal-1-2.svg': '0f51e2b5e7214ab74eb7c27ba190318d6bd1f88aadee683f34ad81633c858f25'},
@@ -185,7 +183,11 @@ GOLDEN = {'estimate/banach2016': {'stdout': '415de5e53ad4594fa8bc7cf303f3e5263fa
           'simulate/power-chisquare-sorted': {'stdout': 'ad1479a554e227bb9bc796f1ec2a4d160dfd114f73d90879f32f2316f0094ea0',
                                               'power_s1_chisquare-3.csv': 'dbc5fef29aac8f7282e301ef5d3b1209eac515184d34d64da651c811fca397f6',
                                               'power_s1_chisquare-3.svg': '1234a26cc18576ee5e2709838d014a56866a398b237df66b47208829c3c294d3'},
-          'demo/all-pairs': {'stdout': '06054f78fc0aad14d83e92a1b2d1bd83945c855fb73a02168957f0c9205cfc0a'}}
+          'demo/all-pairs': {'stdout': '06054f78fc0aad14d83e92a1b2d1bd83945c855fb73a02168957f0c9205cfc0a'},
+          'test/s3-groups': {'stdout': 'd6cfb22b7cf2e279e2b86c6156bf5aca0543abadfa2124cdcf7bf4bbb152b8c8'},
+          'meta/s3-groups': {'stdout': '07e01486aa76b6b971203d82e198fd581894a54d3c47ea26f697e96a1dfa01b8',
+                             'forest_crp.svg': 'cb1d6b26a75e457c031feaf15cbf0363419530591165325d78142ac9383e2dd2',
+                             'report.json': 'ce1df69430b660d648a9f3fd54a7536567f661323e4d7b6ea94c4759f20adaf7'}}
 
 
 def _json_row(column: str, literal: str) -> str:

@@ -46,8 +46,8 @@ from sumnorm.simulate import (
     isotonic_fit_r2,
     power_curve,
 )
-from sumnorm.symmetry import (DEFAULT_KAPPA_C, READS, _null_variance,
-                              critical_value, run_test, statistic)
+from sumnorm.symmetry import (READS, _null_variance, critical_value,
+                              run_test, statistic)
 
 _DATA = Path(sumnorm.__file__).parent / "data"
 _NORMAL = DistSpec("normal", (0.0, 1.0))
@@ -342,7 +342,7 @@ def test_criterion_4_type1_error_bands(capsys):
     # order statistics its statistic reads, so each scenario has its own.
     probe = power_curve(Scenario.S2, _NORMAL, (50,), replicates=2000, seed=0)
     matrix = _summary_matrix(_NORMAL, 50, 2000, 0, reads=READS[Scenario.S2])
-    stats = _statistics(Scenario.S2, matrix, 50, DEFAULT_KAPPA_C)
+    stats = _statistics(Scenario.S2, matrix, 50)
     manual = float(np.mean(np.abs(stats) > critical_value(0.05)))
     assert probe.rates[0] == manual
 
@@ -354,7 +354,7 @@ def test_criterion_4_type1_error_bands(capsys):
         for scenario in _SCENARIOS:
             matrix = _summary_matrix(_NORMAL, n, 100_000, 0,
                                      reads=READS[scenario])
-            stats = _statistics(scenario, matrix, n, DEFAULT_KAPPA_C)
+            stats = _statistics(scenario, matrix, n)
             rate = float(np.mean(np.abs(stats) > crit))
             per_n.append(f"{scenario.name}={rate:.4f}")
             if not 0.04 <= rate <= 0.06:
@@ -375,7 +375,7 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
                         (50,), replicates=500, seed=0)
     matrix = _summary_matrix(DistSpec("lognormal", (0.0, 1.0)), 50, 500, 0,
                              reads=READS[Scenario.S1])
-    stats = _statistics(Scenario.S1, matrix, 50, DEFAULT_KAPPA_C)
+    stats = _statistics(Scenario.S1, matrix, 50)
     manual = float(np.mean(np.abs(stats) > critical_value(0.05)))
     assert probe.rates[0] == manual
 
@@ -386,7 +386,7 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
             for scenario in _SCENARIOS:
                 matrix = _summary_matrix(dist, n, 10_000, 0,
                                          reads=READS[scenario])
-                stats = _statistics(scenario, matrix, n, DEFAULT_KAPPA_C)
+                stats = _statistics(scenario, matrix, n)
                 rates[(scenario, dist.label(), n)] = float(
                     np.mean(np.abs(stats) > crit))
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sumnorm
-from sumnorm.cli import _dist_stem, _indented_json, main
+from sumnorm.cli import _SETTINGS, _dist_stem, _indented_json, main
 from sumnorm.simulate import _FAMILIES, DistSpec
 
 from strategies import NUMBERS, SIZES
@@ -28,9 +28,14 @@ from strategies import NUMBERS, SIZES
 pytestmark = pytest.mark.usefixtures("clean_env")
 
 
+# flag name -> the SUMNORM_* variable it falls back to
+_SETTING_ENV = {name.replace("_", "-"): env
+                for name, (env, *_) in _SETTINGS.items()}
+
+
 @pytest.fixture
 def clean_env(monkeypatch):
-    for name in ("SUMNORM_ALPHA", "SUMNORM_SEED", "SUMNORM_KAPPA_C"):
+    for name in _SETTING_ENV.values():
         monkeypatch.delenv(name, raising=False)
 
 
@@ -627,12 +632,9 @@ _SIMULATE_TEXTS = {
              ["3", "0", "-5", "2.5", "1e3", "", "x"]),
     "alpha": (["0.05", "0.2", "1e-300"],
               ["1", "0", "-0.1", "5e-324", "nan", "nope"]),
-    "kappa-c": (["10.14", "10.5"], ["9", "inf", "x"]),
     "seed": (["0", "7", str(10**30)], ["-1", "1.5", "x"]),
 }
 _LARGE_SIZES = [str(10**9), str(2**52 + 1), str(10**17), str(10**30)]
-_SETTING_ENV = {"alpha": "SUMNORM_ALPHA", "kappa-c": "SUMNORM_KAPPA_C",
-                "seed": "SUMNORM_SEED"}
 
 
 def _sorts_samples(dist_text: str) -> bool:
@@ -734,12 +736,11 @@ class TestSimulateCommand:
         # ulp below 0.07, so the band must not be computed that way.
         from sumnorm import simulate
 
-        def curve(scenario, dist, n_grid, replicates, alpha, seed, kappa_c):
+        def curve(scenario, dist, n_grid, replicates, alpha, seed):
             return simulate.ExperimentResult(
                 scenario=scenario, dist=dist, n_grid=(100, 200, 300, 400, 500),
                 rates=(0.5, 0.03, 0.07, 0.0299, 0.0701), ses=(0.0,) * 5,
-                replicates=replicates, alpha=alpha, seed=seed,
-                kappa_c=kappa_c)
+                replicates=replicates, alpha=alpha, seed=seed)
 
         monkeypatch.setattr(simulate, "power_curve", curve)
         assert main(["simulate", "--type1", "--scenario", "s1",
@@ -896,21 +897,6 @@ class TestSimulateCommand:
               "--replicates", "400", "--seed", "9", "--output-dir", str(d2)])
         from_flag = capsys.readouterr().out.replace(str(d2), "DIR")
         assert from_env == from_flag
-
-    def test_kappa_env(self, capsys, tmp_path, monkeypatch):
-        base_dir, env_dir = tmp_path / "base", tmp_path / "env"
-        main(["simulate", "--type1", "--scenario", "s3", "--grid", "100",
-              "--replicates", "400", "--seed", "2",
-              "--output-dir", str(base_dir)])
-        base = _table_rows(capsys.readouterr().out)
-        monkeypatch.setenv("SUMNORM_KAPPA_C", "10.5")
-        main(["simulate", "--type1", "--scenario", "s3", "--grid", "100",
-              "--replicates", "400", "--seed", "2",
-              "--output-dir", str(env_dir)])
-        shifted = _table_rows(capsys.readouterr().out)
-        # the larger constant deflates the statistic, so the rejection
-        # rate cannot increase
-        assert float(shifted[0][1]) <= float(base[0][1])
 
 
 class TestDemoCommand:
@@ -1080,12 +1066,13 @@ class TestErrorPaths:
         self._expect_config_error(capsys, ["test", leptin_csv], "number")
 
     @pytest.mark.parametrize("command,declared", [
-        ("test", {"alpha", "kappa_c"}), ("estimate", set()),
-        ("meta", {"alpha", "kappa_c"}),
-        ("simulate", {"alpha", "kappa_c", "seed"}), ("demo", {"seed"})])
+        ("test", {"alpha"}), ("estimate", set()), ("meta", {"alpha"}),
+        ("simulate", {"alpha", "seed"}), ("demo", {"seed"})])
+    # No command reads SUMNORM_KAPPA_C, the S3 constant's former
+    # setting, so a stale value is ignored everywhere.
     @pytest.mark.parametrize("setting,name,text,fragment", [
         ("alpha", "SUMNORM_ALPHA", "nope", "alpha must be a number"),
-        ("kappa_c", "SUMNORM_KAPPA_C", "9", "kappa constant must be one of"),
+        ("kappa_c", "SUMNORM_KAPPA_C", "9", None),
         ("seed", "SUMNORM_SEED", "-1", "seed must be nonnegative")])
     def test_env_read_only_by_commands_that_declare_it(
             self, capsys, monkeypatch, tmp_path, leptin_csv, command,
@@ -1104,12 +1091,6 @@ class TestErrorPaths:
         else:
             assert main(argv) == 0
             assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("kappa,fragment", [
-        ("9.9", "one of"), ("abc", "number")])
-    def test_bad_kappa(self, capsys, leptin_csv, kappa, fragment):
-        self._expect_config_error(
-            capsys, ["test", leptin_csv, "--kappa-c", kappa], fragment)
 
     def test_bad_scenario(self, capsys, tmp_path):
         self._expect_config_error(

@@ -298,3 +298,10 @@ class TestEstimateMoments:
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=20)
         with pytest.raises(ValueError):
             estimate_moments(g, classify_scenario(g))
+        # Summary ints past the float range raised OverflowError from
+        # the estimators; validation now refuses them in words.
+        g = GroupRecord(study_id="s", group_label="g", arm="case", n=20,
+                        summary=QuantileSummary(min=1, median=10**400,
+                                                max=10**400))
+        with pytest.raises(ValueError, match="overflow the float range"):
+            estimate_moments(g, classify_scenario(g))

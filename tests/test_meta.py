@@ -467,17 +467,6 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="alpha"):
             run_pipeline(studies, alpha=alpha)
 
-    @pytest.mark.parametrize("kappa_c", [-1e6, math.nan, 9.9])
-    def test_bad_kappa_c_raises(self, kappa_c):
-        # Refused on entry like alpha: a bad kappa_c used to exclude
-        # every S3 study with "math domain error" or a nan statistic.
-        s3 = (40, QuantileSummary(min=1.0, q1=4.0, median=5.0, q3=6.0,
-                                  max=9.0))
-        studies = [_summary_study("s3", "o", s3, s3),
-                   _summary_study("skew", "o", _SKEWED, _SYMMETRIC)]
-        with pytest.raises(ValueError, match="kappa_c must be one of"):
-            run_pipeline(studies, kappa_c=kappa_c)
-
     def test_tiny_alpha_screens(self):
         studies = [_summary_study("skew", "o", _SKEWED, _SYMMETRIC)]
         (report,) = run_pipeline(studies, alpha=1e-17)

@@ -110,6 +110,13 @@ class TestValidate:
     def test_negative_sd(self):
         g = _group(mean=1.0, sd=-0.5)
         assert any("nonnegative" in v for v in validate(g))
+        # No message may format a number float() cannot hold, whose str()
+        # fails past 4300 digits.
+        for sd in (-10**400, -10**5000):
+            assert validate(_group(mean=1.0, sd=sd)) == [
+                "sd overflows the float range"]
+        assert validate(_group(mean=10**5000, sd=1.0)) == [
+            "mean overflows the float range"]
 
     def test_both_forms_flagged(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=20,
@@ -120,6 +127,10 @@ class TestValidate:
     def test_ordering_violation(self):
         g = _group(median=5.0, q1=6.0, q3=8.0)
         assert any("ordering violation" in v for v in validate(g))
+        # A minimum above its median that float() cannot hold is refused
+        # without the ordering message, which would format it.
+        g = _group(median=5, min=10**5000, max=10**5000)
+        assert validate(g) == ["the summary values overflow the float range"]
 
     def test_quartiles_need_n4(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=3,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from sumnorm.cli import main
+from sumnorm.cli import _SETTINGS, main
 
 _ROOT = Path(__file__).resolve().parents[1]
 _README = (_ROOT / "README.md").read_text(encoding="utf-8")
@@ -94,6 +94,14 @@ def test_listed_lower_level_names_resolve():
         mod = importlib.import_module(f"sumnorm.{module}")
         assert callable(getattr(mod, name, None)), dotted
         assert name in mod.__all__, dotted
+
+
+def test_configuration_names_every_setting_variable():
+    # A setting added to or deleted from the CLI shows here until the
+    # README's Configuration section follows it.
+    section = _README.split("### Configuration", 1)[1].split("\n#", 1)[0]
+    assert set(re.findall(r"SUMNORM_[A-Z_]+", section)) == {
+        env for env, *_ in _SETTINGS.values()}
 
 
 def test_package_exposes_only_modules_and_version(src_env):

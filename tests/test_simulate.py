@@ -27,7 +27,7 @@ from sumnorm.simulate import (DEMO_PAIRS, POWER_ALTERNATIVES, DistSpec, _draw,
                               _statistics, _summary_matrix, isotonic_fit_r2,
                               power_curve, skew_distortion_demo, summarize,
                               write_experiment_csv)
-from sumnorm.symmetry import DEFAULT_KAPPA_C, READS
+from sumnorm.symmetry import READS
 
 _NORMAL = DistSpec("normal", (0.0, 1.0))
 
@@ -188,13 +188,12 @@ class TestRejectionCurves:
     def test_metadata_recorded(self):
         d = DistSpec("chisquare", (1.0,))
         r = power_curve(Scenario.S2, d, [64], replicates=100, alpha=0.01,
-                        seed=13, kappa_c=10.5)
+                        seed=13)
         assert r.scenario is Scenario.S2
         assert r.dist == d
         assert r.n_grid == (64,)
         assert r.alpha == 0.01
         assert r.seed == 13
-        assert r.kappa_c == 10.5
         assert len(r.rates) == len(r.ses) == 1
 
     def test_n_below_minimum_rejected(self):
@@ -208,13 +207,6 @@ class TestRejectionCurves:
         monkeypatch.setattr(simulate, "_draw", no_draw)
         with pytest.raises(ValueError, match="n=3 is below"):
             power_curve(Scenario.S1, _NORMAL, [50, 3], replicates=10, seed=1)
-
-    @pytest.mark.parametrize("kappa_c", [-1e6, math.nan, 9.9])
-    def test_bad_kappa_c_raises(self, kappa_c):
-        # S1 never uses kappa_c, so only an explicit check refuses it.
-        with pytest.raises(ValueError, match="kappa_c must be one of"):
-            power_curve(Scenario.S1, _NORMAL, [50], replicates=10, seed=1,
-                        kappa_c=kappa_c)
 
     def test_replicates_domain(self):
         with pytest.raises(ValueError, match="replicates"):
@@ -310,7 +302,7 @@ class TestSpacings:
         crit = critical_value(0.05)
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
             r_fast, r_slow = (float(np.mean(np.abs(
-                _statistics(scenario, x, n, DEFAULT_KAPPA_C)) > crit))
+                _statistics(scenario, x, n)) > crit))
                 for x in (fast, slow))
             se = math.sqrt((r_fast * (1 - r_fast) + r_slow * (1 - r_slow))
                            / reps)
@@ -339,10 +331,10 @@ class TestSpacings:
             if scenario is Scenario.S3:
                 assert got.tobytes() == full.tobytes()
                 continue
-            stats = _statistics(scenario, got, n, DEFAULT_KAPPA_C)
+            stats = _statistics(scenario, got, n)
             for reference in references:
-                p = ks_2samp(stats, _statistics(scenario, reference, n,
-                                                DEFAULT_KAPPA_C)).pvalue
+                p = ks_2samp(stats,
+                             _statistics(scenario, reference, n)).pvalue
                 assert p > _KS_FLOOR, (scenario, p)
 
     @pytest.mark.parametrize("scenario,rows", [
@@ -380,7 +372,7 @@ class TestSpacings:
         for scenario in (Scenario.S1, Scenario.S2):
             fast = _summary_matrix(dist, n, fast_reps, 21,
                                    reads=READS[scenario])
-            t_fast, t_slow = (_statistics(scenario, x, n, DEFAULT_KAPPA_C)
+            t_fast, t_slow = (_statistics(scenario, x, n)
                               for x in (fast, slow))
             p = ks_2samp(t_fast, t_slow).pvalue
             assert p > _KS_FLOOR, (scenario, p)
@@ -549,10 +541,10 @@ class TestConcurrentCells:
                 drawn_last.set()
             return x
 
-        def statistics(scenario, summaries, n, kappa_c):
+        def statistics(scenario, summaries, n):
             if n in grid[:2]:
                 waits.append(drawn_last.wait(timeout=10))
-            return real(scenario, summaries, n, kappa_c)
+            return real(scenario, summaries, n)
 
         monkeypatch.setattr(simulate, "_draw", draw)
         monkeypatch.setattr(simulate, "_statistics", statistics)
@@ -595,9 +587,9 @@ class TestConcurrentCells:
         seen = []
         real = simulate._statistics
 
-        def recording(scenario, summaries, n, kappa_c):
+        def recording(scenario, summaries, n):
             seen.append(n)
-            return real(scenario, summaries, n, kappa_c)
+            return real(scenario, summaries, n)
 
         monkeypatch.setattr(simulate, "_statistics", recording)
         interval = sys.getswitchinterval()
@@ -750,8 +742,8 @@ class TestChunkUnits:
         grid, crit = (10, 20, 30), critical_value(0.05)
         got = power_curve(Scenario.S3, dist, grid, replicates=1000, seed=9)
         want = tuple(float(np.mean(np.abs(_statistics(
-            Scenario.S3, _summary_matrix(dist, n, 1000, 9), n,
-            DEFAULT_KAPPA_C)) > crit)) for n in grid)
+            Scenario.S3, _summary_matrix(dist, n, 1000, 9), n)) > crit))
+            for n in grid)
         assert got.rates == want
         assert 0.0 < min(want) and max(want) < 1.0
 

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -8,9 +7,8 @@ from hypothesis import strategies as st
 
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
                            UnsupportedSummaryError)
-from sumnorm.symmetry import (DEFAULT_KAPPA_C, KAPPA_C_CHOICES,
-                              DegenerateSummaryError, coeff_kappa, coeff_phi,
-                              READS, coeff_tau, format_p_value,
+from sumnorm.symmetry import (KAPPA_C, DegenerateSummaryError, coeff_kappa,
+                              coeff_phi, READS, coeff_tau, format_p_value,
                               format_statistic, run_test, statistic)
 
 
@@ -44,14 +42,10 @@ class TestCoefficients:
 
     def test_kappa_frozen(self):
         assert coeff_kappa(100) == pytest.approx(9.342371501262242, abs=1e-9)
-        assert coeff_kappa(100, 10.5) == pytest.approx(
-            9.305916717213698, abs=1e-9)
         assert coeff_kappa(60) == pytest.approx(7.8646576522789555, abs=1e-9)
 
     def test_default_constant(self):
-        assert DEFAULT_KAPPA_C == 10.14
-        assert DEFAULT_KAPPA_C in KAPPA_C_CHOICES
-        assert coeff_kappa(100) == coeff_kappa(100, DEFAULT_KAPPA_C)
+        assert KAPPA_C == 10.14
 
     @pytest.mark.parametrize("coeff,start", [(coeff_tau, 2), (coeff_phi, 4),
                                              (coeff_kappa, 4)])
@@ -68,12 +62,6 @@ class TestCoefficients:
     def test_quartile_domain(self, coeff):
         with pytest.raises(ValueError, match="n >= 4"):
             coeff(3)
-
-    @pytest.mark.parametrize("c", [-1e6, math.nan, 9.9, 10.0])
-    def test_kappa_c_outside_choices_refused(self, c):
-        with pytest.raises(ValueError, match=re.escape(
-                f"kappa_c must be one of {KAPPA_C_CHOICES}, got {c}")):
-            coeff_kappa(100, c)
 
 
 class TestS1:
@@ -151,12 +139,6 @@ class TestS3:
         assert r.p_value == 1.0
         assert r.reject is False
 
-    def test_kappa_c_choice_shrinks_statistic(self):
-        base = run_test(_s3(0.0, 1.0, 2.0, 5.0, 20.0, 60))
-        alt = run_test(_s3(0.0, 1.0, 2.0, 5.0, 20.0, 60), kappa_c=10.5)
-        # larger C inflates the denominator, so |T| shrinks
-        assert abs(alt.statistic) < abs(base.statistic)
-
     def test_ordering_rejected(self):
         with pytest.raises(UnsupportedSummaryError,
                            match="ordering violation"):
@@ -172,19 +154,17 @@ class TestStatistic:
                       [0.5, 2.0, 2.5, 3.0, 4.5],
                       [-3.0, -1.0, 0.25, 0.5, 2.0]])
 
-    @pytest.mark.parametrize("kappa_c", KAPPA_C_CHOICES)
-    def test_arrays_match_scalar_tests_bitwise(self, kappa_c):
+    def test_arrays_match_scalar_tests_bitwise(self):
         n = 37
         a, q1, m, q3, b = self._ROWS.T
-        s1 = statistic(Scenario.S1, a, q1, m, q3, b, n, kappa_c)
-        s2 = statistic(Scenario.S2, a, q1, m, q3, b, n, kappa_c)
-        s3 = statistic(Scenario.S3, a, q1, m, q3, b, n, kappa_c)
+        s1 = statistic(Scenario.S1, a, q1, m, q3, b, n)
+        s2 = statistic(Scenario.S2, a, q1, m, q3, b, n)
+        s3 = statistic(Scenario.S3, a, q1, m, q3, b, n)
         for i, row in enumerate(self._ROWS.tolist()):
             ra, rq1, rm, rq3, rb = row
             assert s1[i] == run_test(_s1(ra, rm, rb, n)).statistic
             assert s2[i] == run_test(_s2(rq1, rm, rq3, n)).statistic
-            assert s3[i] == run_test(_s3(ra, rq1, rm, rq3, rb, n),
-                                     kappa_c=kappa_c).statistic
+            assert s3[i] == run_test(_s3(ra, rq1, rm, rq3, rb, n)).statistic
 
     def test_direct_scenario_rejected(self):
         with pytest.raises(ValueError, match="no test statistic"):
@@ -210,16 +190,20 @@ class TestStatistic:
 class TestOverflow:
     # a + b overflows to inf and a + b - 2m to nan; |nan| > crit is
     # False, so without the check the test would "retain".
-    @pytest.mark.parametrize("run", [
-        lambda: run_test(_s1(1e308, 1.5e308, 1.7e308, 20)),
-        lambda: run_test(_s2(1e308, 1.5e308, 1.7e308, 20)),
-        lambda: run_test(_s3(1e308, 1.2e308, 1.5e308, 1.6e308, 1.7e308, 20)),
-        # Python ints beyond the float range, as a library caller may pass
-        lambda: run_test(_s1(1, 10**400, 10**400, 20)),
+    @pytest.mark.parametrize("run,error", [
+        (lambda: run_test(_s1(1e308, 1.5e308, 1.7e308, 20)),
+         DegenerateSummaryError),
+        (lambda: run_test(_s2(1e308, 1.5e308, 1.7e308, 20)),
+         DegenerateSummaryError),
+        (lambda: run_test(_s3(1e308, 1.2e308, 1.5e308, 1.6e308, 1.7e308, 20)),
+         DegenerateSummaryError),
+        # Python ints beyond the float range, as a library caller may
+        # pass: validation refuses them before any arithmetic.
+        (lambda: run_test(_s1(1, 10**400, 10**400, 20)),
+         UnsupportedSummaryError),
     ], ids=["s1", "s2", "s3", "s1-int"])
-    def test_non_finite_statistic_is_refused_in_words(self, run):
-        with pytest.raises(DegenerateSummaryError,
-                           match="overflow the float range"):
+    def test_non_finite_statistic_is_refused_in_words(self, run, error):
+        with pytest.raises(error, match="overflow the float range"):
             run()
 
     # A zero spread is a zero spread even where the contrast over it
@@ -265,10 +249,9 @@ class TestRunTest:
     def test_s3_dispatch_with_options(self):
         g = _record(n=60, summary=QuantileSummary(median=2, min=0, q1=1,
                                                   q3=5, max=20))
-        r = run_test(g, alpha=0.01, kappa_c=10.5)
+        r = run_test(g, alpha=0.01)
         assert r.scenario is Scenario.S3
-        assert r.statistic == statistic(Scenario.S3, 0, 1, 2, 5, 20, 60,
-                                        kappa_c=10.5)
+        assert r.statistic == statistic(Scenario.S3, 0, 1, 2, 5, 20, 60)
         assert r.alpha == 0.01
         assert r.n == 60
 
