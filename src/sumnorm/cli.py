@@ -70,41 +70,36 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-# setting -> (env var, default, type, label, check, rule the check states,
-# flag help); a setting without a default is required.
+# setting -> (env var, default, type, check, rule the check states, flag
+# help); the name is the flag, and a setting without a default is required.
 _SETTINGS = {
-    "alpha": ("SUMNORM_ALPHA", 0.05, float, "alpha",
+    "alpha": ("SUMNORM_ALPHA", 0.05, float,
               lambda v: v / 2.0 > 0.0 and v < 1.0,
               "lie in (0, 1) with alpha/2 > 0",
               "significance level in (0, 1)"),
-    "seed": ("SUMNORM_SEED", None, int, "seed", lambda v: v >= 0,
+    "seed": ("SUMNORM_SEED", None, int, lambda v: v >= 0,
              "be nonnegative", "nonnegative integer seed"),
 }
 _TYPE_NOUN = {float: "a number", int: "an integer"}
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _resolve(args, name: str):
     """The flag, else the SUMNORM_* environment variable, else the default."""
-    env, default, kind, label, check, rule, _ = _SETTINGS[name]
+    env, default, kind, check, rule, _ = _SETTINGS[name]
     raw = getattr(args, name)
     if raw is None:
         raw = os.environ.get(env)
     if raw is None:
         if default is None:
-            raise _ConfigError(
-                f"a {label} is required ({_flag(name)} or {env})")
+            raise _ConfigError(f"a {name} is required (--{name} or {env})")
         return default
     try:
         value = kind(raw)
     except ValueError:
         raise _ConfigError(
-            f"{label} must be {_TYPE_NOUN[kind]}, got {raw!r}") from None
+            f"{name} must be {_TYPE_NOUN[kind]}, got {raw!r}") from None
     if not check(value):
-        raise _ConfigError(f"{label} must {rule}, got {value}")
+        raise _ConfigError(f"{name} must {rule}, got {value}")
     return value
 
 
@@ -348,7 +343,7 @@ def _add_settings(sub, func, *names: str) -> None:
     for name in names:
         env, default, *_, text = _SETTINGS[name]
         shown = "" if default is None else f"default {default}; "
-        sub.add_argument(_flag(name), default=None,
+        sub.add_argument(f"--{name}", default=None,
                          help=f"{text} ({shown}env {env})")
     sub.set_defaults(func=func, settings=names)
 

@@ -146,10 +146,9 @@ def cohen_d(n_case: int, mean_case: float, sd_case: float,
     Raises
     ------
     ValueError
-        On n below 2, negative SDs, a zero pooled SD (degenerate), or a
-        pooled SD, d or SE that is not finite.
-    OverflowError
-        When squaring an SD overflows the float range.
+        On n below 2, negative SDs, a zero pooled SD (degenerate), or
+        moments past the float range: a squared SD, an int quotient, or
+        a pooled SD, d or SE that is not finite.
     """
     if n_case < 2 or n_control < 2:
         raise ValueError(
@@ -157,12 +156,15 @@ def cohen_d(n_case: int, mean_case: float, sd_case: float,
             f"n_control={n_control}")
     if sd_case < 0 or sd_control < 0:
         raise ValueError("SDs must be nonnegative")
-    pooled_var = (((n_case - 1) * sd_case ** 2
-                   + (n_control - 1) * sd_control ** 2)
-                  / (n_case + n_control - 2))
-    if pooled_var == 0.0:
-        raise ValueError("pooled SD is zero; effect size undefined")
-    d = (mean_case - mean_control) / math.sqrt(pooled_var)
+    try:  # sd ** 2 on floats, and / on ints, raise past the float range
+        pooled_var = (((n_case - 1) * sd_case ** 2
+                       + (n_control - 1) * sd_control ** 2)
+                      / (n_case + n_control - 2))
+        if pooled_var == 0.0:
+            raise ValueError("pooled SD is zero; effect size undefined")
+        d = (mean_case - mean_control) / math.sqrt(pooled_var)
+    except OverflowError:
+        raise ValueError("the moments overflow the float range") from None
     if hedges:
         d *= 1.0 - 3.0 / (4.0 * (n_case + n_control) - 9.0)
     total = n_case + n_control
@@ -280,9 +282,6 @@ def _study_entry(study: Study, alpha: float,
                              control_moments.sd, hedges=hedges)
         except ValueError as exc:
             reasons.append(f"no effect size: {exc}")
-        except OverflowError:
-            reasons.append("no effect size: the moments overflow the float "
-                           "range")
         else:
             return StudyEntry(study_id=study.study_id, tests=tests,
                               included=True, exclusion_reasons=(),

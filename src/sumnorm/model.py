@@ -243,13 +243,21 @@ def pooled_moments(moments: Sequence[tuple[int, float, float]]) -> tuple[int, fl
 
     so the result equals the moments of the concatenation of samples
     having exactly those per-group moments.
+
+    Raises
+    ------
+    ValueError
+        On an empty list, or moments past the float range.
     """
     if not moments:
         raise ValueError("at least one (n, mean, sd) triple required")
     total_n = sum(n for n, _, _ in moments)
-    mean = left_sum(n * m for n, m, _ in moments) / total_n
-    ss = left_sum((n - 1) * sd * sd for n, _, sd in moments)
-    ss += left_sum(n * (m - mean) ** 2 for n, m, _ in moments)
+    try:
+        mean = left_sum(n * m for n, m, _ in moments) / total_n
+        ss = left_sum((n - 1) * sd * sd for n, _, sd in moments)
+        ss += left_sum(n * (m - mean) ** 2 for n, m, _ in moments)
+    except OverflowError:
+        raise ValueError("the moments overflow the float range") from None
     sd = math.sqrt(ss / (total_n - 1))
     return total_n, mean, sd
 
@@ -261,6 +269,8 @@ def _parse_cell(raw: str | float | int | None, column: str, where: str) -> float
     if text in ("", _MISSING_LITERAL):
         return None
     try:
+        if isinstance(text, bool):  # JSON true or false; float() reads 1 or 0
+            raise TypeError
         value = float(text)
     except (TypeError, ValueError):
         raise SummaryDataError(
@@ -343,12 +353,14 @@ def _rows_from_csv(path: Path) -> Iterable[tuple[dict, str]]:
             raise SummaryDataError(f"{path}: empty file")
         # DictReader keys rows by these names, so strip them in place.
         reader.fieldnames = got = [name.strip() for name in reader.fieldnames]
-        if set(got) != set(CSV_COLUMNS):
+        if len(got) != len(CSV_COLUMNS) or set(got) != set(CSV_COLUMNS):
             missing = sorted(set(CSV_COLUMNS) - set(got))
             extra = sorted(set(got) - set(CSV_COLUMNS))
+            repeated = sorted({name for name in got if got.count(name) > 1})
             raise SummaryDataError(
                 f"{path}: header mismatch; missing columns {missing}, "
-                f"unexpected columns {extra}")
+                f"unexpected columns {extra}"
+                + (f", repeated columns {repeated}" if repeated else ""))
         for row in reader:
             yield row, f"{path}:line {reader.line_num}"
 
@@ -356,8 +368,18 @@ def _rows_from_csv(path: Path) -> Iterable[tuple[dict, str]]:
 def _rows_from_json(path: Path) -> Iterable[tuple[dict, str]]:
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
+    # id of an object -> a key it repeats, of which json keeps the last
+    repeats: dict[int, str] = {}
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            names = [name for name, _ in pairs]
+            repeats[id(obj)] = next(n for n in names if names.count(n) > 1)
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise SummaryDataError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
@@ -374,6 +396,9 @@ def _rows_from_json(path: Path) -> Iterable[tuple[dict, str]]:
     for i, row in enumerate(data, start=1):
         if not isinstance(row, dict):
             raise SummaryDataError(f"{path}: row {i} is not an object")
+        if id(row) in repeats:  # data holds every object, so ids differ
+            raise SummaryDataError(
+                f"{path}: row {i} repeats the field {repeats[id(row)]!r}")
         unknown = sorted(set(row) - set(CSV_COLUMNS))
         if unknown:
             raise SummaryDataError(f"{path}: row {i} has unknown fields {unknown}")

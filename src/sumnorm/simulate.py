@@ -111,7 +111,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import estimate_mean, estimate_sd
+from .estimators import estimate_mean_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
@@ -777,13 +777,9 @@ def skew_distortion_demo(case_dist: DistSpec, control_dist: DistSpec,
     d_true = cohen_d(n, float(case.mean()), float(case.std(ddof=1)),
                      n, float(control.mean()), float(control.std(ddof=1))).smd
 
-    def s1_moments(x: np.ndarray) -> tuple[float, float]:
-        summary = summarize(x)
-        return (estimate_mean(summary, Scenario.S1, n),
-                estimate_sd(summary, Scenario.S1, n))
-
-    case_mean, case_sd = s1_moments(case)
-    control_mean, control_sd = s1_moments(control)
+    case_mean, case_sd = estimate_mean_sd(summarize(case), Scenario.S1, n)
+    control_mean, control_sd = estimate_mean_sd(summarize(control),
+                                                Scenario.S1, n)
     d_est = cohen_d(n, case_mean, case_sd, n, control_mean, control_sd).smd
     return DemoResult(case_dist=case_dist, control_dist=control_dist, n=n,
                       d_true=d_true, d_estimated=d_est,

@@ -1035,6 +1035,22 @@ class TestErrorPaths:
         assert line.startswith("error: ") and fragment in line
 
     @pytest.mark.parametrize("command", ["test", "estimate", "meta"])
+    def test_json_true_and_false_cells_refused(self, capsys, tmp_path,
+                                               command):
+        # "n": true, "mean": true, "sd": false read as n = 1, mean 1.0
+        # and SD 0.0, and the run exited 0.
+        p = tmp_path / "flags.json"
+        p.write_text(json.dumps([
+            {"study_id": "a", "outcome": "o", "arm": arm, "n": True,
+             "mean": True, "sd": False} for arm in ("case", "control")]))
+        argv = [command, str(p)]
+        if command == "meta":
+            argv += ["--output-dir", str(tmp_path / "meta")]
+        self._expect_config_error(
+            capsys, argv, f"error: {p}:row 1: column 'n' holds True, "
+                          f"expected a number")
+
+    @pytest.mark.parametrize("command", ["test", "estimate", "meta"])
     @pytest.mark.parametrize("name,column", [("ctl.csv", "study_id"),
                                              ("surrogate.json", "outcome")])
     def test_unwritable_label_refused(self, capsys, tmp_path, command, name,

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from sumnorm.estimators import (EstimatedMoments, estimate_mean,
-                                estimate_moments, estimate_sd)
+from sumnorm.estimators import (EstimatedMoments, estimate_mean_sd,
+                                estimate_moments)
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
                            classify_scenario)
 from sumnorm.normal import std_normal_quantile
 
 # Phi^-1(0.75), used to build population quartiles of N(mu, sigma^2)
 _Z75 = 0.6744897501960817
+# An int that is a float, while twice it is past the float range.
+_BIG = int(1.7e308)
 
 
 def _ordered5():
@@ -33,41 +35,47 @@ def _s3(a, q1, q3, b):
     return QuantileSummary(median=(q1 + q3) / 2, min=a, q1=q1, q3=q3, max=b)
 
 
+# The index of the mean and of the SD in an estimate_mean_sd pair, with
+# the ids of the two estimators it replaced.
+_HALVES = [pytest.param(0, id="estimate_mean"),
+           pytest.param(1, id="estimate_sd")]
+
+
 class TestSdS1:
     def test_frozen_examples(self):
         # the two min/median/max rows of the leptin table
-        assert estimate_sd(_s1(0.4, 27.4), Scenario.S1, 23) == pytest.approx(
-            6.999396763993786, abs=1e-9)
-        assert estimate_sd(_s1(0.3, 31.3), Scenario.S1, 51) == pytest.approx(
-            6.886055823202852, abs=1e-9)
+        _, sd = estimate_mean_sd(_s1(0.4, 27.4), Scenario.S1, 23)
+        assert sd == pytest.approx(6.999396763993786, abs=1e-9)
+        _, sd = estimate_mean_sd(_s1(0.3, 31.3), Scenario.S1, 51)
+        assert sd == pytest.approx(6.886055823202852, abs=1e-9)
 
     def test_inverts_expected_extremes(self):
         # plugging mu +- sigma * Phi^-1(position) back in recovers sigma
         for n in (5, 23, 100, 1000):
             z = std_normal_quantile((n - 0.375) / (n + 0.25))
             mu, sigma = 7.5, 3.25
-            got = estimate_sd(_s1(mu - sigma * z, mu + sigma * z),
-                              Scenario.S1, n)
+            _, got = estimate_mean_sd(_s1(mu - sigma * z, mu + sigma * z),
+                                      Scenario.S1, n)
             assert got == pytest.approx(sigma, rel=1e-12)
 
     def test_zero_range(self):
-        assert estimate_sd(_s1(5.0, 5.0), Scenario.S1, 10) == 0.0
+        assert estimate_mean_sd(_s1(5.0, 5.0), Scenario.S1, 10)[1] == 0.0
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            estimate_sd(_s1(0.0, 1.0), Scenario.S1, 1)
+            estimate_mean_sd(_s1(0.0, 1.0), Scenario.S1, 1)
 
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError, match="ordered summary"):
-            estimate_sd(_s1(2.0, 1.0), Scenario.S1, 10)
+            estimate_mean_sd(_s1(2.0, 1.0), Scenario.S1, 10)
 
 
 class TestSdS2:
     def test_frozen_examples(self):
-        assert estimate_sd(_s2(30, 60), Scenario.S2, 26) == pytest.approx(
-            23.529996380388916, abs=1e-9)
+        _, sd = estimate_mean_sd(_s2(30, 60), Scenario.S2, 26)
+        assert sd == pytest.approx(23.529996380388916, abs=1e-9)
         # worked example from the interface contract: rounds to 6.056
-        got = estimate_sd(_s2(43, 51), Scenario.S2, 70)
+        _, got = estimate_mean_sd(_s2(43, 51), Scenario.S2, 70)
         assert got == pytest.approx(6.055500510645745, abs=1e-9)
         assert round(got, 3) == 6.056
 
@@ -77,8 +85,8 @@ class TestSdS2:
         mu, sigma = 12.0, 4.0
         last_err = None
         for n in (100, 250, 1000, 10000):
-            got = estimate_sd(_s2(mu - sigma * _Z75, mu + sigma * _Z75),
-                              Scenario.S2, n)
+            _, got = estimate_mean_sd(
+                _s2(mu - sigma * _Z75, mu + sigma * _Z75), Scenario.S2, n)
             err = abs(got / sigma - 1.0)
             assert err < 0.02, (n, got)
             if last_err is not None:
@@ -88,34 +96,35 @@ class TestSdS2:
     def test_inverts_expected_quartiles(self):
         for n in (4, 26, 70, 500):
             z = std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
-            got = estimate_sd(_s2(-z, z), Scenario.S2, n)
+            _, got = estimate_mean_sd(_s2(-z, z), Scenario.S2, n)
             assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):
-            estimate_sd(_s2(0.0, 1.0), Scenario.S2, 3)
+            estimate_mean_sd(_s2(0.0, 1.0), Scenario.S2, 3)
 
     def test_reversed_quartiles_rejected(self):
         with pytest.raises(ValueError, match="ordered summary"):
-            estimate_sd(_s2(2.0, 1.0), Scenario.S2, 10)
+            estimate_mean_sd(_s2(2.0, 1.0), Scenario.S2, 10)
 
 
 class TestSdS3:
     def test_frozen_example(self):
-        assert estimate_sd(_s3(0, 2, 6, 10), Scenario.S3, 50) == pytest.approx(
-            2.4151461926230002, abs=1e-9)
+        _, sd = estimate_mean_sd(_s3(0, 2, 6, 10), Scenario.S3, 50)
+        assert sd == pytest.approx(2.4151461926230002, abs=1e-9)
 
     def test_population_plugin_value(self):
         # nominal N(0,1) five-number summary with +-3 standing in for the
         # extremes; the fixed extremes bias the estimate low at large n
         # because the expected extremes keep growing
-        got = estimate_sd(_s3(-3.0, -0.6745, 0.6745, 3.0), Scenario.S3, 1000)
+        _, got = estimate_mean_sd(_s3(-3.0, -0.6745, 0.6745, 3.0),
+                                  Scenario.S3, 1000)
         assert got == pytest.approx(0.9419870145582901, abs=1e-9)
 
     def test_between_component_estimates(self):
         # pooling puts the S3 estimate between the S1 and S2 estimates
         s = _s3(0.0, 2.0, 6.0, 10.0)
-        s1, s2, s3 = (estimate_sd(s, scenario, 50) for scenario in
+        s1, s2, s3 = (estimate_mean_sd(s, scenario, 50)[1] for scenario in
                       (Scenario.S1, Scenario.S2, Scenario.S3))
         lo, hi = min(s1, s2), max(s1, s2)
         assert lo <= s3 <= hi
@@ -124,27 +133,28 @@ class TestSdS3:
         for n in (4, 50, 400):
             ze = std_normal_quantile((n - 0.375) / (n + 0.25))
             zq = std_normal_quantile((0.75 * n - 0.125) / (n + 0.25))
-            got = estimate_sd(_s3(-ze, -zq, zq, ze), Scenario.S3, n)
+            _, got = estimate_mean_sd(_s3(-ze, -zq, zq, ze), Scenario.S3, n)
             assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):
-            estimate_sd(_s3(0.0, 1.0, 2.0, 3.0), Scenario.S3, 3)
+            estimate_mean_sd(_s3(0.0, 1.0, 2.0, 3.0), Scenario.S3, 3)
 
     def test_disordered_rejected(self):
         with pytest.raises(ValueError, match="ordered"):
-            estimate_sd(_s3(0.0, 3.0, 2.0, 5.0), Scenario.S3, 10)
+            estimate_mean_sd(_s3(0.0, 3.0, 2.0, 5.0), Scenario.S3, 10)
 
 
 class TestEstimateMean:
     def test_frozen_s1(self):
         s = QuantileSummary(median=5.3, min=0.4, max=27.4)
-        assert estimate_mean(s, Scenario.S1, 23) == pytest.approx(
+        assert estimate_mean_sd(s, Scenario.S1, 23)[0] == pytest.approx(
             7.671992221964471, abs=1e-9)
 
     def test_frozen_s2(self):
         s = QuantileSummary(median=38, q1=30, q3=60)
-        assert estimate_mean(s, Scenario.S2, 26) == pytest.approx(43.005, abs=1e-9)
+        mean, _ = estimate_mean_sd(s, Scenario.S2, 26)
+        assert mean == pytest.approx(43.005, abs=1e-9)
 
     @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2, Scenario.S3])
     @given(mu=st.floats(-100, 100), spread=st.floats(0.01, 50),
@@ -155,7 +165,7 @@ class TestEstimateMean:
         s = QuantileSummary(median=mu, min=mu - 2 * spread,
                             q1=mu - spread, q3=mu + spread,
                             max=mu + 2 * spread)
-        assert estimate_mean(s, scenario, n) == pytest.approx(
+        assert estimate_mean_sd(s, scenario, n)[0] == pytest.approx(
             mu, rel=1e-9, abs=1e-9)
 
     @given(vals=_ordered5(), n=st.integers(4, 5000),
@@ -166,76 +176,78 @@ class TestEstimateMean:
         moved = QuantileSummary(median=c * m + d, min=c * a + d,
                                 q1=c * q1 + d, q3=c * q3 + d, max=c * b + d)
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
-            want = c * estimate_mean(base, scenario, n) + d
-            assert estimate_mean(moved, scenario, n) == pytest.approx(
+            want = c * estimate_mean_sd(base, scenario, n)[0] + d
+            assert estimate_mean_sd(moved, scenario, n)[0] == pytest.approx(
                 want, rel=1e-9, abs=1e-6)
 
     def test_weight_shrinks_with_n(self):
         # as n grows the estimate moves toward the median
         s = QuantileSummary(median=0.0, min=-1.0, max=3.0)
-        means = [estimate_mean(s, Scenario.S1, n) for n in (5, 50, 500, 5000)]
+        means = [estimate_mean_sd(s, Scenario.S1, n)[0]
+                 for n in (5, 50, 500, 5000)]
         assert means == sorted(means, reverse=True)
         assert means[-1] == pytest.approx(0.0, abs=0.02)
 
     def test_missing_fields_rejected(self):
         s2_only = QuantileSummary(median=1.0, q1=0.0, q3=2.0)
         with pytest.raises(ValueError, match="min and max"):
-            estimate_mean(s2_only, Scenario.S1, 10)
+            estimate_mean_sd(s2_only, Scenario.S1, 10)
         s1_only = QuantileSummary(median=1.0, min=0.0, max=2.0)
         with pytest.raises(ValueError, match="q1 and q3"):
-            estimate_mean(s1_only, Scenario.S2, 10)
-        with pytest.raises(ValueError, match="S3 mean estimation needs q1 "
-                           "and q3$"):
-            estimate_mean(s1_only, Scenario.S3, 10)
+            estimate_mean_sd(s1_only, Scenario.S2, 10)
+        with pytest.raises(ValueError, match="S3 estimation needs q1 and "
+                           "q3$"):
+            estimate_mean_sd(s1_only, Scenario.S3, 10)
 
     def test_direct_has_no_estimator(self):
         s = QuantileSummary(median=1.0, min=0.0, max=2.0)
-        with pytest.raises(ValueError, match="no mean estimator"):
-            estimate_mean(s, Scenario.DIRECT, 10)
+        with pytest.raises(ValueError, match="no estimator for scenario"):
+            estimate_mean_sd(s, Scenario.DIRECT, 10)
 
 
 class TestSharedChecks:
-    # estimate_mean and estimate_sd refuse the same summaries.
-    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
-    def test_missing_fields_rejected(self, estimate):
+    # The mean and the SD of a summary are refused together, whichever
+    # of the two a caller reads.
+    @pytest.mark.parametrize("half", _HALVES)
+    def test_missing_fields_rejected(self, half):
         s1_only = QuantileSummary(median=1.0, min=0.0, max=2.0)
         with pytest.raises(ValueError, match="q1 and q3"):
-            estimate(s1_only, Scenario.S2, 10)
-        with pytest.raises(ValueError, match="S3 .* estimation needs q1 and "
+            estimate_mean_sd(s1_only, Scenario.S2, 10)[half]
+        with pytest.raises(ValueError, match="S3 estimation needs q1 and "
                            "q3$"):
-            estimate(s1_only, Scenario.S3, 10)
+            estimate_mean_sd(s1_only, Scenario.S3, 10)[half]
 
-    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
-    def test_each_missing_field_named(self, estimate):
+    @pytest.mark.parametrize("half", _HALVES)
+    def test_each_missing_field_named(self, half):
         s = QuantileSummary(median=1.0, min=0.0)
         with pytest.raises(ValueError, match="S3 .* needs q1, q3 and max$"):
-            estimate(s, Scenario.S3, 10)
+            estimate_mean_sd(s, Scenario.S3, 10)[half]
         with pytest.raises(ValueError, match="S1 .* needs max$"):
-            estimate(s, Scenario.S1, 10)
+            estimate_mean_sd(s, Scenario.S1, 10)[half]
 
-    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
-    def test_unordered_rejected(self, estimate):
+    @pytest.mark.parametrize("half", _HALVES)
+    def test_unordered_rejected(self, half):
         # the median lies outside the range it sits in
         s = QuantileSummary(median=5.0, min=0.0, q1=1.0, q3=2.0, max=3.0)
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
             with pytest.raises(ValueError, match="ordered summary"):
-                estimate(s, scenario, 10)
+                estimate_mean_sd(s, scenario, 10)[half]
 
-    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
+    @pytest.mark.parametrize("half", _HALVES)
     @pytest.mark.parametrize("scenario,n_min", [(Scenario.S1, 2),
                                                 (Scenario.S2, 4),
                                                 (Scenario.S3, 4)])
-    def test_n_below_minimum_rejected(self, estimate, scenario, n_min):
+    def test_n_below_minimum_rejected(self, half, scenario, n_min):
         s = QuantileSummary(median=2.0, min=0.0, q1=1.0, q3=3.0, max=4.0)
         with pytest.raises(ValueError, match=f"n >= {n_min}, got n="):
-            estimate(s, scenario, n_min - 1)
-        assert math.isfinite(estimate(s, scenario, n_min))
+            estimate_mean_sd(s, scenario, n_min - 1)[half]
+        assert math.isfinite(estimate_mean_sd(s, scenario, n_min)[half])
 
-    @pytest.mark.parametrize("estimate", [estimate_mean, estimate_sd])
-    def test_direct_has_no_estimator(self, estimate):
+    @pytest.mark.parametrize("half", _HALVES)
+    def test_direct_has_no_estimator(self, half):
         s = QuantileSummary(median=1.0, min=0.0, max=2.0)
-        with pytest.raises(ValueError, match="no .* estimator"):
-            estimate(s, Scenario.DIRECT, 10)
+        with pytest.raises(ValueError, match="no estimator"):
+            estimate_mean_sd(s, Scenario.DIRECT, 10)[half]
 
 
 class TestSdEquivariance:
@@ -246,8 +258,8 @@ class TestSdEquivariance:
         scaled = QuantileSummary(median=c * m, min=c * a, q1=c * q1,
                                  q3=c * q3, max=c * b)
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
-            assert estimate_sd(scaled, scenario, n) == pytest.approx(
-                c * estimate_sd(base, scenario, n), rel=1e-12, abs=1e-9)
+            assert estimate_mean_sd(scaled, scenario, n)[1] == pytest.approx(
+                c * estimate_mean_sd(base, scenario, n)[1], rel=1e-12, abs=1e-9)
 
     @given(vals=_ordered5(), n=st.integers(4, 5000), d=st.floats(-500, 500))
     def test_shift_invariance(self, vals, n, d):
@@ -256,8 +268,8 @@ class TestSdEquivariance:
         shifted = QuantileSummary(median=m + d, min=a + d, q1=q1 + d,
                                   q3=q3 + d, max=b + d)
         for scenario in (Scenario.S1, Scenario.S2):
-            assert estimate_sd(shifted, scenario, n) == pytest.approx(
-                estimate_sd(base, scenario, n), rel=1e-12, abs=1e-9)
+            assert estimate_mean_sd(shifted, scenario, n)[1] == pytest.approx(
+                estimate_mean_sd(base, scenario, n)[1], rel=1e-12, abs=1e-9)
 
 
 class TestEstimateMoments:
@@ -305,3 +317,24 @@ class TestEstimateMoments:
                                                 max=10**400))
         with pytest.raises(ValueError, match="overflow the float range"):
             estimate_moments(g, classify_scenario(g))
+
+    @pytest.mark.parametrize("fields", [
+        dict(min=-_BIG, median=0, max=_BIG),
+        dict(q1=-_BIG, median=0, q3=_BIG),
+        dict(min=-_BIG, q1=-_BIG, median=0, q3=_BIG, max=_BIG),
+    ], ids=["s1", "s2", "s3"])
+    def test_int_summary_spread_past_the_float_range(self, fields):
+        # Each int is a float, but b - a is not: the estimate raised
+        # OverflowError from int arithmetic before it read floats.
+        g = GroupRecord(study_id="s", group_label="g", arm="case", n=20,
+                        summary=QuantileSummary(**fields))
+        with pytest.raises(ValueError, match="^estimated SD is inf: the "
+                           "summary values overflow the float range$"):
+            estimate_moments(g, classify_scenario(g))
+
+    def test_summary_past_the_float_range_refused_in_words(self):
+        # Unvalidated, such a summary used to raise OverflowError.
+        s = QuantileSummary(min=1, median=2, max=10**400)
+        with pytest.raises(ValueError, match="^the summary values overflow "
+                           "the float range$"):
+            estimate_mean_sd(s, Scenario.S1, 20)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from sumnorm import model
-from sumnorm.estimators import estimate_mean, estimate_moments, estimate_sd
+from sumnorm.estimators import estimate_mean_sd, estimate_moments
 
 from sumnorm.meta import (EffectSize, GroupTest, PipelineReport, PooledResult,
                           StudyEntry, chi_square_sf, cohen_d, pool,
@@ -107,6 +107,18 @@ class TestCohenD:
     def test_zero_pooled_sd_rejected(self):
         with pytest.raises(ValueError, match="pooled SD is zero"):
             cohen_d(10, 1.0, 0.0, 10, 0.0, 0.0)
+
+    @pytest.mark.parametrize("moments", [
+        (5.0, 1e200, 4.0, 1e200),                   # a float SD squared
+        (5, 10**200, 4, 10**200),                   # an int variance
+        (int(1.7e308), 1, -int(1.7e308), 1),        # an int mean gap
+    ], ids=["float-sd", "int-sd", "int-mean"])
+    def test_overflow_refused_in_words(self, moments):
+        # Each raised OverflowError from the arithmetic.
+        mean_case, sd_case, mean_control, sd_control = moments
+        with pytest.raises(ValueError,
+                           match="^the moments overflow the float range$"):
+            cohen_d(20, mean_case, sd_case, 20, mean_control, sd_control)
 
 
 def _effect(smd: float, se: float) -> EffectSize:
@@ -394,6 +406,22 @@ class TestRunPipeline:
         assert bad.exclusion_reasons == (reason,)
         json.dumps(report_to_dict(report), allow_nan=False)
 
+    def test_combined_arm_overflow_excluded_in_words(self, tmp_path):
+        # Two case groups whose pooled squared deviation is past the float
+        # range; pooled_moments raised OverflowError.
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text(
+            "study_id,outcome,arm,group_label,n,mean,sd,min,q1,median,q3,max\n"
+            "ok,o,case,case,20,5.0,2.0,,,,,\n"
+            "ok,o,control,control,20,4.0,2.0,,,,,\n"
+            "bad,o,case,c1,20,1e200,1,,,,,\n"
+            "bad,o,case,c2,20,-1e200,1,,,,,\n"
+            "bad,o,control,control,20,4.0,2.0,,,,,\n")
+        (report,) = run_pipeline(parse_studies(csv_path))
+        (bad,) = [s for s in report.studies if s.study_id == "bad"]
+        assert bad.exclusion_reasons == (
+            "no effect size: the moments overflow the float range",)
+
     def test_omitted_pool_names_undefined_effect_size(self):
         studies = [_direct_study("a", "o", 1, 5.0, 2.0, 20, 4.0, 2.0)]
         (report,) = run_pipeline(studies)
@@ -557,8 +585,8 @@ class TestHandBuiltRecords:
         assert result.statistic == statistic(Scenario.S2, None, 7.6, 9.6,
                                              16.25, None, 21)
         moments = estimate_moments(case, classify_scenario(case))
-        assert moments.mean == estimate_mean(summary, Scenario.S2, 21)
-        assert moments.sd == estimate_sd(summary, Scenario.S2, 21)
+        assert (moments.mean, moments.sd) == estimate_mean_sd(
+            summary, Scenario.S2, 21)
         (report,) = run_pipeline([study], alpha=1e-9)
         (entry,) = report.studies
         (case_test, _) = entry.tests
@@ -570,6 +598,11 @@ class TestHandBuiltRecords:
 _FIELDS = ("min", "q1", "median", "q3", "max")
 # The S1, S2 and S3 reporting patterns.
 _PATTERNS = (("min", "median", "max"), ("q1", "median", "q3"), _FIELDS)
+# Floats, and the ints a hand-built summary may hold: small ones, and
+# ones near the float limit, each a float but their sums not.
+_BIG = int(1.7e308)
+_SUMMARY_VALUES = st.one_of(NUMBERS.map(float), st.integers(-5, 5),
+                            st.sampled_from([-_BIG, _BIG]))
 
 
 @st.composite
@@ -591,8 +624,7 @@ def _hand_built_group(draw, study_id, label, arm):
         if layout == "tied":
             values = [1.0] * len(present)
         else:
-            values = draw(st.lists(NUMBERS.map(float),
-                                   min_size=len(present),
+            values = draw(st.lists(_SUMMARY_VALUES, min_size=len(present),
                                    max_size=len(present)))
             if layout == "ordered":
                 values.sort()

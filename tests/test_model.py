@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sumnorm.model import (CSV_COLUMNS, SCENARIO_FIELDS, GroupRecord,
-                           QuantileSummary, Scenario, SummaryDataError,
-                           UnsupportedSummaryError, classify_scenario,
-                           parse_studies, pooled_moments, validate)
+from sumnorm.model import (CSV_COLUMNS, SCENARIO_FIELDS, SUMMARY_FIELDS,
+                           GroupRecord, QuantileSummary, Scenario,
+                           SummaryDataError, UnsupportedSummaryError,
+                           classify_scenario, parse_studies, pooled_moments,
+                           validate)
 from sumnorm.model import _unwritable_at
 from sumnorm.symmetry import run_test
 
@@ -173,6 +174,16 @@ class TestPooledMoments:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pooled_moments([])
+
+    @pytest.mark.parametrize("triples", [
+        [(20, 1e200, 1.0), (20, -1e200, 1.0)],        # a squared deviation
+        [(20, int(1.7e308), 1), (20, int(1.7e308), 1)],  # an int sum
+    ], ids=["float-means", "int-means"])
+    def test_overflow_refused_in_words(self, triples):
+        # Each raised OverflowError from the arithmetic.
+        with pytest.raises(ValueError,
+                           match="^the moments overflow the float range$"):
+            pooled_moments(triples)
 
     def test_same_floats_under_a_compensated_sum(self, monkeypatch):
         # Python 3.12's builtin sum compensates float rounding;
@@ -362,6 +373,42 @@ class TestParseErrors:
         p = _write(tmp_path, "study,n\nfoo,3\n")
         with pytest.raises(SummaryDataError, match="header mismatch"):
             parse_studies(p)
+
+    def test_header_repeats_a_column(self, tmp_path):
+        # A second mean column used to win: the case mean read 99.
+        p = _write(tmp_path, _HEADER.rstrip("\n") + ",mean\n"
+                   + "a,o,case,case,12,1,1,,,,,,99\n"
+                   + "a,o,control,control,12,1,1,,,,,,1\n")
+        with pytest.raises(SummaryDataError, match=re.escape(
+                f"{p}: header mismatch; missing columns [], unexpected columns [], "
+                f"repeated columns ['mean']")):
+            parse_studies(p)
+
+    def test_json_row_repeats_a_field(self, tmp_path):
+        # json keeps the last of a repeated key, so the case mean read 99.
+        fields = '"study_id": "a", "outcome": "o", "n": 12, "sd": 1'
+        p = _write(tmp_path, f'[{{{fields}, "arm": "control", "mean": 1}}, '
+                   f'{{{fields}, "arm": "case", "mean": 1, "mean": 99}}]',
+                   name="in.json")
+        with pytest.raises(SummaryDataError, match=re.escape(
+                f"{p}: row 2 repeats the field 'mean'")):
+            parse_studies(p)
+
+    @pytest.mark.parametrize("column", ["n", "mean", "sd", *SUMMARY_FIELDS])
+    def test_json_true_or_false_is_not_a_number(self, tmp_path, column):
+        # float() reads true as 1 and false as 0: "n": true, "mean": true,
+        # "sd": false parsed as n = 1, mean 1.0 and SD 0.0.  The rows hold
+        # both forms, which the parser keeps and validation refuses.
+        base = {"study_id": "a", "outcome": "o", "n": 12, "mean": 1.0,
+                "sd": 1.0, **dict(zip(SUMMARY_FIELDS, range(5)))}
+        rows = [{**base, "arm": "control"}, {**base, "arm": "case"}]
+        for flag in (True, False):
+            rows[1][column] = flag
+            p = _write(tmp_path, json.dumps(rows), name="in.json")
+            with pytest.raises(SummaryDataError, match=re.escape(
+                    f"{p}:row 2: column {column!r} holds {flag!r}, expected "
+                    f"a number")):
+                parse_studies(p)
 
     def test_bad_number_reports_line(self, tmp_path):
         p = _write(tmp_path, _HEADER +

@@ -87,7 +87,7 @@ def test_library_example_runs(src_env):
 def test_listed_lower_level_names_resolve():
     names = _documented_names()
     assert {"symmetry.run_test", "symmetry.statistic",
-            "normal.quartile_width", "estimators.estimate_sd",
+            "normal.quartile_width", "estimators.estimate_mean_sd",
             "simulate.power_curve", "plots.forest_svg"} <= set(names)
     for dotted in names:
         module, name = dotted.split(".")
