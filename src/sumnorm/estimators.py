@@ -14,6 +14,7 @@ constants.  It refuses a summary its scenario cannot read, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import (SCENARIO_FIELDS, SUMMARY_FIELDS, GroupRecord,
@@ -45,7 +46,8 @@ class EstimatedMoments:
 def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
                      n: int) -> tuple[float, float]:
     """Mean and SD estimates for ``summary`` of ``n`` values under
-    ``scenario``, from the fields it reads as floats.
+    ``scenario``, from the fields it reads, which
+    :class:`model.QuantileSummary` holds as floats.
 
     The mean weights shrink toward the median as n grows:
 
@@ -64,10 +66,10 @@ def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
     Raises
     ------
     ValueError
-        If the summary lacks a field the scenario reads, holds one past
-        the float range, is unordered, or n is below the scenario's
-        minimum; or if an estimate is not finite, because the summary
-        values lie near the float limit.
+        If the summary lacks a field the scenario reads or is unordered,
+        or n is below the scenario's minimum or past the float range; or
+        if an estimate is not finite: a summary value is inf or nan, or
+        the values lie near the float limit.
     """
     if scenario not in SCENARIO_FIELDS:
         raise ValueError(f"no estimator for scenario {scenario}")
@@ -77,19 +79,15 @@ def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
         *rest, last = [name for name, value in read.items() if value is None]
         raise ValueError(f"{scenario.value} estimation needs "
                          f"{', '.join(rest) + ' and ' if rest else ''}{last}")
-    # A hand-built summary may hold ints.  As floats, a sum of two past
-    # the float range is inf, which the finite check below refuses.
-    try:
-        values = [float(value) for value in read.values()]
-    except OverflowError:
-        raise ValueError("the summary values overflow the float range"
-                         ) from None
+    values = list(read.values())
     if any(lo > hi for lo, hi in zip(values, values[1:])):
         raise ValueError(f"{scenario.value} estimation needs an ordered "
                          f"summary {' <= '.join(names)}, got {tuple(values)}")
     if n < n_min:
         raise ValueError(f"{scenario.value} estimation needs n >= {n_min}, "
                          f"got n={n}")
+    if n > sys.float_info.max:  # n ** 0.75 would raise OverflowError
+        raise ValueError("n overflows the float range")
     a, q1, m, q3, b = map(dict(zip(names, values)).get, SUMMARY_FIELDS)
     if scenario is Scenario.S1:
         w1 = 4.0 / (4.0 + n ** 0.75)

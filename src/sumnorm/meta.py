@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .estimators import EstimatedMoments, estimate_moments
@@ -338,7 +339,11 @@ def run_pipeline(studies: list[Study], alpha: float = 0.05,
 
 
 def _test_to_dict(t: GroupTest) -> dict:
-    out: dict = {"group_label": t.group_label, "arm": t.arm, "n": t.n}
+    # A hand-built n that validate refuses as inf, nan or past the float
+    # range is written as null: strict JSON holds neither inf nor nan,
+    # and str() fails on an int of over 4300 digits.
+    n = t.n if abs(t.n) <= sys.float_info.max else None
+    out: dict = {"group_label": t.group_label, "arm": t.arm, "n": n}
     if t.error is not None:
         out["error"] = t.error
     elif t.result is None:

@@ -8,9 +8,12 @@ quantile summary in one of three reporting patterns:
 * S3: all five numbers
 
 This module owns the record types, scenario classification, invariant
-validation, moment pooling, and CSV/JSON ingestion.  The parser refuses
-only unreadable rows; :func:`classify_scenario` runs :func:`validate`, so
-every consumer of a group refuses one that breaks an invariant.
+validation, moment pooling, and CSV/JSON ingestion.  A record holds its
+mean, SD and summary values as floats from the moment it is built, an
+int past the float range as the infinity of its sign.  The parser
+refuses only unreadable rows; :func:`classify_scenario` runs
+:func:`validate`, so every consumer of a group refuses one that breaks
+an invariant, a number that is not finite among them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -85,15 +89,33 @@ class UnsupportedSummaryError(ValueError):
     of the supported scenarios."""
 
 
+def _as_float(value) -> float:
+    """``float(value)``, or a signed inf for an int past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class QuantileSummary:
-    """Reported quantiles of one group; absent fields are None."""
+    """Reported quantiles of one group; absent fields are None.
+
+    Each present field is stored through ``float()``, so a value it
+    refuses, such as ``"x"``, raises here; an int past the float range is
+    stored as the infinity of its sign, which :func:`validate` refuses.
+    """
 
     median: float
     min: float | None = None
     q1: float | None = None
     q3: float | None = None
     max: float | None = None
+
+    def __post_init__(self):
+        for name in SUMMARY_FIELDS:
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _as_float(value))
 
     def present_fields(self) -> tuple[str, ...]:
         return tuple([name for name in SUMMARY_FIELDS
@@ -102,7 +124,12 @@ class QuantileSummary:
 
 @dataclass(frozen=True)
 class GroupRecord:
-    """One arm of one study for one outcome."""
+    """One arm of one study for one outcome.
+
+    ``reported_mean`` and ``reported_sd`` are stored as floats, as a
+    summary's fields are; ``n`` is stored as given, and :func:`validate`
+    refuses one that is not a whole number from 1 to the float limit.
+    """
 
     study_id: str
     group_label: str
@@ -111,6 +138,11 @@ class GroupRecord:
     reported_mean: float | None = None
     reported_sd: float | None = None
     summary: QuantileSummary | None = None
+
+    def __post_init__(self):
+        for name in ("reported_mean", "reported_sd"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _as_float(value))
 
 
 @dataclass(frozen=True)
@@ -158,28 +190,20 @@ def classify_scenario(group: GroupRecord) -> Scenario:
         f"(need min/median/max, q1/median/q3, or all five)")
 
 
-def _overflows(value) -> bool:
-    """Whether ``float(value)`` fails: a hand-built int past the range."""
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    return False
-
-
 def validate(group: GroupRecord) -> list[str]:
     """Check the type invariants of ``group``.
 
     Returns a list of human-readable violations; an empty list means the
-    record is well formed, every number in it a float or an int that
-    ``float()`` holds.  :func:`classify_scenario` raises them.
+    record is well formed: n a whole number from 1 to the float limit,
+    and every other number in it finite.  :func:`classify_scenario`
+    raises them.
     """
     out: list[str] = []
-    # No message formats an n below 1 or a number past the float range:
-    # str() fails on an int of over 4300 digits.
-    if group.n < 1:
+    # No message formats an n that fails here: str() fails on an int of
+    # over 4300 digits.  nan, inf and 2.5 fail the first check.
+    if not (group.n >= 1 and group.n % 1 == 0):
         out.append("n must be a positive integer")
-    elif _overflows(group.n):
+    elif group.n > sys.float_info.max:
         out.append("n overflows the float range")
     if group.arm not in ("case", "control"):
         out.append(f"arm must be 'case' or 'control', got {group.arm!r}")
@@ -191,10 +215,14 @@ def validate(group: GroupRecord) -> list[str]:
     if has_moments and has_summary:
         out.append("both (mean, sd) and a quantile summary are present; "
                    "exactly one form is allowed")
-    if mean is not None and _overflows(mean):
+    if mean is not None and math.isinf(mean):
         out.append("mean overflows the float range")
-    if sd is not None and _overflows(sd):
+    elif mean is not None and math.isnan(mean):
+        out.append("mean is nan")
+    if sd is not None and math.isinf(sd):
         out.append("sd overflows the float range")
+    elif sd is not None and math.isnan(sd):
+        out.append("sd is nan")
     elif sd is not None and sd < 0:
         out.append(f"sd must be nonnegative, got {sd}")
     s = group.summary
@@ -204,8 +232,10 @@ def validate(group: GroupRecord) -> list[str]:
         out.append("quantile summary has no median")
     ordered = [(name, getattr(s, name)) for name in SUMMARY_FIELDS
                if getattr(s, name) is not None]
-    if any(_overflows(value) for _, value in ordered):
+    if any(math.isinf(value) for _, value in ordered):
         out.append("the summary values overflow the float range")
+    elif any(math.isnan(value) for _, value in ordered):
+        out.append("a summary value is nan")
     else:
         for (lo_name, lo), (hi_name, hi) in zip(ordered, ordered[1:]):
             if lo > hi:
@@ -271,13 +301,11 @@ def _parse_cell(raw: str | float | int | None, column: str, where: str) -> float
     try:
         if isinstance(text, bool):  # JSON true or false; float() reads 1 or 0
             raise TypeError
-        value = float(text)
+        value = _as_float(text)  # a JSON integer past the float range: inf
     except (TypeError, ValueError):
         raise SummaryDataError(
             f"{where}: column {column!r} holds {raw!r}, expected a number, "
             f"an empty cell, or {_MISSING_LITERAL!r}") from None
-    except OverflowError:  # a JSON integer past the float range
-        value = math.inf
     if not math.isfinite(value):
         raise SummaryDataError(
             f"{where}: column {column!r} holds {raw!r}, expected a finite "

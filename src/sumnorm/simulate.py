@@ -445,7 +445,7 @@ def _order_columns(n: int) -> list[int]:
 def summarize(sorted_sample: np.ndarray) -> QuantileSummary:
     """Five-number summary using the [np]-th order-statistic convention."""
     x = np.asarray(sorted_sample)
-    a, q1, m, q3, b = (float(v) for v in x[_order_columns(x.shape[-1])])
+    a, q1, m, q3, b = x[_order_columns(x.shape[-1])]
     return QuantileSummary(min=a, q1=q1, median=m, q3=q3, max=b)
 
 

@@ -147,12 +147,8 @@ def run_test(group: GroupRecord, alpha: float = 0.05) -> TestResult | None:
     if scenario is Scenario.DIRECT:
         return None
     s, n = group.summary, group.n
-    # A hand-built summary may hold Python ints.  Validation keeps each
-    # within the float range, but a sum of two need not be.
-    values = [None if v is None else float(v)
-              for v in (s.min, s.q1, s.median, s.q3, s.max)]
     try:
-        t = statistic(scenario, *values, n)
+        t = statistic(scenario, s.min, s.q1, s.median, s.q3, s.max, n)
     except ZeroDivisionError:
         raise DegenerateSummaryError(
             _ZERO_SPREAD[scenario].format(s=s)) from None

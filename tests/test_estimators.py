@@ -333,8 +333,19 @@ class TestEstimateMoments:
             estimate_moments(g, classify_scenario(g))
 
     def test_summary_past_the_float_range_refused_in_words(self):
-        # Unvalidated, such a summary used to raise OverflowError.
+        # Unvalidated, such a summary used to raise OverflowError.  The
+        # summary holds the int as inf, so the estimate is inf.
         s = QuantileSummary(min=1, median=2, max=10**400)
-        with pytest.raises(ValueError, match="^the summary values overflow "
-                           "the float range$"):
+        with pytest.raises(ValueError, match="^estimated mean is inf: the "
+                           "summary values overflow the float range$"):
             estimate_mean_sd(s, Scenario.S1, 20)
+
+    @pytest.mark.parametrize("n", [10**400, 10**5000],
+                             ids=["400-digits", "5001-digits"])
+    def test_n_past_the_float_range_refused_in_words(self, n):
+        # n ** 0.75 raised OverflowError; the words do not format n,
+        # whose str() fails past 4300 digits.
+        s = QuantileSummary(min=0.0, median=1.0, max=2.0)
+        with pytest.raises(ValueError,
+                           match="^n overflows the float range$"):
+            estimate_mean_sd(s, Scenario.S1, n)

@@ -547,6 +547,7 @@ class TestHandBuiltRecords:
         assert report.excluded_ids == ("hand",)
         (entry,) = report.studies
         (reason,) = entry.exclusion_reasons
+        json.dumps(report_to_dict(report), allow_nan=False)
         return reason
 
     def test_unordered_quartiles_excluded(self):
@@ -575,6 +576,40 @@ class TestHandBuiltRecords:
             f"group case: n={n} is too large for the expected normal "
             f"range: (n - 0.375)/(n + 0.25) rounds to 1 above n = 2**52")
 
+    @pytest.mark.parametrize("n", [2.5, math.inf, math.nan],
+                             ids=["fractional", "inf", "nan"])
+    def test_n_not_whole_excluded(self, n):
+        # 2.5 was pooled as an arm of 2.5; inf and nan were excluded as
+        # "quantile argument must lie in (0, 1), got p=nan".
+        case = GroupRecord(study_id="hand", group_label="case", arm="case",
+                           n=n, summary=QuantileSummary(min=1.0, median=2.0,
+                                                        max=4.0))
+        assert self._excluded_reason(case) == (
+            "group case: n must be a positive integer")
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 10**400, 10**5000],
+                             ids=["inf", "nan", "400-digits", "5001-digits"])
+    def test_report_writes_a_refused_n_as_null(self, n):
+        # Strict JSON refused inf and nan, and str() a 5001-digit int.
+        big = (n, QuantileSummary(min=1.0, median=2.0, max=3.0))
+        (report,) = run_pipeline([_summary_study("big", "o", big,
+                                                 _SYMMETRIC)])
+        d = report_to_dict(report)
+        assert d["studies"][0]["tests"][0]["n"] is None
+        json.dumps(d, allow_nan=False)
+
+    @pytest.mark.parametrize("numbers, words", [
+        (dict(reported_mean=math.nan, reported_sd=2.0), "mean is nan"),
+        (dict(reported_mean=5.0, reported_sd=math.nan), "sd is nan"),
+        (dict(summary=QuantileSummary(min=1.0, median=math.nan, max=4.0)),
+         "a summary value is nan"),
+    ], ids=["mean", "sd", "summary"])
+    def test_nan_excluded_in_words_that_name_it(self, numbers, words):
+        # Each was excluded later, in words that blamed an overflow.
+        case = GroupRecord(study_id="hand", group_label="case", arm="case",
+                           n=40, **numbers)
+        assert self._excluded_reason(case) == f"group case: {words}"
+
     def test_group_n_is_the_only_n(self):
         # The test, the estimate and the pooled arm size all use group.n.
         _, summary = _SKEWED
@@ -599,10 +634,13 @@ _FIELDS = ("min", "q1", "median", "q3", "max")
 # The S1, S2 and S3 reporting patterns.
 _PATTERNS = (("min", "median", "max"), ("q1", "median", "q3"), _FIELDS)
 # Floats, and the ints a hand-built summary may hold: small ones, and
-# ones near the float limit, each a float but their sums not.
+# ones near the float limit, each a float but their sums not; numbers
+# that are not finite; and a numeric string.
 _BIG = int(1.7e308)
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _SUMMARY_VALUES = st.one_of(NUMBERS.map(float), st.integers(-5, 5),
-                            st.sampled_from([-_BIG, _BIG]))
+                            st.sampled_from([-_BIG, _BIG]), _NOT_FINITE,
+                            st.just("1"))
 
 
 @st.composite
@@ -613,8 +651,9 @@ def _hand_built_group(draw, study_id, label, arm):
     form = draw(st.sampled_from(["moments", "summary", "both", "neither"]))
     mean = sd = summary = None
     if form in ("moments", "both"):
-        mean = draw(st.sampled_from([0.0, 1.0, 5.0]))
-        sd = draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
+        mean = draw(st.one_of(st.sampled_from([0.0, 1.0, 5.0]), _NOT_FINITE))
+        sd = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+                            _NOT_FINITE))
     if form in ("summary", "both"):
         if draw(st.booleans()):
             present = list(draw(st.sampled_from(_PATTERNS)))
@@ -627,12 +666,21 @@ def _hand_built_group(draw, study_id, label, arm):
             values = draw(st.lists(_SUMMARY_VALUES, min_size=len(present),
                                    max_size=len(present)))
             if layout == "ordered":
-                values.sort()
+                values.sort(key=float)
         summary = QuantileSummary(**{"median": None,
                                      **dict(zip(present, values))})
+    n = draw(st.one_of(SIZES, st.sampled_from([2.5, 20.0, math.inf,
+                                               math.nan])))
     return GroupRecord(study_id=study_id, group_label=label, arm=arm,
-                       n=draw(SIZES), reported_mean=mean,
-                       reported_sd=sd, summary=summary)
+                       n=n, reported_mean=mean, reported_sd=sd,
+                       summary=summary)
+
+
+def _holds(group, test):
+    numbers = [group.n, group.reported_mean, group.reported_sd]
+    if group.summary is not None:
+        numbers += [getattr(group.summary, name) for name in _FIELDS]
+    return any(test(float(v)) for v in numbers if v is not None)
 
 
 @st.composite
@@ -651,9 +699,24 @@ def _hand_built_studies(draw):
 @given(_hand_built_studies())
 def test_pipeline_never_raises_on_hand_built_records(studies):
     # Mirrors the CLI property on generated rows, without the parser.
+    # An arm is pooled with a whole n only, and a nan is never blamed
+    # on an overflow: a study holding one is refused at the screen.
+    by_id = {study.study_id: study for study in studies}
     for report in run_pipeline(studies):
         for entry in report.studies:
             assert entry.included or entry.exclusion_reasons
+            if entry.included:
+                effect = entry.effect
+                assert effect.n_case % 1 == effect.n_control % 1 == 0
+            nan_only = {g.group_label for g in by_id[entry.study_id].groups
+                        if _holds(g, math.isnan)
+                        and not _holds(g, math.isinf)}
+            if nan_only:
+                assert all(reason.startswith("group ")
+                           for reason in entry.exclusion_reasons)
+            for test in entry.tests:
+                if test.group_label in nan_only:
+                    assert test.error and "overflow" not in test.error
         json.dumps(report_to_dict(report), allow_nan=False)
     for study in studies:
         for group in study.groups:

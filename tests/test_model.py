@@ -95,6 +95,15 @@ class TestValidate:
             with pytest.raises(UnsupportedSummaryError,
                                match="n must be a positive integer"):
                 run_test(g)
+        # A fractional n was pooled as an arm of 2.5; inf and nan were
+        # refused downstream as a quantile argument outside (0, 1).
+        for n in (2.5, math.inf, math.nan):
+            g = _group(n=n, median=2.0, min=1.0, max=3.0)
+            assert validate(g) == ["n must be a positive integer"]
+            with pytest.raises(UnsupportedSummaryError,
+                               match="n must be a positive integer"):
+                run_test(g)
+        assert validate(_group(n=20.0, median=2.0, min=1.0, max=3.0)) == []
         # An n past the float range made run_test raise OverflowError.
         for n in (10**400, 10**5000):
             g = _group(n=n, median=2.0, min=1.0, max=3.0)
@@ -118,6 +127,24 @@ class TestValidate:
                 "sd overflows the float range"]
         assert validate(_group(mean=10**5000, sd=1.0)) == [
             "mean overflows the float range"]
+
+    def test_nan_named(self):
+        # Each passed validation, and its study was excluded later with
+        # words that blamed an overflow.
+        assert validate(_group(mean=math.nan, sd=1.0)) == ["mean is nan"]
+        assert validate(_group(mean=1.0, sd=math.nan)) == ["sd is nan"]
+        assert validate(_group(median=math.nan, min=1.0, max=3.0)) == [
+            "a summary value is nan"]
+
+    def test_inf_floats_refused_as_overflows(self):
+        # A float inf reads as an int past the float range does.
+        for inf in (math.inf, -math.inf):
+            assert validate(_group(mean=inf, sd=1.0)) == [
+                "mean overflows the float range"]
+            assert validate(_group(mean=1.0, sd=inf)) == [
+                "sd overflows the float range"]
+            assert validate(_group(median=1.0, min=inf, max=inf)) == [
+                "the summary values overflow the float range"]
 
     def test_both_forms_flagged(self):
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=20,
@@ -149,6 +176,32 @@ class TestValidate:
         g = GroupRecord(study_id="s", group_label="g", arm="case", n=1,
                         summary=QuantileSummary(median=5.0, min=3.0, max=8.0))
         assert any("n >= 2" in v for v in validate(g))
+
+
+class TestRecordNumbers:
+    # A record holds its numbers as floats from construction, so
+    # validate and every consumer judge and compute on floats alone.
+    def test_stored_as_floats(self):
+        g = _group(n=20, mean=1, sd=2)
+        assert (g.reported_mean, g.reported_sd, g.n) == (1.0, 2.0, 20)
+        assert type(g.reported_mean) is type(g.reported_sd) is float
+        assert type(g.n) is int
+        s = QuantileSummary(median=np.float64(2.5), min=1, max="3")
+        assert (s.min, s.median, s.max) == (1.0, 2.5, 3.0)
+        assert {type(v) for v in (s.min, s.median, s.max)} == {float}
+        assert s.q1 is None and s.q3 is None
+
+    def test_int_past_the_float_range_is_signed_inf(self):
+        s = QuantileSummary(median=0, min=-10**400, max=10**5000)
+        assert (s.min, s.max) == (-math.inf, math.inf)
+        assert _group(mean=-10**400, sd=10**400).reported_mean == -math.inf
+
+    def test_value_float_refuses_raises(self):
+        # It used to be stored, and validate raised from float() later.
+        with pytest.raises(ValueError):
+            QuantileSummary(median="x")
+        with pytest.raises(TypeError):
+            _group(mean=[1.0], sd=1.0)
 
 
 class TestPooledMoments:
