@@ -67,7 +67,8 @@ def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
     ------
     ValueError
         If the summary lacks a field the scenario reads or is unordered,
-        or n is below the scenario's minimum or past the float range; or
+        or n is not a positive whole number, is below the scenario's
+        minimum or is past the float range; or
         if an estimate is not finite: a summary value is inf or nan, or
         the values lie near the float limit.
     """
@@ -83,6 +84,10 @@ def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
     if any(lo > hi for lo, hi in zip(values, values[1:])):
         raise ValueError(f"{scenario.value} estimation needs an ordered "
                          f"summary {' <= '.join(names)}, got {tuple(values)}")
+    # validate's check and words; an n that fails it is not formatted,
+    # as str() fails on an int of over 4300 digits.
+    if not (n >= 1 and n % 1 == 0):
+        raise ValueError("n must be a positive integer")
     if n < n_min:
         raise ValueError(f"{scenario.value} estimation needs n >= {n_min}, "
                          f"got n={n}")

@@ -95,6 +95,24 @@ its own few elements, so a row that straddles a branch edge costs about
 one branch and every element still gets the operations of its own.
 ln(1 - U) for the exponential, Weibull and beta(1, b) quantiles is
 split the same way.  No other module imports numpy.
+
+A curve under the standard normal, every type I curve and ``--power
+--dist normal:0,1``, counts through a float32 screen.  A unit maps a
+float32 copy of its gammas through the same ``_summary_matrix`` and
+``_statistics``, with float32 copies of the AS 241 coefficients, in
+about half the float64 map's time.  ``_error_bound`` bounds each
+replicate's |T32 - T|, T32 its float32 statistic and T the float64 one,
+by (coeff(n) * w_N + |T32| * w_D) * E / (D32 - w_D * E): (w_N, w_D) from
+``symmetry.WEIGHTS``, D32 the float32 spread from ``symmetry.spread``
+and E = eps * (1 + max|x|) one order statistic's float32 error.  A
+replicate whose T32 lies further than its bound from the critical value
+is counted from T32.  The rest, 0-3 of a 20000-row chunk at n = 200 to
+1000 and about 30 at S2, n = 1e5, go through the float64 map, which
+stays the oracle, and so does every non-finite T32.  So a unit's two
+counts, the early stop of ``_run_units`` and every output byte are
+those of the float64 map.  A fixed margin would not do: the float32
+error grows with coeff(n), to 1e-4 at S2, n = 1e5.  Other families and
+the sort path map in float64 only.
 """
 
 from __future__ import annotations
@@ -115,7 +133,7 @@ from .estimators import estimate_mean_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import READS, statistic
+from .symmetry import READS, WEIGHTS, coefficient, spread, statistic
 
 __all__ = [
     "DistSpec",
@@ -145,9 +163,9 @@ _SORT_VALUES = 1 << 18
 # chunk's arrays come from the heap and stay mapped for the next chunk.
 # Otherwise the thresholds stay near the largest single array, and the
 # ~2 MB a chunk allocates is trimmed and faulted in again, chunk after
-# chunk: 3000-13000 minor page faults per default --type1 curve (S1, S2
-# or S3, 2 CPUs) without the block.  With it most curves take 0-2 and
-# a few up to 234 (at most 78 when each unit ran whole on one thread).
+# chunk: up to 1000-14000 minor page faults per default --type1 curve
+# (S1, S2 or S3, 2 CPUs) without the block.  With it most curves take
+# 0-2 and a few up to about 300.
 np.empty((5 + 6, _CHUNK_ROWS))
 
 # AS 241's rational approximations, coefficients highest power first, as
@@ -181,16 +199,18 @@ _FAR_TAIL = ((2.01033439929228813265e-7, 2.71155556874348757815e-5,
 
 
 # The same pairs as (8, 2, 1) columns, numerator over denominator, for
-# ``_horner``.
+# ``_horner``: in float64, and rounded to float32 for the screen.
 _CENTRAL_PAIR, _NEAR_TAIL_PAIR, _FAR_TAIL_PAIR = (
-    tuple(np.array(pair).T[:, :, None])
+    {dtype: tuple(np.array(pair, dtype).T[:, :, None])
+     for dtype in map(np.dtype, (np.float64, np.float32))}
     for pair in (_CENTRAL, _NEAR_TAIL, _FAR_TAIL))
 
 
-def _horner(pair: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+def _horner(pairs: dict, x: np.ndarray) -> np.ndarray:
     # Both polynomials of a pair at x, as the rows of one (2, len(x))
     # array: half the calls of one pass per polynomial.  In place, in
-    # the same operation order as the scalar code.
+    # the same operation order as the scalar code, in x's precision.
+    pair = pairs[x.dtype]
     y = x * pair[0]
     y += pair[1]
     for c in pair[2:]:
@@ -211,9 +231,9 @@ def _central_quantiles(q: np.ndarray) -> np.ndarray:
     return r
 
 
-def _rational(pair: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+def _rational(pairs: dict, x: np.ndarray) -> np.ndarray:
     # The pair's quotient at x, written over x.
-    y = _horner(pair, x)
+    y = _horner(pairs, x)
     return np.divide(y[0], y[1], out=x)
 
 
@@ -496,7 +516,9 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int, *,
     ``reads``: the read columns have the same joint law for any
     ``reads``, not the same values.  The sort path's draw is already its
     five order statistics, the same values for any ``reads``; its map is
-    that draw's transpose, not a copy.
+    that draw's transpose, not a copy.  The spacings path maps in
+    ``drawn``'s precision, float64 or the screen's float32, and
+    overwrites ``drawn`` with its upper sums, so a draw maps once.
     """
     if drawn is None:
         return np.concatenate([
@@ -507,7 +529,7 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int, *,
     quantile = _FAMILIES[dist.family][3](dist.params)
     if quantile is None:
         return drawn.T
-    out = np.empty((5, drawn.shape[1]))
+    out = np.empty((5, drawn.shape[1]), drawn.dtype)
     # The running sums add whole rows in place, the additions of
     # np.cumsum along axis 0 at a fraction of its cost there: G_1 + ... +
     # G_j into out's row of the j-th read rank, G_{j+1} + ... + G_k into
@@ -536,6 +558,64 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int, *,
 def _statistics(scenario: Scenario, summaries: np.ndarray,
                 n: int) -> np.ndarray:
     return statistic(scenario, *summaries.T, n)
+
+
+_STANDARD_NORMAL = DistSpec("normal", (0.0, 1.0))
+_U32 = float(np.finfo(np.float32).eps) / 2  # float32's unit roundoff
+# Past this |x| a float32 p = Phi(-|x|) nears the subnormal range
+# (Phi(-13) < 2^-126), where its relative error is no longer about u.
+_SCREEN_X_MAX = 12.0
+
+
+def _error_bound(scenario: Scenario, summaries: np.ndarray,
+                 stats: np.ndarray, n: int) -> np.ndarray:
+    """Per replicate, a bound on |T32 - T|, inf where none is known.
+
+    ``summaries`` is the float32 map of a standard-normal draw and
+    ``stats`` its statistics T32; T is the statistic of the float64 map
+    of the same draw.  The bound is (coefficient(n) * w_N + |T32| * w_D)
+    * E / (D32 - w_D * E), with (w_N, w_D) = ``symmetry.WEIGHTS``, D32
+    the float32 spread and E = eps * (1 + max|x|) the float32 error of
+    one order statistic x the statistic reads.  To first order in
+    float32's unit roundoff u, eps = (5.4 * gaps + 56) * u:
+
+    * p, or 1 - p where the map reads it, is off by a relative 2 * gaps
+      * u at most: the gamma rows' roundings to float32, at most
+      gaps - 1 additions in each of its two sums, and the quotient.
+    * Phi^-1 carries a relative error r of p to at most r * p / phi(x)
+      <= 2.68 * r * (1 + |x|) in the central branch, most at its edge
+      p = 0.925, and 0.22 * r * (1 + |x|) in the tails.
+    * Evaluating the port in float32 adds 41 * u * (1 + |x|) at most:
+      32 u relative for a pair's Horner passes (positive coefficients
+      at a positive argument), their quotient and the product by q, and
+      the roundings of q and r, or of s, its log (4.5 u measured, 8 u
+      allowed) and its constant, carried through the slope.
+    * 4 u covers the contrast's and the spread's float32 sums, and 11 u
+      the statistic's product and quotient, the critical value's
+      rounding, this bound's own arithmetic, the float64 map's own
+      error and second-order terms.
+
+    Past |x| = ``_SCREEN_X_MAX``, or where D32 is within w_D * E of
+    zero, the bound is inf; a non-finite T32 gives nan or inf.
+    """
+    x = summaries.T
+    reads = READS[scenario]
+    # The map is monotone up to its own rounding, so the largest |x| the
+    # statistic reads is at one end of the ranks it reads.
+    e = np.maximum(-x[reads[0]], x[reads[-1]])
+    e[e > _SCREEN_X_MAX] = np.inf
+    e += 1.0
+    e *= (5.4 * (len(reads) + 1) + 56) * _U32
+    w_contrast, w_spread = WEIGHTS[scenario]
+    margin = spread(scenario, *x) - w_spread * e
+    # A spread within its error of zero bounds nothing: inf, or nan.
+    np.maximum(margin, 0.0, out=margin)
+    bound = np.abs(stats)
+    bound *= w_spread
+    bound += coefficient(scenario, n) * w_contrast
+    bound *= e
+    bound /= margin
+    return bound
 
 
 @dataclass(frozen=True)
@@ -698,13 +778,33 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
             return _draw_chunk(dist, n_grid[i], replicates, seed, chunk,
                                reads)
 
+    # Under the standard normal a unit first maps a float32 copy of its
+    # draw and counts each replicate that ``_error_bound`` decides from
+    # its statistic there.  The float64 map counts the others, and every
+    # non-finite float32 statistic is among them.
+    screened = dist == _STANDARD_NORMAL
+
     def count(i: int, chunk: int, drawn: np.ndarray) -> tuple[int, int]:
         n = n_grid[i]
+        rejections = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if screened:
+                summaries = _summary_matrix(
+                    dist, n, replicates, seed, reads=reads,
+                    drawn=drawn.astype(np.float32))
+                stats = _statistics(scenario, summaries, n)
+                over = np.abs(stats) - crit
+                bound = _error_bound(scenario, summaries, stats, n)
+                rejections = int(np.count_nonzero(over > bound))
+                undecided = np.flatnonzero(
+                    ~(np.abs(over, out=over) > bound))
+                if not len(undecided):
+                    return rejections, 0
+                drawn = drawn[:, undecided]
             summaries = _summary_matrix(dist, n, replicates, seed,
                                         reads=reads, drawn=drawn)
             stats = _statistics(scenario, summaries, n)
-            return (int(np.count_nonzero(np.abs(stats) > crit)),
+            return (rejections + int(np.count_nonzero(np.abs(stats) > crit)),
                     int(np.count_nonzero(~np.isfinite(stats))))
 
     rates = []

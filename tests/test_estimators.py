@@ -340,6 +340,19 @@ class TestEstimateMoments:
                            "summary values overflow the float range$"):
             estimate_mean_sd(s, Scenario.S1, 20)
 
+    @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
+                                          Scenario.S3])
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 0, -10**5000],
+                             ids=["2.5", "nan", "inf", "0", "-5001-digits"])
+    def test_n_not_a_positive_integer_refused_in_validate_words(self, n,
+                                                                scenario):
+        # 2.5 was estimated, nan blamed p, inf was an overflow, and 0
+        # and -10**5000 were formatted, the latter past str()'s limit.
+        s = QuantileSummary(median=2.0, min=0.0, q1=1.0, q3=3.0, max=4.0)
+        with pytest.raises(ValueError,
+                           match="^n must be a positive integer$"):
+            estimate_mean_sd(s, scenario, n)
+
     @pytest.mark.parametrize("n", [10**400, 10**5000],
                              ids=["400-digits", "5001-digits"])
     def test_n_past_the_float_range_refused_in_words(self, n):

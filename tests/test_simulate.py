@@ -23,7 +23,8 @@ from sumnorm.cli import DEFAULT_N_GRID
 from sumnorm.model import QuantileSummary, Scenario
 from sumnorm.normal import critical_value, std_normal_quantile
 from sumnorm.simulate import (DEMO_PAIRS, POWER_ALTERNATIVES, DistSpec, _draw,
-                              _generator, _order_columns, _quantile_row,
+                              _draw_chunk, _error_bound, _generator,
+                              _order_columns, _quantile_row,
                               _statistics, _summary_matrix, isotonic_fit_r2,
                               power_curve, skew_distortion_demo, summarize,
                               write_experiment_csv)
@@ -476,7 +477,10 @@ class TestConcurrentCells:
         # Each unit is drawn once and counted once, and at no time do more
         # chunks wait, drawn and not yet counted, than there are threads.
         # On one CPU each unit is drawn, then counted, in grid order.
+        # A unit's count is keyed on its drawn array, which only the
+        # float64 map takes whole, so the float32 screen is off.
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
+        monkeypatch.setattr(simulate, "_STANDARD_NORMAL", None)
         _force_cpus(monkeypatch, cpus)
         before = set(threading.enumerate())
         stages, waiting, most = [], 0, 0
@@ -725,6 +729,193 @@ class TestConcurrentCells:
         assert early == late
 
 
+def _maps(scenario, n, drawn):
+    """The float32 and the float64 statistics of ``drawn``, a
+    standard-normal chunk, and the float32 map's error bound."""
+    reads = READS[scenario]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m32 = _summary_matrix(_NORMAL, n, 1, 0, reads=reads,
+                              drawn=drawn.astype(np.float32))
+        t32 = _statistics(scenario, m32, n)
+        t64 = _statistics(scenario, _summary_matrix(
+            _NORMAL, n, 1, 0, reads=reads, drawn=drawn.copy()), n)
+        return t32, t64, _error_bound(scenario, m32, t32, n)
+
+
+def _float64_curve(monkeypatch, *args):
+    # The same curve counted by the float64 map alone.
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_STANDARD_NORMAL", None)
+        return power_curve(*args)
+
+
+class TestTypeIScreen:
+    # Under the standard normal a unit counts each replicate that the
+    # float32 map's error bound decides, and recounts the others in
+    # float64, the oracle.
+
+    @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
+                                          Scenario.S3])
+    def test_counts_equal_the_float64_counts(self, monkeypatch, scenario):
+        grid = (4, 5, 6, 7, 8, 9, 10, 11, 12, 25, 200, 1000, 10 ** 5)
+        recounted = []
+        real = simulate._summary_matrix
+
+        def recording(*args, drawn, **kwargs):
+            if drawn.dtype == np.float64:
+                recounted.append(drawn.shape[1])
+            return real(*args, drawn=drawn, **kwargs)
+
+        for alpha in (0.05, 0.01, 1.0):
+            for seed in (1, 2, 3):
+                args = (scenario, _NORMAL, grid, 25000, alpha, seed)
+                with monkeypatch.context() as m:
+                    m.setattr(simulate, "_summary_matrix", recording)
+                    screened = power_curve(*args)
+                assert screened == _float64_curve(monkeypatch, *args)
+        # Some replicates fell inside the band, and under 1% of a unit.
+        assert recounted and max(recounted) < simulate._CHUNK_ROWS // 100
+
+    @staticmethod
+    def _at_critical(scenario, n, crit, rows=64):
+        """A chunk whose first half is moved to float64 statistics at
+        -crit and +crit, as near as bisection on the gap below the median
+        gets, from either side.  Its columns are drawn ones where that gap
+        takes the statistic from above crit to below -crit."""
+        reads = READS[scenario]
+        drawn = _draw_chunk(_NORMAL, n, 4 * rows, 17, 0, reads)
+        row, half = reads.index(2), rows // 2
+
+        def statistics(gap, columns=slice(None)):
+            moved = drawn.copy()
+            moved[row, columns] = gap
+            return _maps(scenario, n, moved)[1][columns]
+
+        lo = np.zeros(drawn.shape[1])  # the median at the rank below
+        hi = 1e6 * drawn.sum(axis=0)  # the median next to the rank above
+        cross = np.flatnonzero((statistics(lo) > crit)
+                               & (statistics(hi) < -crit))[:half]
+        assert len(cross) == half
+        order = np.r_[cross, np.setdiff1d(np.arange(len(lo)), cross)][:rows]
+        drawn, lo, hi = drawn[:, order], lo[cross], hi[cross]
+        target = np.where(np.arange(half) % 2, crit, -crit)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            above = statistics(mid, slice(half)) > target
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        drawn[row, :half] = np.where(np.arange(half) % 4 < 2, lo, hi)
+        return drawn
+
+    @pytest.mark.parametrize("scenario,n,alpha", [
+        (Scenario.S1, 12, 0.05), (Scenario.S1, 1000, 0.01),
+        (Scenario.S2, 25, 0.05), (Scenario.S2, 10 ** 5, 0.01),
+        (Scenario.S3, 7, 0.05), (Scenario.S3, 200, 0.01),
+        (Scenario.S1, 4, 1.0), (Scenario.S2, 4, 1.0), (Scenario.S3, 4, 1.0)])
+    def test_replicates_inside_the_band_recounted(self, monkeypatch,
+                                                   scenario, n, alpha):
+        crit = critical_value(alpha)
+        drawn = self._at_critical(scenario, n, crit)
+        t32, t64, bound = _maps(scenario, n, drawn)
+        over = np.abs(t32) - crit
+        assert np.all(np.abs(over[:32]) <= bound[:32])  # all undecided
+        if alpha < 1.0:  # the float32 statistic alone would miscount
+            assert np.any((over > 0) != (np.abs(t64) > crit))
+        monkeypatch.setattr(simulate, "_draw_chunk",
+                            lambda *args: drawn.copy())
+        args = (scenario, _NORMAL, (n,), drawn.shape[1], alpha, 1)
+        got = power_curve(*args)
+        assert got.rates[0] * drawn.shape[1] == np.count_nonzero(
+            np.abs(t64) > crit)
+        assert got == _float64_curve(monkeypatch, *args)
+
+    @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
+                                          Scenario.S3])
+    def test_non_finite_float32_statistics_recounted(self, monkeypatch,
+                                                      scenario):
+        # A gamma past float32's range gives a non-finite float32
+        # statistic and a finite float64 one, which is counted.  Where
+        # the float64 statistic is not finite too (all read ranks tied,
+        # a zero spread), the refusal counts it exactly.
+        reads, n, rows = READS[scenario], 50, 40
+        drawn = _draw_chunk(_NORMAL, n, rows, 3, 0, reads)
+        drawn[-1, 0] = 1e39
+        t32, t64, _ = _maps(scenario, n, drawn)
+        assert not np.isfinite(t32[0]) and np.isfinite(t64).all()
+        monkeypatch.setattr(simulate, "_draw_chunk",
+                            lambda *args: drawn.copy())
+        args = (scenario, _NORMAL, (n,), rows, 0.05, 1)
+        got = power_curve(*args)
+        assert got.rates[0] * rows == np.count_nonzero(np.abs(t64) > 1.96)
+        assert got == _float64_curve(monkeypatch, *args)
+        drawn[1:len(reads), 1] = 0.0
+        for curve in (power_curve, lambda *a: _float64_curve(monkeypatch, *a)):
+            with pytest.raises(ValueError, match=rf"normal\(0,1\) at n=50: "
+                               rf"1 of {rows} statistics are not finite"):
+                curve(*args)
+
+    @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
+                                          Scenario.S3])
+    def test_spread_within_its_error_recounted(self, monkeypatch, scenario):
+        # Gaps between the read ranks of 1e-11 to 1e-6 of the total, 1 to
+        # 3 below and above the median, leave some float32 spreads within
+        # their own error of zero: no bound holds there, though the
+        # float32 statistic is finite and decides otherwise than the
+        # float64 one.
+        reads, n, rows = READS[scenario], 1000, 80
+        drawn = _draw_chunk(_NORMAL, n, rows, 8, 0, reads)
+        drawn[1:len(reads), :64] = (
+            np.repeat([1.0, 3.0], len(reads) // 2)[:, None]
+            * np.geomspace(1e-11, 1e-6, 64) * drawn[:, :64].sum(axis=0))
+        t32, t64, bound = _maps(scenario, n, drawn)
+        assert np.any(np.isinf(bound) & np.isfinite(t32)
+                      & ((np.abs(t32) > 1.96) != (np.abs(t64) > 1.96)))
+        monkeypatch.setattr(simulate, "_draw_chunk",
+                            lambda *args: drawn.copy())
+        args = (scenario, _NORMAL, (n,), rows, 0.05, 1)
+        got = power_curve(*args)
+        assert got.rates[0] * rows == np.count_nonzero(np.abs(t64) > 1.96)
+        assert got == _float64_curve(monkeypatch, *args)
+
+    @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
+                                          Scenario.S3])
+    def test_far_tail_recounted(self, monkeypatch, scenario):
+        # A lowest gap of 1e-45 to 1e-41 of the total puts the lowest read
+        # rank's p in float32's subnormal range, about x = -14: its float32
+        # value is off by far more than one order statistic's error, and
+        # no bound holds past |x| = 12.
+        reads, n, rows = READS[scenario], 1000, 40
+        drawn = _draw_chunk(_NORMAL, n, rows, 8, 0, reads)
+        drawn[0, :16] = (np.geomspace(1e-45, 1e-41, 16)
+                         * drawn[:, :16].sum(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lowest32, lowest64 = (_summary_matrix(
+                _NORMAL, n, 1, 0, reads=reads,
+                drawn=drawn.astype(dtype))[:16, reads[0]]
+                for dtype in (np.float32, np.float64))
+        assert np.max(np.abs(lowest32 - lowest64)) > 1e-3
+        assert np.all(lowest64 < -13.0)
+        assert np.all(np.isinf(_maps(scenario, n, drawn)[2][:16]))
+        monkeypatch.setattr(simulate, "_draw_chunk",
+                            lambda *args: drawn.copy())
+        args = (scenario, _NORMAL, (n,), rows, 0.05, 1)
+        assert power_curve(*args) == _float64_curve(monkeypatch, *args)
+
+    def test_bound_holds_with_headroom(self):
+        # 1.05e6 standard-normal replicates: the float32 statistic is
+        # within a tenth of its bound of the float64 one.
+        replicates, seen = 50000, 0
+        for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
+            for n in (4, 5, 7, 12, 50, 1000, 10 ** 6):
+                for chunk in range(3):
+                    t32, t64, bound = _maps(scenario, n, _draw_chunk(
+                        _NORMAL, n, replicates, 5, chunk, READS[scenario]))
+                    finite = np.isfinite(t32) & np.isfinite(bound)
+                    assert finite.all()
+                    assert np.all(np.abs(t32 - t64) <= bound / 10)
+                    seen += len(t32)
+        assert seen >= 10 ** 6
+
+
 class TestChunkUnits:
     # Cells of several chunks: with _CHUNK_ROWS = 300, R = 1000 is three
     # whole chunks and a partial one of 100 rows.
@@ -770,8 +961,11 @@ class TestChunkUnits:
         # n=10's last chunk overflows in half its rows.  On 2 CPUs its
         # first chunk, on the calling thread, is slow, so the helper
         # reaches the last chunk first: the error still waits for the
-        # slow chunk, counts over all R, and no unit of n=25 starts.
+        # slow chunk, counts over all R, and no unit of n=25 starts.  The
+        # overflow is written into the float64 map, so the float32 screen
+        # is off.
         _force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(simulate, "_STANDARD_NORMAL", None)
         units, chunks = [], {}  # chunks: id of a drawn array -> its index
         real_draw, real = simulate._draw_chunk, simulate._summary_matrix
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
                            UnsupportedSummaryError)
-from sumnorm.symmetry import (KAPPA_C, DegenerateSummaryError, coeff_kappa,
-                              coeff_phi, READS, coeff_tau, format_p_value,
-                              format_statistic, run_test, statistic)
+from sumnorm.symmetry import (KAPPA_C, READS, WEIGHTS, DegenerateSummaryError,
+                              coeff_kappa, coeff_phi, coeff_tau, coefficient,
+                              format_p_value, format_statistic, run_test,
+                              spread, statistic)
 
 
 def _record(**kwargs) -> GroupRecord:
@@ -185,6 +186,27 @@ class TestStatistic:
             one = row.copy()
             one[i] = np.nan
             assert math.isnan(statistic(scenario, *one, 37)), i
+
+
+    @pytest.mark.parametrize("scenario,coeff", [
+        (Scenario.S1, coeff_tau), (Scenario.S2, coeff_phi),
+        (Scenario.S3, coeff_kappa)])
+    def test_weights_are_those_of_the_formula(self, scenario, coeff):
+        # The contrast (statistic * spread / coefficient) and the spread
+        # are linear in the summary values; WEIGHTS holds the sums of
+        # their coefficients' magnitudes.
+        assert coefficient(scenario, 37) == coeff(37)
+
+        def contrast(values):
+            return (statistic(scenario, *values, 37)
+                    * spread(scenario, *values) / coefficient(scenario, 37))
+
+        base = np.arange(5.0)
+        steps = [base + np.eye(5)[i] for i in range(5)]
+        got = (sum(abs(contrast(v) - contrast(base)) for v in steps),
+               sum(abs(spread(scenario, *v) - spread(scenario, *base))
+                   for v in steps))
+        assert got == pytest.approx(WEIGHTS[scenario], abs=1e-12)
 
 
 class TestOverflow:
