@@ -102,8 +102,8 @@ float32 copy of its gammas through the same ``_summary_matrix`` and
 ``_statistics``, with float32 copies of the AS 241 coefficients, in
 about half the float64 map's time.  ``_error_bound`` bounds each
 replicate's |T32 - T|, T32 its float32 statistic and T the float64 one,
-by (coeff(n) * w_N + |T32| * w_D) * E / (D32 - w_D * E): (w_N, w_D) from
-``symmetry.WEIGHTS``, D32 the float32 spread from ``symmetry.spread``
+by (coeff(n) * w_N + |T32| * w_D) * E / (D32 - w_D * E): (w_N, w_D) and
+D32, the float32 spread, from the statistic's ``symmetry.FORMULAS`` row,
 and E = eps * (1 + max|x|) one order statistic's float32 error.  A
 replicate whose T32 lies further than its bound from the critical value
 is counted from T32.  The rest, 0-3 of a 20000-row chunk at n = 200 to
@@ -133,7 +133,7 @@ from .estimators import estimate_mean_sd
 from .meta import cohen_d
 from .model import QuantileSummary, Scenario
 from .normal import critical_value
-from .symmetry import READS, WEIGHTS, coefficient, spread, statistic
+from .symmetry import FORMULAS, READS, statistic
 
 __all__ = [
     "DistSpec",
@@ -574,10 +574,11 @@ def _error_bound(scenario: Scenario, summaries: np.ndarray,
     ``summaries`` is the float32 map of a standard-normal draw and
     ``stats`` its statistics T32; T is the statistic of the float64 map
     of the same draw.  The bound is (coefficient(n) * w_N + |T32| * w_D)
-    * E / (D32 - w_D * E), with (w_N, w_D) = ``symmetry.WEIGHTS``, D32
-    the float32 spread and E = eps * (1 + max|x|) the float32 error of
-    one order statistic x the statistic reads.  To first order in
-    float32's unit roundoff u, eps = (5.4 * gaps + 56) * u:
+    * E / (D32 - w_D * E), with (w_N, w_D) the weights of the
+    statistic's ``symmetry.FORMULAS`` row, D32 the float32 spread and
+    E = eps * (1 + max|x|) the float32 error of one order statistic x
+    the statistic reads.  To first order in float32's unit roundoff u,
+    eps = (5.4 * gaps + 56) * u:
 
     * p, or 1 - p where the map reads it, is off by a relative 2 * gaps
       * u at most: the gamma rows' roundings to float32, at most
@@ -588,8 +589,12 @@ def _error_bound(scenario: Scenario, summaries: np.ndarray,
     * Evaluating the port in float32 adds 41 * u * (1 + |x|) at most:
       32 u relative for a pair's Horner passes (positive coefficients
       at a positive argument), their quotient and the product by q, and
-      the roundings of q and r, or of s, its log (4.5 u measured, 8 u
-      allowed) and its constant, carried through the slope.
+      the roundings of q and r, or of s, its log and its constant,
+      carried through the slope.  The log's share is 8 u (4 ulp).
+      NumPy's float32 log runs a kernel chosen for the CPU, and their
+      errors differ; 4.5 u was measured on one x86-64 host, not derived.
+      ``test_bound_holds_with_headroom`` checks the whole bound on the
+      host that runs the tests.
     * 4 u covers the contrast's and the spread's float32 sums, and 11 u
       the statistic's product and quotient, the critical value's
       rounding, this bound's own arithmetic, the float64 map's own
@@ -606,13 +611,13 @@ def _error_bound(scenario: Scenario, summaries: np.ndarray,
     e[e > _SCREEN_X_MAX] = np.inf
     e += 1.0
     e *= (5.4 * (len(reads) + 1) + 56) * _U32
-    w_contrast, w_spread = WEIGHTS[scenario]
-    margin = spread(scenario, *x) - w_spread * e
+    coefficient, _, spread, (w_contrast, w_spread) = FORMULAS[scenario]
+    margin = spread(*x) - w_spread * e
     # A spread within its error of zero bounds nothing: inf, or nan.
     np.maximum(margin, 0.0, out=margin)
     bound = np.abs(stats)
     bound *= w_spread
-    bound += coefficient(scenario, n) * w_contrast
+    bound += coefficient(n) * w_contrast
     bound *= e
     bound /= margin
     return bound

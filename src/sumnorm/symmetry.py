@@ -31,10 +31,8 @@ __all__ = [
     "coeff_tau",
     "coeff_phi",
     "coeff_kappa",
-    "coefficient",
-    "spread",
+    "FORMULAS",
     "statistic",
-    "WEIGHTS",
     "READS",
     "run_test",
     "format_statistic",
@@ -92,43 +90,21 @@ def coeff_kappa(n: int) -> float:
     return num / math.sqrt(_null_variance(n, KAPPA_C))
 
 
-# scenario -> (coefficient, contrast, spread): its statistic is
-# coefficient(n) * contrast / spread, the last two of the summary values
-# (a, q1, m, q3, b).
-_FORMULAS = {
+# scenario -> (coefficient, contrast, spread, weights): its statistic
+# is coefficient(n) * contrast / spread, the last two of the summary
+# values (a, q1, m, q3, b).  The weights are the sums of the absolute
+# weights that the contrast and the spread give those values: an error of
+# at most e in each moves the contrast by at most weights[0] * e and the
+# spread by at most weights[1] * e.
+FORMULAS = {
     Scenario.S1: (coeff_tau, lambda a, q1, m, q3, b: a + b - 2.0 * m,
-                  lambda a, q1, m, q3, b: b - a),
+                  lambda a, q1, m, q3, b: b - a, (4, 2)),
     Scenario.S2: (coeff_phi, lambda a, q1, m, q3, b: q1 + q3 - 2.0 * m,
-                  lambda a, q1, m, q3, b: q3 - q1),
+                  lambda a, q1, m, q3, b: q3 - q1, (4, 2)),
     Scenario.S3: (coeff_kappa,
                   lambda a, q1, m, q3, b: a + b + q1 + q3 - 4.0 * m,
-                  lambda a, q1, m, q3, b: (b - a) + (q3 - q1)),
+                  lambda a, q1, m, q3, b: (b - a) + (q3 - q1), (8, 4)),
 }
-
-# scenario -> the sums of the absolute weights that its contrast and its
-# spread give the summary values.  An error of at most e in each value
-# moves the contrast by at most WEIGHTS[scenario][0] * e and the spread by
-# at most WEIGHTS[scenario][1] * e.
-WEIGHTS = {Scenario.S1: (4, 2), Scenario.S2: (4, 2), Scenario.S3: (8, 4)}
-
-
-def _formula(scenario: Scenario) -> tuple:
-    try:
-        return _FORMULAS[scenario]
-    except KeyError:
-        raise ValueError(f"no test statistic for scenario {scenario}") from None
-
-
-def coefficient(scenario: Scenario, n: int) -> float:
-    """tau(n), phi(n) or kappa(n): the coefficient of the scenario's
-    statistic."""
-    return _formula(scenario)[0](n)
-
-
-def spread(scenario: Scenario, a, q1, m, q3, b):
-    """The divisor of the scenario's statistic: b - a, q3 - q1 or their
-    sum, on floats or arrays as :func:`statistic` takes them."""
-    return _formula(scenario)[2](a, q1, m, q3, b)
 
 
 def statistic(scenario: Scenario, a, q1, m, q3, b, n: int):
@@ -140,7 +116,10 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int):
     spread raises ZeroDivisionError, which :func:`run_test` turns into
     words; on arrays it gives inf or nan.
     """
-    coeff, contrast, divisor = _formula(scenario)
+    try:
+        coeff, contrast, divisor, _ = FORMULAS[scenario]
+    except KeyError:
+        raise ValueError(f"no test statistic for scenario {scenario}") from None
     return coeff(n) * contrast(a, q1, m, q3, b) / divisor(a, q1, m, q3, b)
 
 

@@ -477,34 +477,36 @@ class TestConcurrentCells:
         # Each unit is drawn once and counted once, and at no time do more
         # chunks wait, drawn and not yet counted, than there are threads.
         # On one CPU each unit is drawn, then counted, in grid order.
-        # A unit's count is keyed on its drawn array, which only the
-        # float64 map takes whole, so the float32 screen is off.
+        # A count starts at the float32 map of the screen, which every
+        # normal(0,1) unit takes once; it is matched to its chunk by the
+        # contents of that float32 copy.  A float64 recount is not a count
+        # of its own.
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
-        monkeypatch.setattr(simulate, "_STANDARD_NORMAL", None)
         _force_cpus(monkeypatch, cpus)
         before = set(threading.enumerate())
         stages, waiting, most = [], 0, 0
         real_draw, real = simulate._draw_chunk, simulate._summary_matrix
         lock = threading.Lock()
-        chunks = {}  # id of a drawn array -> its chunk index
+        chunks = {}  # a drawn chunk's float32 bytes -> its chunk index
 
         def recording_draw(dist, n, replicates, seed, chunk, reads):
             nonlocal waiting, most
             drawn = real_draw(dist, n, replicates, seed, chunk, reads)
             with lock:
                 stages.append(("draw", n, chunk, threading.current_thread()))
-                chunks[id(drawn)] = chunk
+                chunks[drawn.astype(np.float32).tobytes()] = chunk
                 waiting += 1
                 most = max(most, waiting)
             return drawn
 
-        def recording(dist, n, replicates, seed, **kwargs):
+        def recording(dist, n, replicates, seed, *, drawn, **kwargs):
             nonlocal waiting
-            with lock:
-                stages.append(("count", n, chunks.pop(id(kwargs["drawn"])),
-                               threading.current_thread()))
-                waiting -= 1
-            return real(dist, n, replicates, seed, **kwargs)
+            if drawn.dtype == np.float32:
+                with lock:
+                    stages.append(("count", n, chunks.pop(drawn.tobytes()),
+                                   threading.current_thread()))
+                    waiting -= 1
+            return real(dist, n, replicates, seed, drawn=drawn, **kwargs)
 
         monkeypatch.setattr(simulate, "_draw_chunk", recording_draw)
         monkeypatch.setattr(simulate, "_summary_matrix", recording)
@@ -955,37 +957,45 @@ class TestChunkUnits:
         assert whole.shape == (700, 5)
         assert whole.tobytes() == np.concatenate(maps).tobytes()
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus,screen", [
+        pytest.param(1, True, id="1"), pytest.param(2, True, id="2"),
+        pytest.param(1, False, id="1-float64_only"),
+        pytest.param(2, False, id="2-float64_only")])
     def test_last_chunk_overflow_counts_the_whole_cell(self, monkeypatch,
-                                                        cpus):
-        # n=10's last chunk overflows in half its rows.  On 2 CPUs its
-        # first chunk, on the calling thread, is slow, so the helper
-        # reaches the last chunk first: the error still waits for the
-        # slow chunk, counts over all R, and no unit of n=25 starts.  The
-        # overflow is written into the float64 map, so the float32 screen
-        # is off.
+                                                        cpus, screen):
+        # n=10's last chunk overflows in half its rows: an inf gap makes
+        # their statistics nan in the float32 map and again in the
+        # float64 recount.  On 2 CPUs the first chunk's count, on the
+        # calling thread, is slow, so the helper reaches the last chunk
+        # first: the error still waits for the slow chunk, counts over
+        # all R, and no unit of n=25 starts.  A count starts at the
+        # unit's first map, float32 under the screen, and is matched to
+        # its chunk by the contents of the draw.  float64_only runs the
+        # same curve with the screen off, as every other family runs.
         _force_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(simulate, "_STANDARD_NORMAL", None)
-        units, chunks = [], {}  # chunks: id of a drawn array -> its index
+        if not screen:
+            monkeypatch.setattr(simulate, "_STANDARD_NORMAL", None)
+        first = np.float32 if screen else np.float64  # a unit's first map
+        units, chunks = [], {}  # chunks: a draw's float32 bytes -> its index
         real_draw, real = simulate._draw_chunk, simulate._summary_matrix
 
-        def recording_draw(dist, n, replicates, seed, chunk, reads):
+        def overflowing_draw(dist, n, replicates, seed, chunk, reads):
             drawn = real_draw(dist, n, replicates, seed, chunk, reads)
-            chunks[id(drawn)] = chunk
+            if (n, chunk) == (10, 3):
+                drawn[-1, ::2] = np.inf
+            chunks[drawn.astype(np.float32).tobytes()] = chunk
             return drawn
 
-        def overflowing(dist, n, replicates, seed, **kwargs):
-            chunk = chunks.pop(id(kwargs["drawn"]))
-            units.append((n, chunk))
-            if (n, chunk) == (10, 0):
-                time.sleep(0.2)
-            x = real(dist, n, replicates, seed, **kwargs)
-            if (n, chunk) == (10, 3):
-                x[::2] = np.inf
-            return x
+        def recording(dist, n, replicates, seed, *, drawn, **kwargs):
+            if drawn.dtype == first:
+                chunk = chunks.pop(drawn.astype(np.float32).tobytes())
+                units.append((n, chunk))
+                if (n, chunk) == (10, 0):
+                    time.sleep(0.2)
+            return real(dist, n, replicates, seed, drawn=drawn, **kwargs)
 
-        monkeypatch.setattr(simulate, "_draw_chunk", recording_draw)
-        monkeypatch.setattr(simulate, "_summary_matrix", overflowing)
+        monkeypatch.setattr(simulate, "_draw_chunk", overflowing_draw)
+        monkeypatch.setattr(simulate, "_summary_matrix", recording)
         with pytest.raises(ValueError, match=r"normal\(0,1\) at n=10: "
                            r"50 of 1000 statistics are not finite"):
             power_curve(Scenario.S1, _NORMAL, [10, 25], replicates=1000,

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
                            UnsupportedSummaryError)
-from sumnorm.symmetry import (KAPPA_C, READS, WEIGHTS, DegenerateSummaryError,
-                              coeff_kappa, coeff_phi, coeff_tau, coefficient,
+from sumnorm.symmetry import (FORMULAS, KAPPA_C, READS, DegenerateSummaryError,
+                              coeff_kappa, coeff_phi, coeff_tau,
                               format_p_value, format_statistic, run_test,
-                              spread, statistic)
+                              statistic)
 
 
 def _record(**kwargs) -> GroupRecord:
@@ -193,20 +193,20 @@ class TestStatistic:
         (Scenario.S3, coeff_kappa)])
     def test_weights_are_those_of_the_formula(self, scenario, coeff):
         # The contrast (statistic * spread / coefficient) and the spread
-        # are linear in the summary values; WEIGHTS holds the sums of
-        # their coefficients' magnitudes.
-        assert coefficient(scenario, 37) == coeff(37)
+        # are linear in the summary values; the row's weights are the
+        # sums of their coefficients' magnitudes.
+        coefficient, _, spread, weights = FORMULAS[scenario]
+        assert coefficient is coeff
 
         def contrast(values):
-            return (statistic(scenario, *values, 37)
-                    * spread(scenario, *values) / coefficient(scenario, 37))
+            return (statistic(scenario, *values, 37) * spread(*values)
+                    / coeff(37))
 
         base = np.arange(5.0)
         steps = [base + np.eye(5)[i] for i in range(5)]
         got = (sum(abs(contrast(v) - contrast(base)) for v in steps),
-               sum(abs(spread(scenario, *v) - spread(scenario, *base))
-                   for v in steps))
-        assert got == pytest.approx(WEIGHTS[scenario], abs=1e-12)
+               sum(abs(spread(*v) - spread(*base)) for v in steps))
+        assert got == pytest.approx(weights, abs=1e-12)
 
 
 class TestOverflow:
