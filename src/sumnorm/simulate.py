@@ -96,23 +96,29 @@ one branch and every element still gets the operations of its own.
 ln(1 - U) for the exponential, Weibull and beta(1, b) quantiles is
 split the same way.  No other module imports numpy.
 
-A curve under the standard normal, every type I curve and ``--power
---dist normal:0,1``, counts through a float32 screen.  A unit maps a
-float32 copy of its gammas through the same ``_summary_matrix`` and
-``_statistics``, with float32 copies of the AS 241 coefficients, in
-about half the float64 map's time.  ``_error_bound`` bounds each
-replicate's |T32 - T|, T32 its float32 statistic and T the float64 one,
-by (coeff(n) * w_N + |T32| * w_D) * E / (D32 - w_D * E): (w_N, w_D) and
-D32, the float32 spread, from the statistic's ``symmetry.FORMULAS`` row,
-and E = eps * (1 + max|x|) one order statistic's float32 error.  A
-replicate whose T32 lies further than its bound from the critical value
-is counted from T32.  The rest, 0-3 of a 20000-row chunk at n = 200 to
-1000 and about 30 at S2, n = 1e5, go through the float64 map, which
-stays the oracle, and so does every non-finite T32.  So a unit's two
-counts, the early stop of ``_run_units`` and every output byte are
-those of the float64 map.  A fixed margin would not do: the float32
-error grows with coeff(n), to 1e-4 at S2, n = 1e5.  Other families and
-the sort path map in float64 only.
+A spacings-path curve counts through a float32 screen wherever its
+family's row in ``_FAMILIES`` has an error column for its parameters:
+every type I curve and every ``POWER_ALTERNATIVES`` curve among them.
+A unit maps a float32 copy of its gammas through the same
+``_summary_matrix`` and ``_statistics``, with float32 copies of the AS
+241 coefficients, in about half the float64 map's time.
+``_error_bound`` bounds each replicate's |T32 - T|, T32 its float32
+statistic and T the float64 one, by (coeff(n) * w_N + |T32| * w_D) * E
+/ (D32 - w_D * E): (w_N, w_D) and D32, the float32 spread, from the
+statistic's ``symmetry.FORMULAS`` row, and E the error column's bound on
+one read order statistic's float32 error.  A replicate whose T32 lies
+further than its bound from the critical value is counted from T32.
+The rest go through the float64 map, which stays the oracle: 0-3 of a
+20000-row chunk at n = 200 to 1000 under the standard normal, about 30
+at S2, n = 1e5, and about 1 in 15000 replicates of the power
+alternatives at n = 10 to 100.  So does every non-finite T32 and every
+replicate past its family's far-tail guard, where a float32 p or 1 - p
+nears the subnormal range.  So a unit's two counts, the early stop of
+``_run_units`` and every output byte are those of the float64 map.  A
+fixed margin would not do: the float32 error grows with coeff(n), to
+1e-4 at S2, n = 1e5.  A Weibull shape other than 0.5, 1 and 2,
+parameters whose float32 map would overflow or lose precision, and the
+sort path map in float64 only.
 """
 
 from __future__ import annotations
@@ -344,9 +350,113 @@ def _negated_over(x: np.ndarray, rate: float) -> np.ndarray:
     return np.divide(x, -rate, out=x)
 
 
+_U32 = float(np.finfo(np.float32).eps) / 2  # float32's unit roundoff
+# Past |z| = 12 a float32 p = Phi(-|z|), or 1 - p where the map reads it,
+# nears the subnormal range (Phi(-13) < 2^-126), where its relative error
+# is no longer about u.  Each family's guard recounts the replicates whose
+# lowest or highest read order statistic lies past the image of
+# _P_FAR = Phi(-12) or 1 - _P_FAR; ln(1 - U) there is -_W_FAR.
+_Z_FAR = 12.0
+_P_FAR = 0.5 * math.erfc(_Z_FAR / math.sqrt(2))
+_W_FAR = -math.log(_P_FAR)
+# float32 holds a number of magnitude 2^-100 to 2^100 to within u of it.
+# An error column needs its parameters and its guard's range inside that,
+# so the float32 map neither overflows nor loses relative precision.
+_SPAN = 2.0 ** 100
+
+
+def _inside(*values: float) -> bool:
+    return all(1 / _SPAN <= abs(v) <= _SPAN for v in values)
+
+
+def _normal_error(mu: float, sigma: float) -> Callable | None:
+    # |z32 - z| <= eps_z * (1 + |z|), eps_z = (5.4 * gaps + 41) * u (see
+    # ``_error_bound``).  y = mu + sigma * z adds sigma * eps_z * (1 + |z|),
+    # 2 u sigma |z| for sigma's rounding and product, u (|mu| + |y|) for
+    # mu's and the sum's, and the statistic's 15 u |y|: at most
+    # (eps_z + 18 u) * (sigma + a) + 17 u |mu|, a = sigma * max|z| the
+    # larger of mu - y_lo and y_hi - mu.  Unit parameters skip both
+    # passes (``_located``), so the 18 u is 15 u: E is then
+    # (5.4 * gaps + 56) * u * (1 + max|z|), with no pass for either one.
+    if not _inside(sigma, abs(mu) + _Z_FAR * sigma):
+        return None
+    extra = 0 if (mu, sigma) == (0.0, 1.0) else 3
+
+    def error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
+        e = np.maximum(mu - lo, hi - mu) if mu else np.maximum(-lo, hi)
+        e[e > _Z_FAR * sigma] = np.inf
+        e += sigma
+        e *= (5.4 * gaps + 56 + extra) * _U32
+        if mu:
+            e += 17 * _U32 * abs(mu)
+        return e
+    return error
+
+
+def _lognormal_error(mu: float, sigma: float) -> Callable | None:
+    # y = exp(w), w = mu + sigma * z as in the normal: w is off by at most
+    # sigma * (eps_z + 3 u) * (1 + |z|) + 2 u |mu|, exp adds 6 u (3 ulp)
+    # relative and the statistic 15 u y_hi.  So a read y is off by y
+    # times that, and y * (1 + |z|) rises with z >= 0 and is at most
+    # e^mu * M, M = max(1, e^(sigma - 1) / sigma), over z <= 0.
+    if not (_inside(sigma) and abs(mu) + _Z_FAR * sigma <= math.log(_SPAN)):
+        return None
+    below, above = (math.exp(mu + t * sigma) for t in (-_Z_FAR, _Z_FAR))
+    floor = math.exp(mu) * max(1.0, math.exp(sigma - 1) / sigma)
+
+    def error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
+        e = np.log(hi)  # (1 + z_hi) * y_hi where z_hi >= 0, then M's floor
+        if mu:
+            e -= mu
+        if sigma != 1.0:
+            e /= sigma
+        np.maximum(e, 0.0, out=e)
+        e += 1.0
+        e *= hi
+        np.maximum(e, floor, out=e)
+        e *= sigma * (5.4 * gaps + 44) * _U32
+        e += hi * ((21 + 2 * abs(mu)) * _U32)
+        e[(lo < below) | (hi > above)] = np.inf
+        return e
+    return error
+
+
+def _relative_error(slope: float, const: float, below: float, above: float,
+                    *params: float) -> Callable | None:
+    # E = (slope * gaps + const) * u * y_hi for a family whose y >= 0 is
+    # off by at most that relative error and rises with U: exponential,
+    # Weibull and beta(1, b), all through ln(1 - U).  w = -ln(1 - U) is
+    # off by (2.9 * gaps + 8) * u * w: p's relative 2 * gaps * u moves
+    # log1p(-U) by at most 1.443 times that relative (U <= 0.5), and
+    # ln(1 - U) >= ln 2 by 2 * gaps * u absolute (U > 0.5), plus log1p's
+    # 2 ulp or log's 4.  The column adds what its own passes cost, and the
+    # statistic's 15 u.  ``params`` are those the map rounds to float32.
+    if not _inside(above, *params):
+        return None
+    below = max(below, 1 / _SPAN)
+
+    def error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
+        e = hi * ((slope * gaps + const) * _U32)
+        e[(lo < below) | (hi > above)] = np.inf
+        return e
+    return error
+
+
+def _chisquare_error(lo: np.ndarray, hi: np.ndarray,
+                     gaps: int) -> np.ndarray:
+    # y = z^2 from p = V / 2 <= 0.5: z is off by eps_z * (1 + |z|), so y by
+    # 2 * eps_z * (|z| + y) <= eps_z * (1 + 3 y), plus u y for the square
+    # and the statistic's 15 u y_hi.  The guard is |z| > 12.
+    eps = (5.4 * gaps + 41) * _U32
+    e = hi * (3 * eps + 16 * _U32)
+    e += eps
+    e[hi > _Z_FAR ** 2] = np.inf
+    return e
+
+
 # family -> (number of parameters, indices that must be > 0, sampler,
-# quantile).  Parameters: normal mu, sigma; lognormal mu, sigma of the
-# underlying normal; chisquare degrees of freedom; exponential rate
+# quantile, error).  Parameters: normal mu, sigma; lognormal mu, sigma of
+# the underlying normal; chisquare degrees of freedom; exponential rate
 # lambda; beta alpha, beta; weibull shape k, scale lambda.  The quantile
 # column maps the parameters to the quantile function of one row of
 # (U, 1 - U), or to None where the family has no closed form for them.
@@ -354,29 +464,53 @@ def _negated_over(x: np.ndarray, rate: float) -> np.ndarray:
 # whose result is known, a multiply by a unit parameter and an add of a
 # zero one, which the type I curves and ``POWER_ALTERNATIVES`` would
 # otherwise make on every row.  At any parameters the bits are those of
-# the whole formula.
-_FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable]] = {
+# the whole formula.  The error column maps the parameters to E(lo, hi,
+# gaps), a bound on one read order statistic's float32 error from the
+# float32 rows of the lowest and highest read ones (``_error_bound``), or
+# to None where no bound is known and the curve maps in float64 only:
+# the sort path, a Weibull k other than 0.5, 1 and 2, where numpy's
+# float32 power is not the correctly rounded square, copy or sqrt, and
+# parameters whose float32 map overflows or loses precision (``_SPAN``).
+_FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable,
+                           Callable]] = {
     "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape),
-               lambda p: lambda u, v: _located(_quantile_row(u, v), *p)),
+               lambda p: lambda u, v: _located(_quantile_row(u, v), *p),
+               lambda p: _normal_error(*p)),
     "lognormal": (2, (1,),
                   lambda rng, p, shape: rng.lognormal(p[0], p[1], shape),
                   lambda p: lambda u, v: np.exp(
-                      _located(_quantile_row(u, v), *p))),
+                      _located(_quantile_row(u, v), *p)),
+                  lambda p: _lognormal_error(*p)),
     # chi-square(1) is Z^2 with Phi(Z) = (1 - U) / 2.
     "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape),
                   lambda p: None if p[0] != 1 else lambda u, v: (
-                      _quantile_row(v / 2, (1 + u) / 2) ** 2)),
+                      _quantile_row(v / 2, (1 + u) / 2) ** 2),
+                  lambda p: None if p[0] != 1 else _chisquare_error),
+    # y = w / lambda: lambda's rounding and the quotient add 2 u.
     "exponential": (1, (0,),
                     lambda rng, p, shape: rng.exponential(1.0 / p[0], shape),
                     lambda p: lambda u, v: _negated_over(_log_upper(u, v),
-                                                         p[0])),
+                                                         p[0]),
+                    lambda p: _relative_error(
+                        2.9, 25, _P_FAR / p[0], _W_FAR / p[0], p[0])),
+    # y = 1 - e^m, m = -w / b: b's rounding and the quotient add 2 u to m,
+    # |dy| = e^m |dm| <= y |dm| / |m|, and expm1 adds 3 ulp.
     "beta": (2, (0, 1), lambda rng, p, shape: rng.beta(p[0], p[1], shape),
              lambda p: None if p[0] != 1 else lambda u, v: (
-                 -np.expm1(_log_upper(u, v) / p[1]))),
+                 -np.expm1(_log_upper(u, v) / p[1])),
+             lambda p: None if p[0] != 1 else _relative_error(
+                 2.9, 31, -math.expm1(-_P_FAR / p[1]),
+                 -math.expm1(-_W_FAR / p[1]), p[1])),
+    # y = lambda * w^(1/k): w's error over k, 1 u for the square or sqrt,
+    # 2 u for lambda's rounding and product.
     "weibull": (2, (0, 1),
                 lambda rng, p, shape: p[1] * rng.weibull(p[0], shape),
                 lambda p: lambda u, v: _scaled(
-                    (-_log_upper(u, v)) ** (1 / p[0]), p[1])),
+                    (-_log_upper(u, v)) ** (1 / p[0]), p[1]),
+                lambda p: None if p[0] not in (0.5, 1, 2) else (
+                    _relative_error(2.9 / p[0], 8 / p[0] + 18,
+                                    p[1] * _P_FAR ** (1 / p[0]),
+                                    p[1] * _W_FAR ** (1 / p[0]), p[1]))),
 }
 
 
@@ -560,57 +694,55 @@ def _statistics(scenario: Scenario, summaries: np.ndarray,
     return statistic(scenario, *summaries.T, n)
 
 
-_STANDARD_NORMAL = DistSpec("normal", (0.0, 1.0))
-_U32 = float(np.finfo(np.float32).eps) / 2  # float32's unit roundoff
-# Past this |x| a float32 p = Phi(-|x|) nears the subnormal range
-# (Phi(-13) < 2^-126), where its relative error is no longer about u.
-_SCREEN_X_MAX = 12.0
-
-
-def _error_bound(scenario: Scenario, summaries: np.ndarray,
+def _error_bound(scenario: Scenario, error: Callable, summaries: np.ndarray,
                  stats: np.ndarray, n: int) -> np.ndarray:
     """Per replicate, a bound on |T32 - T|, inf where none is known.
 
-    ``summaries`` is the float32 map of a standard-normal draw and
-    ``stats`` its statistics T32; T is the statistic of the float64 map
-    of the same draw.  The bound is (coefficient(n) * w_N + |T32| * w_D)
-    * E / (D32 - w_D * E), with (w_N, w_D) the weights of the
-    statistic's ``symmetry.FORMULAS`` row, D32 the float32 spread and
-    E = eps * (1 + max|x|) the float32 error of one order statistic x
-    the statistic reads.  To first order in float32's unit roundoff u,
-    eps = (5.4 * gaps + 56) * u:
+    ``summaries`` is the float32 map of a draw and ``stats`` its
+    statistics T32; T is the statistic of the float64 map of the same
+    draw.  The bound is (coefficient(n) * w_N + |T32| * w_D) * E /
+    (D32 - w_D * E), with (w_N, w_D) the weights of the statistic's
+    ``symmetry.FORMULAS`` row, D32 the float32 spread and E the float32
+    error of one order statistic y the statistic reads, from ``error``,
+    the family's error column (``_FAMILIES``), given the rows of the
+    lowest and highest read y.  Each column takes E from these shares, to
+    first order in float32's unit roundoff u:
 
     * p, or 1 - p where the map reads it, is off by a relative 2 * gaps
       * u at most: the gamma rows' roundings to float32, at most
       gaps - 1 additions in each of its two sums, and the quotient.
-    * Phi^-1 carries a relative error r of p to at most r * p / phi(x)
-      <= 2.68 * r * (1 + |x|) in the central branch, most at its edge
-      p = 0.925, and 0.22 * r * (1 + |x|) in the tails.
-    * Evaluating the port in float32 adds 41 * u * (1 + |x|) at most:
+    * Phi^-1 carries a relative error r of p to at most r * p / phi(z)
+      <= 2.68 * r * (1 + |z|) in the central branch, most at its edge
+      p = 0.925, and 0.22 * r * (1 + |z|) in the tails.
+    * Evaluating the port in float32 adds 41 * u * (1 + |z|) at most:
       32 u relative for a pair's Horner passes (positive coefficients
       at a positive argument), their quotient and the product by q, and
       the roundings of q and r, or of s, its log and its constant,
-      carried through the slope.  The log's share is 8 u (4 ulp).
-      NumPy's float32 log runs a kernel chosen for the CPU, and their
-      errors differ; 4.5 u was measured on one x86-64 host, not derived.
-      ``test_bound_holds_with_headroom`` checks the whole bound on the
-      host that runs the tests.
-    * 4 u covers the contrast's and the spread's float32 sums, and 11 u
-      the statistic's product and quotient, the critical value's
-      rounding, this bound's own arithmetic, the float64 map's own
-      error and second-order terms.
+      carried through the slope.  So |z32 - z| <= eps_z * (1 + |z|),
+      eps_z = (5.4 * gaps + 41) * u.
+    * Each elementary function adds the float32 tolerance of numpy's own
+      tests, ``numpy/_core/tests/data/umath-validation-set-*.csv``: 4
+      ulp (8 u relative) for log, 3 for exp, 2 for log1p and 3 for
+      expm1.  NumPy's float32 kernels are chosen for the CPU, and those
+      tables are what each is held to.  ``TestFloat32Quantile`` checks
+      the port's 41 u on a fixed sample of float32 inputs of every
+      branch, and the screen tests check each column's whole bound with
+      tenfold headroom on the host that runs them.
+    * 15 u * max|y| covers the contrast's and the spread's float32 sums
+      (4 u), the statistic's product and quotient, the critical value's
+      rounding, this bound's own arithmetic, the float64 map's own error
+      and second-order terms (11 u).
 
-    Past |x| = ``_SCREEN_X_MAX``, or where D32 is within w_D * E of
-    zero, the bound is inf; a non-finite T32 gives nan or inf.
+    Under the standard normal E is (5.4 * gaps + 56) * u * (1 + max|z|).
+    Past a family's guard, a p or 1 - p below Phi(-12) (``_Z_FAR``), or
+    where D32 is within w_D * E of zero, the bound is inf; a non-finite
+    T32 gives nan or inf.
     """
     x = summaries.T
     reads = READS[scenario]
-    # The map is monotone up to its own rounding, so the largest |x| the
-    # statistic reads is at one end of the ranks it reads.
-    e = np.maximum(-x[reads[0]], x[reads[-1]])
-    e[e > _SCREEN_X_MAX] = np.inf
-    e += 1.0
-    e *= (5.4 * (len(reads) + 1) + 56) * _U32
+    # The map is monotone up to its own rounding, and each column's error
+    # is largest at one end of the ranks the statistic reads.
+    e = error(x[reads[0]], x[reads[-1]], len(reads) + 1)
     coefficient, _, spread, (w_contrast, w_spread) = FORMULAS[scenario]
     margin = spread(*x) - w_spread * e
     # A spread within its error of zero bounds nothing: inf, or nan.
@@ -783,23 +915,24 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
             return _draw_chunk(dist, n_grid[i], replicates, seed, chunk,
                                reads)
 
-    # Under the standard normal a unit first maps a float32 copy of its
-    # draw and counts each replicate that ``_error_bound`` decides from
-    # its statistic there.  The float64 map counts the others, and every
-    # non-finite float32 statistic is among them.
-    screened = dist == _STANDARD_NORMAL
+    # Where the family's row has an error column for these parameters, a
+    # unit first maps a float32 copy of its draw and counts each
+    # replicate that ``_error_bound`` decides from its statistic there.
+    # The float64 map counts the others, and every non-finite float32
+    # statistic is among them.
+    error = _FAMILIES[dist.family][4](dist.params)
 
     def count(i: int, chunk: int, drawn: np.ndarray) -> tuple[int, int]:
         n = n_grid[i]
         rejections = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if screened:
+            if error is not None:
                 summaries = _summary_matrix(
                     dist, n, replicates, seed, reads=reads,
                     drawn=drawn.astype(np.float32))
                 stats = _statistics(scenario, summaries, n)
                 over = np.abs(stats) - crit
-                bound = _error_bound(scenario, summaries, stats, n)
+                bound = _error_bound(scenario, error, summaries, stats, n)
                 rejections = int(np.count_nonzero(over > bound))
                 undecided = np.flatnonzero(
                     ~(np.abs(over, out=over) > bound))

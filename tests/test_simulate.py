@@ -255,10 +255,10 @@ _SORTED_FAMILIES = (DistSpec("chisquare", (3.0,)), DistSpec("beta", (2.0, 5.0)))
 
 def _sorted_matrix(monkeypatch, dist, n, replicates, seed):
     # The sort path, forced by hiding the family's quantile: the oracle.
-    arity, positive, sampler, _ = simulate._FAMILIES[dist.family]
+    row = simulate._FAMILIES[dist.family]
     with monkeypatch.context() as m:
         m.setitem(simulate._FAMILIES, dist.family,
-                  (arity, positive, sampler, lambda p: None))
+                  (*row[:3], lambda p: None, lambda p: None))
         return _summary_matrix(dist, n, replicates, seed)
 
 
@@ -731,24 +731,62 @@ class TestConcurrentCells:
         assert early == late
 
 
-def _maps(scenario, n, drawn):
-    """The float32 and the float64 statistics of ``drawn``, a
-    standard-normal chunk, and the float32 map's error bound."""
+def _maps(scenario, n, drawn, dist=_NORMAL):
+    """The float32 and the float64 statistics of ``drawn``, a chunk of
+    ``dist``, and the float32 map's error bound."""
     reads = READS[scenario]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m32 = _summary_matrix(_NORMAL, n, 1, 0, reads=reads,
+        m32 = _summary_matrix(dist, n, 1, 0, reads=reads,
                               drawn=drawn.astype(np.float32))
         t32 = _statistics(scenario, m32, n)
         t64 = _statistics(scenario, _summary_matrix(
-            _NORMAL, n, 1, 0, reads=reads, drawn=drawn.copy()), n)
-        return t32, t64, _error_bound(scenario, m32, t32, n)
+            dist, n, 1, 0, reads=reads, drawn=drawn.copy()), n)
+        error = simulate._FAMILIES[dist.family][4](dist.params)
+        return t32, t64, _error_bound(scenario, error, m32, t32, n)
+
+
+def _without_error_column(m, family):
+    # The family's row with no error column: its curves map in float64.
+    row = simulate._FAMILIES[family]
+    m.setitem(simulate._FAMILIES, family, (*row[:4], lambda p: None))
 
 
 def _float64_curve(monkeypatch, *args):
     # The same curve counted by the float64 map alone.
     with monkeypatch.context() as m:
-        m.setattr(simulate, "_STANDARD_NORMAL", None)
+        _without_error_column(m, args[1].family)
         return power_curve(*args)
+
+
+def _at_critical(dist, scenario, n, crit, rows=64, pool=4):
+    """A chunk of ``dist`` whose first half is moved to float64 statistics
+    at -crit and +crit, as near as bisection on the gap below the median
+    gets, from either side.  Its columns are drawn ones, of ``pool *
+    rows``, where that gap takes the statistic from above crit to below
+    -crit."""
+    reads = READS[scenario]
+    drawn = _draw_chunk(dist, n, pool * rows, 17, 0, reads)
+    row, half = reads.index(2), rows // 2
+
+    def statistics(gap, columns=slice(None)):
+        moved = drawn.copy()
+        moved[row, columns] = gap
+        return _maps(scenario, n, moved, dist)[1][columns]
+
+    lo = np.zeros(drawn.shape[1])  # the median at the rank below
+    hi = 1e6 * drawn.sum(axis=0)  # the median next to the rank above
+    cross = np.flatnonzero((statistics(lo) > crit)
+                           & (statistics(hi) < -crit))[:half]
+    assert len(cross) == half
+    order = np.r_[cross, np.setdiff1d(np.arange(len(lo)), cross)][:rows]
+    drawn, lo, hi = drawn[:, order], lo[cross], hi[cross]
+    target = np.where(np.arange(half) % 2, crit, -crit)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        above = statistics(mid, slice(half)) > target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    drawn[row, :half] = np.where(np.arange(half) % 4 < 2, lo, hi)
+    return drawn
 
 
 class TestTypeIScreen:
@@ -778,36 +816,6 @@ class TestTypeIScreen:
         # Some replicates fell inside the band, and under 1% of a unit.
         assert recounted and max(recounted) < simulate._CHUNK_ROWS // 100
 
-    @staticmethod
-    def _at_critical(scenario, n, crit, rows=64):
-        """A chunk whose first half is moved to float64 statistics at
-        -crit and +crit, as near as bisection on the gap below the median
-        gets, from either side.  Its columns are drawn ones where that gap
-        takes the statistic from above crit to below -crit."""
-        reads = READS[scenario]
-        drawn = _draw_chunk(_NORMAL, n, 4 * rows, 17, 0, reads)
-        row, half = reads.index(2), rows // 2
-
-        def statistics(gap, columns=slice(None)):
-            moved = drawn.copy()
-            moved[row, columns] = gap
-            return _maps(scenario, n, moved)[1][columns]
-
-        lo = np.zeros(drawn.shape[1])  # the median at the rank below
-        hi = 1e6 * drawn.sum(axis=0)  # the median next to the rank above
-        cross = np.flatnonzero((statistics(lo) > crit)
-                               & (statistics(hi) < -crit))[:half]
-        assert len(cross) == half
-        order = np.r_[cross, np.setdiff1d(np.arange(len(lo)), cross)][:rows]
-        drawn, lo, hi = drawn[:, order], lo[cross], hi[cross]
-        target = np.where(np.arange(half) % 2, crit, -crit)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            above = statistics(mid, slice(half)) > target
-            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-        drawn[row, :half] = np.where(np.arange(half) % 4 < 2, lo, hi)
-        return drawn
-
     @pytest.mark.parametrize("scenario,n,alpha", [
         (Scenario.S1, 12, 0.05), (Scenario.S1, 1000, 0.01),
         (Scenario.S2, 25, 0.05), (Scenario.S2, 10 ** 5, 0.01),
@@ -816,7 +824,7 @@ class TestTypeIScreen:
     def test_replicates_inside_the_band_recounted(self, monkeypatch,
                                                    scenario, n, alpha):
         crit = critical_value(alpha)
-        drawn = self._at_critical(scenario, n, crit)
+        drawn = _at_critical(_NORMAL, scenario, n, crit)
         t32, t64, bound = _maps(scenario, n, drawn)
         over = np.abs(t32) - crit
         assert np.all(np.abs(over[:32]) <= bound[:32])  # all undecided
@@ -918,6 +926,160 @@ class TestTypeIScreen:
         assert seen >= 10 ** 6
 
 
+# Every spacings family with an error column, at the benchmark's
+# parameters and at far ones: a location and scales far from 1, a
+# lognormal sigma below 1 (its y * (1 + |z|) peaks below the median), a
+# beta b whose upper guard cuts inside (0, 1), and the Weibull shapes
+# whose float32 power is a square and a copy.  Chi-square takes the
+# spacings path at one degree of freedom only.
+_SCREENED = POWER_ALTERNATIVES + (
+    DistSpec("normal", (-40.0, 7.0)), DistSpec("lognormal", (2.0, 0.3)),
+    DistSpec("exponential", (250.0,)), DistSpec("beta", (1.0, 60.0)),
+    DistSpec("weibull", (0.5, 30.0)), DistSpec("weibull", (1.0, 0.01)))
+
+
+class TestFamilyScreen:
+    # Every spacings-path curve whose family row has an error column
+    # counts through the float32 screen, and its counts are the float64
+    # map's.
+
+    @pytest.mark.parametrize("dist", _SCREENED, ids=DistSpec.label)
+    def test_counts_equal_the_float64_counts(self, monkeypatch, dist):
+        grid = (4, 5, 7, 10, 25, 100, 1000)
+        recounted, screened = [], []
+        real = simulate._summary_matrix
+
+        def recording(*args, drawn, **kwargs):
+            (screened if drawn.dtype == np.float32 else recounted).append(
+                drawn.shape[1])
+            return real(*args, drawn=drawn, **kwargs)
+
+        for seed, scenario in enumerate(READS, 1):
+            for alpha in (0.05, 0.01):
+                args = (scenario, dist, grid, 20000, alpha, seed)
+                with monkeypatch.context() as m:
+                    m.setattr(simulate, "_summary_matrix", recording)
+                    got = power_curve(*args)
+                assert got == _float64_curve(monkeypatch, *args)
+        assert len(screened) == 6 * len(grid)
+        assert max(recounted, default=0) < simulate._CHUNK_ROWS // 100
+
+    def test_bound_holds_with_headroom(self):
+        # 1.32e6 replicates over the families: each float32 statistic is
+        # within a tenth of its bound of the float64 one.
+        seen = 0
+        for dist in _SCREENED:
+            for scenario in READS:
+                for n in (4, 10, 100, 1000):
+                    drawn = _draw_chunk(dist, n, 10000, 5, 0, READS[scenario])
+                    t32, t64, bound = _maps(scenario, n, drawn, dist)
+                    finite = np.isfinite(t32) & np.isfinite(bound)
+                    assert np.count_nonzero(~finite) <= 1, dist
+                    assert np.all(np.abs(t32 - t64)[finite]
+                                  <= bound[finite] / 10), (dist, scenario, n)
+                    seen += len(t32)
+        assert seen >= 10 ** 6
+
+    @pytest.mark.parametrize("dist,scenario", [
+        (dist, list(READS)[i % 3]) for i, dist in enumerate(_SCREENED)],
+        ids=lambda x: x.label() if isinstance(x, DistSpec) else x.value)
+    def test_replicates_inside_the_band_recounted(self, monkeypatch, dist,
+                                                   scenario):
+        n, crit = 25, critical_value(0.05)
+        drawn = _at_critical(dist, scenario, n, crit, pool=16)
+        t32, t64, bound = _maps(scenario, n, drawn, dist)
+        over = np.abs(t32) - crit
+        assert np.all(np.abs(over[:32]) <= bound[:32])  # all undecided
+        assert np.any((over > 0) != (np.abs(t64) > crit))
+        monkeypatch.setattr(simulate, "_draw_chunk",
+                            lambda *args: drawn.copy())
+        args = (scenario, dist, (n,), drawn.shape[1], 0.05, 1)
+        got = power_curve(*args)
+        assert got.rates[0] * drawn.shape[1] == np.count_nonzero(
+            np.abs(t64) > crit)
+        assert got == _float64_curve(monkeypatch, *args)
+
+    @pytest.mark.parametrize("dist", _SCREENED, ids=DistSpec.label)
+    def test_float32_overflow_recounted_not_refused(self, monkeypatch,
+                                                    dist):
+        # A gamma past float32's range below the lowest read rank: the
+        # float32 statistic is not finite, the float64 one is, and the
+        # curve counts it.
+        scenario, n, rows = Scenario.S3, 50, 40
+        drawn = _draw_chunk(dist, n, rows, 3, 0, READS[scenario])
+        drawn[0, 0] = 1e39
+        t32, t64, _ = _maps(scenario, n, drawn, dist)
+        assert not np.isfinite(t32[0]) and np.isfinite(t64).all()
+        monkeypatch.setattr(simulate, "_draw_chunk",
+                            lambda *args: drawn.copy())
+        args = (scenario, dist, (n,), rows, 0.05, 1)
+        got = power_curve(*args)
+        assert got.rates[0] * rows == np.count_nonzero(np.abs(t64) > 1.96)
+        assert got == _float64_curve(monkeypatch, *args)
+
+    @pytest.mark.parametrize("dist", _SCREENED, ids=DistSpec.label)
+    def test_far_tails_recounted(self, monkeypatch, dist):
+        # A lowest gap of 1e-40 of the total puts U in float32's
+        # subnormal range, and a highest one 1 - U.  The guard makes the
+        # bound inf wherever the map reads that p: chi-square reads only
+        # 1 - U.
+        scenario, n, rows = Scenario.S1, 1000, 40
+        drawn = _draw_chunk(dist, n, rows, 8, 0, READS[scenario])
+        total = drawn.sum(axis=0)
+        drawn[0, :8] = 1e-40 * total[:8]
+        drawn[-1, 8:16] = 1e-40 * total[8:16]
+        guarded = slice(8 if dist.family == "chisquare" else 0, 16)
+        assert np.all(np.isinf(_maps(scenario, n, drawn, dist)[2][guarded]))
+        monkeypatch.setattr(simulate, "_draw_chunk",
+                            lambda *args: drawn.copy())
+        args = (scenario, dist, (n,), rows, 0.05, 1)
+        assert power_curve(*args) == _float64_curve(monkeypatch, *args)
+
+    @pytest.mark.parametrize("text", [
+        "weibull:1.5,1", "weibull:3,1", "lognormal:0,8", "lognormal:80,1",
+        "normal:0,1e-40", "normal:1e35,1", "exponential:1e-40",
+        "beta:1,1e31", "beta:2,5", "chisquare:3"])
+    def test_no_error_column(self, text):
+        # No known float32 bound: a Weibull power that numpy does not
+        # round correctly, a float32 exp or map that overflows, or a
+        # parameter float32 rounds past its unit roundoff; and the sort
+        # path.
+        dist = DistSpec.parse(text)
+        assert simulate._FAMILIES[dist.family][4](dist.params) is None
+
+    @pytest.mark.parametrize("k,oracle", [(0.5, np.square),
+                                          (1.0, np.positive),
+                                          (2.0, np.sqrt)])
+    def test_weibull_power_is_correctly_rounded(self, k, oracle):
+        # The Weibull column's premise: numpy's float32 x ** (1 / k) at
+        # these k has the bits of a square, a copy and a sqrt.
+        x = np.geomspace(1e-30, 1e4, 100001, dtype=np.float32)
+        assert (x ** (1 / k)).tobytes() == oracle(x).tobytes()
+
+    @pytest.mark.parametrize("text,counts", [
+        ("weibull:1.5,1", {Scenario.S1: (444, 1837, 2977),
+                           Scenario.S3: (304, 1547, 2961)}),
+        ("beta:2,5", {Scenario.S1: (248, 952, 2393),
+                      Scenario.S3: (201, 814, 2198)})])
+    def test_float64_families_keep_their_counts(self, monkeypatch, text,
+                                                 counts):
+        # Without an error column a curve maps in float64 only, and its
+        # counts are those recorded before the screen reached any family
+        # but the standard normal.
+        dist, dtypes = DistSpec.parse(text), set()
+        real = simulate._summary_matrix
+
+        def recording(*args, drawn, **kwargs):
+            dtypes.add(drawn.dtype)
+            return real(*args, drawn=drawn, **kwargs)
+
+        monkeypatch.setattr(simulate, "_summary_matrix", recording)
+        for scenario, want in counts.items():
+            got = power_curve(scenario, dist, (10, 25, 100), 3000, seed=3)
+            assert tuple(round(r * 3000) for r in got.rates) == want
+        assert dtypes == {np.dtype(np.float64)}
+
+
 class TestChunkUnits:
     # Cells of several chunks: with _CHUNK_ROWS = 300, R = 1000 is three
     # whole chunks and a partial one of 100 rows.
@@ -971,10 +1133,11 @@ class TestChunkUnits:
         # all R, and no unit of n=25 starts.  A count starts at the
         # unit's first map, float32 under the screen, and is matched to
         # its chunk by the contents of the draw.  float64_only runs the
-        # same curve with the screen off, as every other family runs.
+        # same curve with the screen off, as a family row without an
+        # error column runs.
         _force_cpus(monkeypatch, cpus)
         if not screen:
-            monkeypatch.setattr(simulate, "_STANDARD_NORMAL", None)
+            _without_error_column(monkeypatch, "normal")
         first = np.float32 if screen else np.float64  # a unit's first map
         units, chunks = [], {}  # chunks: a draw's float32 bytes -> its index
         real_draw, real = simulate._draw_chunk, simulate._summary_matrix
@@ -1453,3 +1616,32 @@ class TestQuantileArray:
         assert got.shape == (2, 2)
         assert got[0, 0] == 0.0
         assert got[1, 1] == std_normal_quantile(0.975)
+
+
+class TestFloat32Quantile:
+    # The port in float32 against itself in float64 at the same float32
+    # input: within the 41 u (1 + |z|) that ``_error_bound`` allows.
+
+    @staticmethod
+    def _evenly(lo, hi, count):
+        # ``count`` float32 values evenly spaced in their bit patterns.
+        a, b = np.array([lo, hi], np.float32).view(np.int32)
+        return np.linspace(a, b, count).astype(np.int32).view(np.float32)
+
+    def test_error_within_the_allowance(self):
+        # 2^18 inputs: 2^17 central p in [0.075, 0.925], 2^16 lower-tail
+        # p from float32's smallest normal number to 0.075, and their
+        # mirrors in the upper tail, read through ``upper``.
+        central = self._evenly(0.075, 0.925, 1 << 17)
+        tail = self._evenly(2.0 ** -126, 0.075, 1 << 16)
+
+        def mirror(x):
+            return (1.0 - x.astype(np.float64)).astype(np.float32)
+
+        for p, upper in ((central, mirror(central)), (tail, mirror(tail)),
+                         (mirror(tail), tail)):
+            z32 = _quantile_row(p, upper)
+            z64 = _quantile_row(p.astype(np.float64), upper.astype(np.float64))
+            assert z32.dtype == np.float32
+            assert np.all(np.abs(z32 - z64)
+                          <= 41 * simulate._U32 * (1.0 + np.abs(z64)))
