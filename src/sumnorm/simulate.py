@@ -82,7 +82,11 @@ or Phi^-1-based quantile take this path: normal, lognormal,
 exponential, Weibull, chi-square(1) and beta(1, b), which covers
 ``POWER_ALTERNATIVES``.  Chi-square with other degrees of freedom and
 beta(a != 1, b) sort whole samples instead, and so does the demo,
-which needs every value.
+which needs every value.  T1, T2 and T3 each divide a contrast of the
+summary by a spread of it, so none changes under y -> a + b * y with
+b > 0.  So this path maps through each family's standard member,
+normal(0, 1), lognormal(0, sigma), exponential(1) and Weibull(k, 1),
+and a curve is the same at every location and scale.
 
 Their Phi^-1 is the AS 241 algorithm (Wichura 1988) of
 ``normal.std_normal_quantile`` on numpy arrays, same coefficients, same
@@ -98,7 +102,8 @@ split the same way.  No other module imports numpy.
 
 A spacings-path curve counts through a float32 screen wherever its
 family's row in ``_FAMILIES`` has an error column for its parameters:
-every type I curve and every ``POWER_ALTERNATIVES`` curve among them.
+every normal, exponential and chi-square(1) curve, and so every type I
+curve and every ``POWER_ALTERNATIVES`` curve.
 A unit maps a float32 copy of its gammas through the same
 ``_summary_matrix`` and ``_statistics``, with float32 copies of the AS
 241 coefficients, in about half the float64 map's time.
@@ -116,9 +121,9 @@ replicate past its family's far-tail guard, where a float32 p or 1 - p
 nears the subnormal range.  So a unit's two counts, the early stop of
 ``_run_units`` and every output byte are those of the float64 map.  A
 fixed margin would not do: the float32 error grows with coeff(n), to
-1e-4 at S2, n = 1e5.  A Weibull shape other than 0.5, 1 and 2,
-parameters whose float32 map would overflow or lose precision, and the
-sort path map in float64 only.
+1e-4 at S2, n = 1e5.  A Weibull shape other than 0.5, 1 and 2, a
+lognormal sigma or beta b whose float32 map would overflow or lose
+precision, and the sort path map in float64 only.
 """
 
 from __future__ import annotations
@@ -323,31 +328,10 @@ def _log_upper(u: np.ndarray, v: np.ndarray) -> np.ndarray:
                         lambda i: np.log(v[i]))
 
 
-def _scaled(x: np.ndarray, scale: float) -> np.ndarray:
-    # scale * x, in place; x * 1.0 is x, so a unit scale does nothing.
-    if scale != 1.0:
-        x *= scale
-    return x
-
-
-def _located(z: np.ndarray, loc: float, scale: float) -> np.ndarray:
-    # loc + scale * z, in place, for z from ``_quantile_row``.  That is
-    # never -0.0, so 0.0 + 1.0 * z is z bit for bit and unit parameters
-    # do nothing.  A scaled z can underflow to -0.0, which adding 0.0
-    # turns to 0.0, so a zero loc is still added when the scale is not 1.
-    if scale == 1.0 and loc == 0.0:
-        return z
-    _scaled(z, scale)
-    z += loc
-    return z
-
-
-def _negated_over(x: np.ndarray, rate: float) -> np.ndarray:
-    # -x / rate in one pass, in place: x / -rate has the same bits, since
-    # IEEE division is symmetric in sign, and at rate 1 it is -x.
-    if rate == 1.0:
-        return np.negative(x, out=x)
-    return np.divide(x, -rate, out=x)
+def _exponential_row(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # -ln(1 - U), the standard exponential's quantile, negated in place.
+    w = _log_upper(u, v)
+    return np.negative(w, out=w)
 
 
 _U32 = float(np.finfo(np.float32).eps) / 2  # float32's unit roundoff
@@ -360,8 +344,8 @@ _Z_FAR = 12.0
 _P_FAR = 0.5 * math.erfc(_Z_FAR / math.sqrt(2))
 _W_FAR = -math.log(_P_FAR)
 # float32 holds a number of magnitude 2^-100 to 2^100 to within u of it.
-# An error column needs its parameters and its guard's range inside that,
-# so the float32 map neither overflows nor loses relative precision.
+# A lognormal sigma or beta b needs itself and its guard's range inside
+# that, so the float32 map neither overflows nor loses relative precision.
 _SPAN = 2.0 ** 100
 
 
@@ -369,53 +353,38 @@ def _inside(*values: float) -> bool:
     return all(1 / _SPAN <= abs(v) <= _SPAN for v in values)
 
 
-def _normal_error(mu: float, sigma: float) -> Callable | None:
+def _normal_error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
     # |z32 - z| <= eps_z * (1 + |z|), eps_z = (5.4 * gaps + 41) * u (see
-    # ``_error_bound``).  y = mu + sigma * z adds sigma * eps_z * (1 + |z|),
-    # 2 u sigma |z| for sigma's rounding and product, u (|mu| + |y|) for
-    # mu's and the sum's, and the statistic's 15 u |y|: at most
-    # (eps_z + 18 u) * (sigma + a) + 17 u |mu|, a = sigma * max|z| the
-    # larger of mu - y_lo and y_hi - mu.  Unit parameters skip both
-    # passes (``_located``), so the 18 u is 15 u: E is then
-    # (5.4 * gaps + 56) * u * (1 + max|z|), with no pass for either one.
-    if not _inside(sigma, abs(mu) + _Z_FAR * sigma):
+    # ``_error_bound``), and the statistic adds 15 u |z|: E is
+    # (5.4 * gaps + 56) * u * (1 + max|z|).  The guard is |z| > 12.
+    e = np.maximum(-lo, hi)
+    e[e > _Z_FAR] = np.inf
+    e += 1.0
+    e *= (5.4 * gaps + 56) * _U32
+    return e
+
+
+def _lognormal_error(sigma: float) -> Callable | None:
+    # y = exp(w), w = sigma * z: w is off by at most sigma * (eps_z + 2 u) *
+    # (1 + |z|), 2 u for sigma's rounding and the product; exp adds 6 u
+    # (3 ulp) relative and the statistic 15 u y_hi.  So a read y is off by
+    # y times that, and y * (1 + |z|) rises with z >= 0 and is at most
+    # M = max(1, e^(sigma - 1) / sigma) over z <= 0.
+    if not (_inside(sigma) and _Z_FAR * sigma <= math.log(_SPAN)):
         return None
-    extra = 0 if (mu, sigma) == (0.0, 1.0) else 3
-
-    def error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
-        e = np.maximum(mu - lo, hi - mu) if mu else np.maximum(-lo, hi)
-        e[e > _Z_FAR * sigma] = np.inf
-        e += sigma
-        e *= (5.4 * gaps + 56 + extra) * _U32
-        if mu:
-            e += 17 * _U32 * abs(mu)
-        return e
-    return error
-
-
-def _lognormal_error(mu: float, sigma: float) -> Callable | None:
-    # y = exp(w), w = mu + sigma * z as in the normal: w is off by at most
-    # sigma * (eps_z + 3 u) * (1 + |z|) + 2 u |mu|, exp adds 6 u (3 ulp)
-    # relative and the statistic 15 u y_hi.  So a read y is off by y
-    # times that, and y * (1 + |z|) rises with z >= 0 and is at most
-    # e^mu * M, M = max(1, e^(sigma - 1) / sigma), over z <= 0.
-    if not (_inside(sigma) and abs(mu) + _Z_FAR * sigma <= math.log(_SPAN)):
-        return None
-    below, above = (math.exp(mu + t * sigma) for t in (-_Z_FAR, _Z_FAR))
-    floor = math.exp(mu) * max(1.0, math.exp(sigma - 1) / sigma)
+    below, above = math.exp(-_Z_FAR * sigma), math.exp(_Z_FAR * sigma)
+    floor = max(1.0, math.exp(sigma - 1) / sigma)
 
     def error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
         e = np.log(hi)  # (1 + z_hi) * y_hi where z_hi >= 0, then M's floor
-        if mu:
-            e -= mu
         if sigma != 1.0:
             e /= sigma
         np.maximum(e, 0.0, out=e)
         e += 1.0
         e *= hi
         np.maximum(e, floor, out=e)
-        e *= sigma * (5.4 * gaps + 44) * _U32
-        e += hi * ((21 + 2 * abs(mu)) * _U32)
+        e *= sigma * (5.4 * gaps + 43) * _U32
+        e += hi * (21 * _U32)
         e[(lo < below) | (hi > above)] = np.inf
         return e
     return error
@@ -460,39 +429,35 @@ def _chisquare_error(lo: np.ndarray, hi: np.ndarray,
 # lambda; beta alpha, beta; weibull shape k, scale lambda.  The quantile
 # column maps the parameters to the quantile function of one row of
 # (U, 1 - U), or to None where the family has no closed form for them.
-# The quantiles work in place on their fresh arrays and skip the passes
-# whose result is known, a multiply by a unit parameter and an add of a
-# zero one, which the type I curves and ``POWER_ALTERNATIVES`` would
-# otherwise make on every row.  At any parameters the bits are those of
-# the whole formula.  The error column maps the parameters to E(lo, hi,
-# gaps), a bound on one read order statistic's float32 error from the
-# float32 rows of the lowest and highest read ones (``_error_bound``), or
-# to None where no bound is known and the curve maps in float64 only:
-# the sort path, a Weibull k other than 0.5, 1 and 2, where numpy's
-# float32 power is not the correctly rounded square, copy or sqrt, and
-# parameters whose float32 map overflows or loses precision (``_SPAN``).
+# It is that of the family's standard member (see the module docstring),
+# so no location or scale enters the map.  The error column maps the
+# parameters to E(lo, hi, gaps), a bound on one read order statistic's
+# float32 error from the float32 rows of the lowest and highest read ones
+# (``_error_bound``), or to None where no bound is known and the curve
+# maps in float64 only: the sort path, a Weibull k other than 0.5, 1 and
+# 2, where numpy's float32 power is not the correctly rounded square,
+# copy or sqrt, and a lognormal sigma or beta b whose float32 map
+# overflows or loses precision (``_SPAN``).
 _FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable,
                            Callable]] = {
     "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape),
-               lambda p: lambda u, v: _located(_quantile_row(u, v), *p),
-               lambda p: _normal_error(*p)),
+               lambda p: _quantile_row, lambda p: _normal_error),
+    # exp(sigma * z): z * 1.0 is z, so a unit sigma makes no multiply.
     "lognormal": (2, (1,),
                   lambda rng, p, shape: rng.lognormal(p[0], p[1], shape),
                   lambda p: lambda u, v: np.exp(
-                      _located(_quantile_row(u, v), *p)),
-                  lambda p: _lognormal_error(*p)),
+                      _quantile_row(u, v) * p[1] if p[1] != 1
+                      else _quantile_row(u, v)),
+                  lambda p: _lognormal_error(p[1])),
     # chi-square(1) is Z^2 with Phi(Z) = (1 - U) / 2.
     "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape),
                   lambda p: None if p[0] != 1 else lambda u, v: (
                       _quantile_row(v / 2, (1 + u) / 2) ** 2),
                   lambda p: None if p[0] != 1 else _chisquare_error),
-    # y = w / lambda: lambda's rounding and the quotient add 2 u.
     "exponential": (1, (0,),
                     lambda rng, p, shape: rng.exponential(1.0 / p[0], shape),
-                    lambda p: lambda u, v: _negated_over(_log_upper(u, v),
-                                                         p[0]),
-                    lambda p: _relative_error(
-                        2.9, 25, _P_FAR / p[0], _W_FAR / p[0], p[0])),
+                    lambda p: _exponential_row,
+                    lambda p: _relative_error(2.9, 23, _P_FAR, _W_FAR)),
     # y = 1 - e^m, m = -w / b: b's rounding and the quotient add 2 u to m,
     # |dy| = e^m |dm| <= y |dm| / |m|, and expm1 adds 3 ulp.
     "beta": (2, (0, 1), lambda rng, p, shape: rng.beta(p[0], p[1], shape),
@@ -501,16 +466,14 @@ _FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable,
              lambda p: None if p[0] != 1 else _relative_error(
                  2.9, 31, -math.expm1(-_P_FAR / p[1]),
                  -math.expm1(-_W_FAR / p[1]), p[1])),
-    # y = lambda * w^(1/k): w's error over k, 1 u for the square or sqrt,
-    # 2 u for lambda's rounding and product.
+    # y = w^(1/k): w's error over k, and 1 u for the square or sqrt.
     "weibull": (2, (0, 1),
                 lambda rng, p, shape: p[1] * rng.weibull(p[0], shape),
-                lambda p: lambda u, v: _scaled(
-                    (-_log_upper(u, v)) ** (1 / p[0]), p[1]),
+                lambda p: lambda u, v: _exponential_row(u, v) ** (1 / p[0]),
                 lambda p: None if p[0] not in (0.5, 1, 2) else (
-                    _relative_error(2.9 / p[0], 8 / p[0] + 18,
-                                    p[1] * _P_FAR ** (1 / p[0]),
-                                    p[1] * _W_FAR ** (1 / p[0]), p[1]))),
+                    _relative_error(2.9 / p[0], 8 / p[0] + 16,
+                                    _P_FAR ** (1 / p[0]),
+                                    _W_FAR ** (1 / p[0])))),
 }
 
 
@@ -645,14 +608,16 @@ def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int, *,
     map is the transpose of a (5, rows) array filled a row at a time.
     The spacings path draws gammas for the gaps between the ascending
     positions in ``reads`` only, maps those positions through the
-    quantile and fills the others with NaN, so a statistic that reads an
-    unmapped position is not finite.  Its draws therefore depend on
-    ``reads``: the read columns have the same joint law for any
-    ``reads``, not the same values.  The sort path's draw is already its
-    five order statistics, the same values for any ``reads``; its map is
-    that draw's transpose, not a copy.  The spacings path maps in
-    ``drawn``'s precision, float64 or the screen's float32, and
-    overwrites ``drawn`` with its upper sums, so a draw maps once.
+    quantile of the family's standard member (its rows are ``dist``'s
+    up to location and scale) and fills the others with NaN, so a
+    statistic that reads an unmapped position is not finite.  Its draws
+    therefore depend on ``reads``: the read columns have the same joint
+    law for any ``reads``, not the same values.  The sort path's draw is
+    already its five order statistics, the same values for any
+    ``reads``; its map is that draw's transpose, not a copy.  The
+    spacings path maps in ``drawn``'s precision, float64 or the screen's
+    float32, and overwrites ``drawn`` with its upper sums, so a draw
+    maps once.
     """
     if drawn is None:
         return np.concatenate([
@@ -705,8 +670,10 @@ def _error_bound(scenario: Scenario, error: Callable, summaries: np.ndarray,
     ``symmetry.FORMULAS`` row, D32 the float32 spread and E the float32
     error of one order statistic y the statistic reads, from ``error``,
     the family's error column (``_FAMILIES``), given the rows of the
-    lowest and highest read y.  Each column takes E from these shares, to
-    first order in float32's unit roundoff u:
+    lowest and highest read y.  The map is of the family's standard
+    member, so no location or scale parameter enters E.  Each column
+    takes E from these shares, to first order in float32's unit
+    roundoff u:
 
     * p, or 1 - p where the map reads it, is off by a relative 2 * gaps
       * u at most: the gamma rows' roundings to float32, at most
@@ -726,8 +693,8 @@ def _error_bound(scenario: Scenario, error: Callable, summaries: np.ndarray,
       expm1.  NumPy's float32 kernels are chosen for the CPU, and those
       tables are what each is held to.  ``TestFloat32Quantile`` checks
       the port's 41 u on a fixed sample of float32 inputs of every
-      branch, and the screen tests check each column's whole bound with
-      tenfold headroom on the host that runs them.
+      branch, and the screen tests check each column's whole bound, with
+      the headroom measured for that column, on the host that runs them.
     * 15 u * max|y| covers the contrast's and the spread's float32 sums
       (4 u), the statistic's product and quotient, the critical value's
       rounding, this bound's own arithmetic, the float64 map's own error

@@ -770,8 +770,8 @@ class TestSimulateCommand:
         assert (out_dir / "power_s2_chisquare-1.csv").is_file()
         assert (out_dir / "power_s2_chisquare-1.svg").is_file()
 
-    @pytest.mark.parametrize("dist", ["lognormal:1000,1",
-                                      "normal:1e308,1e308"])
+    @pytest.mark.parametrize("dist", ["lognormal:0,1000",
+                                      "lognormal:0,1e-17"])
     def test_overflowing_draws_exit_two(self, capsys, tmp_path, dist):
         out_dir = tmp_path / "sim"
         with warnings.catch_warnings():

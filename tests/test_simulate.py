@@ -1,4 +1,5 @@
 import csv
+import heapq
 import math
 import os
 import pickle
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -167,13 +169,30 @@ class TestRejectionCurves:
         r = power_curve(Scenario.S1, _NORMAL, [200], replicates=2000, seed=4)
         assert 0.03 < r.rates[0] < 0.075
 
-    def test_normal_alternative_matches_null(self):
-        # power against a shifted normal is still just the type I rate:
-        # the statistics are location-scale invariant
-        null = power_curve(Scenario.S3, _NORMAL, [100], replicates=500, seed=6)
-        alt = power_curve(Scenario.S3, DistSpec("normal", (5.0, 3.0)),
-                          [100], replicates=500, seed=6)
-        assert alt.rates == null.rates
+    @pytest.mark.parametrize("text,standard", [
+        ("normal:1,2", "normal:0,1"), ("normal:5,3", "normal:0,1"),
+        ("normal:-40,7", "normal:0,1"), ("normal:1e308,1e308", "normal:0,1"),
+        ("normal:1e17,1", "normal:0,1"), ("normal:0,1e-40", "normal:0,1"),
+        ("lognormal:2,0.3", "lognormal:0,0.3"),
+        ("lognormal:-3,1.5", "lognormal:0,1.5"),
+        ("lognormal:80,1", "lognormal:0,1"),
+        ("exponential:250", "exponential:1"),
+        ("exponential:0.01", "exponential:1"),
+        ("exponential:1e-40", "exponential:1"),
+        ("weibull:0.5,30", "weibull:0.5,1"), ("weibull:1,0.01", "weibull:1,1"),
+        ("weibull:2,3", "weibull:2,1"), ("weibull:1.5,4", "weibull:1.5,1")])
+    def test_curve_is_the_standard_members(self, text, standard):
+        # T1-T3 cancel a location and a positive scale, so the spacings
+        # map takes each family's standard member: a curve at any
+        # location and scale is that member's, rate for rate (power
+        # against a shifted normal is the type I rate), also where the
+        # parameters' own draws would overflow or round to one value.
+        dist, standard = DistSpec.parse(text), DistSpec.parse(standard)
+        for scenario in READS:
+            got, want = (power_curve(scenario, d, (4, 10, 100, 1000), 3000,
+                                     0.05, 7) for d in (dist, standard))
+            assert got.rates == want.rates and got.ses == want.ses
+            assert got.dist == dist
 
     def test_skewed_alternative_has_power(self):
         r = power_curve(Scenario.S1, DistSpec("lognormal", (0.0, 1.0)),
@@ -213,14 +232,17 @@ class TestRejectionCurves:
         with pytest.raises(ValueError, match="replicates"):
             power_curve(Scenario.S1, _NORMAL, [50], replicates=0, seed=1)
 
-    @pytest.mark.parametrize("dist", [DistSpec("lognormal", (1000.0, 1.0)),
-                                      DistSpec("normal", (1e308, 1e308)),
-                                      DistSpec("normal", (1e17, 1.0))],
-                             ids=["lognormal", "normal", "zero-spread"])
+    @pytest.mark.parametrize("dist", [DistSpec("lognormal", (0.0, 1000.0)),
+                                      DistSpec("weibull", (0.001, 1.0)),
+                                      DistSpec("lognormal", (0.0, 1e-17))],
+                             ids=["lognormal", "weibull", "zero-spread"])
     def test_non_finite_statistics_refused(self, dist):
         # Overflowing draws, or draws that round to one value, give nan
         # statistics, which would count as "retain"; the cell is refused
-        # in words instead, with no RuntimeWarning on the way.
+        # in words instead, with no RuntimeWarning on the way.  The map
+        # takes the family's standard member, so only a shape parameter
+        # (a lognormal sigma, a Weibull k) can overflow it or collapse
+        # its spread.
         with pytest.raises(ValueError, match=re.escape(
                 f"{dist.label()} at n=10: ") + r"\d+ of 200 statistics"):
             power_curve(Scenario.S1, dist, [10, 50], replicates=200, seed=1)
@@ -477,39 +499,29 @@ class TestConcurrentCells:
         # Each unit is drawn once and counted once, and at no time do more
         # chunks wait, drawn and not yet counted, than there are threads.
         # On one CPU each unit is drawn, then counted, in grid order.
-        # A count starts at the float32 map of the screen, which every
-        # normal(0,1) unit takes once; it is matched to its chunk by the
-        # contents of that float32 copy.  A float64 recount is not a count
-        # of its own.
+        # Both stages are seen where the scheduler decides them, under its
+        # lock: a drawn chunk is pushed on its heap of waiting chunks, and
+        # the thread that pops it counts it.
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
         _force_cpus(monkeypatch, cpus)
         before = set(threading.enumerate())
-        stages, waiting, most = [], 0, 0
-        real_draw, real = simulate._draw_chunk, simulate._summary_matrix
-        lock = threading.Lock()
-        chunks = {}  # a drawn chunk's float32 bytes -> its chunk index
+        stages, most = [], 0
 
-        def recording_draw(dist, n, replicates, seed, chunk, reads):
-            nonlocal waiting, most
-            drawn = real_draw(dist, n, replicates, seed, chunk, reads)
-            with lock:
-                stages.append(("draw", n, chunk, threading.current_thread()))
-                chunks[drawn.astype(np.float32).tobytes()] = chunk
-                waiting += 1
-                most = max(most, waiting)
-            return drawn
+        def push(heap, item):
+            nonlocal most
+            heapq.heappush(heap, item)
+            stages.append(("draw", grid[item[0]], item[1],
+                           threading.current_thread()))
+            most = max(most, len(heap))
 
-        def recording(dist, n, replicates, seed, *, drawn, **kwargs):
-            nonlocal waiting
-            if drawn.dtype == np.float32:
-                with lock:
-                    stages.append(("count", n, chunks.pop(drawn.tobytes()),
-                                   threading.current_thread()))
-                    waiting -= 1
-            return real(dist, n, replicates, seed, drawn=drawn, **kwargs)
+        def pop(heap):
+            item = heapq.heappop(heap)
+            stages.append(("count", grid[item[0]], item[1],
+                           threading.current_thread()))
+            return item
 
-        monkeypatch.setattr(simulate, "_draw_chunk", recording_draw)
-        monkeypatch.setattr(simulate, "_summary_matrix", recording)
+        monkeypatch.setattr(simulate, "heapq", types.SimpleNamespace(
+            heappush=push, heappop=pop))
         power_curve(Scenario.S1, _NORMAL, grid, replicates, seed=1)
         every = [(n, c) for n in grid for c in range(-(-replicates // 300))]
         for stage in ("draw", "count"):
@@ -640,7 +652,7 @@ class TestConcurrentCells:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match=r"at n=10: \d+ of 200 "):
-                power_curve(Scenario.S1, DistSpec("lognormal", (1000.0, 1.0)),
+                power_curve(Scenario.S1, DistSpec("lognormal", (0.0, 1000.0)),
                             [10, 50, 100, 200], replicates=200, seed=1)
         assert caught == []
 
@@ -743,6 +755,16 @@ def _maps(scenario, n, drawn, dist=_NORMAL):
             dist, n, 1, 0, reads=reads, drawn=drawn.copy()), n)
         error = simulate._FAMILIES[dist.family][4](dist.params)
         return t32, t64, _error_bound(scenario, error, m32, t32, n)
+
+
+# Per error column, the headroom its bound keeps over |T32 - T| in the
+# screen tests' samples: the least measured on an x86-64 host with numpy
+# 2.4.6 (normal 35, lognormal 27 at sigma = 0.3, chi-square 52,
+# exponential 22, beta 19, Weibull 18), over about 1.4.  A column cut
+# to half, whose bound then falls to under half, fails its test, and a
+# host whose float32 kernels err up to 1.4 times more still passes.
+_HEADROOM = {"normal": 25, "lognormal": 19, "chisquare": 36,
+             "exponential": 15, "beta": 14, "weibull": 13}
 
 
 def _without_error_column(m, family):
@@ -912,7 +934,8 @@ class TestTypeIScreen:
 
     def test_bound_holds_with_headroom(self):
         # 1.05e6 standard-normal replicates: the float32 statistic is
-        # within a tenth of its bound of the float64 one.
+        # within the normal column's share of its bound of the float64
+        # one (``_HEADROOM``).
         replicates, seen = 50000, 0
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
             for n in (4, 5, 7, 12, 50, 1000, 10 ** 6):
@@ -921,17 +944,18 @@ class TestTypeIScreen:
                         _NORMAL, n, replicates, 5, chunk, READS[scenario]))
                     finite = np.isfinite(t32) & np.isfinite(bound)
                     assert finite.all()
-                    assert np.all(np.abs(t32 - t64) <= bound / 10)
+                    assert np.all(np.abs(t32 - t64)
+                                  <= bound / _HEADROOM["normal"])
                     seen += len(t32)
         assert seen >= 10 ** 6
 
 
 # Every spacings family with an error column, at the benchmark's
-# parameters and at far ones: a location and scales far from 1, a
-# lognormal sigma below 1 (its y * (1 + |z|) peaks below the median), a
-# beta b whose upper guard cuts inside (0, 1), and the Weibull shapes
-# whose float32 power is a square and a copy.  Chi-square takes the
-# spacings path at one degree of freedom only.
+# parameters and at far ones: a location and scales far from 1, which the
+# map leaves out, a lognormal sigma below 1 (its y * (1 + |z|) peaks
+# below the median), a beta b whose upper guard cuts inside (0, 1), and
+# the Weibull shapes whose float32 power is a square and a copy.
+# Chi-square takes the spacings path at one degree of freedom only.
 _SCREENED = POWER_ALTERNATIVES + (
     DistSpec("normal", (-40.0, 7.0)), DistSpec("lognormal", (2.0, 0.3)),
     DistSpec("exponential", (250.0,)), DistSpec("beta", (1.0, 60.0)),
@@ -943,8 +967,12 @@ class TestFamilyScreen:
     # counts through the float32 screen, and its counts are the float64
     # map's.
 
-    @pytest.mark.parametrize("dist", _SCREENED, ids=DistSpec.label)
+    @pytest.mark.parametrize("dist", _SCREENED + tuple(map(DistSpec.parse, (
+        "normal:0,1e-40", "normal:1e35,1", "exponential:1e-40",
+        "lognormal:80,1"))), ids=DistSpec.label)
     def test_counts_equal_the_float64_counts(self, monkeypatch, dist):
+        # Locations and scales that float32 cannot hold screen too: the
+        # map leaves them out.
         grid = (4, 5, 7, 10, 25, 100, 1000)
         recounted, screened = [], []
         real = simulate._summary_matrix
@@ -966,7 +994,7 @@ class TestFamilyScreen:
 
     def test_bound_holds_with_headroom(self):
         # 1.32e6 replicates over the families: each float32 statistic is
-        # within a tenth of its bound of the float64 one.
+        # within its column's share of its bound of the float64 one.
         seen = 0
         for dist in _SCREENED:
             for scenario in READS:
@@ -976,7 +1004,8 @@ class TestFamilyScreen:
                     finite = np.isfinite(t32) & np.isfinite(bound)
                     assert np.count_nonzero(~finite) <= 1, dist
                     assert np.all(np.abs(t32 - t64)[finite]
-                                  <= bound[finite] / 10), (dist, scenario, n)
+                                  <= bound[finite] / _HEADROOM[dist.family]
+                                  ), (dist, scenario, n)
                     seen += len(t32)
         assert seen >= 10 ** 6
 
@@ -1036,12 +1065,11 @@ class TestFamilyScreen:
         assert power_curve(*args) == _float64_curve(monkeypatch, *args)
 
     @pytest.mark.parametrize("text", [
-        "weibull:1.5,1", "weibull:3,1", "lognormal:0,8", "lognormal:80,1",
-        "normal:0,1e-40", "normal:1e35,1", "exponential:1e-40",
-        "beta:1,1e31", "beta:2,5", "chisquare:3"])
+        "weibull:1.5,1", "weibull:3,1", "lognormal:0,8", "beta:1,1e31",
+        "beta:2,5", "chisquare:3"])
     def test_no_error_column(self, text):
         # No known float32 bound: a Weibull power that numpy does not
-        # round correctly, a float32 exp or map that overflows, or a
+        # round correctly, a float32 exp that overflows, or a shape
         # parameter float32 rounds past its unit roundoff; and the sort
         # path.
         dist = DistSpec.parse(text)
@@ -1254,19 +1282,20 @@ class TestFastPathsBitIdentical:
             assert rng.random() == oracle_rng.random(), scenario
 
     # The map of the drawn gammas before its shortcuts: the total by one
-    # reduction, and each quantile by its whole formula.
+    # reduction, and each quantile by its whole formula, that of the
+    # family's standard member: normal(0, 1), lognormal(0, sigma),
+    # exponential(1) and Weibull(k, 1).
     _FORMULAS = {
-        "normal": lambda p: lambda u, v: p[0] + p[1] * _quantile_row(u, v),
+        "normal": lambda p: lambda u, v: _quantile_row(u, v),
         "lognormal": lambda p: lambda u, v: np.exp(
-            p[0] + p[1] * _quantile_row(u, v)),
+            p[1] * _quantile_row(u, v)),
         "chisquare": lambda p: lambda u, v: (
             _quantile_row(v / 2, (1 + u) / 2) ** 2),
-        "exponential": lambda p: lambda u, v: (
-            -simulate._log_upper(u, v) / p[0]),
+        "exponential": lambda p: lambda u, v: -simulate._log_upper(u, v),
         "beta": lambda p: lambda u, v: -np.expm1(
             simulate._log_upper(u, v) / p[1]),
         "weibull": lambda p: lambda u, v: (
-            p[1] * (-simulate._log_upper(u, v)) ** (1 / p[0])),
+            (-simulate._log_upper(u, v)) ** (1 / p[0])),
     }
 
     @classmethod
@@ -1288,9 +1317,9 @@ class TestFastPathsBitIdentical:
             "chisquare:1")], ids=DistSpec.label)
     def test_map_matches_the_whole_formulas(self, dist):
         # Every spacings family at unit and other parameters, a subnormal
-        # scale among them (its products underflow to -0.0, which the
-        # added 0.0 turns to 0.0).  np.cumsum along axis 0 makes the same
-        # additions in the same order as the map's running sums.
+        # normal scale among them, which the map leaves out as it does
+        # every location and scale.  np.cumsum along axis 0 makes the
+        # same additions in the same order as the map's running sums.
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
             reads = READS[scenario]
             for n in (4, 5, 7, 10, 100, 1000):
