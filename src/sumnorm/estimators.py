@@ -14,11 +14,10 @@ constants.  It refuses a summary its scenario cannot read, and
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .model import (SCENARIO_FIELDS, SUMMARY_FIELDS, GroupRecord,
-                    QuantileSummary, Scenario)
+                    QuantileSummary, Scenario, summary_violations)
 from .normal import extreme_width, quartile_width
 
 __all__ = [
@@ -66,34 +65,25 @@ def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
     Raises
     ------
     ValueError
-        If the summary lacks a field the scenario reads or is unordered,
-        or n is not a positive whole number, is below the scenario's
-        minimum or is past the float range; or
-        if an estimate is not finite: a summary value is inf or nan, or
-        the values lie near the float limit.
+        If the summary lacks a field the scenario reads; if n and the
+        fields read break a rule of :func:`model.summary_violations`,
+        in the words :func:`model.validate` gives: n not a whole number
+        from 1 to the float limit or below the scenario's minimum, a
+        value inf or nan, or the values out of order; or if an estimate
+        is not finite, as where the values lie near the float limit.
     """
     if scenario not in SCENARIO_FIELDS:
         raise ValueError(f"no estimator for scenario {scenario}")
-    names, n_min = SCENARIO_FIELDS[scenario]
+    names, _ = SCENARIO_FIELDS[scenario]
     read = {name: getattr(summary, name) for name in names}
     if None in read.values():
         *rest, last = [name for name, value in read.items() if value is None]
         raise ValueError(f"{scenario.value} estimation needs "
                          f"{', '.join(rest) + ' and ' if rest else ''}{last}")
-    values = list(read.values())
-    if any(lo > hi for lo, hi in zip(values, values[1:])):
-        raise ValueError(f"{scenario.value} estimation needs an ordered "
-                         f"summary {' <= '.join(names)}, got {tuple(values)}")
-    # validate's check and words; an n that fails it is not formatted,
-    # as str() fails on an int of over 4300 digits.
-    if not (n >= 1 and n % 1 == 0):
-        raise ValueError("n must be a positive integer")
-    if n < n_min:
-        raise ValueError(f"{scenario.value} estimation needs n >= {n_min}, "
-                         f"got n={n}")
-    if n > sys.float_info.max:  # n ** 0.75 would raise OverflowError
-        raise ValueError("n overflows the float range")
-    a, q1, m, q3, b = map(dict(zip(names, values)).get, SUMMARY_FIELDS)
+    violations = summary_violations(summary, n, names)
+    if violations:
+        raise ValueError("; ".join(violations))
+    a, q1, m, q3, b = map(read.get, SUMMARY_FIELDS)
     if scenario is Scenario.S1:
         w1 = 4.0 / (4.0 + n ** 0.75)
         mean = w1 * (a + b) / 2.0 + (1.0 - w1) * m

@@ -37,6 +37,7 @@ __all__ = [
     "UnsupportedSummaryError",
     "classify_scenario",
     "validate",
+    "summary_violations",
     "pooled_moments",
     "parse_studies",
     "CSV_COLUMNS",
@@ -199,12 +200,6 @@ def validate(group: GroupRecord) -> list[str]:
     raises them.
     """
     out: list[str] = []
-    # No message formats an n that fails here: str() fails on an int of
-    # over 4300 digits.  nan, inf and 2.5 fail the first check.
-    if not (group.n >= 1 and group.n % 1 == 0):
-        out.append("n must be a positive integer")
-    elif group.n > sys.float_info.max:
-        out.append("n overflows the float range")
     if group.arm not in ("case", "control"):
         out.append(f"arm must be 'case' or 'control', got {group.arm!r}")
     mean, sd = group.reported_mean, group.reported_sd
@@ -225,27 +220,47 @@ def validate(group: GroupRecord) -> list[str]:
         out.append("sd is nan")
     elif sd is not None and sd < 0:
         out.append(f"sd must be nonnegative, got {sd}")
-    s = group.summary
-    if s is None:
+    return out + summary_violations(group.summary, group.n)
+
+
+def summary_violations(summary: QuantileSummary | None, n,
+                       fields: Sequence[str] = SUMMARY_FIELDS) -> list[str]:
+    """The violations of ``n`` and, unless it is None, of the ``fields``
+    of ``summary``, a quantile summary of n values: n a whole number from
+    1 to the float limit, the fields' values finite and ascending, and n
+    at least 4 with quartiles or 2 with extremes.  :func:`validate`
+    judges a whole summary by it, and ``estimators.estimate_mean_sd`` the
+    fields its scenario reads.
+    """
+    out: list[str] = []
+    # No message formats an n that fails here: str() fails on an int of
+    # over 4300 digits.  nan, inf and 2.5 fail the first check.
+    whole = n >= 1 and n % 1 == 0
+    if not whole:
+        out.append("n must be a positive integer")
+    elif n > sys.float_info.max:
+        out.append("n overflows the float range")
+    if summary is None:
         return out
-    if s.median is None:
+    if summary.median is None:
         out.append("quantile summary has no median")
-    ordered = [(name, getattr(s, name)) for name in SUMMARY_FIELDS
-               if getattr(s, name) is not None]
-    if any(math.isinf(value) for _, value in ordered):
+    names = [name for name in fields if getattr(summary, name) is not None]
+    values = [getattr(summary, name) for name in names]
+    if any(map(math.isinf, values)):
         out.append("the summary values overflow the float range")
-    elif any(math.isnan(value) for _, value in ordered):
+    elif any(map(math.isnan, values)):
         out.append("a summary value is nan")
     else:
-        for (lo_name, lo), (hi_name, hi) in zip(ordered, ordered[1:]):
+        for lo_name, hi_name, lo, hi in zip(names, names[1:], values,
+                                            values[1:]):
             if lo > hi:
                 out.append(f"ordering violation: {lo_name} <= {hi_name} "
                            f"fails ({lo} > {hi})")
-    has_quartiles = s.q1 is not None or s.q3 is not None
-    if has_quartiles and 1 <= group.n < 4:
-        out.append(f"n >= 4 required with quartiles, got n={group.n}")
-    elif not has_quartiles and 1 <= group.n < 2:
-        out.append(f"n >= 2 required with extremes, got n={group.n}")
+    has_quartiles = "q1" in names or "q3" in names
+    if whole and has_quartiles and n < 4:
+        out.append(f"n >= 4 required with quartiles, got n={n}")
+    elif whole and not has_quartiles and n < 2:
+        out.append(f"n >= 2 required with extremes, got n={n}")
     return out
 
 

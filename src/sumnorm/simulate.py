@@ -110,12 +110,13 @@ A unit maps a float32 copy of its gammas through the same
 ``_error_bound`` bounds each replicate's |T32 - T|, T32 its float32
 statistic and T the float64 one, by (coeff(n) * w_N + |T32| * w_D) * E
 / (D32 - w_D * E): (w_N, w_D) and D32, the float32 spread, from the
-statistic's ``symmetry.FORMULAS`` row, and E the error column's bound on
-one read order statistic's float32 error.  A replicate whose T32 lies
+statistic's ``symmetry.FORMULAS`` row, and E a bound on one read order
+statistic's float32 error, of one shape for every family, whose five
+numbers the error column holds.  A replicate whose T32 lies
 further than its bound from the critical value is counted from T32.
-The rest go through the float64 map, which stays the oracle: 0-3 of a
+The rest go through the float64 map, which stays the oracle: 0-5 of a
 20000-row chunk at n = 200 to 1000 under the standard normal, about 30
-at S2, n = 1e5, and about 1 in 15000 replicates of the power
+at S2, n = 1e5, and about 1 in 6400 replicates of the power
 alternatives at n = 10 to 100.  So does every non-finite T32 and every
 replicate past its family's far-tail guard, where a float32 p or 1 - p
 nears the subnormal range.  So a unit's two counts, the early stop of
@@ -353,74 +354,35 @@ def _inside(*values: float) -> bool:
     return all(1 / _SPAN <= abs(v) <= _SPAN for v in values)
 
 
-def _normal_error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
-    # |z32 - z| <= eps_z * (1 + |z|), eps_z = (5.4 * gaps + 41) * u (see
-    # ``_error_bound``), and the statistic adds 15 u |z|: E is
-    # (5.4 * gaps + 56) * u * (1 + max|z|).  The guard is |z| > 12.
-    e = np.maximum(-lo, hi)
-    e[e > _Z_FAR] = np.inf
-    e += 1.0
-    e *= (5.4 * gaps + 56) * _U32
-    return e
-
-
-def _lognormal_error(sigma: float) -> Callable | None:
+def _lognormal_row(sigma: float) -> tuple | None:
     # y = exp(w), w = sigma * z: w is off by at most sigma * (eps_z + 2 u) *
     # (1 + |z|), 2 u for sigma's rounding and the product; exp adds 6 u
-    # (3 ulp) relative and the statistic 15 u y_hi.  So a read y is off by
-    # y times that, and y * (1 + |z|) rises with z >= 0 and is at most
-    # M = max(1, e^(sigma - 1) / sigma) over z <= 0.
+    # (3 ulp) relative and the statistic 15 u y.  So E is at most sigma *
+    # (5.4 * gaps + 43) * u * max(F, y_hi * (1 + z_hi)) + 21 u y_hi, as
+    # y * (1 + |z|) rises with z >= 0 and is at most F = max(1, e^(sigma -
+    # 1) / sigma) over z <= 0.  Inside the guard z <= 12, so y (1 + z) <= 13
+    # y, and max(F, X) <= F + X: E <= (13 * 5.4 * sigma * gaps + 13 * 43 *
+    # sigma + 21) * u * (y_hi + F / 13).
     if not (_inside(sigma) and _Z_FAR * sigma <= math.log(_SPAN)):
         return None
-    below, above = math.exp(-_Z_FAR * sigma), math.exp(_Z_FAR * sigma)
     floor = max(1.0, math.exp(sigma - 1) / sigma)
-
-    def error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
-        e = np.log(hi)  # (1 + z_hi) * y_hi where z_hi >= 0, then M's floor
-        if sigma != 1.0:
-            e /= sigma
-        np.maximum(e, 0.0, out=e)
-        e += 1.0
-        e *= hi
-        np.maximum(e, floor, out=e)
-        e *= sigma * (5.4 * gaps + 43) * _U32
-        e += hi * (21 * _U32)
-        e[(lo < below) | (hi > above)] = np.inf
-        return e
-    return error
+    return (13 * 5.4 * sigma, 13 * 43 * sigma + 21, floor / 13,
+            math.exp(-_Z_FAR * sigma), math.exp(_Z_FAR * sigma))
 
 
-def _relative_error(slope: float, const: float, below: float, above: float,
-                    *params: float) -> Callable | None:
-    # E = (slope * gaps + const) * u * y_hi for a family whose y >= 0 is
-    # off by at most that relative error and rises with U: exponential,
-    # Weibull and beta(1, b), all through ln(1 - U).  w = -ln(1 - U) is
-    # off by (2.9 * gaps + 8) * u * w: p's relative 2 * gaps * u moves
-    # log1p(-U) by at most 1.443 times that relative (U <= 0.5), and
-    # ln(1 - U) >= ln 2 by 2 * gaps * u absolute (U > 0.5), plus log1p's
-    # 2 ulp or log's 4.  The column adds what its own passes cost, and the
-    # statistic's 15 u.  ``params`` are those the map rounds to float32.
+def _log_upper_row(slope: float, const: float, below: float, above: float,
+                   *params: float) -> tuple | None:
+    # A family whose y >= 0 rises with U and is off by at most (slope *
+    # gaps + const) * u * y: exponential, Weibull and beta(1, b), all
+    # through w = -ln(1 - U).  w is off by (2.9 * gaps + 8) * u * w: p's
+    # relative 2 * gaps * u moves log1p(-U) by at most 1.443 times that
+    # relative (U <= 0.5), and ln(1 - U) >= ln 2 by 2 * gaps * u absolute
+    # (U > 0.5), plus log1p's 2 ulp or log's 4.  The row adds what its own
+    # passes cost, and the statistic's 15 u; its offset is 0.  ``params``
+    # are those the map rounds to float32.
     if not _inside(above, *params):
         return None
-    below = max(below, 1 / _SPAN)
-
-    def error(lo: np.ndarray, hi: np.ndarray, gaps: int) -> np.ndarray:
-        e = hi * ((slope * gaps + const) * _U32)
-        e[(lo < below) | (hi > above)] = np.inf
-        return e
-    return error
-
-
-def _chisquare_error(lo: np.ndarray, hi: np.ndarray,
-                     gaps: int) -> np.ndarray:
-    # y = z^2 from p = V / 2 <= 0.5: z is off by eps_z * (1 + |z|), so y by
-    # 2 * eps_z * (|z| + y) <= eps_z * (1 + 3 y), plus u y for the square
-    # and the statistic's 15 u y_hi.  The guard is |z| > 12.
-    eps = (5.4 * gaps + 41) * _U32
-    e = hi * (3 * eps + 16 * _U32)
-    e += eps
-    e[hi > _Z_FAR ** 2] = np.inf
-    return e
+    return slope, const, 0.0, max(below, 1 / _SPAN), above
 
 
 # family -> (number of parameters, indices that must be > 0, sampler,
@@ -431,49 +393,62 @@ def _chisquare_error(lo: np.ndarray, hi: np.ndarray,
 # (U, 1 - U), or to None where the family has no closed form for them.
 # It is that of the family's standard member (see the module docstring),
 # so no location or scale enters the map.  The error column maps the
-# parameters to E(lo, hi, gaps), a bound on one read order statistic's
-# float32 error from the float32 rows of the lowest and highest read ones
-# (``_error_bound``), or to None where no bound is known and the curve
-# maps in float64 only: the sort path, a Weibull k other than 0.5, 1 and
-# 2, where numpy's float32 power is not the correctly rounded square,
-# copy or sqrt, and a lognormal sigma or beta b whose float32 map
+# parameters to the five numbers (slope, const, offset, below, above) of
+# ``_error_bound``'s bound on one read order statistic's float32 error,
+# each row derived beside it, or to None where no bound is known and the
+# curve maps in float64 only: the sort path, a Weibull k other than 0.5,
+# 1 and 2, where numpy's float32 power is not the correctly rounded
+# square, copy or sqrt, and a lognormal sigma or beta b whose float32 map
 # overflows or loses precision (``_SPAN``).
 _FAMILIES: dict[str, tuple[int, tuple[int, ...], Callable, Callable,
                            Callable]] = {
+    # |z32 - z| <= eps_z * (1 + |z|), eps_z = (5.4 * gaps + 41) * u (see
+    # ``_error_bound``), and the statistic adds 15 u |z|: E = (5.4 * gaps
+    # + 56) * u * (max|z| + 1).  The guard is |z| > 12.
     "normal": (2, (1,), lambda rng, p, shape: rng.normal(p[0], p[1], shape),
-               lambda p: _quantile_row, lambda p: _normal_error),
+               lambda p: _quantile_row,
+               lambda p: (5.4, 56, 1.0, -_Z_FAR, _Z_FAR)),
     # exp(sigma * z): z * 1.0 is z, so a unit sigma makes no multiply.
     "lognormal": (2, (1,),
                   lambda rng, p, shape: rng.lognormal(p[0], p[1], shape),
                   lambda p: lambda u, v: np.exp(
                       _quantile_row(u, v) * p[1] if p[1] != 1
                       else _quantile_row(u, v)),
-                  lambda p: _lognormal_error(p[1])),
-    # chi-square(1) is Z^2 with Phi(Z) = (1 - U) / 2.
+                  lambda p: _lognormal_row(p[1])),
+    # chi-square(1) is Z^2 with Phi(Z) = (1 - U) / 2.  y = z^2 from p = V /
+    # 2 <= 0.5: z is off by eps_z * (1 + |z|), so y by 2 * eps_z * (|z| +
+    # y) <= eps_z * (1 + 3 y), plus u y for the square and the statistic's
+    # 15 u y: y_hi * (3 * eps_z + 16 u) + eps_z, at most (16.2 * gaps +
+    # 139) * u * (y_hi + 1/3), as (16.2 * gaps + 139) / 3 >= 5.4 * gaps +
+    # 41.  y >= 0, so the only guard is |z| > 12 above.
     "chisquare": (1, (0,), lambda rng, p, shape: rng.chisquare(p[0], shape),
                   lambda p: None if p[0] != 1 else lambda u, v: (
                       _quantile_row(v / 2, (1 + u) / 2) ** 2),
-                  lambda p: None if p[0] != 1 else _chisquare_error),
+                  lambda p: None if p[0] != 1 else (
+                      16.2, 139, 1 / 3, -math.inf, _Z_FAR ** 2)),
+    # y = w: w's (2.9 * gaps + 8) * u * y and the statistic's 15 u y.
     "exponential": (1, (0,),
                     lambda rng, p, shape: rng.exponential(1.0 / p[0], shape),
                     lambda p: _exponential_row,
-                    lambda p: _relative_error(2.9, 23, _P_FAR, _W_FAR)),
+                    lambda p: _log_upper_row(2.9, 23, _P_FAR, _W_FAR)),
     # y = 1 - e^m, m = -w / b: b's rounding and the quotient add 2 u to m,
-    # |dy| = e^m |dm| <= y |dm| / |m|, and expm1 adds 3 ulp.
+    # |dy| = e^m |dm| <= y |dm| / |m|, and expm1 adds 3 ulp: (2.9 * gaps
+    # + 10 + 6 + 15) * u * y.
     "beta": (2, (0, 1), lambda rng, p, shape: rng.beta(p[0], p[1], shape),
              lambda p: None if p[0] != 1 else lambda u, v: (
                  -np.expm1(_log_upper(u, v) / p[1])),
-             lambda p: None if p[0] != 1 else _relative_error(
+             lambda p: None if p[0] != 1 else _log_upper_row(
                  2.9, 31, -math.expm1(-_P_FAR / p[1]),
                  -math.expm1(-_W_FAR / p[1]), p[1])),
-    # y = w^(1/k): w's error over k, and 1 u for the square or sqrt.
+    # y = w^(1/k): w's error over k, 1 u for the square or sqrt and the
+    # statistic's 15 u.
     "weibull": (2, (0, 1),
                 lambda rng, p, shape: p[1] * rng.weibull(p[0], shape),
                 lambda p: lambda u, v: _exponential_row(u, v) ** (1 / p[0]),
                 lambda p: None if p[0] not in (0.5, 1, 2) else (
-                    _relative_error(2.9 / p[0], 8 / p[0] + 16,
-                                    _P_FAR ** (1 / p[0]),
-                                    _W_FAR ** (1 / p[0])))),
+                    _log_upper_row(2.9 / p[0], 8 / p[0] + 16,
+                                   _P_FAR ** (1 / p[0]),
+                                   _W_FAR ** (1 / p[0])))),
 }
 
 
@@ -659,7 +634,7 @@ def _statistics(scenario: Scenario, summaries: np.ndarray,
     return statistic(scenario, *summaries.T, n)
 
 
-def _error_bound(scenario: Scenario, error: Callable, summaries: np.ndarray,
+def _error_bound(scenario: Scenario, error: tuple, summaries: np.ndarray,
                  stats: np.ndarray, n: int) -> np.ndarray:
     """Per replicate, a bound on |T32 - T|, inf where none is known.
 
@@ -668,12 +643,18 @@ def _error_bound(scenario: Scenario, error: Callable, summaries: np.ndarray,
     draw.  The bound is (coefficient(n) * w_N + |T32| * w_D) * E /
     (D32 - w_D * E), with (w_N, w_D) the weights of the statistic's
     ``symmetry.FORMULAS`` row, D32 the float32 spread and E the float32
-    error of one order statistic y the statistic reads, from ``error``,
-    the family's error column (``_FAMILIES``), given the rows of the
-    lowest and highest read y.  The map is of the family's standard
-    member, so no location or scale parameter enters E.  Each column
-    takes E from these shares, to first order in float32's unit
-    roundoff u:
+    error of one order statistic y the statistic reads.  Every family's
+    E has one shape, from the five numbers (slope, const, offset, below,
+    above) of its error column (``_FAMILIES``):
+
+        E = (slope * gaps + const) * u * (max(-y_lo, y_hi) + offset),
+
+    gaps = len(reads) + 1 and y_lo, y_hi the lowest and highest read y,
+    and E is inf where y_lo < below or y_hi > above, the family's
+    far-tail guard.  max(-y_lo, y_hi) is y_hi where y >= 0.  The map is of
+    the family's standard member, so no location or scale parameter
+    enters E.  Each row's derivation, beside it, takes E from these
+    shares, to first order in float32's unit roundoff u:
 
     * p, or 1 - p where the map reads it, is off by a relative 2 * gaps
       * u at most: the gamma rows' roundings to float32, at most
@@ -700,16 +681,21 @@ def _error_bound(scenario: Scenario, error: Callable, summaries: np.ndarray,
       rounding, this bound's own arithmetic, the float64 map's own error
       and second-order terms (11 u).
 
-    Under the standard normal E is (5.4 * gaps + 56) * u * (1 + max|z|).
-    Past a family's guard, a p or 1 - p below Phi(-12) (``_Z_FAR``), or
-    where D32 is within w_D * E of zero, the bound is inf; a non-finite
-    T32 gives nan or inf.
+    A guard lies at the image of a p or 1 - p of Phi(-12) (``_Z_FAR``).
+    Where D32 is within w_D * E of zero the bound is inf too; a
+    non-finite T32 gives nan or inf.
     """
     x = summaries.T
     reads = READS[scenario]
-    # The map is monotone up to its own rounding, and each column's error
-    # is largest at one end of the ranks the statistic reads.
-    e = error(x[reads[0]], x[reads[-1]], len(reads) + 1)
+    slope, const, offset, below, above = error
+    # The map is monotone up to its own rounding, and each row's error is
+    # largest at one end of the ranks the statistic reads.
+    lo, hi = x[reads[0]], x[reads[-1]]
+    e = np.negative(lo)
+    np.maximum(e, hi, out=e)
+    e += offset
+    e *= (slope * (len(reads) + 1) + const) * _U32
+    e[(lo < below) | (hi > above)] = np.inf
     coefficient, _, spread, (w_contrast, w_spread) = FORMULAS[scenario]
     margin = spread(*x) - w_spread * e
     # A spread within its error of zero bounds nothing: inf, or nan.

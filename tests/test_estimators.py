@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sumnorm.estimators import (EstimatedMoments, estimate_mean_sd,
                                 estimate_moments)
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
-                           classify_scenario)
+                           UnsupportedSummaryError, classify_scenario)
 from sumnorm.normal import std_normal_quantile
 
 # Phi^-1(0.75), used to build population quartiles of N(mu, sigma^2)
@@ -66,7 +66,7 @@ class TestSdS1:
             estimate_mean_sd(_s1(0.0, 1.0), Scenario.S1, 1)
 
     def test_reversed_range_rejected(self):
-        with pytest.raises(ValueError, match="ordered summary"):
+        with pytest.raises(ValueError, match="^ordering violation: "):
             estimate_mean_sd(_s1(2.0, 1.0), Scenario.S1, 10)
 
 
@@ -104,7 +104,7 @@ class TestSdS2:
             estimate_mean_sd(_s2(0.0, 1.0), Scenario.S2, 3)
 
     def test_reversed_quartiles_rejected(self):
-        with pytest.raises(ValueError, match="ordered summary"):
+        with pytest.raises(ValueError, match="^ordering violation: "):
             estimate_mean_sd(_s2(2.0, 1.0), Scenario.S2, 10)
 
 
@@ -141,7 +141,8 @@ class TestSdS3:
             estimate_mean_sd(_s3(0.0, 1.0, 2.0, 3.0), Scenario.S3, 3)
 
     def test_disordered_rejected(self):
-        with pytest.raises(ValueError, match="ordered"):
+        with pytest.raises(ValueError, match="^ordering violation: q1 <= "
+                           "median fails"):
             estimate_mean_sd(_s3(0.0, 3.0, 2.0, 5.0), Scenario.S3, 10)
 
 
@@ -230,7 +231,7 @@ class TestSharedChecks:
         # the median lies outside the range it sits in
         s = QuantileSummary(median=5.0, min=0.0, q1=1.0, q3=2.0, max=3.0)
         for scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
-            with pytest.raises(ValueError, match="ordered summary"):
+            with pytest.raises(ValueError, match="^ordering violation: "):
                 estimate_mean_sd(s, scenario, 10)[half]
 
     @pytest.mark.parametrize("half", _HALVES)
@@ -239,7 +240,8 @@ class TestSharedChecks:
                                                 (Scenario.S3, 4)])
     def test_n_below_minimum_rejected(self, half, scenario, n_min):
         s = QuantileSummary(median=2.0, min=0.0, q1=1.0, q3=3.0, max=4.0)
-        with pytest.raises(ValueError, match=f"n >= {n_min}, got n="):
+        with pytest.raises(ValueError, match=rf"^n >= {n_min} required "
+                           rf"with (quartiles|extremes), got n={n_min - 1}$"):
             estimate_mean_sd(s, scenario, n_min - 1)[half]
         assert math.isfinite(estimate_mean_sd(s, scenario, n_min)[half])
 
@@ -248,6 +250,28 @@ class TestSharedChecks:
         s = QuantileSummary(median=1.0, min=0.0, max=2.0)
         with pytest.raises(ValueError, match="no estimator"):
             estimate_mean_sd(s, Scenario.DIRECT, 10)[half]
+
+    @pytest.mark.parametrize("scenario,n,fields", [
+        (Scenario.S3, 2.5, dict(min=0.0, q1=1.0, median=2.0, q3=3.0,
+                                max=4.0)),
+        (Scenario.S1, 10**400, dict(min=0.0, median=1.0, max=2.0)),
+        (Scenario.S1, 1, dict(min=2.0, median=1.0, max=0.0)),
+        (Scenario.S2, 3, dict(q1=1.0, median=2.0, q3=3.0)),
+        (Scenario.S2, 10, dict(q1=1.0, median=math.nan, q3=3.0)),
+        (Scenario.S1, 10, dict(min=-math.inf, median=1.0, max=2.0))],
+        ids=["fraction", "huge-n", "unordered-and-small", "small", "nan",
+             "inf"])
+    def test_refusal_is_validates(self, scenario, n, fields):
+        # validate judges a summary and its n for both callers: the
+        # estimator refuses in its words, all of them.
+        s = QuantileSummary(**fields)
+        g = GroupRecord(study_id="s", group_label="g", arm="case", n=n,
+                        summary=s)
+        with pytest.raises(UnsupportedSummaryError) as validated:
+            classify_scenario(g)
+        with pytest.raises(ValueError) as estimated:
+            estimate_mean_sd(s, scenario, n)
+        assert str(estimated.value) == str(validated.value)
 
 
 class TestSdEquivariance:
@@ -334,10 +358,10 @@ class TestEstimateMoments:
 
     def test_summary_past_the_float_range_refused_in_words(self):
         # Unvalidated, such a summary used to raise OverflowError.  The
-        # summary holds the int as inf, so the estimate is inf.
+        # summary holds the int as inf, which validate's rule refuses.
         s = QuantileSummary(min=1, median=2, max=10**400)
-        with pytest.raises(ValueError, match="^estimated mean is inf: the "
-                           "summary values overflow the float range$"):
+        with pytest.raises(ValueError, match="^the summary values overflow "
+                           "the float range$"):
             estimate_mean_sd(s, Scenario.S1, 20)
 
     @pytest.mark.parametrize("scenario", [Scenario.S1, Scenario.S2,
