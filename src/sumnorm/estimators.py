@@ -1,14 +1,17 @@
 """Sample mean and SD estimation from quantile summaries.
 
-:func:`estimate_mean_sd` takes a summary, its scenario and n, and holds
-the formulas of all three scenarios.  The SD estimates divide the
+:func:`estimate_mean_sd` takes a summary, its scenario and n, and
+applies the formulas of all three scenarios.  The SD estimates divide the
 reported spreads by the expected widths of standard-normal order
 statistics, :func:`normal.extreme_width` for the range and
 :func:`normal.quartile_width` for the interquartile range.  The mean
 estimates are the published optimal weightings of mid-range,
 mid-quartile range, and median; their weights are adopted here as fixed
-constants.  It refuses a summary its scenario cannot read, and
-:func:`estimate_moments` calls it for a group's scenario.
+constants.  It refuses a summary its scenario cannot read, or whose
+fields read break a rule of :func:`model.summary_violations`.
+:func:`estimate_moments` estimates a group that
+:func:`model.classify_scenario` has already judged by those rules, so it
+takes the same formulas without judging the group again.
 """
 
 from __future__ import annotations
@@ -74,16 +77,24 @@ def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
     """
     if scenario not in SCENARIO_FIELDS:
         raise ValueError(f"no estimator for scenario {scenario}")
-    names, _ = SCENARIO_FIELDS[scenario]
-    read = {name: getattr(summary, name) for name in names}
-    if None in read.values():
-        *rest, last = [name for name, value in read.items() if value is None]
+    names = SCENARIO_FIELDS[scenario]
+    missing = [name for name in names if getattr(summary, name) is None]
+    if missing:
+        *rest, last = missing
         raise ValueError(f"{scenario.value} estimation needs "
                          f"{', '.join(rest) + ' and ' if rest else ''}{last}")
     violations = summary_violations(summary, n, names)
     if violations:
         raise ValueError("; ".join(violations))
-    a, q1, m, q3, b = map(read.get, SUMMARY_FIELDS)
+    return _mean_sd(summary, scenario, n)
+
+
+def _mean_sd(summary: QuantileSummary, scenario: Scenario,
+             n: int) -> tuple[float, float]:
+    """:func:`estimate_mean_sd`'s arithmetic and finite-result check, for
+    a summary that has the fields ``scenario`` reads and, with n, holds
+    every rule of :func:`model.summary_violations`."""
+    a, q1, m, q3, b = (getattr(summary, name) for name in SUMMARY_FIELDS)
     if scenario is Scenario.S1:
         w1 = 4.0 / (4.0 + n ** 0.75)
         mean = w1 * (a + b) / 2.0 + (1.0 - w1) * m
@@ -108,11 +119,14 @@ def estimate_mean_sd(summary: QuantileSummary, scenario: Scenario,
 def estimate_moments(group: GroupRecord,
                      scenario: Scenario) -> EstimatedMoments:
     """Moments of ``group``: passthrough when reported, otherwise
-    :func:`estimate_mean_sd` for its scenario.
+    :func:`estimate_mean_sd`'s estimates for its scenario.
 
     ``scenario`` is :func:`model.classify_scenario` of ``group``, which the
     caller has already run: it validates the group, so classifying once
-    serves both the symmetry test and the estimate.
+    serves both the symmetry test and the estimate, and the estimate
+    judges the group's n and summary no second time.  A ``scenario`` that
+    is not the group's own is judged, or refused, as
+    :func:`estimate_mean_sd` judges any summary.
 
     Raises
     ------
@@ -122,6 +136,9 @@ def estimate_moments(group: GroupRecord,
     if scenario is Scenario.DIRECT:
         return EstimatedMoments(mean=group.reported_mean, sd=group.reported_sd,
                                 source="reported")
-    mean, sd = estimate_mean_sd(group.summary, scenario, group.n)
+    if group.summary.present_fields() == SCENARIO_FIELDS.get(scenario):
+        mean, sd = _mean_sd(group.summary, scenario, group.n)
+    else:
+        mean, sd = estimate_mean_sd(group.summary, scenario, group.n)
     return EstimatedMoments(mean=mean, sd=sd, source="estimated",
                             scenario=scenario)

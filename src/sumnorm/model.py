@@ -70,15 +70,15 @@ class Scenario(Enum):
 # The fields of a quantile summary, in ascending order.
 SUMMARY_FIELDS = ("min", "q1", "median", "q3", "max")
 
-# scenario -> (the summary fields it reports, in ascending order, and the
-# smallest n its estimators and statistic are defined for).
+# scenario -> the summary fields it reports, in ascending order.  The
+# smallest n each is defined for is ``summary_violations``' rule.
 SCENARIO_FIELDS = {
-    Scenario.S1: (("min", "median", "max"), 2),
-    Scenario.S2: (("q1", "median", "q3"), 4),
-    Scenario.S3: (SUMMARY_FIELDS, 4),
+    Scenario.S1: ("min", "median", "max"),
+    Scenario.S2: ("q1", "median", "q3"),
+    Scenario.S3: SUMMARY_FIELDS,
 }
 _SCENARIO_OF_FIELDS = {fields: scenario
-                       for scenario, (fields, _) in SCENARIO_FIELDS.items()}
+                       for scenario, fields in SCENARIO_FIELDS.items()}
 
 
 class SummaryDataError(ValueError):

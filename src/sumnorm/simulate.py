@@ -16,8 +16,9 @@ its draw (``_draw_chunk``), the chunk's gamma rows or the sort path's
 order statistics, and its count, which maps that draw and no other
 (``_summary_matrix``) and counts the statistic's rejections.  A cell's
 whole matrix, which only the tests and the scorecard take, is the same
-maps stacked in chunk order.  The calling thread and one helper thread
-per further usable CPU (``os.sched_getaffinity``) share the stages.
+maps stacked in chunk order (``tests/matrices.py``).  The calling
+thread and one helper thread per further usable CPU
+(``os.sched_getaffinity``) share the stages.
 The draws start in grid order, then chunk order.  A free thread counts
 the lowest drawn chunk when no draw can start, or when as many chunks
 are drawn or being drawn, and not yet taken, as there are threads;
@@ -570,36 +571,26 @@ def _draw_chunk(dist: DistSpec, n: int, replicates: int, seed: int,
     return _draw(dist, rng, (len(gaps), rows), gaps)
 
 
-def _summary_matrix(dist: DistSpec, n: int, replicates: int, seed: int, *,
-                    reads: Sequence[int] = (0, 1, 2, 3, 4),
-                    drawn: np.ndarray | None = None) -> np.ndarray:
+def _summary_matrix(dist: DistSpec, drawn: np.ndarray,
+                    reads: Sequence[int]) -> np.ndarray:
     """The map stage of a curve's unit: the (rows, 5) [min, q1, median,
     q3, max] rows of one chunk's ``drawn``, from ``_draw_chunk``.
-    Without ``drawn``, the cell's whole (replicates, 5) matrix: the
-    concatenation, chunk by chunk, of the maps of each chunk's draw.
 
     Spacings when the family has a quantile (see the module docstring),
-    sorted samples otherwise; both on the (seed, n, chunk) streams.  A
-    map is the transpose of a (5, rows) array filled a row at a time.
-    The spacings path draws gammas for the gaps between the ascending
-    positions in ``reads`` only, maps those positions through the
-    quantile of the family's standard member (its rows are ``dist``'s
-    up to location and scale) and fills the others with NaN, so a
-    statistic that reads an unmapped position is not finite.  Its draws
-    therefore depend on ``reads``: the read columns have the same joint
-    law for any ``reads``, not the same values.  The sort path's draw is
-    already its five order statistics, the same values for any
-    ``reads``; its map is that draw's transpose, not a copy.  The
-    spacings path maps in ``drawn``'s precision, float64 or the screen's
-    float32, and overwrites ``drawn`` with its upper sums, so a draw
-    maps once.
+    sorted samples otherwise.  A map is the transpose of a (5, rows)
+    array filled a row at a time.  The spacings path draws gammas for the
+    gaps between the ascending positions in ``reads`` only, maps those
+    positions through the quantile of the family's standard member (its
+    rows are ``dist``'s up to location and scale) and fills the others
+    with NaN, so a statistic that reads an unmapped position is not
+    finite.  Its draws therefore depend on ``reads``: the read columns
+    have the same joint law for any ``reads``, not the same values.  The
+    sort path's draw is already its five order statistics, the same
+    values for any ``reads``; its map is that draw's transpose, not a
+    copy.  The spacings path maps in ``drawn``'s precision, float64 or
+    the screen's float32, and overwrites ``drawn`` with its upper sums,
+    so a draw maps once.
     """
-    if drawn is None:
-        return np.concatenate([
-            _summary_matrix(dist, n, replicates, seed, reads=reads,
-                            drawn=_draw_chunk(dist, n, replicates, seed,
-                                              chunk, reads))
-            for chunk in range(-(-replicates // _CHUNK_ROWS))])
     quantile = _FAMILIES[dist.family][3](dist.params)
     if quantile is None:
         return drawn.T
@@ -880,9 +871,8 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
         rejections = 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if error is not None:
-                summaries = _summary_matrix(
-                    dist, n, replicates, seed, reads=reads,
-                    drawn=drawn.astype(np.float32))
+                summaries = _summary_matrix(dist, drawn.astype(np.float32),
+                                            reads)
                 stats = _statistics(scenario, summaries, n)
                 over = np.abs(stats) - crit
                 bound = _error_bound(scenario, error, summaries, stats, n)
@@ -892,8 +882,7 @@ def _rejection_curve(scenario: Scenario, dist: DistSpec,
                 if not len(undecided):
                     return rejections, 0
                 drawn = drawn[:, undecided]
-            summaries = _summary_matrix(dist, n, replicates, seed,
-                                        reads=reads, drawn=drawn)
+            summaries = _summary_matrix(dist, drawn, reads)
             stats = _statistics(scenario, summaries, n)
             return (rejections + int(np.count_nonzero(np.abs(stats) > crit)),
                     int(np.count_nonzero(~np.isfinite(stats))))

@@ -126,7 +126,7 @@ def statistic(scenario: Scenario, a, q1, m, q3, b, n: int):
 # scenario -> the positions in SUMMARY_FIELDS that its statistic reads;
 # the others it ignores.
 READS = {scenario: tuple(map(SUMMARY_FIELDS.index, fields))
-         for scenario, (fields, _) in SCENARIO_FIELDS.items()}
+         for scenario, fields in SCENARIO_FIELDS.items()}
 
 
 # scenario -> the words for a zero divisor in its statistic, which on

@@ -42,12 +42,13 @@ from sumnorm.simulate import (
     POWER_ALTERNATIVES,
     DistSpec,
     _statistics,
-    _summary_matrix,
     isotonic_fit_r2,
     power_curve,
 )
 from sumnorm.symmetry import (READS, _null_variance, critical_value,
                               run_test, statistic)
+
+from matrices import whole_matrix
 
 _DATA = Path(sumnorm.__file__).parent / "data"
 _NORMAL = DistSpec("normal", (0.0, 1.0))
@@ -341,7 +342,7 @@ def test_criterion_4_type1_error_bands(capsys):
     # API exactly; prove it once at a cheap size.  A curve draws only the
     # order statistics its statistic reads, so each scenario has its own.
     probe = power_curve(Scenario.S2, _NORMAL, (50,), replicates=2000, seed=0)
-    matrix = _summary_matrix(_NORMAL, 50, 2000, 0, reads=READS[Scenario.S2])
+    matrix = whole_matrix(_NORMAL, 50, 2000, 0, reads=READS[Scenario.S2])
     stats = _statistics(Scenario.S2, matrix, 50)
     manual = float(np.mean(np.abs(stats) > critical_value(0.05)))
     assert probe.rates[0] == manual
@@ -352,8 +353,8 @@ def test_criterion_4_type1_error_bands(capsys):
     for n in (200, 300, 500, 1000):
         per_n = []
         for scenario in _SCENARIOS:
-            matrix = _summary_matrix(_NORMAL, n, 100_000, 0,
-                                     reads=READS[scenario])
+            matrix = whole_matrix(_NORMAL, n, 100_000, 0,
+                                  reads=READS[scenario])
             stats = _statistics(scenario, matrix, n)
             rate = float(np.mean(np.abs(stats) > crit))
             per_n.append(f"{scenario.name}={rate:.4f}")
@@ -373,8 +374,8 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
     t0 = time.monotonic()
     probe = power_curve(Scenario.S1, DistSpec("lognormal", (0.0, 1.0)),
                         (50,), replicates=500, seed=0)
-    matrix = _summary_matrix(DistSpec("lognormal", (0.0, 1.0)), 50, 500, 0,
-                             reads=READS[Scenario.S1])
+    matrix = whole_matrix(DistSpec("lognormal", (0.0, 1.0)), 50, 500, 0,
+                          reads=READS[Scenario.S1])
     stats = _statistics(Scenario.S1, matrix, 50)
     manual = float(np.mean(np.abs(stats) > critical_value(0.05)))
     assert probe.rates[0] == manual
@@ -384,8 +385,8 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
     for dist in POWER_ALTERNATIVES:
         for n in DEFAULT_N_GRID:
             for scenario in _SCENARIOS:
-                matrix = _summary_matrix(dist, n, 10_000, 0,
-                                         reads=READS[scenario])
+                matrix = whole_matrix(dist, n, 10_000, 0,
+                                      reads=READS[scenario])
                 stats = _statistics(scenario, matrix, n)
                 rates[(scenario, dist.label(), n)] = float(
                     np.mean(np.abs(stats) > crit))
@@ -425,7 +426,7 @@ def test_criterion_5_power_thresholds_and_monotonicity(capsys):
 def test_criterion_6_order_statistic_asymptotics(capsys):
     t0 = time.monotonic()
     n = 1000
-    a, q1, m, _, b = _summary_matrix(_NORMAL, n, 100_000, 0).T
+    a, q1, m, _, b = whole_matrix(_NORMAL, n, 100_000, 0).T
     ab = a + b
     checks = [
         ("Var(a+b-2m) vs asymptote",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from sumnorm import estimators
 from sumnorm.estimators import (EstimatedMoments, estimate_mean_sd,
                                 estimate_moments)
 from sumnorm.model import (GroupRecord, QuantileSummary, Scenario,
@@ -355,6 +356,44 @@ class TestEstimateMoments:
         with pytest.raises(ValueError, match="^estimated SD is inf: the "
                            "summary values overflow the float range$"):
             estimate_moments(g, classify_scenario(g))
+
+    @pytest.mark.parametrize("fields", [
+        dict(min=0.5, median=1.0, max=4.0),
+        dict(q1=0.75, median=1.0, q3=2.0),
+        dict(min=0.5, q1=0.75, median=1.0, q3=2.0, max=4.0),
+    ], ids=["s1", "s2", "s3"])
+    def test_classified_group_judged_once(self, monkeypatch, fields):
+        # classify_scenario has judged the group: its estimate is
+        # estimate_mean_sd's, without a second summary_violations.
+        g = GroupRecord(study_id="s", group_label="g", arm="case", n=30,
+                        summary=QuantileSummary(**fields))
+        scenario = classify_scenario(g)
+        want = estimate_mean_sd(g.summary, scenario, g.n)
+        monkeypatch.setattr(estimators, "summary_violations", None)
+        got = estimate_moments(g, scenario)
+        assert (got.mean, got.sd, got.scenario) == (*want, scenario)
+
+    def test_scenario_not_the_groups_judged_as_any_summary(self):
+        # A scenario that is not the group's classification is refused,
+        # or estimated, as estimate_mean_sd refuses or estimates it.
+        s1 = GroupRecord(study_id="s", group_label="g", arm="case", n=30,
+                         summary=QuantileSummary(min=0.5, median=1.0,
+                                                 max=4.0))
+        for scenario in (Scenario.S2, Scenario.S3):
+            with pytest.raises(ValueError, match=rf"^{scenario.value} "
+                               "estimation needs q1 and q3$"):
+                estimate_moments(s1, scenario)
+        s3 = GroupRecord(study_id="s", group_label="g", arm="case", n=30,
+                         summary=QuantileSummary(min=0.5, q1=0.75, median=1.0,
+                                                 q3=2.0, max=4.0))
+        got = estimate_moments(s3, Scenario.S1)
+        assert (got.mean, got.sd) == estimate_mean_sd(s3.summary,
+                                                      Scenario.S1, 30)
+        with pytest.raises(ValueError, match="^n >= 2 required with "
+                           "extremes, got n=1$"):
+            estimate_moments(GroupRecord(study_id="s", group_label="g",
+                                         arm="case", n=1,
+                                         summary=s3.summary), Scenario.S1)
 
     def test_summary_past_the_float_range_refused_in_words(self):
         # Unvalidated, such a summary used to raise OverflowError.  The

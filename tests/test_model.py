@@ -46,10 +46,17 @@ class TestClassifyScenario:
 
     @pytest.mark.parametrize("scenario", list(SCENARIO_FIELDS))
     def test_table_fields_at_the_smallest_n_are_the_scenario(self, scenario):
-        fields, n_min = SCENARIO_FIELDS[scenario]
-        g = _group(n=n_min, **{name: float(i) for i, name in enumerate(fields)})
+        # n >= 2 with extremes alone, n >= 4 with quartiles.
+        fields = SCENARIO_FIELDS[scenario]
+        n_min = {Scenario.S1: 2, Scenario.S2: 4, Scenario.S3: 4}[scenario]
+        values = {name: float(i) for i, name in enumerate(fields)}
+        g = _group(n=n_min, **values)
         assert classify_scenario(g) is scenario
         assert run_test(g).scenario is scenario
+        with pytest.raises(UnsupportedSummaryError, match=rf"^n >= {n_min} "
+                           "required with (quartiles|extremes), "
+                           rf"got n={n_min - 1}$"):
+            classify_scenario(_group(n=n_min - 1, **values))
 
     def test_both_forms_refused(self):
         # Moments and a summary together break an invariant; neither wins.

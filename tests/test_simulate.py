@@ -32,6 +32,8 @@ from sumnorm.simulate import (DEMO_PAIRS, POWER_ALTERNATIVES, DistSpec, _draw,
                               write_experiment_csv)
 from sumnorm.symmetry import READS
 
+from matrices import whole_matrix
+
 _NORMAL = DistSpec("normal", (0.0, 1.0))
 
 
@@ -281,7 +283,7 @@ def _sorted_matrix(monkeypatch, dist, n, replicates, seed):
     with monkeypatch.context() as m:
         m.setitem(simulate._FAMILIES, dist.family,
                   (*row[:3], lambda p: None, lambda p: None))
-        return _summary_matrix(dist, n, replicates, seed)
+        return whole_matrix(dist, n, replicates, seed)
 
 
 class TestSpacings:
@@ -297,7 +299,7 @@ class TestSpacings:
             return draw(dist, rng, shape, gaps)
 
         monkeypatch.setattr(simulate, "_draw", recording)
-        _summary_matrix(dist, 50, 300, 0)
+        whole_matrix(dist, 50, 300, 0)
         # Six gamma spacings per row, or a whole sample of 50 to sort.
         assert shapes == [(6, 300) if spacings else (300, 50)]
 
@@ -308,7 +310,7 @@ class TestSpacings:
         # means and variances, and the S1/S2/S3 rejection rates, agree
         # within 4 standard errors of their difference.
         reps, k = 20_000, 4.0
-        fast = _summary_matrix(dist, n, reps, 1)
+        fast = whole_matrix(dist, n, reps, 1)
         slow = _sorted_matrix(monkeypatch, dist, n, reps, 2)
         mean_se = np.sqrt((fast.var(axis=0) + slow.var(axis=0)) / reps)
         assert np.all(np.abs(fast.mean(axis=0) - slow.mean(axis=0))
@@ -343,11 +345,11 @@ class TestSpacings:
         # scipy's ks_2samp: the 120 p-values have median 0.50, and the
         # smallest is 0.0048 (normal, n = 4, S2 against the six-row
         # draw; 0.11 at 200000 replicates a side).
-        full = _summary_matrix(dist, n, 700, 6)
-        references = (_summary_matrix(dist, n, 700, 7),
+        full = whole_matrix(dist, n, 700, 6)
+        references = (whole_matrix(dist, n, 700, 7),
                       _sorted_matrix(monkeypatch, dist, n, 700, 8))
         for scenario, reads in READS.items():
-            got = _summary_matrix(dist, n, 700, 6, reads=reads)
+            got = whole_matrix(dist, n, 700, 6, reads=reads)
             unread = [i for i in range(5) if i not in reads]
             assert np.all(np.isnan(got[:, unread])), scenario
             assert np.all(np.isfinite(got[:, reads])), scenario
@@ -393,8 +395,8 @@ class TestSpacings:
         slow = _sorted_matrix(monkeypatch, dist, n, slow_reps, 22)
         crit = critical_value(0.05)
         for scenario in (Scenario.S1, Scenario.S2):
-            fast = _summary_matrix(dist, n, fast_reps, 21,
-                                   reads=READS[scenario])
+            fast = whole_matrix(dist, n, fast_reps, 21,
+                                reads=READS[scenario])
             t_fast, t_slow = (_statistics(scenario, x, n)
                               for x in (fast, slow))
             p = ks_2samp(t_fast, t_slow).pvalue
@@ -412,9 +414,9 @@ class TestSpacings:
         seen = []
         real = simulate._summary_matrix
 
-        def recording(*args, **kwargs):
-            seen.append(kwargs["reads"])
-            return real(*args, **kwargs)
+        def recording(dist, drawn, reads):
+            seen.append(reads)
+            return real(dist, drawn, reads)
 
         monkeypatch.setattr(simulate, "_summary_matrix", recording)
         power_curve(scenario, _NORMAL, (10, 20), replicates=50, seed=1)
@@ -428,8 +430,8 @@ class TestSpacings:
 
     @pytest.mark.parametrize("dist", _SORTED_FAMILIES, ids=DistSpec.label)
     def test_sort_path_fills_every_row(self, dist):
-        full = _summary_matrix(dist, 30, 300, 6)
-        got = _summary_matrix(dist, 30, 300, 6, reads=READS[Scenario.S1])
+        full = whole_matrix(dist, 30, 300, 6)
+        got = whole_matrix(dist, 30, 300, 6, reads=READS[Scenario.S1])
         assert got.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("dist", _SORTED_FAMILIES, ids=DistSpec.label)
@@ -438,14 +440,14 @@ class TestSpacings:
         # its map returns them as they are.
         reads = READS[Scenario.S1]
         drawn = simulate._draw_chunk(dist, 30, 300, 6, 0, reads)
-        got = _summary_matrix(dist, 30, 300, 6, reads=reads, drawn=drawn)
+        got = _summary_matrix(dist, drawn, reads)
         assert np.shares_memory(got, drawn)
-        assert got.tobytes() == _summary_matrix(dist, 30, 300, 6).tobytes()
+        assert got.tobytes() == whole_matrix(dist, 30, 300, 6).tobytes()
 
     @pytest.mark.parametrize("dist", _SPACINGS_FAMILIES, ids=DistSpec.label)
     def test_rows_ordered_and_tied_ranks_equal(self, dist):
         for n in range(4, 12):
-            x = _summary_matrix(dist, n, 500, 3)
+            x = whole_matrix(dist, n, 500, 3)
             assert np.all(np.diff(x, axis=1) >= 0)
             columns = _order_columns(n)
             for i in range(4):
@@ -748,11 +750,10 @@ def _maps(scenario, n, drawn, dist=_NORMAL):
     ``dist``, and the float32 map's error bound."""
     reads = READS[scenario]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m32 = _summary_matrix(dist, n, 1, 0, reads=reads,
-                              drawn=drawn.astype(np.float32))
+        m32 = _summary_matrix(dist, drawn.astype(np.float32), reads)
         t32 = _statistics(scenario, m32, n)
-        t64 = _statistics(scenario, _summary_matrix(
-            dist, n, 1, 0, reads=reads, drawn=drawn.copy()), n)
+        t64 = _statistics(scenario, _summary_matrix(dist, drawn.copy(),
+                                                    reads), n)
         error = simulate._FAMILIES[dist.family][4](dist.params)
         return t32, t64, _error_bound(scenario, error, m32, t32, n)
 
@@ -823,10 +824,10 @@ class TestTypeIScreen:
         recounted = []
         real = simulate._summary_matrix
 
-        def recording(*args, drawn, **kwargs):
+        def recording(dist, drawn, reads):
             if drawn.dtype == np.float64:
                 recounted.append(drawn.shape[1])
-            return real(*args, drawn=drawn, **kwargs)
+            return real(dist, drawn, reads)
 
         for alpha in (0.05, 0.01, 1.0):
             for seed in (1, 2, 3):
@@ -921,8 +922,7 @@ class TestTypeIScreen:
                          * drawn[:, :16].sum(axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
             lowest32, lowest64 = (_summary_matrix(
-                _NORMAL, n, 1, 0, reads=reads,
-                drawn=drawn.astype(dtype))[:16, reads[0]]
+                _NORMAL, drawn.astype(dtype), reads)[:16, reads[0]]
                 for dtype in (np.float32, np.float64))
         assert np.max(np.abs(lowest32 - lowest64)) > 1e-3
         assert np.all(lowest64 < -13.0)
@@ -977,10 +977,10 @@ class TestFamilyScreen:
         recounted, screened = [], []
         real = simulate._summary_matrix
 
-        def recording(*args, drawn, **kwargs):
+        def recording(dist, drawn, reads):
             (screened if drawn.dtype == np.float32 else recounted).append(
                 drawn.shape[1])
-            return real(*args, drawn=drawn, **kwargs)
+            return real(dist, drawn, reads)
 
         for seed, scenario in enumerate(READS, 1):
             for alpha in (0.05, 0.01):
@@ -1115,9 +1115,9 @@ class TestFamilyScreen:
         dist, dtypes = DistSpec.parse(text), set()
         real = simulate._summary_matrix
 
-        def recording(*args, drawn, **kwargs):
+        def recording(dist, drawn, reads):
             dtypes.add(drawn.dtype)
-            return real(*args, drawn=drawn, **kwargs)
+            return real(dist, drawn, reads)
 
         monkeypatch.setattr(simulate, "_summary_matrix", recording)
         for scenario, want in counts.items():
@@ -1143,7 +1143,7 @@ class TestChunkUnits:
         grid, crit = (10, 20, 30), critical_value(0.05)
         got = power_curve(Scenario.S3, dist, grid, replicates=1000, seed=9)
         want = tuple(float(np.mean(np.abs(_statistics(
-            Scenario.S3, _summary_matrix(dist, n, 1000, 9), n)) > crit))
+            Scenario.S3, whole_matrix(dist, n, 1000, 9), n)) > crit))
             for n in grid)
         assert got.rates == want
         assert 0.0 < min(want) and max(want) < 1.0
@@ -1156,12 +1156,11 @@ class TestChunkUnits:
         # R = 700: two whole chunks and a partial one of 100 rows, each
         # drawn on its own stream and mapped alone, then stacked.
         reads = READS[scenario]
-        maps = [_summary_matrix(dist, 30, 700, 4, reads=reads,
-                                drawn=simulate._draw_chunk(dist, 30, 700, 4,
-                                                           chunk, reads))
-                for chunk in range(3)]
+        maps = [_summary_matrix(
+            dist, simulate._draw_chunk(dist, 30, 700, 4, chunk, reads), reads)
+            for chunk in range(3)]
         assert [len(m) for m in maps] == [300, 300, 100]
-        whole = _summary_matrix(dist, 30, 700, 4, reads=reads)
+        whole = whole_matrix(dist, 30, 700, 4, reads=reads)
         assert whole.shape == (700, 5)
         assert whole.tobytes() == np.concatenate(maps).tobytes()
 
@@ -1178,30 +1177,30 @@ class TestChunkUnits:
         # first: the error still waits for the slow chunk, counts over
         # all R, and no unit of n=25 starts.  A count starts at the
         # unit's first map, float32 under the screen, and is matched to
-        # its chunk by the contents of the draw.  float64_only runs the
-        # same curve with the screen off, as a family row without an
-        # error column runs.
+        # its cell and chunk by the contents of the draw.  float64_only
+        # runs the same curve with the screen off, as a family row without
+        # an error column runs.
         _force_cpus(monkeypatch, cpus)
         if not screen:
             _without_error_column(monkeypatch, "normal")
         first = np.float32 if screen else np.float64  # a unit's first map
-        units, chunks = [], {}  # chunks: a draw's float32 bytes -> its index
+        units, chunks = [], {}  # chunks: a draw's float32 bytes -> (n, chunk)
         real_draw, real = simulate._draw_chunk, simulate._summary_matrix
 
         def overflowing_draw(dist, n, replicates, seed, chunk, reads):
             drawn = real_draw(dist, n, replicates, seed, chunk, reads)
             if (n, chunk) == (10, 3):
                 drawn[-1, ::2] = np.inf
-            chunks[drawn.astype(np.float32).tobytes()] = chunk
+            chunks[drawn.astype(np.float32).tobytes()] = (n, chunk)
             return drawn
 
-        def recording(dist, n, replicates, seed, *, drawn, **kwargs):
+        def recording(dist, drawn, reads):
             if drawn.dtype == first:
-                chunk = chunks.pop(drawn.astype(np.float32).tobytes())
-                units.append((n, chunk))
-                if (n, chunk) == (10, 0):
+                unit = chunks.pop(drawn.astype(np.float32).tobytes())
+                units.append(unit)
+                if unit == (10, 0):
                     time.sleep(0.2)
-            return real(dist, n, replicates, seed, drawn=drawn, **kwargs)
+            return real(dist, drawn, reads)
 
         monkeypatch.setattr(simulate, "_draw_chunk", overflowing_draw)
         monkeypatch.setattr(simulate, "_summary_matrix", recording)
@@ -1217,16 +1216,16 @@ class TestWorkingSet:
     @pytest.mark.parametrize("values", [100, 1])  # 3 rows, 1 row a block
     def test_sort_blocks_match_one_block(self, monkeypatch, dist, values):
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 300)
-        whole = _summary_matrix(dist, 30, 700, 4)
+        whole = whole_matrix(dist, 30, 700, 4)
         monkeypatch.setattr(simulate, "_SORT_VALUES", values)
-        assert np.array_equal(_summary_matrix(dist, 30, 700, 4), whole)
+        assert np.array_equal(whole_matrix(dist, 30, 700, 4), whole)
 
     @staticmethod
     def _peak(dist, n, replicates, warm=100):
-        _summary_matrix(dist, n, warm, 0)  # first-call allocations
+        whole_matrix(dist, n, warm, 0)  # first-call allocations
         tracemalloc.start()
         try:
-            result = _summary_matrix(dist, n, replicates, 0)
+            result = whole_matrix(dist, n, replicates, 0)
             return tracemalloc.get_traced_memory()[1], result.nbytes
         finally:
             tracemalloc.stop()
@@ -1343,7 +1342,7 @@ class TestFastPathsBitIdentical:
             for n in (4, 5, 7, 10, 100, 1000):
                 g = simulate._draw_chunk(dist, n, 2000, 4, 0, reads)
                 want = self._whole_formula_map(dist, g, reads)
-                got = _summary_matrix(dist, n, 2000, 4, reads=reads)
+                got = whole_matrix(dist, n, 2000, 4, reads=reads)
                 assert got.tobytes() == want.tobytes(), (scenario, n)
 
     @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
